@@ -47,6 +47,7 @@ from .errors import (
     CapExceeded,
     CongruenceCodeError,
     IntegralityFailure,
+    InvariantViolation,
     NonExactDivision,
 )
 from .oracle import (
@@ -60,11 +61,8 @@ from .oracle import (
 from .polyring import (
     IntPolynomial,
     ResiduePolynomial,
-    poly_add,
-    poly_div_exact,
-    poly_mul,
-    poly_scale,
     residue_product,
+    sparse_slot,
 )
 
 __version__ = "0.1.0"
@@ -78,6 +76,7 @@ __all__ = [
     "FactoredInteger",
     "IntegralityFailure",
     "IntPolynomial",
+    "InvariantViolation",
     "NonExactDivision",
     "ParityCodeSpec",
     "ResiduePolynomial",
@@ -97,16 +96,13 @@ __all__ = [
     "make_svt",
     "make_vt",
     "moebius",
-    "poly_add",
-    "poly_div_exact",
-    "poly_mul",
-    "poly_scale",
     "ramanujan_sum",
     "ramanujan_sum_direct",
     "residue_product",
     "size",
     "size_cosine_float",
     "size_upper_bound",
+    "sparse_slot",
     "svt_sizes",
     "svt_sizes_charsum_float",
     "totient",

@@ -269,6 +269,8 @@ _NT_QUANTITY = "nt"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.family == "svt" and args.quantity != "size":
+        raise UsageError("svt tables support --quantity size only")
     instances = list(_iter_instances(args))
     param_keys: list[str] = []
     for params, _ in instances:
@@ -280,11 +282,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     for params, spec in instances:
         if args.family == "svt":
             even, odd = svt_sizes(spec)
-            picked = even if params["r"] == 0 else odd
-            values = [picked] if args.quantity == "size" else None
-            if values is None:
-                raise UsageError("svt tables support --quantity size only")
-            rows.append((params, values))
+            rows.append((params, [even if params["r"] == 0 else odd]))
             continue
         w = weight_enumerator(spec)
         max_len = max(max_len, w.k)

@@ -26,7 +26,7 @@ from typing import Iterable
 from .arith import divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import IntegralityFailure, NonExactDivision
-from .polyring import IntPolynomial, poly_div_exact, residue_product
+from .polyring import IntPolynomial, ResiduePolynomial, residue_product, sparse_slot
 
 __all__ = [
     "WeightEnumerator",
@@ -83,22 +83,34 @@ class WeightEnumerator:
         return self.polynomial().pretty(var)
 
 
+# (coefficients reduced mod n, n) and the dense fold of the last weight_enumerator
+# call; sweeps ask for every residue of one modulus in a row, so they fold once.
+_last_fold: tuple[tuple[tuple[int, ...], int], ResiduePolynomial] | None = None
+
+
 def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator via the residue fold.
 
-    The dense fold costs O(k^2 n). When the modulus exceeds the 2^k
-    congruence sums that binary tuples can reach, the fold switches to a
-    sparse map over reachable residues only, so huge-modulus instances
-    stay exact and cheap. VT-tagged specs are additionally cross-checked
-    against the Ramanujan closed form (stripped under python -O).
+    The dense fold costs n big-integer adds per coefficient and is reused
+    while consecutive calls share coefficients and modulus. When the modulus
+    exceeds the 2^k congruence sums that binary tuples can reach, the fold
+    switches to a sparse map over reachable residues only, so huge-modulus
+    instances stay exact and cheap. VT-tagged specs are additionally
+    cross-checked against the Ramanujan closed form (stripped under python -O).
     """
+    global _last_fold
     k = len(spec.coefficients)
     n = spec.modulus
     if n <= (1 << k):
-        counts = list(residue_product(spec.coefficients, n).slot(spec.residue).coeffs)
+        key = (tuple(a % n for a in spec.coefficients), n)
+        fold = _last_fold  # one read, so a concurrent caller cannot swap it midway
+        if fold is None or fold[0] != key:
+            fold = _last_fold = None  # free the old fold before building the next
+            fold = _last_fold = key, residue_product(key[0], n)
+        poly = fold[1].slot(spec.residue)
     else:
-        counts = _sparse_slot(spec.coefficients, n, spec.residue)
-    counts += [0] * (k + 1 - len(counts))
+        poly = sparse_slot(spec.coefficients, n, spec.residue)
+    counts = list(poly.coeffs) + [0] * (k + 1 - len(poly.coeffs))
     if (
         __debug__
         and spec.family_tag == "vt"
@@ -108,31 +120,6 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
         closed = vt_weight_enumerator_closed(n - 1, spec.residue)
         assert list(closed.counts) == counts, "fold and closed form disagree"
     return WeightEnumerator(k, counts)
-
-
-def _sparse_slot(coeffs: tuple[int, ...], n: int, b: int) -> list[int]:
-    # same fold, keyed by reachable residue instead of a length-n array
-    state: dict[int, list[int]] = {0: [1]}
-    for a in coeffs:
-        a %= n
-        new: dict[int, list[int]] = {}
-        for r, poly in state.items():
-            _add_shifted(new, r, poly, 0)
-            _add_shifted(new, (r + a) % n, poly, 1)
-        state = new
-    return list(state.get(b, []))
-
-
-def _add_shifted(target: dict[int, list[int]], key: int, poly: list[int], shift: int) -> None:
-    dst = target.get(key)
-    if dst is None:
-        target[key] = [0] * shift + poly
-        return
-    need = shift + len(poly)
-    if len(dst) < need:
-        dst.extend([0] * (need - len(dst)))
-    for i, c in enumerate(poly):
-        dst[i + shift] += c
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -273,7 +260,7 @@ def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
         if rem:
             raise NonExactDivision("divisor sum not divisible by n+1")
         scaled.append(v)
-    quotient = poly_div_exact(IntPolynomial(scaled), IntPolynomial((1, 1)))
+    quotient = IntPolynomial(scaled).div_exact(IntPolynomial((1, 1)))
     counts = list(quotient.coeffs)
     counts += [0] * (q - len(counts))
     return WeightEnumerator(n, counts)

@@ -20,3 +20,10 @@ class IntegralityFailure(CongruenceCodeError):
 
 class CapExceeded(CongruenceCodeError):
     """A brute-force routine was asked to enumerate beyond its safety cap."""
+
+
+class InvariantViolation(CongruenceCodeError):
+    """An exact computation broke an identity that holds for every input.
+
+    Seeing this exception means a bug in the package, never bad input.
+    """

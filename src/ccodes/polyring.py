@@ -1,9 +1,9 @@
 """Exact integer polynomials and the residue-indexed product fold.
 
 IntPolynomial is a dense immutable polynomial over the integers; the list
-index is the degree in z. ResiduePolynomial splits the weight generating
-polynomial of all binary tuples across the residues of a congruence sum:
-slot r collects z^weight over the tuples whose weighted sum is r mod n.
+index is the degree in z. The fold splits the weight generating polynomial
+of all binary tuples across the residues of a congruence sum: slot r
+collects z^weight over the tuples whose weighted sum is r mod n.
 
 Folding in one coefficient a is
 
@@ -13,22 +13,26 @@ which is multiplication by (1 + z x^a) in the group ring Z[z][Z_n]. After
 the whole coefficient list has been folded, slot b holds exactly the
 integers that the averaged complex character sum would produce, with no
 floating point and no rounding anywhere.
+
+Each slot is packed into one Python integer, the coefficient of z^t in bits
+[t(k+1), (t+1)(k+1)): Kronecker substitution of z = 2^(k+1). No coefficient
+exceeds C(k, t) < 2^(k+1), so fields never carry into each other, and
+multiplying by z is a shift by k+1 bits. A fold step is then one big-integer
+add per residue. Only this module knows the field width; callers get
+IntPolynomial slots.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import NonExactDivision
+from .errors import InvariantViolation, NonExactDivision
 
 __all__ = [
     "IntPolynomial",
     "ResiduePolynomial",
-    "poly_add",
-    "poly_mul",
-    "poly_scale",
-    "poly_div_exact",
     "residue_product",
+    "sparse_slot",
 ]
 
 
@@ -154,71 +158,92 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p + q
+def _unpack(packed: int, width: int) -> IntPolynomial:
+    mask = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & mask)
+        packed >>= width
+    return IntPolynomial(coeffs)
 
 
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
-
-
-def poly_scale(p: IntPolynomial, c: int) -> IntPolynomial:
-    return p * c
-
-
-def poly_div_exact(num: IntPolynomial, den: IntPolynomial | int) -> IntPolynomial:
-    return num.div_exact(den)
+def _check_mass(rows: Iterable[int], k: int, width: int) -> None:
+    # The slots split all 2^k tuples, so weight class t sums to C(k, t) over
+    # the slots: packed, the slot total is (1 + z)^k at z = 2^width.
+    if sum(rows) != (1 + (1 << width)) ** k:
+        raise InvariantViolation(f"fold of {k} coefficients lost or gained tuples")
 
 
 class ResiduePolynomial:
-    """Weight polynomials indexed by congruence residue, one slot per residue."""
+    """Per-residue weight polynomials of one dense fold, kept packed.
 
-    __slots__ = ("modulus", "slots")
+    Built by residue_product; slot(r) unpacks the polynomial of residue r.
+    """
 
-    def __init__(self, modulus: int, slots: Sequence[IntPolynomial]) -> None:
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if len(slots) != modulus:
-            raise ValueError("need exactly one slot per residue")
+    __slots__ = ("modulus", "_width", "_rows")
+
+    def __init__(self, modulus: int, width: int, rows: list[int]) -> None:
         self.modulus = modulus
-        self.slots: tuple[IntPolynomial, ...] = tuple(slots)
+        self._width = width
+        self._rows = rows
 
     def slot(self, residue: int) -> IntPolynomial:
         if not 0 <= residue < self.modulus:
             raise ValueError(f"residue {residue} out of range for modulus {self.modulus}")
-        return self.slots[residue]
+        return _unpack(self._rows[residue], self._width)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResiduePolynomial):
             return NotImplemented
-        return self.modulus == other.modulus and self.slots == other.slots
+        return (self.modulus, self._width, self._rows) == (
+            other.modulus, other._width, other._rows)
 
     def __repr__(self) -> str:
-        return f"ResiduePolynomial({self.modulus}, {list(self.slots)!r})"
+        slots = [self.slot(r) for r in range(self.modulus)]
+        return f"ResiduePolynomial({self.modulus}, {slots!r})"
 
 
 def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
     """Fold a coefficient list into per-residue weight polynomials.
 
     Starts from slot 0 = 1 (the empty tuple) and folds each coefficient in
-    turn. Negative coefficients are reduced mod the modulus first, which
-    does not change the code. After k folds the slot polynomials at z=1 sum
-    to 2^k, one contribution per binary tuple.
+    turn, one big-integer add per residue. Negative coefficients are reduced
+    mod the modulus first, which does not change the code. Raises
+    InvariantViolation if the slots do not add up to (1 + z)^k.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     a_list = [a % modulus for a in coeffs]
     k = len(a_list)
-    rows: list[list[int]] = [[0] * (k + 1) for _ in range(modulus)]
-    rows[0][0] = 1
+    width = k + 1
+    rows = [0] * modulus
+    rows[0] = 1
     for a in a_list:
-        new: list[list[int]] = []
-        for r in range(modulus):
-            src = rows[(r - a) % modulus]
-            shifted = [0] + src[:-1]
-            new.append([c + s for c, s in zip(rows[r], shifted)])
-        rows = new
-    if __debug__:
-        total = sum(sum(row) for row in rows)
-        assert total == 1 << k, "slot mass must stay at 2^k"
-    return ResiduePolynomial(modulus, tuple(IntPolynomial(row) for row in rows))
+        # rows[-a:] + rows[:-a] holds slot (r - a) mod n at index r
+        rows = [x + (y << width) for x, y in zip(rows, rows[-a:] + rows[:-a])]
+    _check_mass(rows, k, width)
+    return ResiduePolynomial(modulus, width, rows)
+
+
+def sparse_slot(coeffs: Iterable[int], modulus: int, residue: int) -> IntPolynomial:
+    """Weight polynomial of one residue by the same fold over reachable residues.
+
+    Keys the packed slots by the at most 2^k residues that tuples reach
+    instead of a length-n array, so moduli far above 2^k stay cheap.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    if not 0 <= residue < modulus:
+        raise ValueError(f"residue {residue} out of range for modulus {modulus}")
+    a_list = [a % modulus for a in coeffs]
+    k = len(a_list)
+    width = k + 1
+    state = {0: 1}
+    for a in a_list:
+        new = state.copy()
+        for r, x in state.items():
+            key = (r + a) % modulus
+            new[key] = new.get(key, 0) + (x << width)
+        state = new
+    _check_mass(state.values(), k, width)
+    return _unpack(state.get(residue, 0), width)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ccodes import __version__, vt_size
+from ccodes import InvariantViolation, __version__, cli, enumerator, polyring, vt_size
 from ccodes.cli import main, parse_range
 from ccodes.cli import UsageError
 
@@ -209,3 +209,30 @@ def test_parse_range():
     assert parse_range("4..1") == []
     with pytest.raises(UsageError):
         parse_range("a..b")
+
+
+def test_table_svt_rejects_non_size_quantity_before_computing(capsys, monkeypatch):
+    def must_not_run(spec):
+        raise AssertionError("svt_sizes ran before the usage check")
+
+    monkeypatch.setattr(cli, "svt_sizes", must_not_run)
+    for quantity in ("nt", "enumerator"):
+        code, out, err = run(capsys, "table", "--family", "svt", "--quantity", quantity,
+                             "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
+        assert code == 2
+        assert out == ""
+        assert "--quantity size only" in err
+
+
+def test_fold_invariant_is_not_a_usage_error(capsys, monkeypatch):
+    def broken_check(rows, k, width):
+        raise InvariantViolation("broken")
+
+    monkeypatch.setattr(enumerator, "_last_fold", None)  # force a fresh fold
+    monkeypatch.setattr(polyring, "_check_mass", broken_check)
+    with pytest.raises(InvariantViolation):
+        main(["enum", "--family", "vt", "--n", "4", "--b", "0"])
+    code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "4", "--b", "0",
+                       "--methods", "exact,closed")
+    assert code == 1
+    assert out.startswith("FAIL family=vt n=4 b=0 error=broken")

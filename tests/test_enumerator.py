@@ -15,9 +15,11 @@ from ccodes import (
     make_levenshtein,
     make_svt,
     make_vt,
+    residue_product,
     size,
     size_cosine_float,
     size_upper_bound,
+    sparse_slot,
     svt_sizes,
     svt_sizes_charsum_float,
     vt_q_size,
@@ -27,6 +29,7 @@ from ccodes import (
     weight_enumerator,
     weight_enumerator_charsum_float,
 )
+from ccodes import enumerator
 
 # === WeightEnumerator type ===
 
@@ -79,11 +82,34 @@ def test_sparse_and_dense_agree():
         coeffs = tuple(rng.randint(-30, 30) for _ in range(k))
         b = rng.randint(0, n - 1)
         dense = weight_enumerator(CodeSpec(coeffs, n, b))
-        from ccodes.enumerator import _sparse_slot
+        assert dense.polynomial() == sparse_slot(coeffs, n, b)
 
-        sparse = _sparse_slot(coeffs, n, b)
-        sparse += [0] * (k + 1 - len(sparse))
-        assert list(dense.counts) == sparse
+
+def test_dense_fold_memo_key(monkeypatch):
+    folds = []
+
+    def counting_fold(coeffs, modulus):
+        folds.append((tuple(coeffs), modulus))
+        return residue_product(coeffs, modulus)
+
+    monkeypatch.setattr(enumerator, "_last_fold", None)
+    monkeypatch.setattr(enumerator, "residue_product", counting_fold)
+    a = (1, 2, 3, 5)
+    sequence = [
+        (CodeSpec(a, 7, 0), True),  # first fold
+        (CodeSpec((2, 4, 6), 7, 3), True),  # another spec evicts A
+        (CodeSpec(a, 7, 1), True),  # so A folds again
+        (CodeSpec(a, 7, 2), False),  # same key: reused
+        (CodeSpec((8, 9, -4, 12), 7, 4), False),  # same coefficients mod 7: reused
+        (CodeSpec(a, 9, 1), True),  # same reduced coefficients, other modulus
+        (CodeSpec(a, 9, 2), False),
+    ]
+    for spec, folds_again in sequence:
+        before = len(folds)
+        got = weight_enumerator(spec)
+        assert len(folds) == before + folds_again
+        assert got == brute_weight_enumerator(spec)
+    assert folds == [(a, 7), ((2, 4, 6), 7), (a, 7), (a, 9)]
 
 
 # === float character sum ===

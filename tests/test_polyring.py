@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -5,13 +6,12 @@ import pytest
 
 from ccodes import (
     IntPolynomial,
+    InvariantViolation,
     NonExactDivision,
-    poly_add,
-    poly_div_exact,
-    poly_mul,
-    poly_scale,
     residue_product,
+    sparse_slot,
 )
+from ccodes import polyring
 
 P = IntPolynomial
 
@@ -32,11 +32,11 @@ def test_degree():
 
 def test_add_mul_scale():
     one_plus_z = P([1, 1])
-    assert poly_mul(one_plus_z, one_plus_z) == P([1, 2, 1])
-    assert poly_add(P([1, 2]), P([0, -2, 3])) == P([1, 0, 3])
-    assert poly_scale(P([1, 0, 2]), 3) == P([3, 0, 6])
-    assert poly_scale(P([1, 0, 2]), 0) == P()
-    assert poly_mul(P([1, 2]), P()) == P()
+    assert one_plus_z * one_plus_z == P([1, 2, 1])
+    assert P([1, 2]) + P([0, -2, 3]) == P([1, 0, 3])
+    assert P([1, 0, 2]) * 3 == P([3, 0, 6])
+    assert P([1, 0, 2]) * 0 == P()
+    assert P([1, 2]) * P() == P()
     assert 2 * P([1, 1]) == P([2, 2])
 
 
@@ -72,24 +72,24 @@ def test_pretty():
 
 
 def test_div_exact_examples():
-    assert poly_div_exact(P([1, 0, -1]), P([1, 1])) == P([1, -1])
-    assert poly_div_exact(P([2, 4]), 2) == P([1, 2])
+    assert P([1, 0, -1]).div_exact(P([1, 1])) == P([1, -1])
+    assert P([2, 4]).div_exact(2) == P([1, 2])
     z1 = P([1, 1])
     pow5 = z1 * z1 * z1 * z1 * z1
     combined = pow5 + 4 * P([1, 0, 0, 0, 0, 1])
-    quotient = poly_div_exact(poly_div_exact(combined, z1), 5)
+    quotient = combined.div_exact(z1).div_exact(5)
     assert quotient == P([1, 0, 2, 0, 1])
 
 
 def test_div_exact_failures():
     with pytest.raises(NonExactDivision):
-        poly_div_exact(P([1, 1]), P([1, 2]))  # leading coefficient 2 does not divide
+        P([1, 1]).div_exact(P([1, 2]))  # leading coefficient 2 does not divide
     with pytest.raises(NonExactDivision):
-        poly_div_exact(P([1, 1, 1]), P([1, 1]))  # remainder
+        P([1, 1, 1]).div_exact(P([1, 1]))  # remainder
     with pytest.raises(NonExactDivision):
-        poly_div_exact(P([3]), 2)
+        P([3]).div_exact(2)
     with pytest.raises(ZeroDivisionError):
-        poly_div_exact(P([1]), P())
+        P([1]).div_exact(P())
 
 
 def test_div_exact_roundtrip():
@@ -99,7 +99,7 @@ def test_div_exact_roundtrip():
         b = P([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
         if not b:
             continue
-        assert poly_div_exact(a * b, b) == a
+        assert (a * b).div_exact(b) == a
 
 
 # === residue_product ===
@@ -140,15 +140,16 @@ def test_residue_product_zero_coefficients():
 
 
 def test_residue_product_mass_and_oracle():
+    # both packed folds, with k = 0, zero coefficients and n past 2^k among the draws
     rng = random.Random(4)
-    for _ in range(40):
+    for _ in range(60):
         k = rng.randint(0, 9)
-        n = rng.randint(1, 12)
-        coeffs = [rng.randint(-20, 20) for _ in range(k)]
-        rp = residue_product(coeffs, n)
-        assert sum(p(1) for p in rp.slots) == 2**k
+        n = rng.randint(1, 40)
+        coeffs = [rng.choice((0, rng.randint(-40, 40))) for _ in range(k)]
         expected = brute_slots(coeffs, n)
-        assert list(rp.slots) == expected
+        rp = residue_product(coeffs, n)
+        assert [rp.slot(r) for r in range(n)] == expected
+        assert [sparse_slot(coeffs, n, r) for r in range(n)] == expected
 
 
 def test_residue_product_order_invariant():
@@ -177,3 +178,26 @@ def test_residue_slot_range_check():
         rp.slot(2)
     with pytest.raises(ValueError):
         rp.slot(-1)
+
+
+def test_packed_folds_widest_field():
+    # modulus 1 puts every tuple in one slot: N_t = C(40, t), up to C(40, 20)
+    binomials = P([math.comb(40, t) for t in range(41)])
+    assert residue_product([0] * 40, 1).slot(0) == binomials
+    assert sparse_slot([0] * 40, 1, 0) == binomials
+
+
+def test_sparse_slot_bad_arguments():
+    with pytest.raises(ValueError):
+        sparse_slot([1], 0, 0)
+    with pytest.raises(ValueError):
+        sparse_slot([1], 5, 5)
+
+
+def test_fold_mass_check():
+    # the fold of [1] mod 2 is slot 0 = 1, slot 1 = z, packed with 2-bit fields
+    polyring._check_mass([1, 1 << 2], 1, 2)
+    with pytest.raises(InvariantViolation):
+        polyring._check_mass([1, 1 << 2, 1], 1, 2)
+    with pytest.raises(InvariantViolation):
+        polyring._check_mass([1, 1], 1, 2)
