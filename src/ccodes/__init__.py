@@ -29,7 +29,6 @@ from .codes import (
 )
 from .enumerator import (
     WeightEnumerator,
-    homogeneous_enumerator,
     lehmer_count,
     size,
     size_cosine_float,
@@ -89,7 +88,6 @@ __all__ = [
     "divisors",
     "factor",
     "helberg_multipliers",
-    "homogeneous_enumerator",
     "lehmer_count",
     "make_helberg",
     "make_levenshtein",

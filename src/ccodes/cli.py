@@ -2,7 +2,7 @@
 
 Subcommands:
     enum     one code instance: enumerator and size
-    table    sweep a parameter grid, one row per instance
+    table    sweep a parameter grid, one CSV row per instance
     verify   cross-check independent computation methods over a grid
     version  print the package version
 
@@ -10,16 +10,21 @@ Examples:
     ccodes enum --family vt --n 4 --b 0 --format json
     ccodes enum --family blcc --coeffs 1,2 --mod 3 --b 0
     ccodes table --family vt --quantity size --n 1..6 --b all
+    ccodes table --family levenshtein --quantity nt --k 1..6 --n 2k --b all
     ccodes table --family helberg --quantity size --k 1..8 --s 2 --b 0
     ccodes verify --family vt --n 1..12 --b all --methods exact,closed,brute
     ccodes verify --family svt --k 1..10 --n k+1 --b all --r both
     ccodes verify --family blcc --random 100 --seed 7
 
-Ranges are written a..b (inclusive); --b all sweeps every residue of the
-instance's modulus; for svt and levenshtein grids --n also accepts the
-relative forms k+1 and 2k. Exit status: 0 on success, 1 when verification
-finds a mismatch, 2 on usage errors. Output carries no timestamps, so
-identical invocations produce identical bytes.
+Each family takes its own grid flags and no others, as the --family help
+lists. Ranges are written a..b (inclusive); --b all sweeps every residue of
+the instance's modulus; for svt and levenshtein grids --n also accepts the
+relative forms k+1 and 2k. enum reads the same grid but needs it to name
+exactly one instance. --format (plain, json or csv) exists on enum only:
+table always writes CSV and verify plain PASS/FAIL lines. Exit status: 0 on
+success, 1 when verification finds a mismatch, 2 on usage errors only (an
+error inside the package is never reported as one). Output carries no
+timestamps, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,14 +32,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
-from .codes import CodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
+from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
 from .enumerator import (
     svt_sizes,
     svt_sizes_charsum_float,
@@ -48,7 +54,9 @@ from .oracle import brute_weight_enumerator
 
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
 
-_FAMILIES = ("vt", "levenshtein", "helberg", "svt", "blcc")
+_GRID_FLAGS = ("n", "k", "s", "b", "r", "coeffs", "mod")
+
+Params = dict[str, int | str]
 
 
 class UsageError(Exception):
@@ -127,24 +135,6 @@ def parse_range(text: str) -> list[int]:
         raise UsageError(f"bad range {text!r}; expected INT or LO..HI") from None
 
 
-def _expand_n(text: str, k: int) -> list[int]:
-    if text == "k+1":
-        return [k + 1]
-    if text == "2k":
-        return [2 * k]
-    return parse_range(text)
-
-
-def _expand_b(text: str, modulus: int) -> list[int]:
-    if text == "all":
-        return list(range(modulus))
-    bs = parse_range(text)
-    for b in bs:
-        if not 0 <= b < modulus:
-            raise UsageError(f"residue {b} out of range for modulus {modulus}")
-    return bs
-
-
 def _parse_coeffs(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -152,53 +142,149 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad coefficient list {text!r}; expected e.g. 1,2,-3") from None
 
 
-def _require(args: argparse.Namespace, names: Sequence[str]) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--family {args.family} requires --{name}")
+# ---- family registry ----
+#
+# A family's grid lists its flags in output-parameter order, each with an
+# expander: (flag value, parameters so far) -> the values that parameter takes.
+# Its routes map a spec to a result; verify methods also return a deviation.
+
+
+def _ints(text: str, params: Params) -> list[int]:
+    """INT or LO..HI; after a --k, also the relative forms k+1 and 2k."""
+    if "k" in params and text in ("k+1", "2k"):
+        k = params["k"]
+        return [k + 1] if text == "k+1" else [2 * k]
+    return parse_range(text)
+
+
+def _residues(modulus_of: Callable[[Params], int]) -> Callable[[str, Params], list[int]]:
+    """--b for a family whose modulus follows from its other parameters."""
+    def expand(text: str, params: Params) -> list[int]:
+        modulus = modulus_of(params)
+        if text == "all":
+            return list(range(modulus))
+        bs = parse_range(text)
+        for b in bs:
+            if not 0 <= b < modulus:
+                raise UsageError(f"residue {b} out of range for modulus {modulus}")
+        return bs
+
+    return expand
+
+
+def _coeff_text(text: str, params: Params) -> list[str]:
+    _parse_coeffs(text)  # reject a malformed list even when the --mod range is empty
+    return [text]
+
+
+def _counts(spec: CodeSpec) -> tuple[int, ...]:
+    return weight_enumerator(spec).counts
+
+
+def _parity_counts(spec: ParityCodeSpec) -> tuple[int, ...]:
+    """The base code's weight distribution with the other weight parity zeroed."""
+    return tuple(c if t % 2 == spec.parity else 0 for t, c in enumerate(_counts(spec.base)))
+
+
+def _exact(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
+    return _counts(spec), 0.0
+
+
+def _closed(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
+    return vt_weight_enumerator_closed(spec.length, spec.residue).counts, 0.0
+
+
+def _float(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
+    w, dev = weight_enumerator_charsum_float(spec)
+    return w.counts, dev
+
+
+def _brute(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
+    return brute_weight_enumerator(spec).counts, 0.0
+
+
+def _svt_float(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
+    even, odd, dev = svt_sizes_charsum_float(spec)
+    return (even, odd), dev
+
+
+def _svt_brute(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
+    w = brute_weight_enumerator(spec.base)
+    even = sum(c for t, c in enumerate(w.counts) if t % 2 == 0)
+    return (even, w.size() - even), 0.0
+
+
+class _Family(NamedTuple):
+    """How one code family reads its grid flags and which routes compute it."""
+
+    grid: tuple[tuple[str, Callable[[Any, Params], Iterable]], ...]  # output-parameter order
+    make: Callable[..., Any]  # the spec from the grid values, passed in grid order
+    methods: dict[str, Callable[[Any], tuple[tuple, float]]]  # verify methods, default order
+    counts: Callable[[Any], tuple[int, ...]] = _counts  # what enum and table print
+
+
+_METHODS = {"exact": _exact, "float": _float, "brute": _brute}
+
+_FAMILIES = {
+    "vt": _Family(
+        (("n", _ints), ("b", _residues(lambda p: p["n"] + 1))),
+        make_vt,
+        {"exact": _exact, "closed": _closed, "float": _float, "brute": _brute},
+    ),
+    "levenshtein": _Family(
+        (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"]))),
+        make_levenshtein,
+        _METHODS,
+    ),
+    "helberg": _Family(
+        (("k", _ints), ("s", lambda s, p: [s]),
+         ("b", _residues(lambda p: make_helberg(p["k"], p["s"], 0).modulus))),
+        make_helberg,
+        _METHODS,
+    ),
+    "svt": _Family(
+        (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"])),
+         ("r", lambda r, p: (0, 1) if r == "both" else (int(r),))),
+        make_svt,
+        {"exact": lambda spec: (svt_sizes(spec), 0.0), "float": _svt_float, "brute": _svt_brute},
+        counts=_parity_counts,
+    ),
+    "blcc": _Family(
+        (("coeffs", _coeff_text), ("mod", _ints), ("b", _residues(lambda p: p["mod"]))),
+        lambda coeffs, mod, b: CodeSpec(_parse_coeffs(coeffs), mod, b),
+        _METHODS,
+    ),
+}
 
 
 # ---- instance grids ----
 
 
-def _iter_instances(args: argparse.Namespace) -> Iterator[tuple[dict[str, int | str], object]]:
+def _expand(family: _Family, args: argparse.Namespace,
+            params: Params) -> Iterator[tuple[Params, Any]]:
+    if len(params) == len(family.grid):
+        yield params, family.make(*params.values())
+        return
+    flag, expand = family.grid[len(params)]
+    for value in expand(getattr(args, flag), params):
+        yield from _expand(family, args, {**params, flag: value})
+
+
+def _check_grid_flags(args: argparse.Namespace, takes: Sequence[str], who: str) -> None:
+    for flag in _GRID_FLAGS:
+        if (flag in takes) != (getattr(args, flag) is not None):
+            verb = "requires" if flag in takes else "does not take"
+            raise UsageError(f"{who} {verb} --{flag}")
+
+
+def _iter_instances(args: argparse.Namespace) -> Iterator[tuple[Params, Any]]:
     """Yield (params, spec) in deterministic order; spec is CodeSpec or ParityCodeSpec."""
-    family = args.family
-    if family == "vt":
-        _require(args, ["n", "b"])
-        for n in parse_range(args.n):
-            for b in _expand_b(args.b, n + 1):
-                yield {"n": n, "b": b}, make_vt(n, b)
-    elif family == "levenshtein":
-        _require(args, ["k", "n", "b"])
-        for k in parse_range(args.k):
-            for n in _expand_n(args.n, k):
-                for b in _expand_b(args.b, n):
-                    yield {"k": k, "n": n, "b": b}, make_levenshtein(k, n, b)
-    elif family == "helberg":
-        _require(args, ["k", "s", "b"])
-        for k in parse_range(args.k):
-            probe = make_helberg(k, args.s, 0)
-            for b in _expand_b(args.b, probe.modulus):
-                yield {"k": k, "s": args.s, "b": b}, make_helberg(k, args.s, b)
-    elif family == "svt":
-        _require(args, ["k", "n", "b", "r"])
-        if args.r not in ("0", "1", "both"):
-            raise UsageError("--r must be 0, 1 or both")
-        parities = (0, 1) if args.r == "both" else (int(args.r),)
-        for k in parse_range(args.k):
-            for n in _expand_n(args.n, k):
-                for b in _expand_b(args.b, n):
-                    for r in parities:
-                        yield {"k": k, "n": n, "b": b, "r": r}, make_svt(k, n, b, r)
-    elif family == "blcc":
-        _require(args, ["coeffs", "mod", "b"])
-        coeffs = _parse_coeffs(args.coeffs)
-        for mod in parse_range(args.mod):
-            for b in _expand_b(args.b, mod):
-                yield {"coeffs": args.coeffs, "mod": mod, "b": b}, CodeSpec(coeffs, mod, b)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {family!r}")
+    family = _FAMILIES[args.family]
+    _check_grid_flags(args, [flag for flag, _ in family.grid], f"--family {args.family}")
+    try:
+        yield from _expand(family, args, {})
+    except ValueError as exc:  # a code constructor rejected the parameters
+        raise UsageError(str(exc)) from None
 
 
 def _random_blcc(count: int, seed: int) -> Iterator[tuple[dict[str, int | str], CodeSpec]]:
@@ -221,139 +307,63 @@ def _random_blcc(count: int, seed: int) -> Iterator[tuple[dict[str, int | str], 
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "svt":
-        _require(args, ["k", "n", "b", "r"])
-        if args.r not in ("0", "1"):
-            raise UsageError("enum --family svt takes --r 0 or 1")
-        r = int(args.r)
-        spec = make_svt(args.k, args.n, args.b, r)
-        base = weight_enumerator(spec.base)
-        filtered = [c if t % 2 == r else 0 for t, c in enumerate(base.counts)]
-        rec = OutputRecord(
-            family, {"k": args.k, "n": args.n, "b": args.b, "r": r},
-            "exact", sum(filtered), filtered,
-        )
-    elif family == "vt":
-        _require(args, ["n", "b"])
-        if args.q is not None and args.q != 2:
-            rec = OutputRecord(
-                family, {"n": args.n, "b": args.b, "q": args.q},
-                "closed", vt_q_size(args.n, args.b, args.q),
-            )
-        else:
-            w = weight_enumerator(make_vt(args.n, args.b))
-            rec = OutputRecord(family, {"n": args.n, "b": args.b},
-                               "exact", w.size(), list(w.counts))
-    elif family == "levenshtein":
-        _require(args, ["k", "n", "b"])
-        w = weight_enumerator(make_levenshtein(args.k, args.n, args.b))
-        rec = OutputRecord(family, {"k": args.k, "n": args.n, "b": args.b},
-                           "exact", w.size(), list(w.counts))
-    elif family == "helberg":
-        _require(args, ["k", "s", "b"])
-        w = weight_enumerator(make_helberg(args.k, args.s, args.b))
-        rec = OutputRecord(family, {"k": args.k, "s": args.s, "b": args.b},
-                           "exact", w.size(), list(w.counts))
-    else:  # blcc
-        _require(args, ["coeffs", "mod", "b"])
-        spec = CodeSpec(_parse_coeffs(args.coeffs), args.mod, args.b)
-        w = weight_enumerator(spec)
-        rec = OutputRecord(family, {"coeffs": args.coeffs, "mod": args.mod, "b": args.b},
-                           "exact", w.size(), list(w.counts))
+    if args.q is not None:
+        if args.family != "vt":
+            raise UsageError("--q applies to --family vt only")
+        if args.q < 1:
+            raise UsageError("--q must be >= 1")
+    instances = list(itertools.islice(_iter_instances(args), 2))
+    if len(instances) != 1:
+        raise UsageError("enum needs a grid of exactly one instance; use table or verify")
+    [(params, spec)] = instances
+    if args.q not in (None, 2):
+        rec = OutputRecord(args.family, {**params, "q": args.q}, "closed",
+                           vt_q_size(spec.length, spec.residue, args.q))
+    else:
+        counts = _FAMILIES[args.family].counts(spec)
+        rec = OutputRecord(args.family, params, "exact", sum(counts), list(counts))
     print(_emit_record(rec, args.format))
     return 0
-
-
-_NT_QUANTITY = "nt"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
-    instances = list(_iter_instances(args))
-    param_keys: list[str] = []
-    for params, _ in instances:
-        for key in params:
-            if key not in param_keys:
-                param_keys.append(key)
-    rows: list[tuple[dict, list]] = []
-    max_len = 0
-    for params, spec in instances:
-        if args.family == "svt":
-            even, odd = svt_sizes(spec)
-            rows.append((params, [even if params["r"] == 0 else odd]))
-            continue
-        w = weight_enumerator(spec)
-        max_len = max(max_len, w.k)
-        if args.quantity == "size":
-            rows.append((params, [w.size()]))
-        elif args.quantity == "enumerator":
-            rows.append((params, [" ".join(str(c) for c in w.counts)]))
-        else:  # nt: one column per weight
-            rows.append((params, list(w.counts)))
+    instances = list(_iter_instances(args))  # every usage error before any computing
+    rows = [(params, _FAMILIES[args.family].counts(spec)) for params, spec in instances]
+    param_keys = list(rows[0][0]) if rows else []
+    width = max((len(counts) for _, counts in rows), default=1)
     if args.quantity == "size":
         value_header = ["size"]
     elif args.quantity == "enumerator":
         value_header = ["enumerator"]
-    else:
-        value_header = [f"N{t}" for t in range(max_len + 1)]
+    else:  # nt: one column per weight
+        value_header = [f"N{t}" for t in range(width)]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family"] + param_keys + value_header)
-    for params, values in rows:
-        if args.quantity == _NT_QUANTITY:
-            values = values + [""] * (len(value_header) - len(values))
-        writer.writerow([args.family] + [params.get(k, "") for k in param_keys] + values)
+    for params, counts in rows:
+        if args.quantity == "size":
+            values = [sum(counts)]
+        elif args.quantity == "enumerator":
+            values = [" ".join(str(c) for c in counts)]
+        else:
+            values = list(counts) + [""] * (width - len(counts))
+        writer.writerow([args.family] + list(params.values()) + values)
     return 0
 
 
 def _methods_for(family: str, requested: str | None) -> list[str]:
+    known = _FAMILIES[family].methods
     if requested is None:
-        return ["exact", "closed", "float", "brute"] if family == "vt" else [
-            "exact", "float", "brute"]
+        return list(known)
     methods = [m.strip() for m in requested.split(",") if m.strip()]
-    valid = {"exact", "closed", "float", "brute"}
     for m in methods:
-        if m not in valid:
-            raise UsageError(f"unknown method {m!r}")
-        if m == "closed" and family != "vt":
-            raise UsageError("method 'closed' applies to the vt family only")
+        if m not in known:
+            raise UsageError(f"unknown method {m!r} for --family {family}; "
+                             f"choose from {','.join(known)}")
     if not methods:
         raise UsageError("--methods must name at least one method")
     return methods
-
-
-def _verify_one(family: str, params: dict, spec, methods: list[str]):
-    """Return (results-by-method, max deviation); results compare tuple-equal."""
-    results: dict[str, tuple] = {}
-    dev = 0.0
-    if family == "svt":
-        for m in methods:
-            if m == "exact":
-                results[m] = svt_sizes(spec)
-            elif m == "float":
-                even, odd, d = svt_sizes_charsum_float(spec)
-                results[m] = (even, odd)
-                dev = max(dev, d)
-            elif m == "brute":
-                w = brute_weight_enumerator(spec.base)
-                even = sum(c for t, c in enumerate(w.counts) if t % 2 == 0)
-                results[m] = (even, w.size() - even)
-            else:
-                raise UsageError("method 'closed' applies to the vt family only")
-        return results, dev
-    for m in methods:
-        if m == "exact":
-            results[m] = weight_enumerator(spec).counts
-        elif m == "closed":
-            results[m] = vt_weight_enumerator_closed(int(params["n"]), int(params["b"])).counts
-        elif m == "float":
-            w, d = weight_enumerator_charsum_float(spec)
-            results[m] = w.counts
-            dev = max(dev, d)
-        else:
-            results[m] = brute_weight_enumerator(spec).counts
-    return results, dev
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -361,23 +371,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.random is not None:
         if args.family != "blcc":
             raise UsageError("--random applies to --family blcc only")
-        instances = list(_random_blcc(args.random, args.seed))
+        _check_grid_flags(args, (), "--random")
+        instances = list(_random_blcc(args.random, args.seed or 0))
+    elif args.seed is not None:
+        raise UsageError("--seed applies to --random only")
     else:
         instances = list(_iter_instances(args))
+    routes = _FAMILIES[args.family].methods
     failures = 0
     for params, spec in instances:
         label = " ".join(f"{k}={v}" for k, v in params.items())
         try:
-            results, dev = _verify_one(args.family, params, spec, methods)
+            found = {m: routes[m](spec) for m in methods}
         except CongruenceCodeError as exc:
             failures += 1
             print(f"FAIL family={args.family} {label} error={exc}")
             continue
-        reference = results[methods[0]]
-        bad = [m for m in methods[1:] if results[m] != reference]
+        dev = max(d for _, d in found.values())
+        reference = found[methods[0]][0]
+        bad = [m for m in methods[1:] if found[m][0] != reference]
         if bad:
             failures += 1
-            detail = "; ".join(f"{m}={results[m]}" for m in methods)
+            detail = "; ".join(f"{m}={found[m][0]}" for m in methods)
             print(f"FAIL family={args.family} {label} {detail}")
         else:
             print(f"PASS family={args.family} {label} methods={','.join(methods)} dev={dev:.3e}")
@@ -394,53 +409,49 @@ def cmd_version(args: argparse.Namespace) -> int:
 # ---- parser ----
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one line on stderr and exit 2, like every other usage error
+        raise UsageError(f"{message} (see {self.prog} --help)")
+
+
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES),
+                   help="; ".join(f"{name} takes --{' --'.join(flag for flag, _ in family.grid)}"
+                                  for name, family in _FAMILIES.items()))
     p.add_argument("--n", help="length / modulus parameter; INT, LO..HI, k+1 or 2k")
     p.add_argument("--k", help="block length; INT or LO..HI")
     p.add_argument("--s", type=int, help="Helberg deletion parameter")
     p.add_argument("--b", help="congruence residue; INT, LO..HI or all")
-    p.add_argument("--r", help="weight parity for svt: 0, 1 or both")
+    p.add_argument("--r", choices=("0", "1", "both"), help="weight parity for svt")
     p.add_argument("--coeffs", help="comma-separated coefficients for blcc")
     p.add_argument("--mod", help="modulus for blcc; INT or LO..HI")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccodes",
         description="Exact weight enumerators and sizes of binary linear congruence codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enum", help="one instance: enumerator and size")
-    p_enum.add_argument("--family", required=True, choices=_FAMILIES)
-    p_enum.add_argument("--n", type=int)
-    p_enum.add_argument("--k", type=int)
-    p_enum.add_argument("--s", type=int)
-    p_enum.add_argument("--b", type=int)
-    p_enum.add_argument("--r", help="weight parity for svt: 0 or 1")
+    _add_grid_flags(p_enum)
     p_enum.add_argument("--q", type=int, help="alphabet size for the q-ary vt size")
-    p_enum.add_argument("--coeffs")
-    p_enum.add_argument("--mod", type=int)
     p_enum.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_enum.add_argument("--quiet", action="store_true")
     p_enum.set_defaults(func=cmd_enum)
 
     p_table = sub.add_parser("table", help="sweep a grid, one CSV row per instance")
-    p_table.add_argument("--family", required=True, choices=_FAMILIES)
-    p_table.add_argument("--quantity", choices=("size", "enumerator", _NT_QUANTITY),
-                         default="size")
     _add_grid_flags(p_table)
-    p_table.add_argument("--format", choices=("plain", "json", "csv"), default="csv")
-    p_table.add_argument("--quiet", action="store_true")
+    p_table.add_argument("--quantity", choices=("size", "enumerator", "nt"),
+                         default="size")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="cross-check methods over a grid")
-    p_verify.add_argument("--family", required=True, choices=_FAMILIES)
     _add_grid_flags(p_verify)
     p_verify.add_argument("--methods", help="comma list from exact,closed,float,brute")
     p_verify.add_argument("--random", type=int, help="verify N seeded random blcc specs")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p_verify.add_argument("--seed", type=int, help="seed for --random (default 0)")
     p_verify.add_argument("--quiet", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -451,15 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        # parameter-domain errors from the code constructors count as usage errors
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except UsageError as exc:
         print(f"ccodes: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

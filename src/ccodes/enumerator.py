@@ -42,7 +42,6 @@ __all__ = [
     "vt_q_size",
     "svt_sizes",
     "svt_sizes_charsum_float",
-    "homogeneous_enumerator",
 ]
 
 
@@ -95,8 +94,8 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     while consecutive calls share coefficients and modulus. When the modulus
     exceeds the 2^k congruence sums that binary tuples can reach, the fold
     switches to a sparse map over reachable residues only, so huge-modulus
-    instances stay exact and cheap. VT-tagged specs are additionally
-    cross-checked against the Ramanujan closed form (stripped under python -O).
+    instances stay exact and cheap. The VT closed form is an independent
+    route, compared with this one by ``verify`` and the tests, not here.
     """
     global _last_fold
     k = len(spec.coefficients)
@@ -111,14 +110,6 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     else:
         poly = sparse_slot(spec.coefficients, n, spec.residue)
     counts = list(poly.coeffs) + [0] * (k + 1 - len(poly.coeffs))
-    if (
-        __debug__
-        and spec.family_tag == "vt"
-        and n >= 2
-        and spec.coefficients == tuple(range(1, n))
-    ):
-        closed = vt_weight_enumerator_closed(n - 1, spec.residue)
-        assert list(closed.counts) == counts, "fold and closed form disagree"
     return WeightEnumerator(k, counts)
 
 
@@ -386,8 +377,3 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     if dev > 1e-6 or even < 0 or odd < 0:
         raise IntegralityFailure(f"parity character sum off integer by {dev:g}")
     return even, odd, dev
-
-
-def homogeneous_enumerator(w: WeightEnumerator, x_val, y_val):
-    """Two-variable form sum_t N_t x^t y^(k-t); (1, 1) recovers the size."""
-    return sum(c * x_val**t * y_val ** (w.k - t) for t, c in enumerate(w.counts))

@@ -236,3 +236,70 @@ def test_fold_invariant_is_not_a_usage_error(capsys, monkeypatch):
                        "--methods", "exact,closed")
     assert code == 1
     assert out.startswith("FAIL family=vt n=4 b=0 error=broken")
+
+
+@pytest.mark.parametrize("argv", [
+    # flags that were accepted and ignored
+    ("table", "--family", "vt", "--n", "4", "--b", "0", "--format", "csv"),
+    ("verify", "--family", "vt", "--n", "4", "--b", "0", "--format", "plain"),
+    ("enum", "--family", "vt", "--n", "4", "--b", "0", "--quiet"),
+    ("table", "--family", "vt", "--n", "4", "--b", "0", "--quiet"),
+    # grid flags the family does not take
+    ("enum", "--family", "vt", "--n", "4", "--b", "0", "--k", "3"),
+    ("enum", "--family", "helberg", "--k", "3", "--s", "2", "--b", "0", "--q", "3"),
+    ("table", "--family", "blcc", "--coeffs", "1,2", "--mod", "3", "--b", "0", "--n", "4"),
+    ("verify", "--family", "levenshtein", "--k", "3", "--n", "4", "--b", "0", "--s", "2"),
+    ("verify", "--family", "blcc", "--random", "3", "--mod", "5"),
+    ("verify", "--family", "vt", "--n", "4", "--b", "0", "--seed", "3"),
+])
+def test_flag_that_would_be_ignored_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ccodes: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum", "--family", "vt", "--n", "4", "--b", "all"),
+    ("enum", "--family", "vt", "--n", "5..4", "--b", "0"),
+    ("enum", "--family", "svt", "--k", "4", "--n", "5", "--b", "1", "--r", "both"),
+    ("enum", "--family", "vt", "--n", "4", "--b", "0", "--q", "0"),
+    ("enum", "--family", "helberg", "--k", "0", "--s", "2", "--b", "0"),
+    ("table", "--family", "levenshtein", "--k", "0..2", "--n", "k+1", "--b", "0"),
+])
+def test_bad_grid_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ccodes: ")
+
+
+def test_impossible_enumerator_is_not_a_usage_error(monkeypatch):
+    def impossible(spec):
+        return enumerator.WeightEnumerator(1, (5, 0))  # raises ValueError: N_0 = 5
+
+    monkeypatch.setattr(cli, "weight_enumerator", impossible)
+    with pytest.raises(ValueError):
+        main(["enum", "--family", "vt", "--n", "4", "--b", "0"])
+
+
+def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):
+    def must_not_run(spec):
+        raise AssertionError("weight_enumerator ran before the usage check")
+
+    monkeypatch.setattr(cli, "weight_enumerator", must_not_run)
+    code, out, _ = run(capsys, "table", "--family", "svt", "--quantity", "nt",
+                       "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
+    assert code == 2
+    assert out == ""
+
+
+def test_docstring_examples_run(capsys):
+    examples = [line.split()[1:] for line in cli.__doc__.splitlines()
+                if line.startswith("    ccodes ")]
+    assert {argv[0] for argv in examples} == {"enum", "table", "verify"}
+    assert {argv[argv.index("--family") + 1] for argv in examples} == set(cli._FAMILIES)
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out

@@ -9,7 +9,6 @@ from ccodes import (
     NonExactDivision,
     WeightEnumerator,
     brute_weight_enumerator,
-    homogeneous_enumerator,
     lehmer_count,
     make_helberg,
     make_levenshtein,
@@ -290,20 +289,6 @@ def test_svt_charsum_float_matches_exact():
                 even, odd, dev = svt_sizes_charsum_float(pspec)
                 assert (even, odd) == want, (k, n, b)
                 assert dev < 1e-6
-
-
-# === homogeneous form ===
-
-
-def test_homogeneous_enumerator():
-    w = weight_enumerator(make_vt(4, 0))
-    assert homogeneous_enumerator(w, 1, 1) == w.size()
-    assert homogeneous_enumerator(w, 0, 1) == w.counts[0]
-    assert homogeneous_enumerator(w, 1, 0) == w.counts[-1]
-    assert homogeneous_enumerator(w, 2, 1) == w.evaluate(2)
-    assert homogeneous_enumerator(w, 2, 3) == sum(
-        c * 2**t * 3 ** (4 - t) for t, c in enumerate(w.counts)
-    )
 
 
 # === character-sum underpinnings ===
