@@ -61,7 +61,6 @@ from .polyring import (
     IntPolynomial,
     ResiduePolynomial,
     residue_product,
-    sparse_slot,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "size",
     "size_cosine_float",
     "size_upper_bound",
-    "sparse_slot",
     "svt_sizes",
     "svt_sizes_charsum_float",
     "totient",

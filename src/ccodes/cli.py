@@ -21,9 +21,15 @@ lists. Ranges are written a..b (inclusive); --b all sweeps every residue of
 the instance's modulus; for svt and levenshtein grids --n also accepts the
 relative forms k+1 and 2k. enum reads the same grid but needs it to name
 exactly one instance. --format (plain, json or csv) exists on enum only:
-table always writes CSV and verify plain PASS/FAIL lines. Exit status: 0 on
-success, 1 when verification finds a mismatch, 2 on usage errors only (an
-error inside the package is never reported as one). Output carries no
+table always writes CSV and verify plain lines. verify prints one PASS,
+FAIL or UNVERIFIED line per instance. A method run outside its domain (a
+float sum that misses integrality, brute force past its cap) first prints
+SKIP ... method=M reason=... and drops out of the comparison; PASS lists the
+methods that ran. An instance passes when those agree and at least two ran,
+or the one method asked for; it is UNVERIFIED when fewer ran, and FAIL on a
+disagreement or any other package error. Exit status: 0 on success, 1 when
+some instance is not verified (FAIL or UNVERIFIED), 2 on usage errors only
+(an error inside the package is never reported as one). Output carries no
 timestamps, so identical invocations produce identical bytes.
 """
 
@@ -49,7 +55,7 @@ from .enumerator import (
     weight_enumerator,
     weight_enumerator_charsum_float,
 )
-from .errors import CongruenceCodeError
+from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure
 from .oracle import brute_weight_enumerator
 
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
@@ -72,7 +78,6 @@ class OutputRecord:
     method: str
     size: int
     enumerator: list[int] | None = None
-    deviation: float | None = None
 
 
 # ---- formatting ----
@@ -94,8 +99,6 @@ def _emit_record(rec: OutputRecord, fmt: str) -> str:
                          "size": _json_scalar(rec.size)}
         if rec.enumerator is not None:
             payload["enumerator"] = [_json_scalar(c) for c in rec.enumerator]
-        if rec.deviation is not None:
-            payload["deviation"] = rec.deviation
         return json.dumps(payload, separators=(",", ":"))
     if fmt == "csv":
         buf = io.StringIO()
@@ -106,7 +109,7 @@ def _emit_record(rec: OutputRecord, fmt: str) -> str:
             " ".join(f"{k}={v}" for k, v in rec.params.items()),
             rec.method,
             rec.size,
-            "" if rec.deviation is None else repr(rec.deviation),
+            "",  # deviation: the column stays so the CSV layout does not change
             "" if rec.enumerator is None else " ".join(str(c) for c in rec.enumerator),
         ])
         return buf.getvalue().rstrip("\n")
@@ -114,8 +117,6 @@ def _emit_record(rec: OutputRecord, fmt: str) -> str:
     parts += [f"{k}={v}" for k, v in rec.params.items()]
     parts.append(f"method={rec.method}")
     parts.append(f"size={rec.size}")
-    if rec.deviation is not None:
-        parts.append(f"deviation={rec.deviation:.3e}")
     if rec.enumerator is not None:
         parts.append(f"W(z)={_poly_text(rec.enumerator)}")
     return " ".join(parts)
@@ -381,21 +382,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for params, spec in instances:
         label = " ".join(f"{k}={v}" for k, v in params.items())
+        found = {}
         try:
-            found = {m: routes[m](spec) for m in methods}
+            for m in methods:
+                try:
+                    found[m] = routes[m](spec)
+                except (IntegralityFailure, CapExceeded) as exc:  # outside the method's domain
+                    print(f"SKIP family={args.family} {label} method={m} reason={exc}")
         except CongruenceCodeError as exc:
             failures += 1
             print(f"FAIL family={args.family} {label} error={exc}")
             continue
-        dev = max(d for _, d in found.values())
-        reference = found[methods[0]][0]
-        bad = [m for m in methods[1:] if found[m][0] != reference]
-        if bad:
+        ran = list(found)
+        if len(ran) < min(2, len(methods)):
             failures += 1
-            detail = "; ".join(f"{m}={found[m][0]}" for m in methods)
+            print(f"UNVERIFIED family={args.family} {label} methods={','.join(ran)}")
+            continue
+        dev = max(d for _, d in found.values())
+        reference = found[ran[0]][0]
+        if any(found[m][0] != reference for m in ran[1:]):
+            failures += 1
+            detail = "; ".join(f"{m}={found[m][0]}" for m in ran)
             print(f"FAIL family={args.family} {label} {detail}")
         else:
-            print(f"PASS family={args.family} {label} methods={','.join(methods)} dev={dev:.3e}")
+            print(f"PASS family={args.family} {label} methods={','.join(ran)} dev={dev:.3e}")
     if not args.quiet:
         print(f"{len(instances) - failures}/{len(instances)} instances agree")
     return 1 if failures else 0

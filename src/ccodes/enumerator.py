@@ -26,7 +26,7 @@ from typing import Iterable
 from .arith import divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import IntegralityFailure, NonExactDivision
-from .polyring import IntPolynomial, ResiduePolynomial, residue_product, sparse_slot
+from .polyring import IntPolynomial, ResiduePolynomial, residue_product
 
 __all__ = [
     "WeightEnumerator",
@@ -82,7 +82,7 @@ class WeightEnumerator:
         return self.polynomial().pretty(var)
 
 
-# (coefficients reduced mod n, n) and the dense fold of the last weight_enumerator
+# (coefficients reduced mod n, n) and the fold of the last weight_enumerator
 # call; sweeps ask for every residue of one modulus in a row, so they fold once.
 _last_fold: tuple[tuple[tuple[int, ...], int], ResiduePolynomial] | None = None
 
@@ -90,25 +90,21 @@ _last_fold: tuple[tuple[tuple[int, ...], int], ResiduePolynomial] | None = None
 def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator via the residue fold.
 
-    The dense fold costs n big-integer adds per coefficient and is reused
-    while consecutive calls share coefficients and modulus. When the modulus
-    exceeds the 2^k congruence sums that binary tuples can reach, the fold
-    switches to a sparse map over reachable residues only, so huge-modulus
-    instances stay exact and cheap. The VT closed form is an independent
-    route, compared with this one by ``verify`` and the tests, not here.
+    The fold costs one big-integer add per reached residue and coefficient,
+    at most min(n, 2^k) per coefficient, so huge-modulus instances stay exact
+    and cheap. It is reused while consecutive calls share coefficients and
+    modulus. The VT closed form is an independent route, compared with this
+    one by ``verify`` and the tests, not here.
     """
     global _last_fold
     k = len(spec.coefficients)
     n = spec.modulus
-    if n <= (1 << k):
-        key = (tuple(a % n for a in spec.coefficients), n)
-        fold = _last_fold  # one read, so a concurrent caller cannot swap it midway
-        if fold is None or fold[0] != key:
-            fold = _last_fold = None  # free the old fold before building the next
-            fold = _last_fold = key, residue_product(key[0], n)
-        poly = fold[1].slot(spec.residue)
-    else:
-        poly = sparse_slot(spec.coefficients, n, spec.residue)
+    key = (tuple(a % n for a in spec.coefficients), n)
+    fold = _last_fold  # one read, so a concurrent caller cannot swap it midway
+    if fold is None or fold[0] != key:
+        fold = _last_fold = None  # free the old fold before building the next
+        fold = _last_fold = key, residue_product(key[0], n)
+    poly = fold[1].slot(spec.residue)
     counts = list(poly.coeffs) + [0] * (k + 1 - len(poly.coeffs))
     return WeightEnumerator(k, counts)
 

@@ -24,7 +24,7 @@ __all__ = [
     "check_single_deletion",
 ]
 
-_MAX_TUPLE_BITS = 30  # binary enumeration cap: 2^30 tuples
+_MAX_TUPLE_BITS = 24  # binary cap: the 2^k-int residue table peaked at 657 MB RSS at k=24
 _MAX_GRID = 10**7  # q-ary enumeration cap: q^k tuples
 _MAX_DELETION_LEN = 16
 
@@ -84,7 +84,8 @@ def _residue_table(coeffs: Sequence[int], n: int, k: int) -> list[int]:
 def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Enumerate all 2^k binary tuples and tally code membership by weight.
 
-    Capped at k <= 30 (time and memory both grow as 2^k).
+    Capped at k <= 24: time and memory both grow as 2^k, and the residue
+    table alone peaks near 660 MB at k = 24.
     """
     k = spec.length
     if k > _MAX_TUPLE_BITS:
@@ -99,7 +100,7 @@ def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
 
 
 def build_codebook(spec: CodeSpec) -> Codebook:
-    """Materialize every codeword of a spec, bit-packed. Same 2^k cap."""
+    """Materialize every codeword of a spec, bit-packed. Same k <= 24 cap."""
     k = spec.length
     if k > _MAX_TUPLE_BITS:
         raise CapExceeded(f"2^{k} tuples exceeds the 2^{_MAX_TUPLE_BITS} cap")

@@ -18,8 +18,10 @@ Each slot is packed into one Python integer, the coefficient of z^t in bits
 [t(k+1), (t+1)(k+1)): Kronecker substitution of z = 2^(k+1). No coefficient
 exceeds C(k, t) < 2^(k+1), so fields never carry into each other, and
 multiplying by z is a shift by k+1 bits. A fold step is then one big-integer
-add per residue. Only this module knows the field width; callers get
-IntPolynomial slots.
+add per residue. The slots sit in a dict keyed by the residues that some
+tuple reaches, at most min(n, 2^k) of them, so one fold serves every
+modulus; an unreached residue is the zero polynomial. Only this module
+knows the field width; callers get IntPolynomial slots.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "IntPolynomial",
     "ResiduePolynomial",
     "residue_product",
-    "sparse_slot",
 ]
 
 
@@ -69,42 +70,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
-        if not self or not other:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for int, float and complex x."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def div_exact(self, den: "IntPolynomial | int") -> "IntPolynomial":
         """Quotient self / den when the division is exact over the integers.
@@ -175,14 +140,16 @@ def _check_mass(rows: Iterable[int], k: int, width: int) -> None:
 
 
 class ResiduePolynomial:
-    """Per-residue weight polynomials of one dense fold, kept packed.
+    """Per-residue weight polynomials of one fold, kept packed.
 
-    Built by residue_product; slot(r) unpacks the polynomial of residue r.
+    Built by residue_product and keyed by the residues that tuples reach;
+    slot(r) unpacks the polynomial of residue r, the zero polynomial when no
+    tuple reaches r.
     """
 
     __slots__ = ("modulus", "_width", "_rows")
 
-    def __init__(self, modulus: int, width: int, rows: list[int]) -> None:
+    def __init__(self, modulus: int, width: int, rows: dict[int, int]) -> None:
         self.modulus = modulus
         self._width = width
         self._rows = rows
@@ -190,7 +157,7 @@ class ResiduePolynomial:
     def slot(self, residue: int) -> IntPolynomial:
         if not 0 <= residue < self.modulus:
             raise ValueError(f"residue {residue} out of range for modulus {self.modulus}")
-        return _unpack(self._rows[residue], self._width)
+        return _unpack(self._rows.get(residue, 0), self._width)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResiduePolynomial):
@@ -199,7 +166,7 @@ class ResiduePolynomial:
             other.modulus, other._width, other._rows)
 
     def __repr__(self) -> str:
-        slots = [self.slot(r) for r in range(self.modulus)]
+        slots = {r: self.slot(r) for r in sorted(self._rows)}
         return f"ResiduePolynomial({self.modulus}, {slots!r})"
 
 
@@ -207,8 +174,9 @@ def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
     """Fold a coefficient list into per-residue weight polynomials.
 
     Starts from slot 0 = 1 (the empty tuple) and folds each coefficient in
-    turn, one big-integer add per residue. Negative coefficients are reduced
-    mod the modulus first, which does not change the code. Raises
+    turn, one big-integer add per reached residue, of which there are at most
+    min(n, 2^k), so moduli far above 2^k stay cheap. Negative coefficients
+    are reduced mod the modulus first, which does not change the code. Raises
     InvariantViolation if the slots do not add up to (1 + z)^k.
     """
     if modulus < 1:
@@ -216,34 +184,12 @@ def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
     a_list = [a % modulus for a in coeffs]
     k = len(a_list)
     width = k + 1
-    rows = [0] * modulus
-    rows[0] = 1
+    rows = {0: 1}
     for a in a_list:
-        # rows[-a:] + rows[:-a] holds slot (r - a) mod n at index r
-        rows = [x + (y << width) for x, y in zip(rows, rows[-a:] + rows[:-a])]
-    _check_mass(rows, k, width)
-    return ResiduePolynomial(modulus, width, rows)
-
-
-def sparse_slot(coeffs: Iterable[int], modulus: int, residue: int) -> IntPolynomial:
-    """Weight polynomial of one residue by the same fold over reachable residues.
-
-    Keys the packed slots by the at most 2^k residues that tuples reach
-    instead of a length-n array, so moduli far above 2^k stay cheap.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if not 0 <= residue < modulus:
-        raise ValueError(f"residue {residue} out of range for modulus {modulus}")
-    a_list = [a % modulus for a in coeffs]
-    k = len(a_list)
-    width = k + 1
-    state = {0: 1}
-    for a in a_list:
-        new = state.copy()
-        for r, x in state.items():
+        new = rows.copy()
+        for r, x in rows.items():
             key = (r + a) % modulus
             new[key] = new.get(key, 0) + (x << width)
-        state = new
-    _check_mass(state.values(), k, width)
-    return _unpack(state.get(residue, 0), width)
+        rows = new
+    _check_mass(rows.values(), k, width)
+    return ResiduePolynomial(modulus, width, rows)

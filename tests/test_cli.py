@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ccodes import InvariantViolation, __version__, cli, enumerator, polyring, vt_size
+from ccodes import (InvariantViolation, __version__, cli, enumerator, polyring, vt_size,
+                    vt_weight_enumerator_closed)
 from ccodes.cli import main, parse_range
 from ccodes.cli import UsageError
 
@@ -82,9 +83,13 @@ def test_enum_csv(capsys):
     code, out, _ = run(capsys, "enum", "--family", "vt", "--n", "4", "--b", "0",
                        "--format", "csv")
     assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "family,params,method,size,deviation,enumerator"
-    assert lines[1] == "vt,n=4 b=0,exact,4,,1 0 2 0 1"
+    # the deviation column stays in the layout, always empty
+    header = "family,params,method,size,deviation,enumerator\n"
+    assert out == header + "vt,n=4 b=0,exact,4,,1 0 2 0 1\n"
+    code, out, _ = run(capsys, "enum", "--family", "vt", "--n", "2", "--b", "0",
+                       "--q", "3", "--format", "csv")
+    assert code == 0
+    assert out == header + "vt,n=2 b=0 q=3,closed,3,,\n"
 
 
 def test_enum_missing_flag_exits_2(capsys):
@@ -201,6 +206,63 @@ def test_verify_closed_rejected_outside_vt(capsys):
                        "--mod", "2", "--b", "0", "--methods", "exact,closed")
     assert code == 2
     capsys.readouterr()
+
+
+def test_verify_skips_out_of_domain_methods(capsys):
+    # float drifts off an integer at n = 50 and brute force is past its cap;
+    # exact and closed still agree, so the instance passes
+    code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "50", "--b", "0")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("SKIP family=vt n=50 b=0 method=float "
+                               "reason=character sum off integer by ")
+    assert lines[1:] == [
+        "SKIP family=vt n=50 b=0 method=brute reason=2^50 tuples exceeds the 2^24 cap",
+        "PASS family=vt n=50 b=0 methods=exact,closed dev=0.000e+00",
+        "1/1 instances agree",
+    ]
+
+
+def test_verify_needs_two_methods_that_ran(capsys):
+    coeffs = ",".join(str(a) for a in range(1, 32))
+    code, out, _ = run(capsys, "verify", "--family", "blcc", "--coeffs", coeffs,
+                       "--mod", "97", "--b", "0", "--methods", "exact,brute")
+    assert code == 1
+    label = f"family=blcc coeffs={coeffs} mod=97 b=0"
+    assert out.split("\n") == [
+        f"SKIP {label} method=brute reason=2^31 tuples exceeds the 2^24 cap",
+        f"UNVERIFIED {label} methods=exact",
+        "0/1 instances agree",
+        "",
+    ]
+
+
+def test_verify_single_requested_method(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "50", "--b", "0",
+                       "--methods", "closed")
+    assert (code, out) == (0, "PASS family=vt n=50 b=0 methods=closed dev=0.000e+00\n"
+                              "1/1 instances agree\n")
+    code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "50", "--b", "0",
+                       "--methods", "float")
+    assert code == 1
+    assert out.split("\n")[1:] == ["UNVERIFIED family=vt n=50 b=0 methods=",
+                                    "0/1 instances agree", ""]
+
+
+def test_verify_disagreement_among_methods_that_ran_fails(capsys, monkeypatch):
+    def wrong_closed(n, b):
+        counts = list(vt_weight_enumerator_closed(n, b).counts)
+        counts[0] ^= 1
+        return enumerator.WeightEnumerator(n, counts)
+
+    monkeypatch.setattr(cli, "vt_weight_enumerator_closed", wrong_closed)
+    code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "50", "--b", "0")
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert [line.split()[0] for line in lines[:-1]] == ["SKIP", "SKIP", "FAIL"]
+    assert lines[2].startswith("FAIL family=vt n=50 b=0 exact=(1, 0, ")
+    assert "; closed=(0, 0, " in lines[2] and "float=" not in lines[2]
+    assert lines[-1] == "0/1 instances agree"
 
 
 def test_parse_range():

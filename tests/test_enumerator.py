@@ -18,7 +18,6 @@ from ccodes import (
     size,
     size_cosine_float,
     size_upper_bound,
-    sparse_slot,
     svt_sizes,
     svt_sizes_charsum_float,
     vt_q_size,
@@ -62,7 +61,7 @@ def test_weight_enumerator_examples():
 
 
 def test_weight_enumerator_sparse_path():
-    # modulus far above 2^k forces the sparse fold
+    # modulus far above 2^k: the fold stores only the reached residues
     big = 10**9 + 7
     assert weight_enumerator(CodeSpec((3, 5), big, 8)).counts == (0, 0, 1)
     assert weight_enumerator(CodeSpec((3, 5), big, 0)).counts == (1, 0, 0)
@@ -71,17 +70,6 @@ def test_weight_enumerator_sparse_path():
     # negative coefficients reduce mod n first: -3 alone reaches big - 3
     assert weight_enumerator(CodeSpec((-3, big + 2), big, big - 3)).counts == (0, 1, 0)
     assert weight_enumerator(CodeSpec((-3, big + 2), big, big - 1)).counts == (0, 0, 1)
-
-
-def test_sparse_and_dense_agree():
-    rng = random.Random(8)
-    for _ in range(25):
-        k = rng.randint(1, 8)
-        n = rng.randint(1, 1 << k)  # dense regime
-        coeffs = tuple(rng.randint(-30, 30) for _ in range(k))
-        b = rng.randint(0, n - 1)
-        dense = weight_enumerator(CodeSpec(coeffs, n, b))
-        assert dense.polynomial() == sparse_slot(coeffs, n, b)
 
 
 def test_dense_fold_memo_key(monkeypatch):
@@ -102,13 +90,15 @@ def test_dense_fold_memo_key(monkeypatch):
         (CodeSpec((8, 9, -4, 12), 7, 4), False),  # same coefficients mod 7: reused
         (CodeSpec(a, 9, 1), True),  # same reduced coefficients, other modulus
         (CodeSpec(a, 9, 2), False),
+        (CodeSpec(a, 10**9 + 7, 11), True),  # a modulus far above 2^k is kept too
+        (CodeSpec(a, 10**9 + 7, 4), False),
     ]
     for spec, folds_again in sequence:
         before = len(folds)
         got = weight_enumerator(spec)
         assert len(folds) == before + folds_again
         assert got == brute_weight_enumerator(spec)
-    assert folds == [(a, 7), ((2, 4, 6), 7), (a, 7), (a, 9)]
+    assert folds == [(a, 7), ((2, 4, 6), 7), (a, 7), (a, 9), (a, 10**9 + 7)]
 
 
 # === float character sum ===

@@ -26,6 +26,12 @@ def test_brute_weight_enumerator_vt4():
 def test_brute_weight_enumerator_cap():
     with pytest.raises(CapExceeded):
         brute_weight_enumerator(CodeSpec(tuple(range(1, 32)), 97, 0))
+    # k = 25 is one past the cap: refused before any table is built
+    spec = CodeSpec(tuple(range(1, 26)), 10**9 + 7, 0)
+    with pytest.raises(CapExceeded, match="2\\^25 tuples exceeds the 2\\^24 cap"):
+        brute_weight_enumerator(spec)
+    with pytest.raises(CapExceeded):
+        build_codebook(spec)
 
 
 def test_build_codebook_vt4():
