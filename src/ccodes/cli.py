@@ -28,9 +28,10 @@ SKIP ... method=M reason=... and drops out of the comparison; PASS lists the
 methods that ran. An instance passes when those agree and at least two ran,
 or the one method asked for; it is UNVERIFIED when fewer ran, and FAIL on a
 disagreement or any other package error. Exit status: 0 on success, 1 when
-some instance is not verified (FAIL or UNVERIFIED), 2 on usage errors only
-(an error inside the package is never reported as one). Output carries no
-timestamps, so identical invocations produce identical bytes.
+some instance is not verified (FAIL or UNVERIFIED), 2 on usage errors only,
+3 on an internal error outside verify (a package error or an impossible
+enumerator), reported as one "ccodes: internal error: ..." line. Output
+carries no timestamps, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -480,6 +481,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"ccodes: {exc}", file=sys.stderr)
         return 2
+    except (CongruenceCodeError, ValueError) as exc:  # a package bug, e.g. an impossible enumerator
+        print(f"ccodes: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         return 0
 

@@ -292,8 +292,9 @@ def test_fold_invariant_is_not_a_usage_error(capsys, monkeypatch):
 
     monkeypatch.setattr(enumerator, "_last_fold", None)  # force a fresh fold
     monkeypatch.setattr(polyring, "_check_mass", broken_check)
-    with pytest.raises(InvariantViolation):
-        main(["enum", "--family", "vt", "--n", "4", "--b", "0"])
+    code, out, err = run(capsys, "enum", "--family", "vt", "--n", "4", "--b", "0")
+    assert (code, out) == (3, "")
+    assert err == "ccodes: internal error: InvariantViolation: broken\n"
     code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "4", "--b", "0",
                        "--methods", "exact,closed")
     assert code == 1
@@ -336,13 +337,14 @@ def test_bad_grid_exits_2(capsys, argv):
     assert err.startswith("ccodes: ")
 
 
-def test_impossible_enumerator_is_not_a_usage_error(monkeypatch):
+def test_impossible_enumerator_is_not_a_usage_error(capsys, monkeypatch):
     def impossible(spec):
         return enumerator.WeightEnumerator(1, (5, 0))  # raises ValueError: N_0 = 5
 
     monkeypatch.setattr(cli, "weight_enumerator", impossible)
-    with pytest.raises(ValueError):
-        main(["enum", "--family", "vt", "--n", "4", "--b", "0"])
+    code, out, err = run(capsys, "enum", "--family", "vt", "--n", "4", "--b", "0")
+    assert (code, out) == (3, "")
+    assert err == "ccodes: internal error: ValueError: N_0 = 5 impossible at length 1\n"
 
 
 def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):

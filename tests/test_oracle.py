@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,7 +16,114 @@ from ccodes import (
     check_single_deletion,
     make_levenshtein,
     make_vt,
+    oracle,
 )
+
+P = 10**9 + 7
+C = oracle._CHUNK_BITS
+
+
+def literal_tally(coeffs, n):
+    """(residue, weight) -> number of binary tuples, one tuple at a time."""
+    tally = Counter()
+    for x in range(1 << len(coeffs)):
+        bits = [(x >> i) & 1 for i in range(len(coeffs))]
+        tally[sum(a * c for a, c in zip(coeffs, bits)) % n, sum(bits)] += 1
+    return tally
+
+
+def draw(k, seed):
+    # small coefficients with a zero and negatives, so residues collide and wrap
+    rng = random.Random(seed)
+    return (0,) + tuple(rng.randint(-40, 40) for _ in range(k - 1)) if k else ()
+
+
+# (coefficients, modulus, whether only the asked residue is tallied)
+TALLY_CASES = [
+    (draw(C - 1, 1), 11, False),
+    (draw(C, 2), 1, False),
+    (draw(C + 1, 3), 23, False),
+    (draw(10, 4), 3001, False),  # n > 2^k: most residues unreached
+    (draw(0, 5), 5, False),
+    (draw(C + 1, 6), P, True),  # huge modulus: one residue per pass
+    (tuple(random.Random(7).randrange(10**8, 10**9) for _ in range(C + 1)), P, True),
+]
+
+
+def residues_to_check(reached, n):
+    if n <= 5000:
+        return list(range(n))
+    reached = sorted(reached)
+    unreached = next(r for r in range(n) if r not in reached)
+    return reached[:6] + reached[-2:] + [unreached]
+
+
+@pytest.mark.parametrize("coeffs, n, one_residue", TALLY_CASES)
+def test_brute_tally_equals_literal_loop(monkeypatch, coeffs, n, one_residue):
+    monkeypatch.setattr(oracle, "_last_tally", None)
+    tally = literal_tally(coeffs, n)
+    k = len(coeffs)
+    for b in residues_to_check({r for r, _ in tally}, n):
+        got = brute_weight_enumerator(CodeSpec(coeffs, n, b))
+        assert got.counts == tuple(tally[b, t] for t in range(k + 1)), b
+        assert oracle._last_tally[0][2] == (b if one_residue else 0)  # the residue kept
+
+
+@pytest.mark.parametrize("coeffs, n", [case[:2] for case in TALLY_CASES])
+def test_build_codebook_equals_literal_filter(coeffs, n):
+    rs = [sum(a for i, a in enumerate(coeffs) if x >> i & 1) % n
+          for x in range(1 << len(coeffs))]
+    for b in residues_to_check(set(rs), n)[:4]:
+        want = tuple(x for x, r in enumerate(rs) if r == b)
+        assert build_codebook(CodeSpec(coeffs, n, b)).words == want
+
+
+def test_brute_tally_memo_key(monkeypatch):
+    runs = []
+    chunks = oracle._chunks
+
+    def counting_chunks(coeffs, n, shift):
+        runs.append((tuple(coeffs), n, shift))
+        return chunks(coeffs, n, shift)
+
+    monkeypatch.setattr(oracle, "_last_tally", None)
+    monkeypatch.setattr(oracle, "_chunks", counting_chunks)
+    a = (1, 2, 3, 5)
+    sequence = [
+        (CodeSpec(a, 7, 0), True),  # first pass
+        (CodeSpec((2, 4, 6), 7, 3), True),  # another spec evicts A
+        (CodeSpec(a, 7, 1), True),  # so A enumerates again
+        (CodeSpec(a, 7, 2), False),  # same key: reused for another residue
+        (CodeSpec((8, 9, -4, 12), 7, 4), False),  # same coefficients mod 7: reused
+        (CodeSpec(a, 9, 1), True),  # same reduced coefficients, other modulus
+        (CodeSpec(a, 9, 2), False),
+        (CodeSpec(a, P, 11), True),  # a huge modulus keeps the asked residue only
+        (CodeSpec(a, P, 11), False),
+        (CodeSpec(a, P, 4), True),
+    ]
+    for spec, runs_again in sequence:
+        before = len(runs)
+        got = brute_weight_enumerator(spec)
+        assert len(runs) == before + runs_again
+        tally = literal_tally(spec.coefficients, spec.modulus)
+        assert got.counts == tuple(tally[spec.residue, t] for t in range(spec.length + 1))
+    assert runs == [(a, 7, 0), ((2, 4, 6), 7, 0), (a, 7, 0), (a, 9, 0), (a, P, 11), (a, P, 4)]
+
+
+def test_brute_memory_stays_bounded(monkeypatch):
+    rng = random.Random(18)
+    coeffs = tuple(rng.randrange(10**8, 10**9) for _ in range(18))
+    spec = CodeSpec(coeffs, P, sum(coeffs[::2]) % P)
+    monkeypatch.setattr(oracle, "_last_tally", None)
+    tracemalloc.start()
+    try:
+        w = brute_weight_enumerator(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.size() >= 1
+    # a table of all 2^18 residues peaks at 10 MiB; the chunked kernel near 2 MiB
+    assert peak < 4 << 20
 
 
 def test_brute_weight_enumerator_vt4():
