@@ -41,6 +41,8 @@ from .enumerator import (
     vt_weight_enumerator_closed,
     weight_enumerator,
     weight_enumerator_charsum_float,
+    weight_enumerator_fold,
+    weight_enumerator_mitm,
 )
 from .errors import (
     CapExceeded,
@@ -60,7 +62,9 @@ from .oracle import (
 from .polyring import (
     IntPolynomial,
     ResiduePolynomial,
+    reach,
     residue_product,
+    residue_slot,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +99,9 @@ __all__ = [
     "moebius",
     "ramanujan_sum",
     "ramanujan_sum_direct",
+    "reach",
     "residue_product",
+    "residue_slot",
     "size",
     "size_cosine_float",
     "size_upper_bound",
@@ -108,4 +114,6 @@ __all__ = [
     "vt_weight_enumerator_closed",
     "weight_enumerator",
     "weight_enumerator_charsum_float",
+    "weight_enumerator_fold",
+    "weight_enumerator_mitm",
 ]

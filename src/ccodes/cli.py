@@ -22,16 +22,25 @@ the instance's modulus; for svt and levenshtein grids --n also accepts the
 relative forms k+1 and 2k. enum reads the same grid but needs it to name
 exactly one instance. --format (plain, json or csv) exists on enum only:
 table always writes CSV and verify plain lines. verify prints one PASS,
-FAIL or UNVERIFIED line per instance. A method run outside its domain (a
-float sum that misses integrality, brute force past its cap) first prints
-SKIP ... method=M reason=... and drops out of the comparison; PASS lists the
-methods that ran. An instance passes when those agree and at least two ran,
-or the one method asked for; it is UNVERIFIED when fewer ran, and FAIL on a
-disagreement or any other package error. Exit status: 0 on success, 1 when
-some instance is not verified (FAIL or UNVERIFIED), 2 on usage errors only,
-3 on an internal error outside verify (a package error or an impossible
-enumerator), reported as one "ccodes: internal error: ..." line. Output
-carries no timestamps, so identical invocations produce identical bytes.
+FAIL or UNVERIFIED line per instance. Its exact method is the residue fold;
+mitm, meeting in the middle, runs only when --methods names it. A method
+run outside its domain (a float sum that misses integrality, a route past
+its cap) first prints SKIP ... method=M reason=... and drops out of the
+comparison; PASS lists the methods that ran. An instance passes when those
+agree and at least two ran, or the one method asked for; it is UNVERIFIED
+when fewer ran, and FAIL on a disagreement or any other package error.
+
+Exit status:
+    0  success
+    1  some instance is not verified (FAIL or UNVERIFIED)
+    2  usage error, reported as one "ccodes: ..." line
+    3  internal error outside verify (a package error or an impossible
+       enumerator), reported as one "ccodes: internal error: ..." line
+    4  a route's cap (rows of the fold or of meeting in the middle, float
+       modulus, brute-force tuples) stops the computation outside verify,
+       reported as one "ccodes: limit: ..." line before the route allocates
+Output carries no timestamps, so identical invocations produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -49,12 +58,15 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import __version__
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
 from .enumerator import (
+    WeightEnumerator,
     svt_sizes,
     svt_sizes_charsum_float,
     vt_q_size,
     vt_weight_enumerator_closed,
     weight_enumerator,
     weight_enumerator_charsum_float,
+    weight_enumerator_fold,
+    weight_enumerator_mitm,
 )
 from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure
 from .oracle import brute_weight_enumerator
@@ -189,7 +201,11 @@ def _parity_counts(spec: ParityCodeSpec) -> tuple[int, ...]:
 
 
 def _exact(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
-    return _counts(spec), 0.0
+    return weight_enumerator_fold(spec).counts, 0.0
+
+
+def _mitm(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
+    return weight_enumerator_mitm(spec).counts, 0.0
 
 
 def _closed(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
@@ -210,10 +226,14 @@ def _svt_float(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
     return (even, odd), dev
 
 
-def _svt_brute(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
-    w = brute_weight_enumerator(spec.base)
-    even = sum(c for t, c in enumerate(w.counts) if t % 2 == 0)
-    return (even, w.size() - even), 0.0
+def _parity_split(route: Callable[[CodeSpec], WeightEnumerator]):
+    """An svt method: the (even, odd) sizes from one route's base enumerator."""
+    def method(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
+        w = route(spec.base)
+        even = sum(c for t, c in enumerate(w.counts) if t % 2 == 0)
+        return (even, w.size() - even), 0.0
+
+    return method
 
 
 class _Family(NamedTuple):
@@ -225,13 +245,14 @@ class _Family(NamedTuple):
     counts: Callable[[Any], tuple[int, ...]] = _counts  # what enum and table print
 
 
-_METHODS = {"exact": _exact, "float": _float, "brute": _brute}
+_METHODS = {"exact": _exact, "float": _float, "brute": _brute, "mitm": _mitm}
+_OPT_IN = ("mitm",)  # verify runs these only when --methods names them
 
 _FAMILIES = {
     "vt": _Family(
         (("n", _ints), ("b", _residues(lambda p: p["n"] + 1))),
         make_vt,
-        {"exact": _exact, "closed": _closed, "float": _float, "brute": _brute},
+        {"exact": _exact, "closed": _closed, "float": _float, "brute": _brute, "mitm": _mitm},
     ),
     "levenshtein": _Family(
         (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"]))),
@@ -248,7 +269,9 @@ _FAMILIES = {
         (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"])),
          ("r", lambda r, p: (0, 1) if r == "both" else (int(r),))),
         make_svt,
-        {"exact": lambda spec: (svt_sizes(spec), 0.0), "float": _svt_float, "brute": _svt_brute},
+        {"exact": lambda spec: (svt_sizes(spec), 0.0), "float": _svt_float,
+         "brute": _parity_split(brute_weight_enumerator),
+         "mitm": _parity_split(weight_enumerator_mitm)},
         counts=_parity_counts,
     ),
     "blcc": _Family(
@@ -331,8 +354,9 @@ def cmd_enum(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
-    instances = list(_iter_instances(args))  # every usage error before any computing
-    rows = [(params, _FAMILIES[args.family].counts(spec)) for params, spec in instances]
+    for _ in _iter_instances(args):  # every usage error before any computing
+        pass
+    rows = [(params, _FAMILIES[args.family].counts(spec)) for params, spec in _iter_instances(args)]
     param_keys = list(rows[0][0]) if rows else []
     width = max((len(counts) for _, counts in rows), default=1)
     if args.quantity == "size":
@@ -357,7 +381,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _methods_for(family: str, requested: str | None) -> list[str]:
     known = _FAMILIES[family].methods
     if requested is None:
-        return list(known)
+        return [m for m in known if m not in _OPT_IN]
     methods = [m.strip() for m in requested.split(",") if m.strip()]
     for m in methods:
         if m not in known:
@@ -460,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check methods over a grid")
     _add_grid_flags(p_verify)
-    p_verify.add_argument("--methods", help="comma list from exact,closed,float,brute")
+    p_verify.add_argument("--methods", help="comma list from exact,closed,float,brute,mitm "
+                                            "(mitm runs only when named)")
     p_verify.add_argument("--random", type=int, help="verify N seeded random blcc specs")
     p_verify.add_argument("--seed", type=int, help="seed for --random (default 0)")
     p_verify.add_argument("--quiet", action="store_true")
@@ -481,6 +506,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"ccodes: {exc}", file=sys.stderr)
         return 2
+    except CapExceeded as exc:  # a limit of the route, not a bug
+        print(f"ccodes: limit: {exc}", file=sys.stderr)
+        return 4
     except (CongruenceCodeError, ValueError) as exc:  # a package bug, e.g. an impossible enumerator
         print(f"ccodes: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

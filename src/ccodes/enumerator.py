@@ -1,7 +1,8 @@
 """Weight enumerators, sizes and counting formulas for congruence codes.
 
-The authoritative path is exact: the residue fold in ``polyring`` produces
-integer weight distributions with no rounding. Each closed form or literal
+The authoritative path is exact: the residue fold in ``polyring``, or its
+meet-in-the-middle split for one residue, produces integer weight
+distributions with no rounding. Each closed form or literal
 floating-point character sum here is an independent route to the same
 numbers and exists to be checked against the fold (and against brute
 force in ``oracle``), never to replace it.
@@ -25,12 +26,14 @@ from typing import Iterable
 
 from .arith import divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
-from .errors import IntegralityFailure, NonExactDivision
-from .polyring import IntPolynomial, ResiduePolynomial, residue_product
+from .errors import CapExceeded, IntegralityFailure, NonExactDivision
+from .polyring import IntPolynomial, ResiduePolynomial, reach, residue_product, residue_slot
 
 __all__ = [
     "WeightEnumerator",
     "weight_enumerator",
+    "weight_enumerator_fold",
+    "weight_enumerator_mitm",
     "weight_enumerator_charsum_float",
     "size",
     "size_cosine_float",
@@ -82,31 +85,87 @@ class WeightEnumerator:
         return self.polynomial().pretty(var)
 
 
-# (coefficients reduced mod n, n) and the fold of the last weight_enumerator
-# call; sweeps ask for every residue of one modulus in a row, so they fold once.
-_last_fold: tuple[tuple[tuple[int, ...], int], ResiduePolynomial] | None = None
+# (coefficients reduced mod n, n) of the last exact call, with its fold once
+# one is built; sweeps ask for every residue of one modulus in a row, so they
+# fold once.
+_last_fold: tuple[tuple[tuple[int, ...], int], ResiduePolynomial | None] | None = None
+
+
+def _enumerator(k: int, poly: IntPolynomial) -> WeightEnumerator:
+    return WeightEnumerator(k, list(poly.coeffs) + [0] * (k + 1 - len(poly.coeffs)))
+
+
+def _mitm_is_cheaper(coeffs: tuple[int, ...], n: int) -> bool:
+    """The route cost model, in big-integer operations.
+
+    A fold does one add per reached residue for each of the k coefficients,
+    about k * reach(coeffs, n). Meeting in the middle folds the two halves,
+    at most k adds per row of the larger one, and joins them with one product
+    per row: about (k + 1) * reach(larger half, n). With n >= 2^k that is
+    2^ceil(k/2) against 2^k; with n <= 2^ceil(k/2) the fold is cheaper.
+    """
+    k = len(coeffs)
+    half = (k + 1) // 2
+    rows = max(reach(coeffs[:half], n), reach(coeffs[half:], n))
+    return (k + 1) * rows < k * reach(coeffs, n)
 
 
 def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
-    """Exact weight enumerator via the residue fold.
+    """Exact weight enumerator by the fold or by meeting in the middle.
 
-    The fold costs one big-integer add per reached residue and coefficient,
-    at most min(n, 2^k) per coefficient, so huge-modulus instances stay exact
-    and cheap. It is reused while consecutive calls share coefficients and
-    modulus. The VT closed form is an independent route, compared with this
-    one by ``verify`` and the tests, not here.
+    A fold already built for these coefficients mod n and n is read. The
+    second call in a row with the same key builds the fold, so a sweep over
+    the residues of one modulus folds once. Any other call takes the route
+    the cost model (_mitm_is_cheaper) prefers. Either route raises
+    CapExceeded past its row cap before it allocates. The VT closed form is
+    an independent route, compared with this one by ``verify`` and the
+    tests, not here.
     """
     global _last_fold
-    k = len(spec.coefficients)
-    n = spec.modulus
-    key = (tuple(a % n for a in spec.coefficients), n)
-    fold = _last_fold  # one read, so a concurrent caller cannot swap it midway
-    if fold is None or fold[0] != key:
-        fold = _last_fold = None  # free the old fold before building the next
-        fold = _last_fold = key, residue_product(key[0], n)
-    poly = fold[1].slot(spec.residue)
-    counts = list(poly.coeffs) + [0] * (k + 1 - len(poly.coeffs))
-    return WeightEnumerator(k, counts)
+    key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
+    memo = _last_fold  # one read, so a concurrent caller cannot swap it midway
+    if (memo is not None and memo[0] == key) or not _mitm_is_cheaper(*key):
+        return weight_enumerator_fold(spec)
+    _last_fold = key, None  # the next call with this key folds
+    return weight_enumerator_mitm(spec)
+
+
+def weight_enumerator_fold(spec: CodeSpec) -> WeightEnumerator:
+    """Exact weight enumerator from the residue fold of every residue.
+
+    The fold costs one big-integer add per reached residue and coefficient,
+    at most reach(coefficients, n) per coefficient, so huge-modulus
+    instances stay exact. It is reused while consecutive calls share
+    coefficients mod n and n, and it is what ``verify`` runs as its exact
+    method.
+    """
+    global _last_fold
+    key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
+    memo = _last_fold
+    if memo is None or memo[0] != key or memo[1] is None:
+        memo = _last_fold = None  # free the old fold before building the next
+        memo = _last_fold = key, residue_product(*key)
+    return _enumerator(spec.length, memo[1].slot(spec.residue))
+
+
+def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
+    """Exact weight enumerator of one residue by meeting in the middle.
+
+    Holds about 2^ceil(k/2) rows per half instead of the fold's 2^k, and is
+    independent of the fold's memo (``polyring.residue_slot``).
+    """
+    return _enumerator(spec.length, residue_slot(spec.coefficients, spec.modulus, spec.residue))
+
+
+# The float routes build root tables of n or 2n entries before they loop. At
+# n = 2^16 with 18 coefficients each peaked under 31 MB child RSS, and the
+# enumerator sum, the slowest, took 3.6 s.
+_MAX_FLOAT_MODULUS = 1 << 16
+
+
+def _check_float_modulus(n: int) -> None:
+    if n > _MAX_FLOAT_MODULUS:
+        raise CapExceeded(f"modulus {n} exceeds the float cap of {_MAX_FLOAT_MODULUS}")
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -116,12 +175,14 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     m = 1..n in floating point, rounds every coefficient to the nearest
     integer and returns the rounded enumerator together with the largest
     distance |raw - rounded| seen (imaginary leakage included). Raises
-    IntegralityFailure when that distance exceeds 1e-6. Advisory path;
+    IntegralityFailure when that distance exceeds 1e-6, and CapExceeded,
+    before building anything, past the float modulus cap. Advisory path;
     exact results come from weight_enumerator.
     """
     k = len(spec.coefficients)
     n = spec.modulus
     b = spec.residue
+    _check_float_modulus(n)
     roots = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
     a_red = [a % n for a in spec.coefficients]
     acc = [0j] * (k + 1)
@@ -159,10 +220,12 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
     where eta = -b + (a_1 + ... + a_k) / 2 is carried as the exact
     half-integer 2*eta. The raw value must be real and nonnegative up to
     tolerance; the rounded size and |raw - rounded| are returned, with
-    IntegralityFailure past 1e-6 relative tolerance.
+    IntegralityFailure past 1e-6 relative tolerance. CapExceeded past the
+    float modulus cap, before building anything.
     """
     k = len(spec.coefficients)
     n = spec.modulus
+    _check_float_modulus(n)
     two_eta = sum(spec.coefficients) - 2 * spec.residue
     n2 = 2 * n
     phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
@@ -183,9 +246,13 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
 
 
 def size_upper_bound(spec: CodeSpec) -> float:
-    """Upper bound (2^k / n) * sum_m prod_j |cos(pi a_j m / n)| on the size."""
+    """Upper bound (2^k / n) * sum_m prod_j |cos(pi a_j m / n)| on the size.
+
+    CapExceeded past the float modulus cap, before building anything.
+    """
     k = len(spec.coefficients)
     n = spec.modulus
+    _check_float_modulus(n)
     n2 = 2 * n
     abscos = [abs(math.cos(math.pi * t / n)) for t in range(n2)]
     acc = 0.0
@@ -323,9 +390,10 @@ def svt_sizes(spec: ParityCodeSpec) -> tuple[int, int]:
     """(even, odd) weight-parity split of the base code's codeword count.
 
     even = (W(1) + W(-1)) / 2 and odd = (W(1) - W(-1)) / 2 on the exact
-    enumerator; the halving is exact for any genuine weight distribution.
+    enumerator of the fold, which serves both parities; the halving is exact
+    for any genuine weight distribution.
     """
-    w = weight_enumerator(spec.base)
+    w = weight_enumerator_fold(spec.base)
     s1 = w.size()
     sm1 = w.evaluate(-1)
     even, rem = divmod(s1 + sm1, 2)
@@ -340,11 +408,13 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     With A_m = prod_j cos(pi a_j m / n) and B_m = prod_j i sin(pi a_j m / n),
     the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
     the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
-    Returns (even, odd, max residual), IntegralityFailure past 1e-6.
+    Returns (even, odd, max residual), IntegralityFailure past 1e-6 and
+    CapExceeded past the float modulus cap, before building anything.
     """
     base = spec.base
     k = len(base.coefficients)
     n = base.modulus
+    _check_float_modulus(n)
     two_eta = sum(base.coefficients) - 2 * base.residue
     n2 = 2 * n
     phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]

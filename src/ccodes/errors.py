@@ -19,7 +19,12 @@ class IntegralityFailure(CongruenceCodeError):
 
 
 class CapExceeded(CongruenceCodeError):
-    """A brute-force routine was asked to enumerate beyond its safety cap."""
+    """A route was asked to go beyond its safety cap, a limit and not a bug.
+
+    The caps bound brute-force tuples, the rows of the residue fold, the
+    rows of each half when meeting in the middle, and the modulus of the
+    float routes. Each is checked before the route allocates.
+    """
 
 
 class InvariantViolation(CongruenceCodeError):

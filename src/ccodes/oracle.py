@@ -8,7 +8,9 @@ hard errors, never silent truncation.
 Binary codes share one kernel: it streams all 2^k tuples in chunks of 2^14
 and gives each tuple its own (residue, weight) key. brute_weight_enumerator
 tallies the keys of every residue in one pass per modulus; build_codebook
-keeps the tuples of one residue. Neither holds a 2^k-entry table.
+keeps the tuples of one residue. Neither holds a 2^k-entry table. The
+q-ary counts tally every residue of {0..q-1}^k the same way, one pass per
+coefficients mod n, n and q, in chunks of at most 2^14 tuples.
 """
 
 from __future__ import annotations
@@ -153,32 +155,48 @@ def build_codebook(spec: CodeSpec) -> Codebook:
     return Codebook(spec.length, tuple(words))
 
 
-def _odometer_count(coeffs: Sequence[int], n: int, b: int, k: int, q: int) -> int:
-    # lexicographic sweep of {0..q-1}^k with partial congruence sums
-    if k == 0 or q == 1:
-        return 1 if b == 0 else 0
-    a = [c % n for c in coeffs]
-    digits = [0] * k
-    psum = [0] * (k + 1)
-    count = 0
-    lo = 0
-    while True:
-        for i in range(lo, k):
-            psum[i + 1] = (psum[i] + a[i] * digits[i]) % n
-        if psum[k] == b:
-            count += 1
-        i = k - 1
-        while i >= 0 and digits[i] == q - 1:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return count
-        digits[i] += 1
-        lo = i
+def _digit_residues(coeffs: Sequence[int], n: int, q: int) -> list[int]:
+    # the residue of every tuple over {0..q-1}, one entry per tuple
+    residues = [0]
+    for a in coeffs:
+        residues = [(r + a * d) % n for d in range(q) for r in residues]
+    return residues
+
+
+# (coefficients reduced mod n, n, q) and the residue tally of the last q-ary
+# count; residue sweeps enumerate once per modulus.
+_last_qary: tuple[tuple[tuple[int, ...], int, int], Counter] | None = None
+
+
+def _qary_count(coeffs: Sequence[int], n: int, b: int, q: int) -> int:
+    """Tuples over {0..q-1}^k with the congruence, from one tally of every residue.
+
+    The first c coordinates, q^c <= 2^14 tuples, vary within a chunk and the
+    rest pick it; each tuple's residue is tallied on its own.
+    """
+    global _last_qary
+    key = (tuple(a % n for a in coeffs), n, q)
+    memo = _last_qary  # one read, so a concurrent caller cannot swap it midway
+    if memo is None or memo[0] != key:
+        memo = _last_qary = None  # free the old tally before building the next
+        a = key[0]
+        c = 0
+        while c < len(a) and q ** (c + 1) <= 1 << _CHUNK_BITS:
+            c += 1
+        low = _digit_residues(a[:c], n, q)
+        tally = Counter()
+        for prefix in _digit_residues(a[c:], n, q):
+            tally.update([(r + prefix) % n for r in low])
+        memo = _last_qary = key, tally
+    return memo[1][b]
 
 
 def brute_count_zn(coeffs: Iterable[int], n: int, b: int, k: int) -> int:
-    """Exhaustive count of solutions over Z_n^k. Capped at n^k <= 10^7."""
+    """Exhaustive count of solutions over Z_n^k. Capped at n^k <= 10^7.
+
+    One pass tallies every residue and is reused while consecutive calls
+    share coefficients mod n and n.
+    """
     a = list(coeffs)
     if len(a) != k:
         raise ValueError("coefficient list length must equal k")
@@ -186,13 +204,14 @@ def brute_count_zn(coeffs: Iterable[int], n: int, b: int, k: int) -> int:
         raise ValueError("modulus must be >= 1")
     if n**k > _MAX_GRID:
         raise CapExceeded(f"{n}^{k} tuples exceeds the {_MAX_GRID} cap")
-    return _odometer_count(a, n, b % n, k, n)
+    return _qary_count(a, n, b % n, n)
 
 
 def brute_count_qary(coeffs: Iterable[int], n: int, b: int, k: int, q: int) -> int:
     """Exhaustive count over {0..q-1}^k of tuples with the congruence mod n.
 
-    Capped at q^k <= 10^7.
+    One pass tallies every residue and is reused while consecutive calls
+    share coefficients mod n, n and q. Capped at q^k <= 10^7.
     """
     a = list(coeffs)
     if len(a) != k:
@@ -203,7 +222,7 @@ def brute_count_qary(coeffs: Iterable[int], n: int, b: int, k: int, q: int) -> i
         raise ValueError("alphabet size must be >= 1")
     if q**k > _MAX_GRID:
         raise CapExceeded(f"{q}^{k} tuples exceeds the {_MAX_GRID} cap")
-    return _odometer_count(a, n, b % n, k, q)
+    return _qary_count(a, n, b % n, q)
 
 
 def check_single_deletion(book: Codebook) -> bool:

@@ -367,3 +367,90 @@ def test_docstring_examples_run(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out
+
+
+def count_folds(monkeypatch):
+    """Record the modulus of every full fold the enumerator builds."""
+    folds = []
+    fold = enumerator.residue_product
+    monkeypatch.setattr(enumerator, "_last_fold", None)
+    monkeypatch.setattr(enumerator, "residue_product",
+                        lambda coeffs, n: folds.append(n) or fold(coeffs, n))
+    return folds
+
+
+BLCC18 = ",".join(str(10**8 + 7919 * i * i) for i in range(18))
+
+
+def test_single_enum_does_not_fold_and_a_sweep_folds_once(capsys, monkeypatch):
+    folds = count_folds(monkeypatch)
+    for argv in (("--family", "helberg", "--k", "20", "--s", "2", "--b", "7"),
+                 ("--family", "blcc", "--coeffs", BLCC18, "--mod", "1000000007", "--b", "0")):
+        code, out, _ = run(capsys, "enum", *argv)
+        assert code == 0 and "size=" in out
+    assert folds == []
+    code, out, _ = run(capsys, "table", "--family", "helberg", "--quantity", "nt",
+                       "--k", "10", "--s", "2", "--b", "all")
+    assert code == 0 and len(out.splitlines()) == 1 + 232
+    assert folds == [232]
+
+
+def test_cap_exits_4_outside_verify(capsys, monkeypatch):
+    halves = []
+    fold = polyring._fold
+    monkeypatch.setattr(polyring, "_fold", lambda a, *rest: halves.append(len(a)) or fold(a, *rest))
+    monkeypatch.setattr(polyring, "_MAX_ROWS", 100)
+    monkeypatch.setattr(enumerator, "_last_fold", None)
+    # Helberg(10, 2): modulus 232; the halves reach at most 27 and 32 residues
+    code, out, err = run(capsys, "table", "--family", "helberg", "--quantity", "size",
+                         "--k", "10", "--s", "2", "--b", "all")
+    assert (code, out) == (4, "")
+    assert err == "ccodes: limit: up to 232 residue rows exceeds the cap of 100\n"
+    assert halves == [5, 5]  # the first residue met in the middle; no full fold began
+    code, out, err = run(capsys, "enum", "--family", "helberg", "--k", "20", "--s", "2",
+                         "--b", "0")
+    assert (code, out) == (4, "")
+    assert err.startswith("ccodes: limit: up to ") and err.count("\n") == 1
+
+
+def test_cap_skips_inside_verify(capsys, monkeypatch):
+    monkeypatch.setattr(polyring, "_MAX_ROWS", 100)
+    code, out, _ = run(capsys, "verify", "--family", "helberg", "--k", "10", "--s", "2",
+                       "--b", "3", "--methods", "exact,mitm,brute")
+    assert code == 0
+    label = "family=helberg k=10 s=2 b=3"
+    assert out.splitlines() == [
+        f"SKIP {label} method=exact reason=up to 232 residue rows exceeds the cap of 100",
+        f"PASS {label} methods=mitm,brute dev=0.000e+00",
+        "1/1 instances agree",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "vt", "--n", "1..9", "--b", "all"),
+    ("--family", "levenshtein", "--k", "6", "--n", "2k", "--b", "all"),
+    ("--family", "helberg", "--k", "9", "--s", "2", "--b", "all"),
+    ("--family", "svt", "--k", "1..6", "--n", "k+1", "--b", "all", "--r", "both"),
+    ("--family", "blcc", "--coeffs", "3,-1,4,0,5", "--mod", "1..12", "--b", "all"),
+])
+def test_verify_mitm_method(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv, "--methods", "exact,mitm,brute")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) > 2
+    assert all(line.startswith("PASS ") and " methods=exact,mitm,brute " in line
+               for line in lines[:-1])
+    # mitm is opt-in: the default methods leave it out
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0 and "mitm" not in out
+
+
+def test_verify_float_skips_a_huge_modulus(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "blcc", "--coeffs", "3,5,-7",
+                       "--mod", "1000000007", "--b", "8")
+    assert code == 0
+    label = "family=blcc coeffs=3,5,-7 mod=1000000007 b=8"
+    assert out.splitlines() == [
+        f"SKIP {label} method=float reason=modulus 1000000007 exceeds the float cap of 65536",
+        f"PASS {label} methods=exact,brute dev=0.000e+00",
+        "1/1 instances agree",
+    ]

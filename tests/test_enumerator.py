@@ -1,10 +1,12 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from ccodes import (
+    CapExceeded,
     CodeSpec,
     NonExactDivision,
     WeightEnumerator,
@@ -28,6 +30,7 @@ from ccodes import (
     weight_enumerator_charsum_float,
 )
 from ccodes import enumerator
+from ccodes.polyring import residue_slot
 
 # === WeightEnumerator type ===
 
@@ -83,14 +86,16 @@ def test_dense_fold_memo_key(monkeypatch):
     monkeypatch.setattr(enumerator, "residue_product", counting_fold)
     a = (1, 2, 3, 5)
     sequence = [
-        (CodeSpec(a, 7, 0), True),  # first fold
-        (CodeSpec((2, 4, 6), 7, 3), True),  # another spec evicts A
-        (CodeSpec(a, 7, 1), True),  # so A folds again
+        (CodeSpec(a, 7, 0), False),  # one residue: meeting in the middle is cheaper
+        (CodeSpec(a, 7, 1), True),  # the second call in a row with A folds
         (CodeSpec(a, 7, 2), False),  # same key: reused
         (CodeSpec((8, 9, -4, 12), 7, 4), False),  # same coefficients mod 7: reused
-        (CodeSpec(a, 9, 1), True),  # same reduced coefficients, other modulus
-        (CodeSpec(a, 9, 2), False),
-        (CodeSpec(a, 10**9 + 7, 11), True),  # a modulus far above 2^k is kept too
+        (CodeSpec((2, 4, 6), 7, 3), False),  # another spec evicts A
+        (CodeSpec(a, 7, 5), False),  # so A is a first call again
+        (CodeSpec(a, 3, 1), True),  # n <= 2^ceil(k/2): the fold is cheaper at once
+        (CodeSpec(a, 3, 2), False),
+        (CodeSpec(a, 10**9 + 7, 11), False),
+        (CodeSpec(a, 10**9 + 7, 4), True),  # a modulus far above 2^k folds too
         (CodeSpec(a, 10**9 + 7, 4), False),
     ]
     for spec, folds_again in sequence:
@@ -98,10 +103,59 @@ def test_dense_fold_memo_key(monkeypatch):
         got = weight_enumerator(spec)
         assert len(folds) == before + folds_again
         assert got == brute_weight_enumerator(spec)
-    assert folds == [(a, 7), ((2, 4, 6), 7), (a, 7), (a, 9), (a, 10**9 + 7)]
+    assert folds == [(a, 7), ((1, 2, 0, 2), 3), (a, 10**9 + 7)]
+
+
+@pytest.mark.parametrize("coeffs, n, mitm", [
+    ((1, 2, 4, 8), 5, False),  # 5 * 4 rows against 4 * 5: a tie keeps the fold
+    ((1, 2, 4, 8), 6, True),  # 5 * 4 against 4 * 6
+    ((), 7, False),
+    ((3,), 10**9 + 7, False),  # one coefficient: nothing to split
+    ((3, 5), 10**9 + 7, True),
+    (make_helberg(20, 2, 0).coefficients, make_helberg(20, 2, 0).modulus, True),
+    (make_vt(200, 0).coefficients, 201, False),
+    (make_levenshtein(30, 45, 0).coefficients, 45, False),
+])
+def test_route_cost_model(coeffs, n, mitm):
+    assert enumerator._mitm_is_cheaper(tuple(a % n for a in coeffs), n) is mitm
+
+
+def test_dispatcher_takes_the_cheaper_route(monkeypatch):
+    routes = []
+    monkeypatch.setattr(enumerator, "residue_product",
+                        lambda *args: routes.append("fold") or residue_product(*args))
+    monkeypatch.setattr(enumerator, "residue_slot",
+                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    for n, route in ((5, "fold"), (6, "mitm")):
+        monkeypatch.setattr(enumerator, "_last_fold", None)
+        spec = CodeSpec((1, 2, 4, 8), n, 3)
+        assert weight_enumerator(spec) == brute_weight_enumerator(spec)
+        assert routes.pop() == route and not routes
 
 
 # === float character sum ===
+
+
+def test_float_routes_check_the_cap_before_their_tables(monkeypatch):
+    monkeypatch.setattr(enumerator, "_MAX_FLOAT_MODULUS", 1 << 10)
+    routes = [weight_enumerator_charsum_float, size_cosine_float, size_upper_bound,
+              lambda spec: svt_sizes_charsum_float(make_svt(3, spec.modulus, 5, 0))]
+    tracemalloc.start()
+    try:
+        for route in routes:
+            with pytest.raises(CapExceeded, match="modulus 1048576 exceeds the float cap of 1024"):
+                route(make_levenshtein(3, 1 << 20, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a root table of 2^21 entries takes tens of MB
+    at_cap = make_levenshtein(3, 1 << 10, 5)
+    assert weight_enumerator_charsum_float(at_cap)[0] == weight_enumerator(at_cap)
+    assert size_cosine_float(at_cap)[0] == size(at_cap)
+    assert size_upper_bound(at_cap) >= size(at_cap)
+    assert svt_sizes_charsum_float(make_svt(3, 1 << 10, 5, 0))[:2] == svt_sizes(
+        make_svt(3, 1 << 10, 5, 0))
+
 
 
 def test_charsum_float_matches_exact():

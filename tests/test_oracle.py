@@ -200,6 +200,52 @@ def test_brute_count_qary_matches_itertools():
         assert brute_count_qary(coeffs, n, b, k, q) == want
 
 
+# (coefficients, modulus, alphabet): chunk edges at q^c <= 2^14, q = 1, k = 0
+QARY_CASES = [
+    ((0,) + draw(15, 8)[1:], 13, 2),
+    (draw(10, 9), 11, 3),
+    (draw(8, 10), 6, 4),
+    (draw(6, 11), 5, 5),  # Z_5^6: every coordinate in one chunk
+    (draw(6, 12), 7, 7),  # Z_7^6: 7^4 tuples per chunk
+    (draw(4, 13), 4, 1),
+    ((), 3, 3),
+    (draw(5, 14), 1, 3),
+]
+
+
+@pytest.mark.parametrize("coeffs, n, q", QARY_CASES)
+def test_qary_tally_equals_literal_loop(monkeypatch, coeffs, n, q):
+    monkeypatch.setattr(oracle, "_last_qary", None)
+    k = len(coeffs)
+    tally = Counter(sum(a * x for a, x in zip(coeffs, xs)) % n
+                    for xs in product(range(q), repeat=k))
+    for b in range(n):
+        assert brute_count_qary(coeffs, n, b, k, q) == tally[b], b
+        if q == n:
+            assert brute_count_zn(coeffs, n, b, k) == tally[b], b
+
+
+def test_qary_tally_memo_key(monkeypatch):
+    runs = []
+    residues = oracle._digit_residues
+    monkeypatch.setattr(oracle, "_last_qary", None)
+    monkeypatch.setattr(oracle, "_digit_residues",
+                        lambda a, n, q: runs.append((n, q)) or residues(a, n, q))
+    sequence = [
+        (lambda b: brute_count_qary([1, 2, 3], 4, b, 3, 3), (4, 3)),
+        (lambda b: brute_count_qary([5, -2, 7], 4, b, 3, 3), None),  # same mod 4
+        (lambda b: brute_count_qary([1, 2, 3], 4, b, 3, 2), (4, 2)),  # another alphabet
+        (lambda b: brute_count_zn([1, 2, 3], 4, b, 3), (4, 4)),
+        (lambda b: brute_count_zn([1, 2, 3], 5, b, 3), (5, 5)),
+    ]
+    for count, key in sequence:
+        before = len(runs)
+        for b in range(4):
+            count(b)
+        # one pass per key: the low chunk and the prefixes, once
+        assert runs[before:] == ([] if key is None else [key, key])
+
+
 def test_brute_matches_fold_on_random_specs():
     from ccodes import weight_enumerator
 

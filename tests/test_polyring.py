@@ -5,10 +5,13 @@ from itertools import product
 import pytest
 
 from ccodes import (
+    CapExceeded,
     IntPolynomial,
     InvariantViolation,
     NonExactDivision,
+    reach,
     residue_product,
+    residue_slot,
 )
 from ccodes import polyring
 
@@ -193,3 +196,50 @@ def test_fold_mass_check():
         polyring._check_mass([1, 1 << 2, 1], 1, 2)
     with pytest.raises(InvariantViolation):
         polyring._check_mass([1, 1], 1, 2)
+
+
+def test_residue_slot_examples():
+    assert residue_slot([1, 2], 3, 0) == P([1, 0, 1])
+    assert residue_slot([], 5, 0) == P([1]) and residue_slot([], 5, 3) == P()
+    assert residue_slot([0] * 40, 1, 0) == P([math.comb(40, t) for t in range(41)])
+    big = 10**9 + 7
+    assert residue_slot([3, -5, 7], big, big - 2) == P([0, 0, 1])
+    assert residue_slot([3, -5, 7], big, 1) == P()
+    for bad in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            residue_slot([1], *bad)
+
+
+def test_residue_slot_matches_fold():
+    rng = random.Random(9)
+    for _ in range(60):
+        k = rng.randint(0, 11)
+        n = rng.choice((rng.randint(1, 60), 1 << rng.randint(0, 12), 10**9 + 7))
+        coeffs = [rng.choice((0, rng.randint(-90, 90))) for _ in range(k)]
+        rp = residue_product(coeffs, n)
+        for b in rng.sample(range(n), min(n, 8)):
+            assert residue_slot(coeffs, n, b) == rp.slot(b)
+
+
+def test_reach_bounds_the_rows():
+    assert reach([], 7) == 1
+    assert reach([1, 2, 4, 8], 100) == 16  # 2^k
+    assert reach([1, 2, 4, 8], 5) == 5  # n
+    assert reach(range(1, 31), 10**9) == 466  # 1 + the coefficient sum
+    assert reach([10**9 + 1] * 3, 10**9) == 4  # reduced first: subset sums 0..3
+
+
+def test_row_cap_comes_before_any_fold(monkeypatch):
+    folded = []
+    fold = polyring._fold
+    monkeypatch.setattr(polyring, "_fold", lambda a, *rest: folded.append(len(a)) or fold(a, *rest))
+    monkeypatch.setattr(polyring, "_MAX_ROWS", 16)
+    assert residue_product([1, 2, 4, 8], 100).slot(15) == P([0, 0, 0, 0, 1])
+    assert residue_slot([1, 2, 4, 8, 16, 32, 64, 128], 1000, 255) == P([0] * 8 + [1])
+    assert folded == [4, 4, 4]
+    with pytest.raises(CapExceeded, match="up to 17 residue rows exceeds the cap of 16"):
+        residue_product([1, 2, 4, 8, 16], 17)
+    # the right half reaches 32 residues: neither half is folded
+    with pytest.raises(CapExceeded, match="up to 32 residue rows"):
+        residue_slot([1, 2, 4, 8, 16, 32, 64, 128, 256], 1000, 0)
+    assert folded == [4, 4, 4]

@@ -13,6 +13,7 @@ from ccodes import (  # noqa: E402
     make_svt,
     make_vt,
     residue_product,
+    residue_slot,
     size,
     size_upper_bound,
     svt_sizes,
@@ -27,10 +28,13 @@ settings = hypothesis.settings(max_examples=100, deadline=None, derandomize=True
 
 @st.composite
 def folds(draw):
-    """(coefficients, modulus): zero and negative coefficients, moduli around 2^k."""
+    """(coefficients, modulus): zero and negative coefficients, moduli around 2^k.
+
+    Moduli around 2^ceil(k/2) too, where the route cost model changes sides.
+    """
     k = draw(st.integers(0, 8))
     coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(-60, 60)), min_size=k, max_size=k))
-    edge = [m for m in ((1 << k) - 1, 1 << k, (1 << k) + 1) if m >= 1]
+    edge = [m for p in (k, (k + 1) // 2) for m in ((1 << p) - 1, 1 << p, (1 << p) + 1) if m >= 1]
     modulus = draw(st.one_of(st.sampled_from(edge), st.integers(1, 300)))
     return coeffs, modulus
 
@@ -47,6 +51,7 @@ def test_residue_product_equals_brute_force(fold):
     for r in range(n):
         got = rp.slot(r).coeffs
         assert list(got) + [0] * (k + 1 - len(got)) == expected[r]
+        assert residue_slot(coeffs, n, r) == rp.slot(r)
 
 
 @settings
