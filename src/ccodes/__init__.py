@@ -41,8 +41,6 @@ from .enumerator import (
     vt_weight_enumerator_closed,
     weight_enumerator,
     weight_enumerator_charsum_float,
-    weight_enumerator_fold,
-    weight_enumerator_mitm,
 )
 from .errors import (
     CapExceeded,
@@ -62,9 +60,7 @@ from .oracle import (
 from .polyring import (
     IntPolynomial,
     ResiduePolynomial,
-    reach,
     residue_product,
-    residue_slot,
 )
 
 __version__ = "0.1.0"
@@ -99,9 +95,7 @@ __all__ = [
     "moebius",
     "ramanujan_sum",
     "ramanujan_sum_direct",
-    "reach",
     "residue_product",
-    "residue_slot",
     "size",
     "size_cosine_float",
     "size_upper_bound",
@@ -114,6 +108,4 @@ __all__ = [
     "vt_weight_enumerator_closed",
     "weight_enumerator",
     "weight_enumerator_charsum_float",
-    "weight_enumerator_fold",
-    "weight_enumerator_mitm",
 ]

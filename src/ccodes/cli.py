@@ -76,6 +76,7 @@ _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
 _GRID_FLAGS = ("n", "k", "s", "b", "r", "coeffs", "mod")
 
 Params = dict[str, int | str]
+Route = Callable[[CodeSpec], WeightEnumerator]  # an exact route from spec to enumerator
 
 
 class UsageError(Exception):
@@ -191,13 +192,14 @@ def _coeff_text(text: str, params: Params) -> list[str]:
     return [text]
 
 
-def _counts(spec: CodeSpec) -> tuple[int, ...]:
-    return weight_enumerator(spec).counts
+def _counts(spec: CodeSpec, route: Route) -> tuple[int, ...]:
+    return route(spec).counts
 
 
-def _parity_counts(spec: ParityCodeSpec) -> tuple[int, ...]:
+def _parity_counts(spec: ParityCodeSpec, route: Route) -> tuple[int, ...]:
     """The base code's weight distribution with the other weight parity zeroed."""
-    return tuple(c if t % 2 == spec.parity else 0 for t, c in enumerate(_counts(spec.base)))
+    return tuple(c if t % 2 == spec.parity else 0
+                 for t, c in enumerate(_counts(spec.base, route)))
 
 
 def _exact(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
@@ -226,7 +228,7 @@ def _svt_float(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
     return (even, odd), dev
 
 
-def _parity_split(route: Callable[[CodeSpec], WeightEnumerator]):
+def _parity_split(route: Route):
     """An svt method: the (even, odd) sizes from one route's base enumerator."""
     def method(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
         w = route(spec.base)
@@ -242,7 +244,7 @@ class _Family(NamedTuple):
     grid: tuple[tuple[str, Callable[[Any, Params], Iterable]], ...]  # output-parameter order
     make: Callable[..., Any]  # the spec from the grid values, passed in grid order
     methods: dict[str, Callable[[Any], tuple[tuple, float]]]  # verify methods, default order
-    counts: Callable[[Any], tuple[int, ...]] = _counts  # what enum and table print
+    counts: Callable[..., tuple[int, ...]] = _counts  # (spec, route): what enum and table print
 
 
 _METHODS = {"exact": _exact, "float": _float, "brute": _brute, "mitm": _mitm}
@@ -345,7 +347,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
         rec = OutputRecord(args.family, {**params, "q": args.q}, "closed",
                            vt_q_size(spec.length, spec.residue, args.q))
     else:
-        counts = _FAMILIES[args.family].counts(spec)
+        counts = _FAMILIES[args.family].counts(spec, weight_enumerator)
         rec = OutputRecord(args.family, params, "exact", sum(counts), list(counts))
     print(_emit_record(rec, args.format))
     return 0
@@ -354,9 +356,20 @@ def cmd_enum(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
-    for _ in _iter_instances(args):  # every usage error before any computing
-        pass
-    rows = [(params, _FAMILIES[args.family].counts(spec)) for params, spec in _iter_instances(args)]
+    # A table of every residue reads them all from one fold per modulus; past
+    # the fold's row cap that raises CapExceeded before anything is folded.
+    route = weight_enumerator_fold if args.b == "all" else weight_enumerator
+    counts = _FAMILIES[args.family].counts
+    rows: list[tuple[Params, tuple[int, ...]]] = []
+    limit: CapExceeded | None = None
+    for params, spec in _iter_instances(args):  # a usage error anywhere in the grid wins
+        if limit is None:
+            try:
+                rows.append((params, counts(spec, route)))
+            except CapExceeded as exc:
+                rows, limit = [], exc
+    if limit is not None:
+        raise limit
     param_keys = list(rows[0][0]) if rows else []
     width = max((len(counts) for _, counts in rows), default=1)
     if args.quantity == "size":

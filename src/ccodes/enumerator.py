@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import polyring
 from .arith import divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision
@@ -95,38 +96,69 @@ def _enumerator(k: int, poly: IntPolynomial) -> WeightEnumerator:
     return WeightEnumerator(k, list(poly.coeffs) + [0] * (k + 1 - len(poly.coeffs)))
 
 
-def _mitm_is_cheaper(coeffs: tuple[int, ...], n: int) -> bool:
-    """The route cost model, in big-integer operations.
+# Route costs, in units of one row add of a narrow packed row, about 160 ns
+# (Python 3.11 on x86-64). Measured there: an add costs one unit more per 1600
+# bits of row; a product of rows of x and y bits costs about
+# (x * y) ** 0.85 / 14000 units; meeting in the middle pays about 20 units of
+# fixed overhead for its second fold and the join.
+_ADD_BITS = 1600
+_PRODUCT_SCALE = 14000
+_MITM_OVERHEAD = 20
 
-    A fold does one add per reached residue for each of the k coefficients,
-    about k * reach(coeffs, n). Meeting in the middle folds the two halves,
-    at most k adds per row of the larger one, and joins them with one product
-    per row: about (k + 1) * reach(larger half, n). With n >= 2^k that is
-    2^ceil(k/2) against 2^k; with n <= 2^ceil(k/2) the fold is cheaper.
+
+def _fold_cost(coeffs: tuple[int, ...], n: int, width: int) -> float:
+    # Fold step i adds one row per residue reached by the first i - 1
+    # coefficients, each row up to i fields of width bits wide.
+    cost, total, doubling = 0.0, 0, 1
+    for i, a in enumerate(coeffs, 1):
+        cost += min(n, doubling, 1 + total) * (1 + i * width / _ADD_BITS)
+        total += a
+        doubling = min(2 * doubling, n)
+    return cost
+
+
+def _mitm_is_cheaper(coeffs: tuple[int, ...], n: int) -> bool:
+    """The route cost model for one residue of reduced coefficients mod n.
+
+    A fold of the k coefficients is charged its row adds (_fold_cost); its
+    rows double each step until they reach min(n, 1 + the coefficient sum),
+    and widen by one field of k + 1 bits. Meeting in the middle is charged
+    the folds of both halves, one product per row of the left half and a
+    fixed overhead. With n >= 2^k that is about 2^ceil(k/2) rows against
+    2^k; when n is small enough that both halves fill it, the routes do the
+    same adds and the join decides, so the fold wins as k grows (VT(200)).
     """
     k = len(coeffs)
     half = (k + 1) // 2
-    rows = max(reach(coeffs[:half], n), reach(coeffs[half:], n))
-    return (k + 1) * rows < k * reach(coeffs, n)
+    width = k + 1
+    left, right = coeffs[:half], coeffs[half:]
+    product = 1 + ((half + 1) * (k - half + 1) * width * width) ** 0.85 / _PRODUCT_SCALE
+    mitm = (_fold_cost(left, n, width) + _fold_cost(right, n, width)
+            + reach(left, n) * product + _MITM_OVERHEAD)
+    return mitm < _fold_cost(coeffs, n, width)
 
 
 def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator by the fold or by meeting in the middle.
 
-    A fold already built for these coefficients mod n and n is read. The
-    second call in a row with the same key builds the fold, so a sweep over
-    the residues of one modulus folds once. Any other call takes the route
-    the cost model (_mitm_is_cheaper) prefers. Either route raises
-    CapExceeded past its row cap before it allocates. The VT closed form is
-    an independent route, compared with this one by ``verify`` and the
-    tests, not here.
+    A fold already built for these coefficients mod n and n is read. Else,
+    when the fold fits under the row cap, the second call in a row with the
+    same key builds it, so a sweep over the residues of one modulus folds
+    once, and any other call folds when the cost model (_mitm_is_cheaper)
+    prefers it. Everything else meets in the middle, which raises
+    CapExceeded past its own row cap before it allocates. The route may
+    depend on the previous call; the result, and whether one is computed
+    at all, do not. The VT closed form is an independent route, compared with
+    this one by ``verify`` and the tests, not here.
     """
     global _last_fold
     key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
     memo = _last_fold  # one read, so a concurrent caller cannot swap it midway
-    if (memo is not None and memo[0] == key) or not _mitm_is_cheaper(*key):
+    repeat = memo is not None and memo[0] == key
+    if (repeat and memo[1] is not None) or (
+            reach(*key) <= polyring._MAX_ROWS and (repeat or not _mitm_is_cheaper(*key))):
         return weight_enumerator_fold(spec)
-    _last_fold = key, None  # the next call with this key folds
+    _last_fold = key, None  # the next call with this key folds if it fits
     return weight_enumerator_mitm(spec)
 
 

@@ -10,14 +10,15 @@ and gives each tuple its own (residue, weight) key. brute_weight_enumerator
 tallies the keys of every residue in one pass per modulus; build_codebook
 keeps the tuples of one residue. Neither holds a 2^k-entry table. The
 q-ary counts tally every residue of {0..q-1}^k the same way, one pass per
-coefficients mod n, n and q, in chunks of at most 2^14 tuples.
+coefficients mod n, n and q, in chunks of at most 2^14 tuples; past
+modulus 2^16 they count only the asked residue.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, product
 from typing import Iterable, Iterator, Sequence
 
 from .codes import CodeSpec
@@ -35,7 +36,7 @@ __all__ = [
 
 _MAX_TUPLE_BITS = 24  # binary cap, for time: about 3 s and 18 MB peak RSS at k=24
 _CHUNK_BITS = 14  # tuples per chunk 2^14: the chunk's keys stay near 0.5 MB
-_TALLY_MAX = 1 << 16  # an all-residue tally has at most n(k+1) keys; past this, keep one residue
+_TALLY_MAX = 1 << 16  # all-residue tallies have n(k+1) keys (binary), n (q-ary); past this, keep one
 _MAX_GRID = 10**7  # q-ary enumeration cap: q^k tuples
 _MAX_DELETION_LEN = 16
 
@@ -163,30 +164,55 @@ def _digit_residues(coeffs: Sequence[int], n: int, q: int) -> list[int]:
     return residues
 
 
-# (coefficients reduced mod n, n, q) and the residue tally of the last q-ary
-# count; residue sweeps enumerate once per modulus.
-_last_qary: tuple[tuple[tuple[int, ...], int, int], Counter] | None = None
+def _qary_chunks(coeffs: Sequence[int], n: int, q: int) -> Iterator[list[int]]:
+    """Yield the residues of every tuple over {0..q-1}^k, at most 2^14 at a time.
+
+    The first c coordinates, q^c <= 2^14 tuples, vary within a chunk and
+    the rest, streamed, pick it. When q > 2^14 (c = 0) the first
+    coordinate's digits are cut into blocks of 2^14 instead.
+    """
+    step = 1 << _CHUNK_BITS
+    c = 0
+    while c < len(coeffs) and q ** (c + 1) <= step:
+        c += 1
+    if c == 0 and coeffs:
+        a = coeffs[0]
+        lows: Iterable[list[int]] = (
+            [(a * d) % n for d in range(lo, min(q, lo + step))] for lo in range(0, q, step))
+        c = 1
+    else:
+        lows = [_digit_residues(coeffs[:c], n, q)]
+    rest = coeffs[c:]
+    for low in lows:
+        for digits in product(range(q), repeat=len(rest)):
+            d = sum(a * x for a, x in zip(rest, digits)) % n
+            yield low if d == 0 else [(r + d) % n for r in low]
+
+
+# (coefficients reduced mod n, n, q, kept residue) and the residue tally of
+# the last q-ary count; residue sweeps enumerate once per modulus.
+_last_qary: tuple[tuple[tuple[int, ...], int, int, int | None], Counter] | None = None
 
 
 def _qary_count(coeffs: Sequence[int], n: int, b: int, q: int) -> int:
-    """Tuples over {0..q-1}^k with the congruence, from one tally of every residue.
+    """Tuples over {0..q-1}^k with the congruence, from one tally per modulus.
 
-    The first c coordinates, q^c <= 2^14 tuples, vary within a chunk and the
-    rest pick it; each tuple's residue is tallied on its own.
+    Each tuple's residue is tallied on its own. A tally of every residue
+    has at most n keys; when n exceeds 2^16 only residue b is counted, and
+    b joins the memo key.
     """
     global _last_qary
-    key = (tuple(a % n for a in coeffs), n, q)
+    every = n <= _TALLY_MAX
+    key = (tuple(a % n for a in coeffs), n, q, None if every else b)
     memo = _last_qary  # one read, so a concurrent caller cannot swap it midway
     if memo is None or memo[0] != key:
         memo = _last_qary = None  # free the old tally before building the next
-        a = key[0]
-        c = 0
-        while c < len(a) and q ** (c + 1) <= 1 << _CHUNK_BITS:
-            c += 1
-        low = _digit_residues(a[:c], n, q)
         tally = Counter()
-        for prefix in _digit_residues(a[c:], n, q):
-            tally.update([(r + prefix) % n for r in low])
+        for residues in _qary_chunks(key[0], n, q):
+            if every:
+                tally.update(residues)
+            else:
+                tally[b] += residues.count(b)
         memo = _last_qary = key, tally
     return memo[1][b]
 
@@ -195,7 +221,7 @@ def brute_count_zn(coeffs: Iterable[int], n: int, b: int, k: int) -> int:
     """Exhaustive count of solutions over Z_n^k. Capped at n^k <= 10^7.
 
     One pass tallies every residue and is reused while consecutive calls
-    share coefficients mod n and n.
+    share coefficients mod n and n; past n = 2^16 a pass counts one residue.
     """
     a = list(coeffs)
     if len(a) != k:
@@ -211,7 +237,8 @@ def brute_count_qary(coeffs: Iterable[int], n: int, b: int, k: int, q: int) -> i
     """Exhaustive count over {0..q-1}^k of tuples with the congruence mod n.
 
     One pass tallies every residue and is reused while consecutive calls
-    share coefficients mod n, n and q. Capped at q^k <= 10^7.
+    share coefficients mod n, n and q; past n = 2^16 a pass counts one
+    residue. Capped at q^k <= 10^7.
     """
     a = list(coeffs)
     if len(a) != k:

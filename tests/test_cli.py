@@ -352,6 +352,7 @@ def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):
         raise AssertionError("weight_enumerator ran before the usage check")
 
     monkeypatch.setattr(cli, "weight_enumerator", must_not_run)
+    monkeypatch.setattr(cli, "weight_enumerator_fold", must_not_run)  # --b all reads the fold
     code, out, _ = run(capsys, "table", "--family", "svt", "--quantity", "nt",
                        "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
     assert code == 2
@@ -406,7 +407,12 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
                          "--k", "10", "--s", "2", "--b", "all")
     assert (code, out) == (4, "")
     assert err == "ccodes: limit: up to 232 residue rows exceeds the cap of 100\n"
-    assert halves == [5, 5]  # the first residue met in the middle; no full fold began
+    assert halves == []  # an all-residue table reads the fold, capped before any folding
+    # two residues meet in the middle, whatever the previous call was
+    code, out, _ = run(capsys, "table", "--family", "helberg", "--quantity", "size",
+                       "--k", "10", "--s", "2", "--b", "0..1")
+    assert code == 0 and out.splitlines()[1:] == ["helberg,10,2,0,4", "helberg,10,2,1,4"]
+    assert halves == [5, 5, 5, 5]
     code, out, err = run(capsys, "enum", "--family", "helberg", "--k", "20", "--s", "2",
                          "--b", "0")
     assert (code, out) == (4, "")

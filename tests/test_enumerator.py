@@ -29,7 +29,7 @@ from ccodes import (
     weight_enumerator,
     weight_enumerator_charsum_float,
 )
-from ccodes import enumerator
+from ccodes import enumerator, polyring
 from ccodes.polyring import residue_slot
 
 # === WeightEnumerator type ===
@@ -84,15 +84,15 @@ def test_dense_fold_memo_key(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_last_fold", None)
     monkeypatch.setattr(enumerator, "residue_product", counting_fold)
-    a = (1, 2, 3, 5)
+    a = (1, 2, 4, 8, 16, 32)
     sequence = [
-        (CodeSpec(a, 7, 0), False),  # one residue: meeting in the middle is cheaper
-        (CodeSpec(a, 7, 1), True),  # the second call in a row with A folds
-        (CodeSpec(a, 7, 2), False),  # same key: reused
-        (CodeSpec((8, 9, -4, 12), 7, 4), False),  # same coefficients mod 7: reused
-        (CodeSpec((2, 4, 6), 7, 3), False),  # another spec evicts A
-        (CodeSpec(a, 7, 5), False),  # so A is a first call again
-        (CodeSpec(a, 3, 1), True),  # n <= 2^ceil(k/2): the fold is cheaper at once
+        (CodeSpec(a, 20, 0), False),  # one residue: meeting in the middle is cheaper
+        (CodeSpec(a, 20, 1), True),  # the second call in a row with A folds
+        (CodeSpec(a, 20, 2), False),  # same key: reused
+        (CodeSpec((21, 22, -16, 28, 36, 52), 20, 4), False),  # same coefficients mod 20: reused
+        (CodeSpec((2, 4, 6), 20, 3), True),  # three coefficients fold at once and evict A
+        (CodeSpec(a, 20, 5), False),  # so A is a first call again
+        (CodeSpec(a, 3, 1), True),  # a small modulus: the fold is cheaper at once
         (CodeSpec(a, 3, 2), False),
         (CodeSpec(a, 10**9 + 7, 11), False),
         (CodeSpec(a, 10**9 + 7, 4), True),  # a modulus far above 2^k folds too
@@ -103,18 +103,25 @@ def test_dense_fold_memo_key(monkeypatch):
         got = weight_enumerator(spec)
         assert len(folds) == before + folds_again
         assert got == brute_weight_enumerator(spec)
-    assert folds == [(a, 7), ((1, 2, 0, 2), 3), (a, 10**9 + 7)]
+    assert folds == [((1, 2, 4, 8, 16, 12), 20), ((2, 4, 6), 20), ((1, 2, 1, 2, 1, 2), 3),
+                     (a, 10**9 + 7)]
+
+
+RANDOM24 = tuple(random.Random(1).randrange(1024) for _ in range(24))
 
 
 @pytest.mark.parametrize("coeffs, n, mitm", [
-    ((1, 2, 4, 8), 5, False),  # 5 * 4 rows against 4 * 5: a tie keeps the fold
-    ((1, 2, 4, 8), 6, True),  # 5 * 4 against 4 * 6
+    ((1, 2, 4, 8, 16, 32), 13, False),  # the crossover of these coefficients
+    ((1, 2, 4, 8, 16, 32), 14, True),
     ((), 7, False),
     ((3,), 10**9 + 7, False),  # one coefficient: nothing to split
-    ((3, 5), 10**9 + 7, True),
-    (make_helberg(20, 2, 0).coefficients, make_helberg(20, 2, 0).modulus, True),
-    (make_vt(200, 0).coefficients, 201, False),
-    (make_levenshtein(30, 45, 0).coefficients, 45, False),
+    ((3, 5), 10**9 + 7, False),  # two rows: the overhead of the join decides
+    ((1, 2, 4, 8), 10**9 + 7, False),  # measured 11 against 12 microseconds
+    # measured on Python 3.11, x86-64: fold / meet in the middle
+    (RANDOM24, 1024, True),  # 5.5 / 2.3 ms
+    (RANDOM24, 3, False),  # 0.037 / 0.040 ms
+    (make_helberg(20, 2, 0).coefficients, make_helberg(20, 2, 0).modulus, True),  # 25 / 0.6 ms
+    (make_vt(200, 0).coefficients, 201, False),  # 78 / 100 ms: the join of wide rows
 ])
 def test_route_cost_model(coeffs, n, mitm):
     assert enumerator._mitm_is_cheaper(tuple(a % n for a in coeffs), n) is mitm
@@ -126,11 +133,32 @@ def test_dispatcher_takes_the_cheaper_route(monkeypatch):
                         lambda *args: routes.append("fold") or residue_product(*args))
     monkeypatch.setattr(enumerator, "residue_slot",
                         lambda *args: routes.append("mitm") or residue_slot(*args))
-    for n, route in ((5, "fold"), (6, "mitm")):
+    for n, route in ((13, "fold"), (14, "mitm")):
         monkeypatch.setattr(enumerator, "_last_fold", None)
-        spec = CodeSpec((1, 2, 4, 8), n, 3)
+        spec = CodeSpec((1, 2, 4, 8, 16, 32), n, 3)
         assert weight_enumerator(spec) == brute_weight_enumerator(spec)
         assert routes.pop() == route and not routes
+
+
+def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
+    routes = []
+    monkeypatch.setattr(enumerator, "residue_product",
+                        lambda *args: routes.append("fold") or residue_product(*args))
+    monkeypatch.setattr(enumerator, "residue_slot",
+                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    monkeypatch.setattr(enumerator, "_last_fold", None)
+    monkeypatch.setattr(polyring, "_MAX_ROWS", 100)
+    spec = make_helberg(10, 2, 3)  # modulus 232; the halves reach at most 27 and 32 residues
+    expected = brute_weight_enumerator(spec)
+    assert weight_enumerator(spec) == expected
+    assert weight_enumerator(spec) == expected  # a repeat no longer folds past the cap
+    assert size(spec) == expected.size()
+    assert routes == ["mitm"] * 3
+    # under the cap the repeat folds, and the fold serves the next residue
+    monkeypatch.setattr(polyring, "_MAX_ROWS", 232)
+    assert weight_enumerator(spec) == expected
+    assert weight_enumerator(make_helberg(10, 2, 4)) == brute_weight_enumerator(make_helberg(10, 2, 4))
+    assert routes == ["mitm"] * 3 + ["fold"]
 
 
 # === float character sum ===

@@ -227,23 +227,62 @@ def test_qary_tally_equals_literal_loop(monkeypatch, coeffs, n, q):
 
 def test_qary_tally_memo_key(monkeypatch):
     runs = []
-    residues = oracle._digit_residues
+    chunks = oracle._qary_chunks
     monkeypatch.setattr(oracle, "_last_qary", None)
-    monkeypatch.setattr(oracle, "_digit_residues",
-                        lambda a, n, q: runs.append((n, q)) or residues(a, n, q))
+    monkeypatch.setattr(oracle, "_qary_chunks",
+                        lambda a, n, q: runs.append((n, q)) or chunks(a, n, q))
     sequence = [
-        (lambda b: brute_count_qary([1, 2, 3], 4, b, 3, 3), (4, 3)),
-        (lambda b: brute_count_qary([5, -2, 7], 4, b, 3, 3), None),  # same mod 4
-        (lambda b: brute_count_qary([1, 2, 3], 4, b, 3, 2), (4, 2)),  # another alphabet
-        (lambda b: brute_count_zn([1, 2, 3], 4, b, 3), (4, 4)),
-        (lambda b: brute_count_zn([1, 2, 3], 5, b, 3), (5, 5)),
+        (lambda b: brute_count_qary([1, 2, 3], 4, b, 3, 3), [(4, 3)]),
+        (lambda b: brute_count_qary([5, -2, 7], 4, b, 3, 3), []),  # same mod 4
+        (lambda b: brute_count_qary([1, 2, 3], 4, b, 3, 2), [(4, 2)]),  # another alphabet
+        (lambda b: brute_count_zn([1, 2, 3], 4, b, 3), [(4, 4)]),
+        (lambda b: brute_count_zn([1, 2, 3], 5, b, 3), [(5, 5)]),
+        # past 2^16 residues only the asked one is counted: one pass per residue
+        (lambda b: brute_count_qary([1, 2, 3], P, b, 3, 3), [(P, 3)] * 4),
     ]
-    for count, key in sequence:
+    for count, expected in sequence:
         before = len(runs)
         for b in range(4):
             count(b)
-        # one pass per key: the low chunk and the prefixes, once
-        assert runs[before:] == ([] if key is None else [key, key])
+        assert runs[before:] == expected
+    assert brute_count_qary([1, 2, 3], P, 3, 3, 3) == 2 and runs[-1] == (P, 3)
+    assert brute_count_qary([1, 2, 3], P, 3, 3, 3) == 2 and len(runs) == 8  # reused
+
+
+# (coefficients, modulus, alphabet): alphabets past 2^14, moduli past 2^16
+WIDE_CASES = [
+    ((7,), 50, 20000),  # q > 2^14: the one coordinate's digits in blocks
+    ((-3,), 1 << 16, 70000),  # and the largest modulus that tallies every residue
+    ((3, 0, -5, 11, 4), P, 9),  # one residue at a time
+    ((10**9, 1, 2, 10**9 - 7), P, 13),
+]
+
+
+@pytest.mark.parametrize("coeffs, n, q", WIDE_CASES)
+def test_qary_wide_alphabet_or_modulus_equals_literal_loop(monkeypatch, coeffs, n, q):
+    monkeypatch.setattr(oracle, "_last_qary", None)
+    k = len(coeffs)
+    tally = Counter(sum(a * x for a, x in zip(coeffs, xs)) % n
+                    for xs in product(range(q), repeat=k))
+    unreached = [next(r for r in range(n) if r not in tally)] if len(tally) < n else []
+    for b in sorted(tally)[:5] + sorted(tally)[-3:] + unreached:
+        assert brute_count_qary(coeffs, n, b, k, q) == tally[b], b
+        if q == n:
+            assert brute_count_zn(coeffs, n, b, k) == tally[b], b
+
+
+def test_qary_memory_stays_bounded(monkeypatch):
+    monkeypatch.setattr(oracle, "_last_qary", None)
+    rng = random.Random(17)
+    coeffs = [rng.randrange(P) for _ in range(17)]
+    tracemalloc.start()
+    try:
+        brute_count_qary(coeffs, P, 5, 17, 2)  # 2^17 tuples, nearly all residues distinct
+        brute_count_zn([3], 3 * 10**5, 9, 1)  # 3 * 10^5 digits of one coordinate
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_brute_matches_fold_on_random_specs():

@@ -9,11 +9,10 @@ from ccodes import (
     IntPolynomial,
     InvariantViolation,
     NonExactDivision,
-    reach,
     residue_product,
-    residue_slot,
 )
 from ccodes import polyring
+from ccodes.polyring import reach, residue_slot
 
 P = IntPolynomial
 

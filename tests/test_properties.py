@@ -13,13 +13,13 @@ from ccodes import (  # noqa: E402
     make_svt,
     make_vt,
     residue_product,
-    residue_slot,
     size,
     size_upper_bound,
     svt_sizes,
     vt_weight_enumerator_closed,
     weight_enumerator,
 )
+from ccodes.polyring import residue_slot  # noqa: E402
 
 # derandomized and without an example database: every run checks the same draws
 settings = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
