@@ -11,6 +11,7 @@ cross-checks.
 
 from .arith import (
     FactoredInteger,
+    binomial_row,
     divisors,
     factor,
     moebius,
@@ -79,6 +80,7 @@ __all__ = [
     "ParityCodeSpec",
     "ResiduePolynomial",
     "WeightEnumerator",
+    "binomial_row",
     "brute_count_qary",
     "brute_count_zn",
     "brute_weight_enumerator",

@@ -23,6 +23,7 @@ VT code of the same length compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "CodeSpec",
@@ -85,12 +86,14 @@ def make_levenshtein(k: int, n: int, b: int) -> CodeSpec:
     return CodeSpec(tuple(range(1, k + 1)), n, b, "levenshtein")
 
 
+@lru_cache(maxsize=32)
 def helberg_multipliers(k: int, s: int) -> tuple[int, ...]:
     """First k+1 values v_1..v_{k+1} of v_i = 1 + sum_{j=1}^s v_{i-j}.
 
     Values below index 1 count as zero. The sequence is strictly increasing
     and grows exponentially in k for s >= 2, so all arithmetic stays exact
-    integer arithmetic.
+    integer arithmetic. The immutable result is memoised per (k, s), because
+    a residue sweep builds one Helberg code per residue.
     """
     if k < 1:
         raise ValueError("length must be >= 1")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import polyring
-from .arith import divisors, factor, ramanujan_sum
+from .arith import binomial_row, divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision
 from .polyring import IntPolynomial, ResiduePolynomial, reach, residue_product, residue_slot
@@ -64,8 +64,8 @@ class WeightEnumerator:
         object.__setattr__(self, "counts", tuple(self.counts))
         if self.k < 0 or len(self.counts) != self.k + 1:
             raise ValueError("counts must list N_0..N_k")
-        for t, c in enumerate(self.counts):
-            if not 0 <= c <= math.comb(self.k, t):
+        for t, (c, bound) in enumerate(zip(self.counts, binomial_row(self.k))):
+            if not 0 <= c <= bound:
                 raise ValueError(f"N_{t} = {c} impossible at length {self.k}")
 
     def size(self) -> int:
@@ -317,9 +317,10 @@ def lehmer_count(coeffs: Iterable[int], n: int, b: int) -> int:
 def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
     """Closed-form VT_b(n) weight enumerator via Ramanujan sums.
 
-    Expands sum_{d | n+1} c_d(b) (1 - (-z)^d)^((n+1)/d) with binomial
-    coefficients, then divides by n+1 and by z+1. Both divisions are exact
-    for every valid (n, b); NonExactDivision here signals a bug.
+    Expands sum_{d | n+1} c_d(b) (1 - (-z)^d)^((n+1)/d) one binomial row per
+    divisor, then divides by n+1 and by z+1, the latter as a running
+    alternating sum. Both divisions are exact for every valid (n, b), and
+    both are checked: NonExactDivision here signals a bug.
     """
     if n < 1:
         raise ValueError("VT length must be >= 1")
@@ -331,24 +332,20 @@ def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
         c = ramanujan_sum(d, b)
         if c == 0:
             continue
-        e = q // d
-        if d % 2:
-            # (1 + z^d)^e
-            for i in range(e + 1):
-                total[d * i] += c * math.comb(e, i)
-        else:
-            # (1 - z^d)^e
-            for i in range(e + 1):
-                total[d * i] += c * (-1) ** i * math.comb(e, i)
-    scaled = []
+        # c (1 + z^d)^(q/d) for odd d, c (1 - z^d)^(q/d) for even d
+        odd = c if d % 2 else -c
+        for i, binom in enumerate(binomial_row(q // d)):
+            total[d * i] += (odd if i % 2 else c) * binom
+    counts = []
+    quotient = 0  # coefficient of z^i in the quotient by 1 + z, then the remainder
     for coeff in total:
         v, rem = divmod(coeff, q)
         if rem:
             raise NonExactDivision("divisor sum not divisible by n+1")
-        scaled.append(v)
-    quotient = IntPolynomial(scaled).div_exact(IntPolynomial((1, 1)))
-    counts = list(quotient.coeffs)
-    counts += [0] * (q - len(counts))
+        quotient = v - quotient
+        counts.append(quotient)
+    if counts.pop():
+        raise NonExactDivision("divisor sum not divisible by 1 + z")
     return WeightEnumerator(n, counts)
 
 

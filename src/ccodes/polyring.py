@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import CapExceeded, InvariantViolation, NonExactDivision
+from .errors import CapExceeded, InvariantViolation
 
 __all__ = [
     "IntPolynomial",
@@ -91,37 +91,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
-
-    def div_exact(self, den: "IntPolynomial | int") -> "IntPolynomial":
-        """Quotient self / den when the division is exact over the integers.
-
-        Raises NonExactDivision if any quotient coefficient would be
-        fractional or a nonzero remainder is left over.
-        """
-        if isinstance(den, int):
-            den = IntPolynomial((den,))
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self:
-            return IntPolynomial()
-        dn, dd = self.degree, den.degree
-        if dn < dd:
-            raise NonExactDivision(f"degree {dn} < divisor degree {dd}")
-        rem = list(self.coeffs)
-        lead = den.coeffs[-1]
-        q = [0] * (dn - dd + 1)
-        for i in range(dn - dd, -1, -1):
-            c = rem[i + dd]
-            if c % lead:
-                raise NonExactDivision(f"coefficient {c} not divisible by {lead}")
-            f = c // lead
-            if f:
-                q[i] = f
-                for j, dc in enumerate(den.coeffs):
-                    rem[i + j] -= f * dc
-        if any(rem):
-            raise NonExactDivision("nonzero remainder")
-        return IntPolynomial(q)
 
     def pretty(self, var: str = "z") -> str:
         """Ascending human-readable form, e.g. '1 + 2z^2 + z^4'."""

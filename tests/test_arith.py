@@ -6,6 +6,7 @@ import pytest
 from ccodes import (
     FactoredInteger,
     IntegralityFailure,
+    binomial_row,
     divisors,
     factor,
     moebius,
@@ -154,3 +155,21 @@ def test_integrality_failure_is_importable():
     # the direct sum can only fail integrality through a bug, so just check
     # the exception type wiring
     assert issubclass(IntegralityFailure, Exception)
+
+
+# === binomial rows ===
+
+
+def test_binomial_row_matches_comb():
+    for e in range(301):
+        assert list(binomial_row(e)) == [math.comb(e, i) for i in range(e + 1)], e
+    # rows are symmetric, so comparing the first half with math.comb and the
+    # row with its reverse checks every entry of the e = 4096 row
+    row = list(binomial_row(4096))
+    assert row[:2049] == [math.comb(4096, i) for i in range(2049)]
+    assert row == row[::-1]
+
+
+def test_binomial_row_rejects_negative():
+    with pytest.raises(ValueError):
+        next(binomial_row(-1))

@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -10,6 +14,7 @@ from ccodes import (
     CodeSpec,
     NonExactDivision,
     WeightEnumerator,
+    binomial_row,
     brute_weight_enumerator,
     lehmer_count,
     make_helberg,
@@ -29,6 +34,7 @@ from ccodes import (
     weight_enumerator,
     weight_enumerator_charsum_float,
 )
+import ccodes
 from ccodes import enumerator, polyring
 from ccodes.polyring import residue_slot
 
@@ -46,6 +52,31 @@ def test_weight_enumerator_validation():
         WeightEnumerator(2, (1, 3, 1))  # N_1 > C(2, 1)
     with pytest.raises(ValueError):
         WeightEnumerator(2, (1, -1, 1))
+
+
+_BOUNDS_SCRIPT = """
+from ccodes import WeightEnumerator, binomial_row
+k = 4095
+row = list(binomial_row(k))
+print(__debug__, WeightEnumerator(k, row).size() == 2 ** k)
+for t, c in ((2047, row[2047] + 1), (5, -1)):
+    counts = row.copy()
+    counts[t] = c
+    try:
+        WeightEnumerator(k, counts)
+    except ValueError as exc:
+        print(str(exc) == f"N_{t} = {c} impossible at length {k}")
+"""
+
+
+def test_weight_enumerator_bounds_at_length_4095_in_every_mode():
+    # the bound check is a real check, not an assert: python -O keeps it
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccodes.__file__).parent.parent)}
+    for flags, debug in (([], "True"), (["-O"], "False")):
+        proc = subprocess.run([sys.executable, *flags, "-c", _BOUNDS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{debug} True\nTrue\nTrue\n"
 
 
 # === exact fold ===
@@ -282,6 +313,18 @@ def test_vt_closed_matches_fold():
             assert closed.counts == folded.counts, (n, b)
 
 
+def test_vt_closed_large_lengths():
+    # q = n + 1 is 2^12, 2^2*3*5*7*11 and 2^13; vt_weight_count reads math.comb,
+    # so it checks the closed form's binomial rows independently
+    for n, residues in ((4095, (0, 1, 2048)), (4619, (0, 7, 2310)), (8191, (0, 5))):
+        for b in residues:
+            counts = vt_weight_enumerator_closed(n, b).counts
+            assert len(counts) == n + 1
+            assert sum(counts) == vt_size(n, b), (n, b)
+            for t in (0, 1, 2, 3, n // 2, n // 2 + 1, n - 1, n):
+                assert counts[t] == vt_weight_count(n, b, t), (n, b, t)
+
+
 def test_vt_weight_count_examples():
     assert vt_weight_count(4, 0, 2) == 2
     assert vt_weight_count(4, 0, 1) == 0
@@ -399,7 +442,27 @@ def test_cyclotomic_product_collapses():
             assert all(abs(a - b) < 1e-7 for a, b in zip(prod, want)), (n, m)
 
 
-def test_nonexactdivision_guards_vt_forms():
-    # the closed forms divide exactly for every valid input; a direct misuse
-    # of the polynomial division is the way to see the exception fire
-    assert issubclass(NonExactDivision, Exception)
+def test_nonexactdivision_guards_vt_forms(monkeypatch):
+    # the closed forms divide exactly for every valid input, so a corrupted
+    # c_1 = 2 is the way to see each division check fire
+    exact = enumerator.ramanujan_sum
+    monkeypatch.setattr(enumerator, "ramanujan_sum", lambda d, m: exact(d, m) + (d == 1))
+    with pytest.raises(NonExactDivision, match="not divisible by n\\+1"):
+        vt_weight_enumerator_closed(4, 0)
+    with pytest.raises(NonExactDivision):
+        vt_weight_count(4, 0, 0)
+    with pytest.raises(NonExactDivision):
+        vt_size(4, 0)
+
+
+def test_vt_closed_checks_division_by_one_plus_z(monkeypatch):
+    # Every divisor term of the sum vanishes at z = -1 whatever its Ramanujan
+    # weight, so only a wrong binomial row reaches the 1 + z check: adding
+    # n + 1 = 5 to C(5, 1) keeps the sum divisible by 5 but not by 1 + z.
+    def corrupted(e):
+        for i, c in enumerate(binomial_row(e)):
+            yield c + 5 if (e, i) == (5, 1) else c
+
+    monkeypatch.setattr(enumerator, "binomial_row", corrupted)
+    with pytest.raises(NonExactDivision, match="not divisible by 1 \\+ z"):
+        vt_weight_enumerator_closed(4, 0)

@@ -8,7 +8,6 @@ from ccodes import (
     CapExceeded,
     IntPolynomial,
     InvariantViolation,
-    NonExactDivision,
     residue_product,
 )
 from ccodes import polyring
@@ -44,49 +43,6 @@ def test_pretty():
     assert P([1, -1]).pretty() == "1 - z"
     assert P([-2, 0, 3]).pretty() == "-2 + 3z^2"
     assert P([0, 1]).pretty("x") == "x"
-
-
-# === exact division ===
-
-
-def test_div_exact_examples():
-    assert P([1, 0, -1]).div_exact(P([1, 1])) == P([1, -1])
-    assert P([2, 4]).div_exact(2) == P([1, 2])
-    # (1 + z)^5 + 4(1 + z^5), the VT_0(4) divisor sum, over (1 + z) and then 5
-    combined = P([5, 5, 10, 10, 5, 5])
-    assert combined.div_exact(P([1, 1])) == P([5, 0, 10, 0, 5])
-    assert combined.div_exact(P([1, 1])).div_exact(5) == P([1, 0, 2, 0, 1])
-    assert P().div_exact(P([1, 1])) == P()
-
-
-def test_div_exact_failures():
-    with pytest.raises(NonExactDivision):
-        P([1, 1]).div_exact(P([1, 2]))  # leading coefficient 2 does not divide
-    with pytest.raises(NonExactDivision):
-        P([1, 1, 1]).div_exact(P([1, 1]))  # remainder
-    with pytest.raises(NonExactDivision):
-        P([3]).div_exact(2)
-    with pytest.raises(ZeroDivisionError):
-        P([1]).div_exact(P())
-
-
-def times(a, b):
-    out = [0] * (len(a.coeffs) + len(b.coeffs))
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] += x * y
-    return P(out)
-
-
-def test_div_exact_roundtrip():
-    assert times(P([1, 1]), P([1, -1])) == P([1, 0, -1])
-    rng = random.Random(3)
-    for _ in range(100):
-        a = P([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))])
-        b = P([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
-        if not b:
-            continue
-        assert times(a, b).div_exact(b) == a
 
 
 # === residue_product ===
