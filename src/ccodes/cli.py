@@ -70,6 +70,7 @@ from .enumerator import (
 )
 from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure
 from .oracle import brute_weight_enumerator
+from .polyring import check_rows
 
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
 
@@ -172,12 +173,12 @@ def _ints(text: str, params: Params) -> list[int]:
     return parse_range(text)
 
 
-def _residues(modulus_of: Callable[[Params], int]) -> Callable[[str, Params], list[int]]:
+def _residues(modulus_of: Callable[[Params], int]) -> Callable[[str, Params], Sequence[int]]:
     """--b for a family whose modulus follows from its other parameters."""
-    def expand(text: str, params: Params) -> list[int]:
+    def expand(text: str, params: Params) -> Sequence[int]:
         modulus = modulus_of(params)
         if text == "all":
-            return list(range(modulus))
+            return range(modulus)
         bs = parse_range(text)
         for b in bs:
             if not 0 <= b < modulus:
@@ -304,9 +305,13 @@ def _check_grid_flags(args: argparse.Namespace, takes: Sequence[str], who: str) 
             raise UsageError(f"{who} {verb} --{flag}")
 
 
-def _iter_instances(args: argparse.Namespace) -> Iterator[tuple[Params, Any]]:
-    """Yield (params, spec) in deterministic order; spec is CodeSpec or ParityCodeSpec."""
-    family = _FAMILIES[args.family]
+def _iter_instances(args: argparse.Namespace,
+                    family: _Family | None = None) -> Iterator[tuple[Params, Any]]:
+    """Yield (params, spec) in deterministic order; spec is CodeSpec or ParityCodeSpec.
+
+    The grid is that of --family unless a variant of it is passed.
+    """
+    family = family or _FAMILIES[args.family]
     _check_grid_flags(args, [flag for flag, _ in family.grid], f"--family {args.family}")
     try:
         yield from _expand(family, args, {})
@@ -353,11 +358,37 @@ def cmd_enum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_fold_caps(args: argparse.Namespace) -> None:
+    """The fold's row cap for every modulus of an all-residue grid, before any fold.
+
+    The cap depends only on (coefficients mod n, n), which the parameters
+    other than the residue fix, so the grid is walked with one residue per
+    modulus. Every residue of --b all is valid, so this walk meets every
+    usage error that the whole grid would, and one of those still wins over
+    the cap.
+    """
+    family = _FAMILIES[args.family]
+    grid = tuple((flag, (lambda text, params, expand=expand: expand(text, params)[:1])
+                  if flag == "b" else expand) for flag, expand in family.grid)
+    limit: CapExceeded | None = None
+    for _, spec in _iter_instances(args, family._replace(grid=grid)):
+        base = spec.base if isinstance(spec, ParityCodeSpec) else spec
+        if limit is None:
+            try:
+                check_rows([base.coefficients], base.modulus)
+            except CapExceeded as exc:
+                limit = exc
+    if limit is not None:
+        raise limit
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
-    # A table of every residue reads them all from one fold per modulus; past
-    # the fold's row cap that raises CapExceeded before anything is folded.
+    # A table of every residue reads them all from one fold per modulus, once
+    # every modulus of the grid has passed the fold's row cap.
+    if args.b == "all":
+        _check_fold_caps(args)
     route = weight_enumerator_fold if args.b == "all" else weight_enumerator
     counts = _FAMILIES[args.family].counts
     rows: list[tuple[Params, tuple[int, ...]]] = []

@@ -22,7 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from operator import mul
+from typing import Callable, Iterable
 
 from . import polyring
 from .arith import binomial_row, divisors, factor, ramanujan_sum
@@ -190,14 +191,58 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
 
 
 # The float routes build root tables of n or 2n entries before they loop. At
-# n = 2^16 with 18 coefficients each peaked under 31 MB child RSS, and the
-# enumerator sum, the slowest, took 3.6 s.
+# n = 2^16 the enumerator sum, the slowest, took 2.1 s with 18 coefficients
+# and 7.6 s with 40, at 24 MB child peak RSS for both (Python 3.11, x86-64).
 _MAX_FLOAT_MODULUS = 1 << 16
+
+# Cells (m values times product rows) in one block of the column-wise float
+# sums. Building every m at once peaked at 66 MB RSS at the float cap with 18
+# coefficients and 122 MB with 40; blocks of 2^16 cells keep both near 23 MB,
+# and blocks of 2^14 or 2^15 cells were no faster.
+_FLOAT_CELLS = 1 << 16
+
+# (route, table coefficients, n) of the last float call whose m = 1..n fit
+# in one block, with its product rows; the rows do not depend on the
+# residue, so a residue sweep builds them once per modulus.
+_last_float: tuple[tuple, list[list]] | None = None
 
 
 def _check_float_modulus(n: int) -> None:
     if n > _MAX_FLOAT_MODULUS:
         raise CapExceeded(f"modulus {n} exceeds the float cap of {_MAX_FLOAT_MODULUS}")
+
+
+def _float_blocks(key: tuple, width: int, build: Callable[[range], list[list]]):
+    """Yield (ms, rows) for m = 1..n, n = key[-1], in blocks of consecutive m.
+
+    build(ms) returns width rows, each a list over ms; a block holds at most
+    _FLOAT_CELLS cells, or one m. When all of m fits in one block its rows
+    are kept in the one-entry memo under key; otherwise none are kept.
+    """
+    global _last_float
+    n = key[-1]
+    step = max(1, _FLOAT_CELLS // width)
+    if n > step:
+        _last_float = None
+        for start in range(1, n + 1, step):
+            ms = range(start, min(start + step, n + 1))
+            yield ms, build(ms)
+        return
+    memo = _last_float  # one read, so a concurrent caller cannot swap it midway
+    if memo is None or memo[0] != key:
+        memo = _last_float = None  # free the old rows before building the next
+        memo = _last_float = key, build(range(1, n + 1))
+    yield range(1, n + 1), memo[1]
+
+
+def _accumulate(acc: list, phases: list, rows: list[list]) -> None:
+    # acc[t] += phase_m * row_t[m] in m order: an explicit loop, because the
+    # builtin sum compensates float sums from Python 3.12 on
+    for t, row in enumerate(rows):
+        s = acc[t]
+        for v in map(mul, phases, row):
+            s += v
+        acc[t] = s
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -210,22 +255,31 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     IntegralityFailure when that distance exceeds 1e-6, and CapExceeded,
     before building anything, past the float modulus cap. Advisory path;
     exact results come from weight_enumerator.
+
+    The products are built column-wise, a block of m at a time: row t holds
+    the z^t coefficient of every product of the block, and each coefficient
+    updates the rows from the top down. Every m sees the same operations in
+    the same order as a product built on its own.
     """
     k = len(spec.coefficients)
     n = spec.modulus
     b = spec.residue
     _check_float_modulus(n)
     roots = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
-    a_red = [a % n for a in spec.coefficients]
-    acc = [0j] * (k + 1)
-    for m in range(1, n + 1):
-        p = [1 + 0j]
+    a_red = tuple(a % n for a in spec.coefficients)
+
+    def build(ms: range) -> list[list]:
+        rows = [[1 + 0j] * len(ms)]
         for a in a_red:
-            w = roots[(a * m) % n]
-            p = [p[0]] + [p[t] + w * p[t - 1] for t in range(1, len(p))] + [w * p[-1]]
-        phase = roots[(-b * m) % n]
-        for t in range(k + 1):
-            acc[t] += phase * p[t]
+            w = [roots[a * m % n] for m in ms]
+            rows.append([x * y for x, y in zip(w, rows[-1])])
+            for t in range(len(rows) - 2, 0, -1):
+                rows[t] = [x + y * z for x, y, z in zip(rows[t], w, rows[t - 1])]
+        return rows
+
+    acc = [0j] * (k + 1)
+    for ms, rows in _float_blocks(("charsum", a_red, n), k + 1, build):
+        _accumulate(acc, [roots[-b * m % n] for m in ms], rows)
     rounded: list[int] = []
     max_dev = 0.0
     for t in range(k + 1):
@@ -449,18 +503,21 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
     cosines = [math.cos(math.pi * t / n) for t in range(n2)]
     sines = [math.sin(math.pi * t / n) for t in range(n2)]
-    acc_a = 0j
-    acc_b = 0j
-    for m in range(1, n + 1):
-        pc = 1.0
-        ps = 1.0
-        for a in base.coefficients:
-            t = (a * m) % n2
-            pc *= cosines[t]
-            ps *= sines[t]
-        ph = phases[(two_eta * m) % n2]
-        acc_a += ph * pc
-        acc_b += ph * ps
+    a_red = tuple(a % n2 for a in base.coefficients)
+
+    def build(ms: range) -> list[list]:
+        pc = [1.0] * len(ms)
+        ps = [1.0] * len(ms)
+        for a in a_red:
+            idx = [a * m % n2 for m in ms]
+            pc = [x * cosines[t] for x, t in zip(pc, idx)]
+            ps = [x * sines[t] for x, t in zip(ps, idx)]
+        return [pc, ps]
+
+    acc = [0j, 0j]
+    for ms, rows in _float_blocks(("svt", a_red, n), 2, build):
+        _accumulate(acc, [phases[two_eta * m % n2] for m in ms], rows)
+    acc_a, acc_b = acc
     scale = 2.0 ** (k - 1) / n
     b_term = (1, 1j, -1, -1j)[k % 4] * acc_b  # i^k * prod(sin) terms
     sign = -1 if k % 2 else 1

@@ -44,6 +44,7 @@ from .errors import CapExceeded, InvariantViolation
 __all__ = [
     "IntPolynomial",
     "ResiduePolynomial",
+    "check_rows",
     "reach",
     "residue_product",
     "residue_slot",
@@ -139,8 +140,12 @@ def reach(coeffs: Iterable[int], modulus: int) -> int:
     return min(modulus, 1 << len(a_list), 1 + sum(a_list))
 
 
-def _check_rows(parts: Iterable[list[int]], modulus: int) -> None:
-    # every part's bound before any fold allocates
+def check_rows(parts: Iterable[Iterable[int]], modulus: int) -> None:
+    """Raise CapExceeded when a fold of any part could pass the row cap.
+
+    Reads only reach(part, modulus), so it allocates nothing; residue_product
+    checks its one part and residue_slot its two halves this way.
+    """
     for part in parts:
         rows = reach(part, modulus)
         if rows > _MAX_ROWS:
@@ -205,7 +210,7 @@ def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     a_list = [a % modulus for a in coeffs]
-    _check_rows([a_list], modulus)
+    check_rows([a_list], modulus)
     width = len(a_list) + 1
     return ResiduePolynomial(modulus, width, _fold(a_list, modulus, width))
 
@@ -224,7 +229,7 @@ def residue_slot(coeffs: Iterable[int], modulus: int, residue: int) -> IntPolyno
         raise ValueError(f"residue {residue} out of range for modulus {modulus}")
     a_list = [a % modulus for a in coeffs]
     half = (len(a_list) + 1) // 2
-    _check_rows([a_list[:half], a_list[half:]], modulus)
+    check_rows([a_list[:half], a_list[half:]], modulus)
     width = len(a_list) + 1
     left = _fold(a_list[:half], modulus, width)
     right = _fold(a_list[half:], modulus, width)

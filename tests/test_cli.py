@@ -419,6 +419,19 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
     assert err.startswith("ccodes: limit: up to ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "vt", "--n", "1..12"),  # moduli 2..13; only the last is over the cap
+    ("--family", "svt", "--k", "12", "--n", "3..13", "--r", "both"),
+])
+def test_table_checks_every_modulus_before_folding(capsys, monkeypatch, argv):
+    folds = count_folds(monkeypatch)
+    monkeypatch.setattr(polyring, "_MAX_ROWS", 12)
+    code, out, err = run(capsys, "table", *argv, "--b", "all")
+    assert (code, out) == (4, "")
+    assert err == "ccodes: limit: up to 13 residue rows exceeds the cap of 12\n"
+    assert folds == []
+
+
 def test_cap_skips_inside_verify(capsys, monkeypatch):
     monkeypatch.setattr(polyring, "_MAX_ROWS", 100)
     code, out, _ = run(capsys, "verify", "--family", "helberg", "--k", "10", "--s", "2",

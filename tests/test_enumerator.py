@@ -9,9 +9,16 @@ import tracemalloc
 
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # the property test below is skipped
+    hypothesis = None
+
 from ccodes import (
     CapExceeded,
     CodeSpec,
+    IntegralityFailure,
     NonExactDivision,
     WeightEnumerator,
     binomial_row,
@@ -36,6 +43,7 @@ from ccodes import (
 )
 import ccodes
 from ccodes import enumerator, polyring
+from ccodes.codes import ParityCodeSpec
 from ccodes.polyring import residue_slot
 
 # === WeightEnumerator type ===
@@ -233,6 +241,162 @@ def test_charsum_float_matches_exact():
 def test_charsum_float_modulus_one_is_exact():
     _, dev = weight_enumerator_charsum_float(CodeSpec((1, 2, 3), 1, 0))
     assert dev == 0.0
+
+
+# Reference forms of the float sums, one product per m. The column-wise
+# kernels do the same float operations in the same order, so they must agree
+# bit for bit, deviation and failure message included.
+
+
+def per_m_charsum(spec):
+    k = len(spec.coefficients)
+    n = spec.modulus
+    b = spec.residue
+    roots = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
+    a_red = [a % n for a in spec.coefficients]
+    acc = [0j] * (k + 1)
+    for m in range(1, n + 1):
+        p = [1 + 0j]
+        for a in a_red:
+            w = roots[(a * m) % n]
+            p = [p[0]] + [p[t] + w * p[t - 1] for t in range(1, len(p))] + [w * p[-1]]
+        phase = roots[(-b * m) % n]
+        for t in range(k + 1):
+            acc[t] += phase * p[t]
+    rounded = []
+    max_dev = 0.0
+    for t in range(k + 1):
+        raw = acc[t] / n
+        r = round(raw.real)
+        dev = abs(raw - r)
+        if dev > max_dev:
+            max_dev = dev
+        rounded.append(r)
+    if max_dev > 1e-6:
+        return f"character sum off integer by {max_dev:g}"
+    return tuple(rounded), max_dev
+
+
+def per_m_svt(pspec):
+    base = pspec.base
+    k = len(base.coefficients)
+    n = base.modulus
+    two_eta = sum(base.coefficients) - 2 * base.residue
+    n2 = 2 * n
+    phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
+    cosines = [math.cos(math.pi * t / n) for t in range(n2)]
+    sines = [math.sin(math.pi * t / n) for t in range(n2)]
+    acc_a = 0j
+    acc_b = 0j
+    for m in range(1, n + 1):
+        pc = 1.0
+        ps = 1.0
+        for a in base.coefficients:
+            t = (a * m) % n2
+            pc *= cosines[t]
+            ps *= sines[t]
+        ph = phases[(two_eta * m) % n2]
+        acc_a += ph * pc
+        acc_b += ph * ps
+    scale = 2.0 ** (k - 1) / n
+    b_term = (1, 1j, -1, -1j)[k % 4] * acc_b
+    sign = -1 if k % 2 else 1
+    even_raw = scale * (acc_a + sign * b_term)
+    odd_raw = scale * (acc_a - sign * b_term)
+    even = round(even_raw.real)
+    odd = round(odd_raw.real)
+    dev = max(abs(even_raw - even), abs(odd_raw - odd))
+    if dev > 1e-6 or even < 0 or odd < 0:
+        return f"parity character sum off integer by {dev:g}"
+    return even, odd, dev
+
+
+def column_charsum(spec):
+    try:
+        w, dev = weight_enumerator_charsum_float(spec)
+    except IntegralityFailure as exc:
+        return str(exc)
+    return w.counts, dev
+
+
+def column_svt(pspec):
+    try:
+        return svt_sizes_charsum_float(pspec)
+    except IntegralityFailure as exc:
+        return str(exc)
+
+
+def _same_float_results(spec, pspec, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumerator, "_FLOAT_CELLS", cells)
+        mp.setattr(enumerator, "_last_float", None)
+        assert column_charsum(spec) == per_m_charsum(spec)
+        assert column_svt(pspec) == per_m_svt(pspec)
+
+
+if hypothesis is not None:
+    @st.composite
+    def float_specs(draw):
+        """A spec, the svt spec on its base, and a block bound of a few cells.
+
+        Up to 48 coefficients, so large counts push some sums past 1e-6.
+        """
+        k = draw(st.one_of(st.integers(0, 12), st.integers(36, 48)))
+        coeffs = tuple(draw(st.lists(st.integers(-200, 200), min_size=k, max_size=k)))
+        n = draw(st.integers(1, 64))
+        spec = CodeSpec(coeffs, n, draw(st.integers(0, n - 1)))
+        pspec = ParityCodeSpec(spec, draw(st.integers(0, 1)))
+        return spec, pspec, draw(st.sampled_from([1, 2, 5, 64, 1 << 16]))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(float_specs())
+    def test_column_float_kernels_equal_the_per_m_sums(drawn):
+        _same_float_results(*drawn)
+else:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_column_float_kernels_equal_the_per_m_sums():
+        pass
+
+
+def test_column_float_kernels_across_blocks_and_failures():
+    # several blocks, one m per block, and sums that miss integrality
+    for spec, cells in ((make_vt(50, 7), 1 << 16), (make_vt(50, 7), 101),
+                        (make_helberg(9, 2, 11), 1), (make_vt(20, 3), 1 << 16)):
+        pspec = make_svt(spec.length, spec.modulus, spec.residue, 1)
+        _same_float_results(spec, pspec, cells)
+    assert isinstance(per_m_charsum(make_vt(50, 7)), str)
+    assert isinstance(per_m_svt(make_svt(45, 46, 0, 0)), str)
+    _same_float_results(make_levenshtein(45, 46, 0), make_svt(45, 46, 0, 0), 200)
+
+
+@pytest.mark.parametrize("route, per_m, tag, make", [
+    (column_charsum, per_m_charsum, "charsum", lambda a, n, b: CodeSpec(a, n, b)),
+    (column_svt, per_m_svt, "svt", lambda a, n, b: ParityCodeSpec(CodeSpec(a, n, b), b % 2)),
+])
+def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
+    monkeypatch.setattr(enumerator, "_last_float", None)
+    a = (3, -5, 8, 13, 21)
+    memo = None
+    for b in range(17):  # a residue sweep builds the products once
+        spec = make(a, 17, b)
+        assert route(spec) == per_m(spec)
+        memo = memo or enumerator._last_float
+        assert enumerator._last_float is memo
+    table = tuple(x % (17 if tag == "charsum" else 34) for x in a)
+    assert memo[0] == (tag, table, 17)
+    # coefficients that agree mod n index the same roots, but the svt tables
+    # have 2n entries, so there they are another key
+    spec = make(tuple(x + 17 for x in a), 17, 4)
+    assert route(spec) == per_m(spec)
+    assert (enumerator._last_float is memo) == (tag == "charsum")
+    spec = make(a, 19, 4)  # another modulus replaces the entry
+    assert route(spec) == per_m(spec)
+    assert enumerator._last_float[0][2] == 19
+    # past one block nothing is kept
+    monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
+    spec = make(a, 23, 5)
+    assert route(spec) == per_m(spec)
+    assert enumerator._last_float is None
 
 
 # === sizes ===
