@@ -197,7 +197,7 @@ _MAX_FLOAT_MODULUS = 1 << 16
 
 # Cells (m values times product rows) in one block of the column-wise float
 # sums. Building every m at once peaked at 66 MB RSS at the float cap with 18
-# coefficients and 122 MB with 40; blocks of 2^16 cells keep both near 23 MB,
+# coefficients and 122 MB with 40; blocks of 2^16 cells keep both near 24 MB,
 # and blocks of 2^14 or 2^15 cells were no faster.
 _FLOAT_CELLS = 1 << 16
 
