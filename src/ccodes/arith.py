@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Record
 from .errors import IntegralityFailure
 
 __all__ = [
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(Record):
     """A positive integer together with its prime factorization.
 
     ``factors`` holds (prime, exponent) pairs with primes strictly
@@ -48,6 +47,7 @@ class FactoredInteger:
     empty factor list.
     """
 
+    __slots__ = ("value", "factors")
     value: int
     factors: tuple[tuple[int, int], ...]
 

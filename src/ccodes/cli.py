@@ -49,10 +49,7 @@ import argparse
 import csv
 import io
 import itertools
-import json
-import random
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
@@ -84,8 +81,7 @@ class UsageError(Exception):
     """Bad command line parameters; reported on one line, exit code 2."""
 
 
-@dataclass
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One computed result, ready for any output format."""
 
     family: str
@@ -110,6 +106,8 @@ def _poly_text(coeffs: Sequence[int]) -> str:
 
 def _emit_record(rec: OutputRecord, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         payload: dict = {"family": rec.family, "params": rec.params, "method": rec.method,
                          "size": _json_scalar(rec.size)}
         if rec.enumerator is not None:
@@ -320,6 +318,8 @@ def _iter_instances(args: argparse.Namespace,
 
 
 def _random_blcc(count: int, seed: int) -> Iterator[tuple[dict[str, int | str], CodeSpec]]:
+    import random
+
     rng = random.Random(seed)
     for i in range(count):
         k = rng.randint(1, 12)

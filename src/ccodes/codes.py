@@ -22,8 +22,9 @@ VT code of the same length compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+
+from ._record import Record
 
 __all__ = [
     "CodeSpec",
@@ -36,14 +37,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(Record):
     """Defining data of one binary linear congruence code."""
 
+    __slots__ = ("coefficients", "modulus", "residue", "family_tag")
     coefficients: tuple[int, ...]
     modulus: int
     residue: int
-    family_tag: str = field(default="generic", compare=False)
+    family_tag: str
+
+    def __init__(self, coefficients: tuple[int, ...], modulus: int, residue: int,
+                 family_tag: str = "generic") -> None:
+        super().__init__(coefficients, modulus, residue, family_tag)
+
+    def _key(self) -> tuple:
+        return self.coefficients, self.modulus, self.residue  # not the family tag
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
@@ -60,10 +68,10 @@ class CodeSpec:
         return len(self.coefficients)
 
 
-@dataclass(frozen=True)
-class ParityCodeSpec:
+class ParityCodeSpec(Record):
     """A congruence code restricted to codewords of one Hamming-weight parity."""
 
+    __slots__ = ("base", "parity")
     base: CodeSpec
     parity: int
 

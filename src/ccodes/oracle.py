@@ -17,10 +17,10 @@ modulus 2^16 they count only the asked residue.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, count, product
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .codes import CodeSpec
 from .enumerator import WeightEnumerator
 from .errors import CapExceeded
@@ -41,13 +41,13 @@ _MAX_GRID = 10**7  # q-ary enumeration cap: q^k tuples
 _MAX_DELETION_LEN = 16
 
 
-@dataclass(frozen=True)
-class Codebook:
+class Codebook(Record):
     """A materialized binary code: distinct bit-packed words of length k.
 
     Bit i-1 of a word (least significant first) holds symbol s_i.
     """
 
+    __slots__ = ("k", "words")
     k: int
     words: tuple[int, ...]
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -473,3 +477,20 @@ def test_verify_float_skips_a_huge_modulus(capsys):
         f"PASS {label} methods=exact,brute dev=0.000e+00",
         "1/1 instances agree",
     ]
+
+
+def test_cli_start_up_imports_no_heavy_stdlib_modules():
+    # `ccodes version` in a child, against a bare child: site hooks may preload
+    # some modules, so only the ones ccodes itself adds count
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    listing = "print(*sorted(sys.modules))"
+
+    def modules(code):
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        return set(done.stdout.splitlines()[-1].split())
+
+    bare = modules(f"import sys; {listing}")
+    added = modules(f"import sys, ccodes.cli; ccodes.cli.main(['version']); {listing}") - bare
+    assert "ccodes.cli" in added
+    assert not added & {"dataclasses", "inspect", "json", "random"}

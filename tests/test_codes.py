@@ -27,6 +27,8 @@ def test_codespec_equality_ignores_tag():
     a = CodeSpec((1, 2, 3), 4, 1, "generic")
     b = CodeSpec((1, 2, 3), 4, 1, "levenshtein")
     assert a == b
+    assert hash(a) == hash(b) == hash(((1, 2, 3), 4, 1))  # the dataclass hash of the compared fields
+    assert len({a, b, make_helberg(3, 1, 1)}) == 1
     assert CodeSpec((1, 2), 4, 1) != CodeSpec((1, 2), 4, 2)
 
 

@@ -392,11 +392,54 @@ def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
     spec = make(a, 19, 4)  # another modulus replaces the entry
     assert route(spec) == per_m(spec)
     assert enumerator._last_float[0][2] == 19
-    # past one block nothing is kept
+    # past the memo bound nothing is kept
     monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
+    monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 40)
     spec = make(a, 23, 5)
     assert route(spec) == per_m(spec)
     assert enumerator._last_float is None
+
+
+def _count_float_builds(monkeypatch) -> list:
+    """Record the modulus of every block of product rows the float routes build."""
+    builds = []
+    blocks = enumerator._float_blocks
+
+    def counting(key, width, build):
+        def counted(ms):
+            builds.append(key[-1])
+            return build(ms)
+
+        return blocks(key, width, counted)
+
+    monkeypatch.setattr(enumerator, "_float_blocks", counting)
+    monkeypatch.setattr(enumerator, "_last_float", None)
+    return builds
+
+
+def test_float_memo_spans_blocks(monkeypatch):
+    # 12 coefficients mod 6000: 78,000 cells in two blocks, within the memo
+    # bound, so a 20-residue sweep builds two blocks, not 40
+    builds = _count_float_builds(monkeypatch)
+    for b in range(20):
+        weight_enumerator_charsum_float(CodeSpec(tuple(range(1, 13)), 6000, b))
+    assert builds == [6000, 6000]
+    # blocks of 30 cells: 5 for the enumerator sum (width 6), 2 for svt (width 2)
+    monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
+    a = (3, -5, 8, 13, 21)
+    sweeps = ((column_charsum, per_m_charsum, [CodeSpec(a, 23, b) for b in range(23)], 5),
+              (column_svt, per_m_svt, [make_svt(5, 23, b, r) for b in range(23) for r in (0, 1)], 2))
+    for route, per_m, specs, blocks in sweeps:
+        builds.clear()
+        for spec in specs:
+            assert route(spec) == per_m(spec)
+        assert builds == [23] * blocks
+    # past the memo bound every call builds its blocks again
+    monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 23 * 6 - 1)
+    builds.clear()
+    for spec in sweeps[0][2][:3]:
+        assert column_charsum(spec) == per_m_charsum(spec)
+    assert builds == [23] * 15
 
 
 # === sizes ===
