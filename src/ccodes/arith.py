@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._record import Record
 from .errors import IntegralityFailure

@@ -50,7 +50,8 @@ import csv
 import io
 import itertools
 import sys
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
@@ -81,14 +82,15 @@ class UsageError(Exception):
     """Bad command line parameters; reported on one line, exit code 2."""
 
 
-class OutputRecord(NamedTuple):
-    """One computed result, ready for any output format."""
+class OutputRecord(namedtuple("OutputRecord", "family params method size enumerator",
+                              defaults=(None,))):
+    """One computed result, ready for any output format.
 
-    family: str
-    params: dict[str, int | str]
-    method: str
-    size: int
-    enumerator: list[int] | None = None
+    family and method are names, params maps each grid flag to its value,
+    size is the code size and enumerator the weight counts, or None.
+    """
+
+    __slots__ = ()
 
 
 # ---- formatting ----
@@ -237,13 +239,16 @@ def _parity_split(route: Route):
     return method
 
 
-class _Family(NamedTuple):
-    """How one code family reads its grid flags and which routes compute it."""
+class _Family(namedtuple("_Family", "grid make methods counts", defaults=(_counts,))):
+    """How one code family reads its grid flags and which routes compute it.
 
-    grid: tuple[tuple[str, Callable[[Any, Params], Iterable]], ...]  # output-parameter order
-    make: Callable[..., Any]  # the spec from the grid values, passed in grid order
-    methods: dict[str, Callable[[Any], tuple[tuple, float]]]  # verify methods, default order
-    counts: Callable[..., tuple[int, ...]] = _counts  # (spec, route): what enum and table print
+    grid: (flag, expander) pairs in output-parameter order; make: the spec
+    from the grid values, passed in grid order; methods: verify methods by
+    name, in default order, each spec -> (result, deviation); counts:
+    (spec, route) -> what enum and table print.
+    """
+
+    __slots__ = ()
 
 
 _METHODS = {"exact": _exact, "float": _float, "brute": _brute, "mitm": _mitm}
@@ -287,7 +292,7 @@ _FAMILIES = {
 
 
 def _expand(family: _Family, args: argparse.Namespace,
-            params: Params) -> Iterator[tuple[Params, Any]]:
+            params: Params) -> Iterator[tuple[Params, object]]:
     if len(params) == len(family.grid):
         yield params, family.make(*params.values())
         return
@@ -304,7 +309,7 @@ def _check_grid_flags(args: argparse.Namespace, takes: Sequence[str], who: str) 
 
 
 def _iter_instances(args: argparse.Namespace,
-                    family: _Family | None = None) -> Iterator[tuple[Params, Any]]:
+                    family: _Family | None = None) -> Iterator[tuple[Params, object]]:
     """Yield (params, spec) in deterministic order; spec is CodeSpec or ParityCodeSpec.
 
     The grid is that of --family unless a variant of it is passed.
@@ -359,9 +364,9 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _check_fold_caps(args: argparse.Namespace) -> None:
-    """The fold's row cap for every modulus of an all-residue grid, before any fold.
+    """The fold's caps for every modulus of an all-residue grid, before any fold.
 
-    The cap depends only on (coefficients mod n, n), which the parameters
+    The caps depend only on (coefficients mod n, n), which the parameters
     other than the residue fix, so the grid is walked with one residue per
     modulus. Every residue of --b all is valid, so this walk meets every
     usage error that the whole grid would, and one of those still wins over
@@ -386,7 +391,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
     # A table of every residue reads them all from one fold per modulus, once
-    # every modulus of the grid has passed the fold's row cap.
+    # every modulus of the grid has passed the fold's caps.
     if args.b == "all":
         _check_fold_caps(args)
     route = weight_enumerator_fold if args.b == "all" else weight_enumerator

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from operator import mul
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from . import polyring
 from ._record import Record
@@ -143,21 +143,22 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator by the fold or by meeting in the middle.
 
     A fold already built for these coefficients mod n and n is read. Else,
-    when the fold fits under the row cap, the second call in a row with the
-    same key builds it, so a sweep over the residues of one modulus folds
-    once, and any other call folds when the cost model (_mitm_is_cheaper)
-    prefers it. Everything else meets in the middle, which raises
-    CapExceeded past its own row cap before it allocates. The route may
-    depend on the previous call; the result, and whether one is computed
-    at all, do not. The VT closed form is an independent route, compared with
-    this one by ``verify`` and the tests, not here.
+    when the fold fits under the row and bit caps, the second call in a row
+    with the same key builds it, so a sweep over the residues of one modulus
+    folds once, and any other call folds when the cost model
+    (_mitm_is_cheaper) prefers it. Everything else meets in the middle,
+    which raises CapExceeded past the same caps before it allocates. The
+    route may depend on the previous call; the result, and whether one is
+    computed at all, do not. The VT closed form is an independent route,
+    compared with this one by ``verify`` and the tests, not here.
     """
     global _last_fold
     key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
     memo = _last_fold  # one read, so a concurrent caller cannot swap it midway
     repeat = memo is not None and memo[0] == key
     if (repeat and memo[1] is not None) or (
-            reach(*key) <= polyring._MAX_ROWS and (repeat or not _mitm_is_cheaper(*key))):
+            not polyring._over_cap([key[0]], key[1])
+            and (repeat or not _mitm_is_cheaper(*key))):
         return weight_enumerator_fold(spec)
     _last_fold = key, None  # the next call with this key folds if it fits
     return weight_enumerator_mitm(spec)

@@ -5,20 +5,26 @@ routines enumerate tuples, test the congruence and tally, so every formula
 in the package has a dumb independent check at desk scale. All caps are
 hard errors, never silent truncation.
 
-Binary codes share one kernel: it streams all 2^k tuples in chunks of 2^14
-and gives each tuple its own (residue, weight) key. brute_weight_enumerator
-tallies the keys of every residue in one pass per modulus; build_codebook
-keeps the tuples of one residue. Neither holds a 2^k-entry table. The
-q-ary counts tally every residue of {0..q-1}^k the same way, one pass per
-coefficients mod n, n and q, in chunks of at most 2^14 tuples; past
-modulus 2^16 they count only the asked residue.
+Binary codes share one enumeration: the tuples of the first c = min(k, 14)
+coordinates are listed once, and each of the 2^(k-c) prefixes over the
+other coordinates picks them, so no 2^k-entry table is held.
+brute_weight_enumerator counts one residue b: it keeps the low tuples'
+residues grouped by weight, one str character per tuple (an int in a list
+past modulus 0x110000), and for each prefix counts the entries that make
+a·x = b, a C-level str.count that still tests every tuple on its own. The
+second call in a row with the same coefficients mod n and n tallies every
+residue instead, one (residue, weight) key per tuple, when those n(k+1)
+keys fit under 2^16. build_codebook keeps the tuples of one residue from
+the same chunks. The q-ary counts tally every residue of {0..q-1}^k the
+same way, one pass per coefficients mod n, n and q, in chunks of at most
+2^14 tuples; past modulus 2^16 they count only the asked residue.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, count, product
-from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
 from .codes import CodeSpec
@@ -34,9 +40,13 @@ __all__ = [
     "check_single_deletion",
 ]
 
-_MAX_TUPLE_BITS = 24  # binary cap, for time: about 3 s and 18 MB peak RSS at k=24
+# Binary cap, for time. At k = 24 (child process, Python 3.11, x86-64) one
+# residue took 0.11 s whole-process and 15 MB peak RSS at modulus 25, 0.35 s
+# at 10^9+7 (int residues); a sweep's all-residue tally about 2.9 s, 16 MB.
+_MAX_TUPLE_BITS = 24
 _CHUNK_BITS = 14  # tuples per chunk 2^14: the chunk's keys stay near 0.5 MB
 _TALLY_MAX = 1 << 16  # all-residue tallies have n(k+1) keys (binary), n (q-ary); past this, keep one
+_CHARS = 0x110000  # moduli up to this hold a residue as one str character
 _MAX_GRID = 10**7  # q-ary enumeration cap: q^k tuples
 _MAX_DELETION_LEN = 16
 
@@ -89,6 +99,11 @@ def _subset_keys(coeffs: Sequence[int], width: int, wrap: int) -> list[int]:
     return keys
 
 
+def _check_tuples(k: int) -> None:
+    if k > _MAX_TUPLE_BITS:
+        raise CapExceeded(f"2^{k} tuples exceeds the 2^{_MAX_TUPLE_BITS} cap")
+
+
 def _chunks(coeffs: Sequence[int], n: int, shift: int) -> Iterator[tuple[int, list[int]]]:
     """Yield (first word, keys) chunk by chunk over every binary k-tuple, in order.
 
@@ -99,8 +114,7 @@ def _chunks(coeffs: Sequence[int], n: int, shift: int) -> Iterator[tuple[int, li
     CapExceeded past the 2^24-tuple cap before building anything.
     """
     k = len(coeffs)
-    if k > _MAX_TUPLE_BITS:
-        raise CapExceeded(f"2^{k} tuples exceeds the 2^{_MAX_TUPLE_BITS} cap")
+    _check_tuples(k)
     width, c = k + 1, min(k, _CHUNK_BITS)
     wrap = width * n
     low = _subset_keys(coeffs[:c], width, wrap)
@@ -109,38 +123,76 @@ def _chunks(coeffs: Sequence[int], n: int, shift: int) -> Iterator[tuple[int, li
         yield h << c, low if d == 0 else [(x + d) % wrap for x in low]  # low is reduced
 
 
-# (coefficients reduced mod n, n, shift) and the tally of the last
-# brute_weight_enumerator call; residue sweeps enumerate once per modulus.
-_last_tally: tuple[tuple[tuple[int, ...], int, int], Counter] | None = None
+def _cells(coeffs: Sequence[int], n: int) -> tuple[list, list[int]]:
+    """The low tuples' residues by weight, and the high prefixes' keys.
+
+    cells[w] has one entry per tuple of weight w over the first
+    c = min(k, 14) coordinates: chr(residue) in a str when n <= 0x110000,
+    the int residue in a list beyond. The prefixes are the keys
+    (k+1)·residue + weight of the tuples over the other coordinates.
+    Raises CapExceeded past the 2^24-tuple cap before building anything.
+    """
+    k = len(coeffs)
+    _check_tuples(k)
+    c = min(k, _CHUNK_BITS)
+    cells = [[0]]
+    for a in coeffs[:c]:  # weight w: the old class w, and class w-1 plus a
+        cells = [x + [(r + a) % n for r in y] for x, y in zip(cells + [[]], [[]] + cells)]
+    if n <= _CHARS:
+        cells = ["".join(map(chr, cell)) for cell in cells]
+    return cells, _subset_keys(coeffs[c:], k + 1, (k + 1) * n)
+
+
+def _count(cells: list, prefixes: list[int], n: int, b: int, width: int) -> list[int]:
+    # test a·x = b mod n for every tuple, one str.count per prefix and low weight
+    pick = chr if n <= _CHARS else int
+    counts = [0] * width
+    for key in prefixes:
+        p, v = divmod(key, width)
+        target = pick((b - p) % n)
+        for w, cell in enumerate(cells, v):
+            counts[w] += cell.count(target)
+    return counts
+
+
+# (coefficients reduced mod n, n) of the last brute_weight_enumerator call,
+# with its cells and prefixes, and the tally of every residue once a call
+# repeats the key of the call before it; residue sweeps enumerate once per
+# modulus.
+_last_cells: tuple[tuple[tuple[int, ...], int], list, list[int]] | None = None
+_last_tally: tuple[tuple[tuple[int, ...], int], Counter] | None = None
 
 
 def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
-    """Enumerate all 2^k binary tuples and tally code membership by weight.
+    """Enumerate all 2^k binary tuples and count code membership by weight.
 
-    One pass tallies every residue by (residue, weight) and is reused while
-    consecutive calls share coefficients mod n and n, so a residue sweep
-    enumerates once per modulus. When n(k+1) exceeds 2^16 the tally could
-    grow toward 2^k entries, so only the asked residue is kept. Tuples are
-    streamed in chunks of 2^14. Capped at k <= 24 for time; at k = 24 with
-    modulus 10^9+7 a child process peaked at 18 MB RSS, 16 MB of it the
-    interpreter.
+    A call counts its one residue: for every tuple it tests the congruence,
+    a C-level str.count over the low tuples of each weight under each high
+    prefix. The second call in a row with the same coefficients mod n and n
+    instead tallies every residue by (residue, weight) in one pass, kept
+    while calls share that key, so a residue sweep enumerates once per
+    modulus; when n(k+1) exceeds 2^16 that tally could grow toward 2^k
+    entries, so such calls keep counting one residue. Tuples are streamed
+    in chunks of 2^14 and never held as a 2^k-entry table. Capped at
+    k <= 24 for time; at k = 24 a child process peaked at 15-16 MB RSS on
+    either path, most of it the interpreter.
     """
-    global _last_tally
-    k = spec.length
-    n = spec.modulus
+    global _last_cells, _last_tally
+    k, n, b = spec.length, spec.modulus, spec.residue
     width = k + 1
-    every = n * width <= _TALLY_MAX
-    shift = 0 if every else spec.residue  # (k, n) fix the path, so the key needs no flag
-    key = (tuple(a % n for a in spec.coefficients), n, shift)
-    memo = _last_tally  # one read, so a concurrent caller cannot swap it midway
-    if memo is None or memo[0] != key:
-        memo = _last_tally = None  # free the old tally before building the next
-        tally = Counter()
-        for _, keys in _chunks(key[0], n, shift):
-            tally.update(keys if every else filter(width.__gt__, keys))
-        memo = _last_tally = key, tally
-    base = width * (spec.residue - shift)
-    return WeightEnumerator(k, [memo[1][base + t] for t in range(width)])
+    key = (tuple(a % n for a in spec.coefficients), n)
+    cells, tally = _last_cells, _last_tally  # one read, so a concurrent caller cannot swap them
+    if cells is None or cells[0] != key:
+        _last_cells = _last_tally = None  # free both memos before building the next
+        cells = _last_cells = (key, *_cells(*key))
+    elif n * width <= _TALLY_MAX and (tally is None or tally[0] != key):
+        counter = Counter()  # the second call in a row with this key: tally every residue
+        for _, keys in _chunks(key[0], n, 0):
+            counter.update(keys)
+        tally = _last_tally = key, counter
+    if tally is None or tally[0] != key:
+        return WeightEnumerator(k, _count(cells[1], cells[2], n, b, width))
+    return WeightEnumerator(k, [tally[1][width * b + t] for t in range(width)])
 
 
 def build_codebook(spec: CodeSpec) -> Codebook:

@@ -31,13 +31,13 @@ The packed product is exact for the same reason the fold is: every
 coefficient of the result counts tuples of one weight, so stays below
 2^(k+1). It holds about 2^ceil(k/2) rows per half instead of 2^k.
 
-Both routes check their row bound before they allocate anything and raise
-CapExceeded past it.
+Both routes check their row bound, and the bits those rows could hold,
+before they allocate anything and raise CapExceeded past either.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import CapExceeded, InvariantViolation
 
@@ -57,6 +57,19 @@ __all__ = [
 # coefficients mod 2^20 - 3 415 MB and 17 s; meeting in the middle on 40
 # coefficients mod 10^9+7 (2^20 rows per half) took 382 MB and 2.8 s.
 _MAX_ROWS = 1 << 20
+
+# Cap on the packed bits one fold may hold, checked on reach times (k+1)^2,
+# the bits of reach rows that each hold k+1 fields of k+1 bits; k counts
+# every coefficient of the spec, so the halves of a meeting in the middle are
+# charged full-width rows too. The row cap lets the fold of VT(n) through at
+# any n, while its memory grows about as n^3 and its time as n^4. Child peak
+# RSS and time (Python 3.11, x86-64) of VT(n) folds: n = 400 took 32 MB and
+# 1.4 s, n = 700 110 MB and 9.1 s, n = 800 159 MB and 22 s. The cap admits
+# 2^20 rows of 21^2 bits, the fold of 20 coefficients mod 10^9+7 (171 MB),
+# and Helberg(26, 2) (179 MB), so VT(n) folds up to n = 776; it stops the
+# heavier Helberg(27, 2) fold (295 MB) and meeting in the middle on 40
+# coefficients mod 10^9+7 (382 MB).
+_MAX_BITS = 7 << 26
 
 
 class IntPolynomial:
@@ -140,16 +153,29 @@ def reach(coeffs: Iterable[int], modulus: int) -> int:
     return min(modulus, 1 << len(a_list), 1 + sum(a_list))
 
 
-def check_rows(parts: Iterable[Iterable[int]], modulus: int) -> None:
-    """Raise CapExceeded when a fold of any part could pass the row cap.
-
-    Reads only reach(part, modulus), so it allocates nothing; residue_product
-    checks its one part and residue_slot its two halves this way.
-    """
+def _over_cap(parts: Iterable[Iterable[int]], modulus: int) -> str:
+    # why a fold of some part could pass the row or the bit cap; "" if none can
+    parts = [list(part) for part in parts]
+    width = 1 + sum(map(len, parts))
     for part in parts:
         rows = reach(part, modulus)
         if rows > _MAX_ROWS:
-            raise CapExceeded(f"up to {rows} residue rows exceeds the cap of {_MAX_ROWS}")
+            return f"up to {rows} residue rows exceeds the cap of {_MAX_ROWS}"
+        if rows * width * width > _MAX_BITS:
+            return f"up to {rows * width * width} packed bits exceeds the cap of {_MAX_BITS}"
+    return ""
+
+
+def check_rows(parts: Iterable[Iterable[int]], modulus: int) -> None:
+    """Raise CapExceeded when a fold of any part could pass the row or bit cap.
+
+    The parts together are the spec's k coefficients. Reads only
+    reach(part, modulus) and k, so it allocates nothing; residue_product
+    checks its one part and residue_slot its two halves this way.
+    """
+    reason = _over_cap(parts, modulus)
+    if reason:
+        raise CapExceeded(reason)
 
 
 def _fold(a_list: list[int], modulus: int, width: int) -> dict[int, int]:
@@ -204,8 +230,8 @@ def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
     reach(coeffs, modulus), so moduli far above 2^k stay cheap. Negative
     coefficients are reduced mod the modulus first, which does not change
     the code. Raises CapExceeded, before building anything, when that bound
-    passes _MAX_ROWS, and InvariantViolation if the slots do not add up
-    to (1 + z)^k.
+    passes _MAX_ROWS or its rows of (k+1)^2 bits pass _MAX_BITS, and
+    InvariantViolation if the slots do not add up to (1 + z)^k.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -221,7 +247,8 @@ def residue_slot(coeffs: Iterable[int], modulus: int, residue: int) -> IntPolyno
     Folds the first ceil(k/2) and the last floor(k/2) coefficients apart,
     each with the mass check, and joins them at the residue. Raises
     CapExceeded, before building anything, when either half could reach
-    more than _MAX_ROWS residues.
+    more than _MAX_ROWS residues or hold more than _MAX_BITS bits in rows
+    of (k+1)^2 bits.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")

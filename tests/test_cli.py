@@ -423,6 +423,13 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
     assert err.startswith("ccodes: limit: up to ") and err.count("\n") == 1
 
 
+def test_vt_past_the_bit_cap_exits_4(capsys):
+    # VT(800): 801 rows of 801^2 bits, for the fold and for either half alike
+    code, out, err = run(capsys, "enum", "--family", "vt", "--n", "800", "--b", "0")
+    assert (code, out) == (4, "")
+    assert err == f"ccodes: limit: up to {801**3} packed bits exceeds the cap of 469762048\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--family", "vt", "--n", "1..12"),  # moduli 2..13; only the last is over the cap
     ("--family", "svt", "--k", "12", "--n", "3..13", "--r", "both"),
@@ -485,12 +492,18 @@ def test_cli_start_up_imports_no_heavy_stdlib_modules():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     listing = "print(*sorted(sys.modules))"
 
-    def modules(code):
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
+    def modules(code, *flags):
+        done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
         return set(done.stdout.splitlines()[-1].split())
 
+    run_version = f"import sys, ccodes.cli; ccodes.cli.main(['version']); {listing}"
     bare = modules(f"import sys; {listing}")
-    added = modules(f"import sys, ccodes.cli; ccodes.cli.main(['version']); {listing}") - bare
+    added = modules(run_version) - bare
     assert "ccodes.cli" in added
     assert not added & {"dataclasses", "inspect", "json", "random"}
+    # with -S the site hooks preload nothing, so typing would show if ccodes imported it
+    bare = modules(f"import sys; {listing}", "-S")
+    added = modules(run_version, "-S") - bare
+    assert "ccodes.cli" in added
+    assert not added & {"typing", "dataclasses", "inspect", "json", "random"}

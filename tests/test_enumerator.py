@@ -200,6 +200,24 @@ def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
     assert routes == ["mitm"] * 3 + ["fold"]
 
 
+def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
+    routes = []
+    monkeypatch.setattr(enumerator, "residue_product",
+                        lambda *args: routes.append("fold") or residue_product(*args))
+    monkeypatch.setattr(enumerator, "residue_slot",
+                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    monkeypatch.setattr(enumerator, "_last_fold", None)
+    spec = make_helberg(10, 2, 3)  # 232 rows of 11^2 bits; the halves 27 and 32 rows
+    expected = brute_weight_enumerator(spec)
+    monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2 - 1)
+    assert weight_enumerator(spec) == expected
+    assert weight_enumerator(spec) == expected  # a repeat does not fold past the cap either
+    assert routes == ["mitm"] * 2
+    monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
+    assert weight_enumerator(spec) == expected
+    assert routes == ["mitm"] * 2 + ["fold"]
+
+
 # === float character sum ===
 
 

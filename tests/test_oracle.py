@@ -38,15 +38,30 @@ def draw(k, seed):
     return (0,) + tuple(rng.randint(-40, 40) for _ in range(k - 1)) if k else ()
 
 
-# (coefficients, modulus, whether only the asked residue is tallied)
+def spread(k, lo, hi, seed):
+    # k coefficients drawn from [lo, hi), so residues spread over the modulus
+    rng = random.Random(seed)
+    return tuple(rng.randrange(lo, hi) for _ in range(k))
+
+
+# (coefficients, modulus, whether every call counts one residue: n(k+1) > 2^16)
 TALLY_CASES = [
     (draw(C - 1, 1), 11, False),
     (draw(C, 2), 1, False),
     (draw(C + 1, 3), 23, False),
     (draw(10, 4), 3001, False),  # n > 2^k: most residues unreached
     (draw(0, 5), 5, False),
-    (draw(C + 1, 6), P, True),  # huge modulus: one residue per pass
-    (tuple(random.Random(7).randrange(10**8, 10**9) for _ in range(C + 1)), P, True),
+    (draw(C + 1, 6), P, True),  # huge modulus: int residues in lists
+    (spread(C + 1, 10**8, 10**9, 7), P, True),
+]
+CHAR = 0x110000  # the largest modulus whose residues are str characters
+SURROGATES = range(0xD800, 0xE000)  # characters that no UTF-8 text holds; str counts them too
+ENCODING_CASES = [
+    ((CHAR - 1,) + spread(C, 0, CHAR, 8), CHAR, True),
+    ((CHAR,) + spread(C, 0, CHAR + 1, 9), CHAR + 1, True),
+    (spread(C + 1, 0, 60000, 10), 60000, True),
+    ((), CHAR + 1, True),
+    (draw(C - 2, 11), 1, False),
 ]
 
 
@@ -55,18 +70,37 @@ def residues_to_check(reached, n):
         return list(range(n))
     reached = sorted(reached)
     unreached = next(r for r in range(n) if r not in reached)
-    return reached[:6] + reached[-2:] + [unreached]
+    surrogates = [r for r in reached if r in SURROGATES][:3]
+    return reached[:6] + reached[-2:] + surrogates + [unreached]
 
 
-@pytest.mark.parametrize("coeffs, n, one_residue", TALLY_CASES)
+@pytest.mark.parametrize("coeffs, n, one_residue", TALLY_CASES + ENCODING_CASES)
 def test_brute_tally_equals_literal_loop(monkeypatch, coeffs, n, one_residue):
+    monkeypatch.setattr(oracle, "_last_cells", None)
     monkeypatch.setattr(oracle, "_last_tally", None)
     tally = literal_tally(coeffs, n)
     k = len(coeffs)
-    for b in residues_to_check({r for r, _ in tally}, n):
+    for i, b in enumerate(residues_to_check({r for r, _ in tally}, n)):
         got = brute_weight_enumerator(CodeSpec(coeffs, n, b))
         assert got.counts == tuple(tally[b, t] for t in range(k + 1)), b
-        assert oracle._last_tally[0][2] == (b if one_residue else 0)  # the residue kept
+        # a lone residue counts; the next call with the key tallies every residue
+        assert (oracle._last_tally is None) == (i == 0 or one_residue)
+
+
+@pytest.mark.parametrize("coeffs, n, _", TALLY_CASES + ENCODING_CASES)
+def test_residue_count_equals_literal_loop(coeffs, n, _):
+    k = len(coeffs)
+    cells, prefixes = oracle._cells(coeffs, n)
+    assert isinstance(cells[0], str) == (n <= CHAR)
+    assert len(cells) == min(k, C) + 1 and len(prefixes) == 1 << (k - min(k, C))
+    tally = literal_tally(coeffs, n)
+    reached = {r for r, _ in tally}
+    check = residues_to_check(reached, n)
+    if n == 60000:
+        check += [r for r in SURROGATES if r in reached]
+    for b in check:
+        want = [tally[b, t] for t in range(k + 1)]
+        assert oracle._count(cells, prefixes, n, b, k + 1) == want, b
 
 
 @pytest.mark.parametrize("coeffs, n", [case[:2] for case in TALLY_CASES])
@@ -80,34 +114,50 @@ def test_build_codebook_equals_literal_filter(coeffs, n):
 
 def test_brute_tally_memo_key(monkeypatch):
     runs = []
-    chunks = oracle._chunks
+    cells, chunks = oracle._cells, oracle._chunks
+
+    def counting_cells(coeffs, n):
+        runs.append(("cells", tuple(coeffs), n))
+        return cells(coeffs, n)
 
     def counting_chunks(coeffs, n, shift):
-        runs.append((tuple(coeffs), n, shift))
+        runs.append(("tally", tuple(coeffs), n))
         return chunks(coeffs, n, shift)
 
+    monkeypatch.setattr(oracle, "_last_cells", None)
     monkeypatch.setattr(oracle, "_last_tally", None)
+    monkeypatch.setattr(oracle, "_cells", counting_cells)
     monkeypatch.setattr(oracle, "_chunks", counting_chunks)
     a = (1, 2, 3, 5)
     sequence = [
-        (CodeSpec(a, 7, 0), True),  # first pass
-        (CodeSpec((2, 4, 6), 7, 3), True),  # another spec evicts A
-        (CodeSpec(a, 7, 1), True),  # so A enumerates again
-        (CodeSpec(a, 7, 2), False),  # same key: reused for another residue
-        (CodeSpec((8, 9, -4, 12), 7, 4), False),  # same coefficients mod 7: reused
-        (CodeSpec(a, 9, 1), True),  # same reduced coefficients, other modulus
-        (CodeSpec(a, 9, 2), False),
-        (CodeSpec(a, P, 11), True),  # a huge modulus keeps the asked residue only
-        (CodeSpec(a, P, 11), False),
-        (CodeSpec(a, P, 4), True),
+        (CodeSpec(a, 7, 0), ["cells"]),  # a lone residue counts, with no tally
+        (CodeSpec(a, 7, 1), ["tally"]),  # the second call in a row tallies every residue
+        (CodeSpec(a, 7, 2), []),  # same key: the tally is read
+        (CodeSpec((8, 9, -4, 12), 7, 4), []),  # same coefficients mod 7: read
+        (CodeSpec((2, 4, 6), 7, 3), ["cells"]),  # another key evicts both memos
+        (CodeSpec(a, 7, 1), ["cells"]),  # so A counts again
+        (CodeSpec(a, 9, 1), ["cells"]),  # same reduced coefficients, other modulus
+        (CodeSpec(a, 9, 2), ["tally"]),
+        (CodeSpec(a, 9, 2), []),
+        (CodeSpec(a, 13107, 1), ["cells"]),  # n(k+1) = 65535, the largest that tallies
+        (CodeSpec(a, 13107, 2), ["tally"]),
+        (CodeSpec(a, 13108, 1), ["cells"]),
+        (CodeSpec(a, 13108, 2), []),
+        (CodeSpec(a, P, 11), ["cells"]),  # n(k+1) past 2^16: every call counts one residue
+        (CodeSpec(a, P, 11), []),
+        (CodeSpec(a, P, 4), []),
     ]
-    for spec, runs_again in sequence:
+    for spec, built in sequence:
         before = len(runs)
         got = brute_weight_enumerator(spec)
-        assert len(runs) == before + runs_again
+        assert [kind for kind, *_ in runs[before:]] == built
+        key = (tuple(x % spec.modulus for x in spec.coefficients), spec.modulus)
+        assert oracle._last_cells[0] == key
+        assert oracle._last_tally is None or oracle._last_tally[0] == key
         tally = literal_tally(spec.coefficients, spec.modulus)
         assert got.counts == tuple(tally[spec.residue, t] for t in range(spec.length + 1))
-    assert runs == [(a, 7, 0), ((2, 4, 6), 7, 0), (a, 7, 0), (a, 9, 0), (a, P, 11), (a, P, 4)]
+    assert [run[1:] for run in runs if run[0] == "tally"] == [(a, 7), (a, 9), (a, 13107)]
+    assert oracle._last_tally is None
 
 
 def test_brute_memory_stays_bounded(monkeypatch):

@@ -11,7 +11,7 @@ from ccodes import (
     residue_product,
 )
 from ccodes import polyring
-from ccodes.polyring import reach, residue_slot
+from ccodes.polyring import check_rows, reach, residue_slot
 
 P = IntPolynomial
 
@@ -182,6 +182,32 @@ def test_reach_bounds_the_rows():
     assert reach([1, 2, 4, 8], 5) == 5  # n
     assert reach(range(1, 31), 10**9) == 466  # 1 + the coefficient sum
     assert reach([10**9 + 1] * 3, 10**9) == 4  # reduced first: subset sums 0..3
+
+
+def test_bit_cap_at_the_bound(monkeypatch):
+    folded = []
+    fold = polyring._fold
+    monkeypatch.setattr(polyring, "_fold", lambda a, *rest: folded.append(len(a)) or fold(a, *rest))
+    # 8191 ones reach every residue mod 7 or 8: rows of 8192^2 bits, 7 rows exactly at the cap
+    assert 7 * 8192**2 == polyring._MAX_BITS
+    check_rows([[1] * 8191], 7)
+    with pytest.raises(CapExceeded, match=f"up to {8 * 8192**2} packed bits exceeds the cap of "
+                                          f"{polyring._MAX_BITS}"):
+        check_rows([[1] * 8191], 8)
+    with pytest.raises(CapExceeded, match="packed bits"):
+        residue_product([1] * 8191, 8)
+    # each half is charged rows of the whole spec's width, 8192^2 bits
+    check_rows([[1] * 4096, [1] * 4095], 7)
+    with pytest.raises(CapExceeded, match=f"up to {8 * 8192**2} packed bits"):
+        residue_slot([1] * 8191, 8, 0)
+    # VT(800): its fold and its halves alike, before anything is folded
+    with pytest.raises(CapExceeded, match=f"up to {801**3} packed bits"):
+        residue_slot(range(1, 801), 801, 0)
+    assert folded == []
+    # the row cap still comes first
+    monkeypatch.setattr(polyring, "_MAX_ROWS", 7)
+    with pytest.raises(CapExceeded, match="up to 8 residue rows exceeds the cap of 7"):
+        check_rows([[1] * 8191], 8)
 
 
 def test_row_cap_comes_before_any_fold(monkeypatch):
