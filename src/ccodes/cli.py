@@ -36,9 +36,10 @@ Exit status:
     2  usage error, reported as one "ccodes: ..." line
     3  internal error outside verify (a package error or an impossible
        enumerator), reported as one "ccodes: internal error: ..." line
-    4  a route's cap (rows of the fold or of meeting in the middle, float
-       modulus, brute-force tuples) stops the computation outside verify,
-       reported as one "ccodes: limit: ..." line before the route allocates
+    4  a route's cap (rows or packed bits of the fold or of meeting in the
+       middle, float modulus or cells, brute-force tuples) stops the
+       computation outside verify, reported as one "ccodes: limit: ..."
+       line before the route allocates
 Output carries no timestamps, so identical invocations produce identical
 bytes.
 """

@@ -15,9 +15,9 @@ the modulus:
     v_i = 1 + v_{i-1} + ... + v_{i-s} (v_i = 0 for i <= 0), modulus v_{k+1}.
   * Shifted VT: a Levenshtein code intersected with a weight-parity class.
 
-Equality of CodeSpec compares the defining fields only; the family tag is
-provenance for routing and display, so e.g. the s=1 Helberg code and the
-VT code of the same length compare equal.
+A CodeSpec holds only these defining fields, so codes built by different
+constructors compare equal when they define the same set: the s=1 Helberg
+code and the VT code of the same length are one spec.
 """
 
 from __future__ import annotations
@@ -40,18 +40,10 @@ __all__ = [
 class CodeSpec(Record):
     """Defining data of one binary linear congruence code."""
 
-    __slots__ = ("coefficients", "modulus", "residue", "family_tag")
+    __slots__ = ("coefficients", "modulus", "residue")
     coefficients: tuple[int, ...]
     modulus: int
     residue: int
-    family_tag: str
-
-    def __init__(self, coefficients: tuple[int, ...], modulus: int, residue: int,
-                 family_tag: str = "generic") -> None:
-        super().__init__(coefficients, modulus, residue, family_tag)
-
-    def _key(self) -> tuple:
-        return self.coefficients, self.modulus, self.residue  # not the family tag
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
@@ -84,14 +76,14 @@ def make_vt(n: int, b: int) -> CodeSpec:
     """VT_b(n): coefficients 1..n, modulus n+1."""
     if n < 1:
         raise ValueError("VT length must be >= 1")
-    return CodeSpec(tuple(range(1, n + 1)), n + 1, b, "vt")
+    return CodeSpec(tuple(range(1, n + 1)), n + 1, b)
 
 
 def make_levenshtein(k: int, n: int, b: int) -> CodeSpec:
     """L_b(k, n): coefficients 1..k, modulus n."""
     if k < 1:
         raise ValueError("length must be >= 1")
-    return CodeSpec(tuple(range(1, k + 1)), n, b, "levenshtein")
+    return CodeSpec(tuple(range(1, k + 1)), n, b)
 
 
 @lru_cache(maxsize=32)
@@ -124,7 +116,7 @@ def make_helberg(k: int, s: int, b: int) -> CodeSpec:
     The residue must satisfy 0 <= b < v_{k+1}.
     """
     vs = helberg_multipliers(k, s)
-    return CodeSpec(vs[:k], vs[k], b, "helberg")
+    return CodeSpec(vs[:k], vs[k], b)
 
 
 def make_svt(k: int, n: int, b: int, r: int) -> ParityCodeSpec:

@@ -191,10 +191,17 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
     return _enumerator(spec.length, residue_slot(spec.coefficients, spec.modulus, spec.residue))
 
 
-# The float routes build root tables of n or 2n entries before they loop. At
-# n = 2^16 the enumerator sum, the slowest, took 2.1 s with 18 coefficients
-# and 7.6 s with 40, at 24 MB child peak RSS for both (Python 3.11, x86-64).
+# The float routes build root tables of n or 2n entries before they loop, and
+# their time grows with the n·k·rows cells of their products: k+1 rows for the
+# enumerator sum, 2 for the svt sum, 1 for the cosine size and its bound. In
+# a fresh process (Python 3.11, x86-64) the enumerator sum took about 90 ns a
+# cell: 2.2 s for 18 coefficients at n = 2^16 (2.2e7 cells, 24 MB peak RSS)
+# and 2.9 s for 22 (3.3e7). At n = 2^16 the svt sum took about 400 ns a cell
+# and the cosine routes 235 ns, so at the cell cap they may take about 13 s
+# and 8 s. VT(n) holds about n^3 cells: VT(3000), 2.7e10 of them, would take
+# about 35 minutes by n^3 from VT(600)'s 17 s.
 _MAX_FLOAT_MODULUS = 1 << 16
+_MAX_FLOAT_WORK = 1 << 25
 
 # Cells (m values times product rows) in one block of the column-wise float
 # sums. Building every m at once peaked at 66 MB RSS at the float cap with 18
@@ -215,9 +222,11 @@ _FLOAT_MEMO_CELLS = 1 << 18
 _last_float: tuple[tuple, list[tuple[range, list[list]]]] | None = None
 
 
-def _check_float_modulus(n: int) -> None:
+def _check_float(n: int, k: int, rows: int) -> None:
     if n > _MAX_FLOAT_MODULUS:
         raise CapExceeded(f"modulus {n} exceeds the float cap of {_MAX_FLOAT_MODULUS}")
+    if n * k * rows > _MAX_FLOAT_WORK:
+        raise CapExceeded(f"{n * k * rows} float cells exceeds the cap of {_MAX_FLOAT_WORK}")
 
 
 def _float_blocks(key: tuple, width: int, build: Callable[[range], list[list]]):
@@ -262,8 +271,8 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     integer and returns the rounded enumerator together with the largest
     distance |raw - rounded| seen (imaginary leakage included). Raises
     IntegralityFailure when that distance exceeds 1e-6, and CapExceeded,
-    before building anything, past the float modulus cap. Advisory path;
-    exact results come from weight_enumerator.
+    before building anything, past the float modulus or cell cap. Advisory
+    path; exact results come from weight_enumerator.
 
     The products are built column-wise, a block of m at a time: row t holds
     the z^t coefficient of every product of the block, and each coefficient
@@ -273,7 +282,7 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     k = len(spec.coefficients)
     n = spec.modulus
     b = spec.residue
-    _check_float_modulus(n)
+    _check_float(n, k, k + 1)
     roots = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
     a_red = tuple(a % n for a in spec.coefficients)
 
@@ -316,11 +325,11 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
     half-integer 2*eta. The raw value must be real and nonnegative up to
     tolerance; the rounded size and |raw - rounded| are returned, with
     IntegralityFailure past 1e-6 relative tolerance. CapExceeded past the
-    float modulus cap, before building anything.
+    float modulus or cell cap, before building anything.
     """
     k = len(spec.coefficients)
     n = spec.modulus
-    _check_float_modulus(n)
+    _check_float(n, k, 1)
     two_eta = sum(spec.coefficients) - 2 * spec.residue
     n2 = 2 * n
     phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
@@ -343,11 +352,11 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
 def size_upper_bound(spec: CodeSpec) -> float:
     """Upper bound (2^k / n) * sum_m prod_j |cos(pi a_j m / n)| on the size.
 
-    CapExceeded past the float modulus cap, before building anything.
+    CapExceeded past the float modulus or cell cap, before building anything.
     """
     k = len(spec.coefficients)
     n = spec.modulus
-    _check_float_modulus(n)
+    _check_float(n, k, 1)
     n2 = 2 * n
     abscos = [abs(math.cos(math.pi * t / n)) for t in range(n2)]
     acc = 0.0
@@ -501,12 +510,12 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
     the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
     Returns (even, odd, max residual), IntegralityFailure past 1e-6 and
-    CapExceeded past the float modulus cap, before building anything.
+    CapExceeded past the float modulus or cell cap, before building anything.
     """
     base = spec.base
     k = len(base.coefficients)
     n = base.modulus
-    _check_float_modulus(n)
+    _check_float(n, k, 2)
     two_eta = sum(base.coefficients) - 2 * base.residue
     n2 = 2 * n
     phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]

@@ -1,23 +1,21 @@
 """Brute-force ground truth by exhaustive enumeration.
 
 Nothing here shares logic with the residue fold or the closed forms; these
-routines enumerate tuples, test the congruence and tally, so every formula
+routines enumerate tuples, test the congruence and count, so every formula
 in the package has a dumb independent check at desk scale. All caps are
 hard errors, never silent truncation.
 
 Binary codes share one enumeration: the tuples of the first c = min(k, 14)
 coordinates are listed once, and each of the 2^(k-c) prefixes over the
 other coordinates picks them, so no 2^k-entry table is held.
-brute_weight_enumerator counts one residue b: it keeps the low tuples'
-residues grouped by weight, one str character per tuple (an int in a list
-past modulus 0x110000), and for each prefix counts the entries that make
-a·x = b, a C-level str.count that still tests every tuple on its own. The
-second call in a row with the same coefficients mod n and n tallies every
-residue instead, one (residue, weight) key per tuple, when those n(k+1)
-keys fit under 2^16. build_codebook keeps the tuples of one residue from
-the same chunks. The q-ary counts tally every residue of {0..q-1}^k the
-same way, one pass per coefficients mod n, n and q, in chunks of at most
-2^14 tuples; past modulus 2^16 they count only the asked residue.
+brute_weight_enumerator counts one residue b per call: it keeps the low
+tuples' residues grouped by weight, one str character per tuple (an int
+in a list past modulus 0x110000), and for each prefix counts the entries
+that make a·x = b, a C-level str.count that still tests every tuple on its
+own. build_codebook keeps, for each prefix, the low tuples whose residue
+completes b. The q-ary counts tally every residue of {0..q-1}^k, one pass
+per coefficients mod n, n and q, in chunks of at most 2^14 tuples; past
+modulus 2^16 they count only the asked residue.
 """
 
 from __future__ import annotations
@@ -40,12 +38,13 @@ __all__ = [
     "check_single_deletion",
 ]
 
-# Binary cap, for time. At k = 24 (child process, Python 3.11, x86-64) one
-# residue took 0.11 s whole-process and 15 MB peak RSS at modulus 25, 0.35 s
-# at 10^9+7 (int residues); a sweep's all-residue tally about 2.9 s, 16 MB.
+# Binary cap, for time. At k = 24 (child process, Python 3.11, x86-64) the
+# five residues of modulus 5 took about 0.2 s whole-process and 15 MB peak RSS;
+# in process one residue took 0.02 s at modulus 25, 0.003 s at 1000, and a
+# codebook 1.5 s at 10^9+7.
 _MAX_TUPLE_BITS = 24
-_CHUNK_BITS = 14  # tuples per chunk 2^14: the chunk's keys stay near 0.5 MB
-_TALLY_MAX = 1 << 16  # all-residue tallies have n(k+1) keys (binary), n (q-ary); past this, keep one
+_CHUNK_BITS = 14  # low tuples 2^14: their residues stay near 0.5 MB
+_TALLY_MAX = 1 << 16  # q-ary tallies have n keys; past this, count the asked residue only
 _CHARS = 0x110000  # moduli up to this hold a residue as one str character
 _MAX_GRID = 10**7  # q-ary enumeration cap: q^k tuples
 _MAX_DELETION_LEN = 16
@@ -90,11 +89,10 @@ class Codebook(Record):
         ]
 
 
-def _subset_keys(coeffs: Sequence[int], width: int, wrap: int) -> list[int]:
-    # keys of the subsets x of coeffs, in the binary order of x, by list doubling
+def _subset_keys(steps: Sequence[int], wrap: int) -> list[int]:
+    # the sums mod wrap of the subsets x of steps, in the binary order of x, by list doubling
     keys = [0]
-    for a in coeffs:
-        step = width * a + 1
+    for step in steps:
         keys += [(x + step) % wrap for x in keys]
     return keys
 
@@ -102,25 +100,6 @@ def _subset_keys(coeffs: Sequence[int], width: int, wrap: int) -> list[int]:
 def _check_tuples(k: int) -> None:
     if k > _MAX_TUPLE_BITS:
         raise CapExceeded(f"2^{k} tuples exceeds the 2^{_MAX_TUPLE_BITS} cap")
-
-
-def _chunks(coeffs: Sequence[int], n: int, shift: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (first word, keys) chunk by chunk over every binary k-tuple, in order.
-
-    The key of tuple x is (k+1)·((a·x - shift) mod n) + wt(x). Weights stay
-    below k+1, so adding a low key to a prefix key and reducing mod (k+1)·n
-    gives the tuple's key. The first c = min(k, 14) coordinates vary within
-    a chunk and the rest pick it, so memory is 2^c + 2^(k-c) keys. Raises
-    CapExceeded past the 2^24-tuple cap before building anything.
-    """
-    k = len(coeffs)
-    _check_tuples(k)
-    width, c = k + 1, min(k, _CHUNK_BITS)
-    wrap = width * n
-    low = _subset_keys(coeffs[:c], width, wrap)
-    for h, prefix in enumerate(_subset_keys(coeffs[c:], width, wrap)):
-        d = prefix - width * shift
-        yield h << c, low if d == 0 else [(x + d) % wrap for x in low]  # low is reduced
 
 
 def _cells(coeffs: Sequence[int], n: int) -> tuple[list, list[int]]:
@@ -140,7 +119,7 @@ def _cells(coeffs: Sequence[int], n: int) -> tuple[list, list[int]]:
         cells = [x + [(r + a) % n for r in y] for x, y in zip(cells + [[]], [[]] + cells)]
     if n <= _CHARS:
         cells = ["".join(map(chr, cell)) for cell in cells]
-    return cells, _subset_keys(coeffs[c:], k + 1, (k + 1) * n)
+    return cells, _subset_keys([(k + 1) * a + 1 for a in coeffs[c:]], (k + 1) * n)
 
 
 def _count(cells: list, prefixes: list[int], n: int, b: int, width: int) -> list[int]:
@@ -156,56 +135,54 @@ def _count(cells: list, prefixes: list[int], n: int, b: int, width: int) -> list
 
 
 # (coefficients reduced mod n, n) of the last brute_weight_enumerator call,
-# with its cells and prefixes, and the tally of every residue once a call
-# repeats the key of the call before it; residue sweeps enumerate once per
-# modulus.
+# with its cells and prefixes; residue sweeps group the tuples once per
+# modulus and count each residue from them.
 _last_cells: tuple[tuple[tuple[int, ...], int], list, list[int]] | None = None
-_last_tally: tuple[tuple[tuple[int, ...], int], Counter] | None = None
 
 
 def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Enumerate all 2^k binary tuples and count code membership by weight.
 
-    A call counts its one residue: for every tuple it tests the congruence,
-    a C-level str.count over the low tuples of each weight under each high
-    prefix. The second call in a row with the same coefficients mod n and n
-    instead tallies every residue by (residue, weight) in one pass, kept
-    while calls share that key, so a residue sweep enumerates once per
-    modulus; when n(k+1) exceeds 2^16 that tally could grow toward 2^k
-    entries, so such calls keep counting one residue. Tuples are streamed
-    in chunks of 2^14 and never held as a 2^k-entry table. Capped at
-    k <= 24 for time; at k = 24 a child process peaked at 15-16 MB RSS on
-    either path, most of it the interpreter.
+    Every call counts its one residue: for every tuple it tests the
+    congruence, a C-level str.count over the low tuples of each weight
+    under each high prefix. The low tuples are grouped by weight once per
+    coefficients mod n and n, so a residue sweep groups them once per
+    modulus; the count itself is repeated for each residue. At k = 24 a
+    residue costs 0.02 s at modulus 25 and 0.005 s at 2621, so a sweep of
+    25 residues takes 0.5 s. The trade: all 2621 residues of k = 24,
+    n = 2621 took 11-14 s, where one tally of every residue took 3 s.
+    Tuples are never held as a 2^k-entry table. Capped at k <= 24 for
+    time; at k = 24 a child process peaked at 15 MB RSS, most of it the
+    interpreter.
     """
-    global _last_cells, _last_tally
-    k, n, b = spec.length, spec.modulus, spec.residue
-    width = k + 1
+    global _last_cells
+    k, n = spec.length, spec.modulus
     key = (tuple(a % n for a in spec.coefficients), n)
-    cells, tally = _last_cells, _last_tally  # one read, so a concurrent caller cannot swap them
-    if cells is None or cells[0] != key:
-        _last_cells = _last_tally = None  # free both memos before building the next
-        cells = _last_cells = (key, *_cells(*key))
-    elif n * width <= _TALLY_MAX and (tally is None or tally[0] != key):
-        counter = Counter()  # the second call in a row with this key: tally every residue
-        for _, keys in _chunks(key[0], n, 0):
-            counter.update(keys)
-        tally = _last_tally = key, counter
-    if tally is None or tally[0] != key:
-        return WeightEnumerator(k, _count(cells[1], cells[2], n, b, width))
-    return WeightEnumerator(k, [tally[1][width * b + t] for t in range(width)])
+    memo = _last_cells  # one read, so a concurrent caller cannot swap it midway
+    if memo is None or memo[0] != key:
+        memo = _last_cells = None  # free the old cells before building the next
+        memo = _last_cells = (key, *_cells(*key))
+    return WeightEnumerator(k, _count(memo[1], memo[2], n, spec.residue, k + 1))
 
 
 def build_codebook(spec: CodeSpec) -> Codebook:
     """Materialize every codeword of a spec, bit-packed.
 
-    Streams the same chunks as brute force, so only the codewords are held
-    (18 MB peak RSS at k = 24 with modulus 10^9+7). Same k <= 24 cap.
+    The residues of the tuples over the first c = min(k, 14) coordinates
+    are listed once; each of the 2^(k-c) prefixes over the others keeps
+    those equal to b minus its own residue, so only the codewords are
+    held (1.5 s and 15 MB peak RSS in a child at k = 24 with modulus
+    10^9+7). Same k <= 24 cap.
     """
-    width = spec.length + 1
+    coeffs, n, b = spec.coefficients, spec.modulus, spec.residue
+    k = len(coeffs)
+    _check_tuples(k)
+    c = min(k, _CHUNK_BITS)
+    low = _subset_keys(coeffs[:c], n)
     words: list[int] = []
-    for first, keys in _chunks(spec.coefficients, spec.modulus, spec.residue):
-        words += compress(count(first), map(width.__gt__, keys))
-    return Codebook(spec.length, tuple(words))
+    for h, p in enumerate(_subset_keys(coeffs[c:], n)):
+        words += compress(count(h << c), map(((b - p) % n).__eq__, low))
+    return Codebook(k, tuple(words))
 
 
 def _digit_residues(coeffs: Sequence[int], n: int, q: int) -> list[int]:

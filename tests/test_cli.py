@@ -430,6 +430,21 @@ def test_vt_past_the_bit_cap_exits_4(capsys):
     assert err == f"ccodes: limit: up to {801**3} packed bits exceeds the cap of 469762048\n"
 
 
+def test_vt_past_the_float_work_bound_is_unverified(capsys):
+    # VT(3000): the closed form alone answers; the float sum would take about half an hour
+    code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "3000", "--b", "0")
+    label = "family=vt n=3000 b=0"
+    assert (code, out.splitlines()) == (1, [
+        f"SKIP {label} method=exact reason=up to {3001 * 3001**2} packed bits exceeds the cap "
+        "of 469762048",
+        f"SKIP {label} method=float reason={3001 * 3000 * 3001} float cells exceeds the cap "
+        "of 33554432",
+        f"SKIP {label} method=brute reason=2^3000 tuples exceeds the 2^24 cap",
+        f"UNVERIFIED {label} methods=closed",
+        "0/1 instances agree",
+    ])
+
+
 @pytest.mark.parametrize("argv", [
     ("--family", "vt", "--n", "1..12"),  # moduli 2..13; only the last is over the cap
     ("--family", "svt", "--k", "12", "--n", "3..13", "--r", "both"),

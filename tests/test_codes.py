@@ -23,12 +23,12 @@ def test_codespec_validation():
     assert spec.length == 2
 
 
-def test_codespec_equality_ignores_tag():
-    a = CodeSpec((1, 2, 3), 4, 1, "generic")
-    b = CodeSpec((1, 2, 3), 4, 1, "levenshtein")
+def test_codespec_equality_across_constructors():
+    a = CodeSpec((1, 2, 3), 4, 1)
+    b = make_levenshtein(3, 4, 1)
     assert a == b
-    assert hash(a) == hash(b) == hash(((1, 2, 3), 4, 1))  # the dataclass hash of the compared fields
-    assert len({a, b, make_helberg(3, 1, 1)}) == 1
+    assert hash(a) == hash(b) == hash(((1, 2, 3), 4, 1))  # the dataclass hash of the fields
+    assert len({a, b, make_helberg(3, 1, 1), make_vt(3, 1)}) == 1
     assert CodeSpec((1, 2), 4, 1) != CodeSpec((1, 2), 4, 2)
 
 
@@ -37,7 +37,6 @@ def test_make_vt():
     assert spec.coefficients == (1, 2, 3, 4)
     assert spec.modulus == 5
     assert spec.residue == 0
-    assert spec.family_tag == "vt"
     with pytest.raises(ValueError):
         make_vt(4, 5)
     with pytest.raises(ValueError):
@@ -47,7 +46,6 @@ def test_make_vt():
 def test_make_levenshtein():
     spec = make_levenshtein(4, 5, 0)
     assert spec == make_vt(4, 0)  # VT is Levenshtein with n = k + 1
-    assert spec.family_tag == "levenshtein"
     degenerate = make_levenshtein(2, 1, 0)
     assert degenerate.modulus == 1 and degenerate.coefficients == (1, 2)
     with pytest.raises(ValueError):
@@ -64,7 +62,6 @@ def test_make_helberg():
     spec = make_helberg(3, 2, 0)
     assert spec.coefficients == (1, 2, 4)
     assert spec.modulus == 7
-    assert spec.family_tag == "helberg"
     with pytest.raises(ValueError):
         make_helberg(3, 2, 7)  # residue must stay below v_{k+1}
     with pytest.raises(ValueError):

@@ -243,6 +243,36 @@ def test_float_routes_check_the_cap_before_their_tables(monkeypatch):
 
 
 
+def _svt(spec):
+    return make_svt(3, spec.modulus, 5, 0)
+
+
+FLOAT_ROUTES = {  # name: (float route, its product rows, the exact answer it must give)
+    "charsum": (lambda spec: weight_enumerator_charsum_float(spec)[0], 4, weight_enumerator),
+    "svt": (lambda spec: svt_sizes_charsum_float(_svt(spec))[:2], 2,
+            lambda spec: svt_sizes(_svt(spec))),
+    "cosine": (lambda spec: size_cosine_float(spec)[0], 1, size),
+    "bound": (lambda spec: size_upper_bound(spec) >= size(spec), 1, lambda spec: True),
+}
+
+
+@pytest.mark.parametrize("route, rows, exact", FLOAT_ROUTES.values(), ids=FLOAT_ROUTES)
+def test_float_routes_check_the_work_bound_before_their_tables(monkeypatch, route, rows, exact):
+    spec = make_levenshtein(3, 1 << 16, 5)  # 3 coefficients at the float modulus cap
+    cells = (1 << 16) * 3 * rows
+    monkeypatch.setattr(enumerator, "_MAX_FLOAT_WORK", cells - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"^{cells} float cells exceeds the cap of {cells - 1}$"):
+            route(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a root table of 2^16 or 2^17 entries takes megabytes
+    monkeypatch.setattr(enumerator, "_MAX_FLOAT_WORK", cells)
+    assert route(spec) == exact(spec)
+
+
 def test_charsum_float_matches_exact():
     for spec in [
         make_vt(6, 3),

@@ -44,7 +44,7 @@ def spread(k, lo, hi, seed):
     return tuple(rng.randrange(lo, hi) for _ in range(k))
 
 
-# (coefficients, modulus, whether every call counts one residue: n(k+1) > 2^16)
+# (coefficients, modulus, whether residues_to_check samples the residues: n > 5000)
 TALLY_CASES = [
     (draw(C - 1, 1), 11, False),
     (draw(C, 2), 1, False),
@@ -74,17 +74,16 @@ def residues_to_check(reached, n):
     return reached[:6] + reached[-2:] + surrogates + [unreached]
 
 
-@pytest.mark.parametrize("coeffs, n, one_residue", TALLY_CASES + ENCODING_CASES)
-def test_brute_tally_equals_literal_loop(monkeypatch, coeffs, n, one_residue):
+@pytest.mark.parametrize("coeffs, n, sampled", TALLY_CASES + ENCODING_CASES)
+def test_brute_tally_equals_literal_loop(monkeypatch, coeffs, n, sampled):
     monkeypatch.setattr(oracle, "_last_cells", None)
-    monkeypatch.setattr(oracle, "_last_tally", None)
     tally = literal_tally(coeffs, n)
     k = len(coeffs)
-    for i, b in enumerate(residues_to_check({r for r, _ in tally}, n)):
+    check = residues_to_check({r for r, _ in tally}, n)
+    assert (len(check) < n) == sampled
+    for b in check:
         got = brute_weight_enumerator(CodeSpec(coeffs, n, b))
         assert got.counts == tuple(tally[b, t] for t in range(k + 1)), b
-        # a lone residue counts; the next call with the key tallies every residue
-        assert (oracle._last_tally is None) == (i == 0 or one_residue)
 
 
 @pytest.mark.parametrize("coeffs, n, _", TALLY_CASES + ENCODING_CASES)
@@ -103,7 +102,7 @@ def test_residue_count_equals_literal_loop(coeffs, n, _):
         assert oracle._count(cells, prefixes, n, b, k + 1) == want, b
 
 
-@pytest.mark.parametrize("coeffs, n", [case[:2] for case in TALLY_CASES])
+@pytest.mark.parametrize("coeffs, n", [case[:2] for case in TALLY_CASES + ENCODING_CASES])
 def test_build_codebook_equals_literal_filter(coeffs, n):
     rs = [sum(a for i, a in enumerate(coeffs) if x >> i & 1) % n
           for x in range(1 << len(coeffs))]
@@ -114,57 +113,55 @@ def test_build_codebook_equals_literal_filter(coeffs, n):
 
 def test_brute_tally_memo_key(monkeypatch):
     runs = []
-    cells, chunks = oracle._cells, oracle._chunks
+    cells, count = oracle._cells, oracle._count
 
     def counting_cells(coeffs, n):
         runs.append(("cells", tuple(coeffs), n))
         return cells(coeffs, n)
 
-    def counting_chunks(coeffs, n, shift):
-        runs.append(("tally", tuple(coeffs), n))
-        return chunks(coeffs, n, shift)
+    def counting_count(*args):
+        runs.append(("count",))
+        return count(*args)
 
     monkeypatch.setattr(oracle, "_last_cells", None)
-    monkeypatch.setattr(oracle, "_last_tally", None)
     monkeypatch.setattr(oracle, "_cells", counting_cells)
-    monkeypatch.setattr(oracle, "_chunks", counting_chunks)
+    monkeypatch.setattr(oracle, "_count", counting_count)
+    monkeypatch.setattr(oracle, "Counter", lambda *a: runs.append(("tally",)) or Counter(*a))
     a = (1, 2, 3, 5)
     sequence = [
-        (CodeSpec(a, 7, 0), ["cells"]),  # a lone residue counts, with no tally
-        (CodeSpec(a, 7, 1), ["tally"]),  # the second call in a row tallies every residue
-        (CodeSpec(a, 7, 2), []),  # same key: the tally is read
-        (CodeSpec((8, 9, -4, 12), 7, 4), []),  # same coefficients mod 7: read
-        (CodeSpec((2, 4, 6), 7, 3), ["cells"]),  # another key evicts both memos
-        (CodeSpec(a, 7, 1), ["cells"]),  # so A counts again
-        (CodeSpec(a, 9, 1), ["cells"]),  # same reduced coefficients, other modulus
-        (CodeSpec(a, 9, 2), ["tally"]),
-        (CodeSpec(a, 9, 2), []),
-        (CodeSpec(a, 13107, 1), ["cells"]),  # n(k+1) = 65535, the largest that tallies
-        (CodeSpec(a, 13107, 2), ["tally"]),
-        (CodeSpec(a, 13108, 1), ["cells"]),
-        (CodeSpec(a, 13108, 2), []),
-        (CodeSpec(a, P, 11), ["cells"]),  # n(k+1) past 2^16: every call counts one residue
-        (CodeSpec(a, P, 11), []),
-        (CodeSpec(a, P, 4), []),
+        (CodeSpec(a, 7, 0), True),  # the first call groups the tuples
+        (CodeSpec(a, 7, 1), False),  # later residues count from the same cells
+        (CodeSpec(a, 7, 2), False),
+        (CodeSpec((8, 9, -4, 12), 7, 4), False),  # same coefficients mod 7
+        (CodeSpec((2, 4, 6), 7, 3), True),  # another key evicts the cells
+        (CodeSpec(a, 7, 1), True),  # so A groups again
+        (CodeSpec(a, 9, 1), True),  # same reduced coefficients, other modulus
+        (CodeSpec(a, 9, 2), False),
+        (CodeSpec(a, 13107, 1), True),
+        (CodeSpec(a, 13108, 1), True),  # n(k+1) past 2^16 counts the same way
+        (CodeSpec(a, 13108, 2), False),
+        (CodeSpec(a, P, 11), True),  # int residues past 0x110000
+        (CodeSpec(a, P, 11), False),
+        (CodeSpec(a, P, 4), False),
     ]
     for spec, built in sequence:
         before = len(runs)
         got = brute_weight_enumerator(spec)
-        assert [kind for kind, *_ in runs[before:]] == built
+        assert [kind for kind, *_ in runs[before:]] == ["cells"] * built + ["count"]
         key = (tuple(x % spec.modulus for x in spec.coefficients), spec.modulus)
         assert oracle._last_cells[0] == key
-        assert oracle._last_tally is None or oracle._last_tally[0] == key
         tally = literal_tally(spec.coefficients, spec.modulus)
         assert got.counts == tuple(tally[spec.residue, t] for t in range(spec.length + 1))
-    assert [run[1:] for run in runs if run[0] == "tally"] == [(a, 7), (a, 9), (a, 13107)]
-    assert oracle._last_tally is None
+    assert [run[1:] for run in runs if run[0] == "cells"] == [
+        (a, 7), ((2, 4, 6), 7), (a, 7), (a, 9), (a, 13107), (a, 13108), (a, P)]
+    assert ("tally",) not in runs
 
 
 def test_brute_memory_stays_bounded(monkeypatch):
     rng = random.Random(18)
     coeffs = tuple(rng.randrange(10**8, 10**9) for _ in range(18))
     spec = CodeSpec(coeffs, P, sum(coeffs[::2]) % P)
-    monkeypatch.setattr(oracle, "_last_tally", None)
+    monkeypatch.setattr(oracle, "_last_cells", None)
     tracemalloc.start()
     try:
         w = brute_weight_enumerator(spec)

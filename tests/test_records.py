@@ -10,11 +10,9 @@ from ccodes import (Codebook, CodeSpec, FactoredInteger, WeightEnumerator, enume
 
 
 def test_reprs_match_the_dataclass_reprs():
-    assert repr(CodeSpec([1, 2], 5, 3)) == (
-        "CodeSpec(coefficients=(1, 2), modulus=5, residue=3, family_tag='generic')")
+    assert repr(CodeSpec([1, 2], 5, 3)) == "CodeSpec(coefficients=(1, 2), modulus=5, residue=3)"
     assert repr(make_svt(3, 4, 1, 0)) == (
-        "ParityCodeSpec(base=CodeSpec(coefficients=(1, 2, 3), modulus=4, residue=1, "
-        "family_tag='levenshtein'), parity=0)")
+        "ParityCodeSpec(base=CodeSpec(coefficients=(1, 2, 3), modulus=4, residue=1), parity=0)")
     assert repr(WeightEnumerator(2, [1, 0, 1])) == "WeightEnumerator(k=2, counts=(1, 0, 1))"
     assert repr(factor(12)) == "FactoredInteger(value=12, factors=((2, 2), (3, 1)))"
     assert repr(factor(1)) == "FactoredInteger(value=1, factors=())"
