@@ -30,6 +30,7 @@ from .codes import (
 )
 from .enumerator import (
     WeightEnumerator,
+    closed_form_gap,
     lehmer_count,
     size,
     size_cosine_float,
@@ -42,6 +43,8 @@ from .enumerator import (
     vt_weight_enumerator_closed,
     weight_enumerator,
     weight_enumerator_charsum_float,
+    weight_enumerator_closed,
+    weight_enumerator_fold,
 )
 from .errors import (
     CapExceeded,
@@ -49,6 +52,7 @@ from .errors import (
     IntegralityFailure,
     InvariantViolation,
     NonExactDivision,
+    OutOfDomain,
 )
 from .oracle import (
     Codebook,
@@ -77,6 +81,7 @@ __all__ = [
     "IntPolynomial",
     "InvariantViolation",
     "NonExactDivision",
+    "OutOfDomain",
     "ParityCodeSpec",
     "ResiduePolynomial",
     "WeightEnumerator",
@@ -86,6 +91,7 @@ __all__ = [
     "brute_weight_enumerator",
     "build_codebook",
     "check_single_deletion",
+    "closed_form_gap",
     "divisors",
     "factor",
     "helberg_multipliers",
@@ -110,4 +116,6 @@ __all__ = [
     "vt_weight_enumerator_closed",
     "weight_enumerator",
     "weight_enumerator_charsum_float",
+    "weight_enumerator_closed",
+    "weight_enumerator_fold",
 ]

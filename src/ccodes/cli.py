@@ -21,12 +21,17 @@ lists. Ranges are written a..b (inclusive); --b all sweeps every residue of
 the instance's modulus; for svt and levenshtein grids --n also accepts the
 relative forms k+1 and 2k. enum reads the same grid but needs it to name
 exactly one instance. --format (plain, json or csv) exists on enum only:
-table always writes CSV and verify plain lines. verify prints one PASS,
-FAIL or UNVERIFIED line per instance. Its exact method is the residue fold;
-mitm, meeting in the middle, runs only when --methods names it. A method
-run outside its domain (a float sum that misses integrality, a route past
-its cap) first prints SKIP ... method=M reason=... and drops out of the
-comparison; PASS lists the methods that ran. An instance passes when those
+table always writes CSV and verify plain lines. enum and table answer from
+the closed form when the coefficients are 1..k mod n with n dividing k+1
+(every vt code), one evaluation per gcd(b, n), and otherwise from the
+residue fold or by meeting in the middle. verify prints one PASS, FAIL or
+UNVERIFIED line per instance. Its exact method is the residue fold; mitm,
+meeting in the middle, runs only when --methods names it, and so does
+closed, the closed form, except for vt, where it is a default method. A
+method run outside its domain (a float sum that misses integrality or
+overflows, a route past its cap, the closed form where n does not fit the
+coefficients) first prints SKIP ... method=M reason=... and drops out of
+the comparison; PASS lists the methods that ran. An instance passes when those
 agree and at least two ran, or the one method asked for; it is UNVERIFIED
 when fewer ran, and FAIL on a disagreement or any other package error.
 
@@ -39,7 +44,8 @@ Exit status:
     4  a route's cap (rows or packed bits of the fold or of meeting in the
        middle, float modulus or cells, brute-force tuples) stops the
        computation outside verify, reported as one "ccodes: limit: ..."
-       line before the route allocates
+       line before the route allocates; the closed form has no cap, so an
+       instance in its domain never exits 4
 Output carries no timestamps, so identical invocations produce identical
 bytes.
 """
@@ -58,16 +64,17 @@ from . import __version__
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
 from .enumerator import (
     WeightEnumerator,
+    closed_form_gap,
     svt_sizes,
     svt_sizes_charsum_float,
     vt_q_size,
-    vt_weight_enumerator_closed,
     weight_enumerator,
     weight_enumerator_charsum_float,
+    weight_enumerator_closed,
     weight_enumerator_fold,
     weight_enumerator_mitm,
 )
-from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure
+from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure, OutOfDomain
 from .oracle import brute_weight_enumerator
 from .polyring import check_rows
 
@@ -213,7 +220,7 @@ def _mitm(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
 
 
 def _closed(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
-    return vt_weight_enumerator_closed(spec.length, spec.residue).counts, 0.0
+    return weight_enumerator_closed(spec).counts, 0.0
 
 
 def _float(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
@@ -240,26 +247,28 @@ def _parity_split(route: Route):
     return method
 
 
-class _Family(namedtuple("_Family", "grid make methods counts", defaults=(_counts,))):
+class _Family(namedtuple("_Family", "grid make methods counts opt_in",
+                         defaults=(_counts, ("mitm", "closed")))):
     """How one code family reads its grid flags and which routes compute it.
 
     grid: (flag, expander) pairs in output-parameter order; make: the spec
     from the grid values, passed in grid order; methods: verify methods by
     name, in default order, each spec -> (result, deviation); counts:
-    (spec, route) -> what enum and table print.
+    (spec, route) -> what enum and table print; opt_in: the methods verify
+    runs only when --methods names them.
     """
 
     __slots__ = ()
 
 
-_METHODS = {"exact": _exact, "float": _float, "brute": _brute, "mitm": _mitm}
-_OPT_IN = ("mitm",)  # verify runs these only when --methods names them
+_METHODS = {"exact": _exact, "closed": _closed, "float": _float, "brute": _brute, "mitm": _mitm}
 
 _FAMILIES = {
     "vt": _Family(
         (("n", _ints), ("b", _residues(lambda p: p["n"] + 1))),
         make_vt,
-        {"exact": _exact, "closed": _closed, "float": _float, "brute": _brute, "mitm": _mitm},
+        _METHODS,
+        opt_in=("mitm",),  # every VT code lies in the closed form's domain
     ),
     "levenshtein": _Family(
         (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"]))),
@@ -364,10 +373,19 @@ def cmd_enum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep(spec: CodeSpec) -> WeightEnumerator:
+    """The route of --b all: the closed form in its domain, else one fold per modulus."""
+    try:
+        return weight_enumerator_closed(spec)
+    except OutOfDomain:
+        return weight_enumerator_fold(spec)
+
+
 def _check_fold_caps(args: argparse.Namespace) -> None:
     """The fold's caps for every modulus of an all-residue grid, before any fold.
 
-    The caps depend only on (coefficients mod n, n), which the parameters
+    Moduli in the closed form's domain are not folded, so not checked. The
+    caps depend only on (coefficients mod n, n), which the parameters
     other than the residue fix, so the grid is walked with one residue per
     modulus. Every residue of --b all is valid, so this walk meets every
     usage error that the whole grid would, and one of those still wins over
@@ -379,7 +397,7 @@ def _check_fold_caps(args: argparse.Namespace) -> None:
     limit: CapExceeded | None = None
     for _, spec in _iter_instances(args, family._replace(grid=grid)):
         base = spec.base if isinstance(spec, ParityCodeSpec) else spec
-        if limit is None:
+        if limit is None and closed_form_gap(base):  # the closed form folds nothing
             try:
                 check_rows([base.coefficients], base.modulus)
             except CapExceeded as exc:
@@ -391,11 +409,12 @@ def _check_fold_caps(args: argparse.Namespace) -> None:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
-    # A table of every residue reads them all from one fold per modulus, once
-    # every modulus of the grid has passed the fold's caps.
+    # A table of every residue reads them from the closed form, one evaluation
+    # per gcd class, or else from one fold per modulus, once every modulus to
+    # fold has passed the fold's caps.
     if args.b == "all":
         _check_fold_caps(args)
-    route = weight_enumerator_fold if args.b == "all" else weight_enumerator
+    route = _sweep if args.b == "all" else weight_enumerator
     counts = _FAMILIES[args.family].counts
     rows: list[tuple[Params, tuple[int, ...]]] = []
     limit: CapExceeded | None = None
@@ -431,7 +450,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _methods_for(family: str, requested: str | None) -> list[str]:
     known = _FAMILIES[family].methods
     if requested is None:
-        return [m for m in known if m not in _OPT_IN]
+        return [m for m in known if m not in _FAMILIES[family].opt_in]
     methods = [m.strip() for m in requested.split(",") if m.strip()]
     for m in methods:
         if m not in known:
@@ -462,7 +481,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for m in methods:
                 try:
                     found[m] = routes[m](spec)
-                except (IntegralityFailure, CapExceeded) as exc:  # outside the method's domain
+                except (IntegralityFailure, CapExceeded, OutOfDomain) as exc:  # outside its domain
                     print(f"SKIP family={args.family} {label} method={m} reason={exc}")
         except CongruenceCodeError as exc:
             failures += 1
@@ -535,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check methods over a grid")
     _add_grid_flags(p_verify)
     p_verify.add_argument("--methods", help="comma list from exact,closed,float,brute,mitm "
-                                            "(mitm runs only when named)")
+                                            "(mitm, and closed outside vt, run only when named)")
     p_verify.add_argument("--random", type=int, help="verify N seeded random blcc specs")
     p_verify.add_argument("--seed", type=int, help="seed for --random (default 0)")
     p_verify.add_argument("--quiet", action="store_true")

@@ -1,11 +1,12 @@
 """Weight enumerators, sizes and counting formulas for congruence codes.
 
-The authoritative path is exact: the residue fold in ``polyring``, or its
-meet-in-the-middle split for one residue, produces integer weight
-distributions with no rounding. Each closed form or literal
-floating-point character sum here is an independent route to the same
-numbers and exists to be checked against the fold (and against brute
-force in ``oracle``), never to replace it.
+The authoritative paths are exact integer arithmetic with no rounding:
+the closed divisor-sum form for the codes whose coefficients are 1..k mod n
+with n dividing k + 1 (VT codes among them), and otherwise the residue fold
+in ``polyring`` or its meet-in-the-middle split for one residue. The fold
+and the closed form are checked against each other, and the literal
+floating-point character sums here (and brute force in ``oracle``) check
+both; those never replace them.
 
 Character-sum background, with e(x) = exp(2 pi i x): the enumerator of the
 code a_1 c_1 + ... + a_k c_k = b (mod n) is
@@ -13,8 +14,10 @@ code a_1 c_1 + ... + a_k c_k = b (mod n) is
     W(z) = (1/n) * sum_{m=1}^{n} e(-b m / n) * prod_j (1 + z e(a_j m / n)),
 
 setting z = 1 collapses the product to cosines and yields both the size
-formula and an absolute-value upper bound; for the VT family the average
-telescopes into Ramanujan-sum closed forms over the divisors of n+1.
+formula and an absolute-value upper bound. When the coefficients run
+through 1..k mod n and n divides k + 1, the average telescopes into a
+Ramanujan-sum closed form over the divisors of n, which depends on b only
+through gcd(b, n); VT_b(n) is the case of modulus n + 1 = k + 1.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ from . import polyring
 from ._record import Record
 from .arith import binomial_row, divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
-from .errors import CapExceeded, IntegralityFailure, NonExactDivision
+from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
 from .polyring import IntPolynomial, ResiduePolynomial, reach, residue_product, residue_slot
 
 __all__ = [
     "WeightEnumerator",
     "weight_enumerator",
+    "weight_enumerator_closed",
     "weight_enumerator_fold",
     "weight_enumerator_mitm",
     "weight_enumerator_charsum_float",
@@ -41,6 +45,7 @@ __all__ = [
     "size_cosine_float",
     "size_upper_bound",
     "lehmer_count",
+    "closed_form_gap",
     "vt_weight_enumerator_closed",
     "vt_weight_count",
     "vt_size",
@@ -140,19 +145,25 @@ def _mitm_is_cheaper(coeffs: tuple[int, ...], n: int) -> bool:
 
 
 def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
-    """Exact weight enumerator by the fold or by meeting in the middle.
+    """Exact weight enumerator: the closed form, the fold or meeting in the middle.
 
-    A fold already built for these coefficients mod n and n is read. Else,
-    when the fold fits under the row and bit caps, the second call in a row
-    with the same key builds it, so a sweep over the residues of one modulus
-    folds once, and any other call folds when the cost model
-    (_mitm_is_cheaper) prefers it. Everything else meets in the middle,
-    which raises CapExceeded past the same caps before it allocates. The
-    route may depend on the previous call; the result, and whether one is
-    computed at all, do not. The VT closed form is an independent route,
-    compared with this one by ``verify`` and the tests, not here.
+    Inside the closed form's domain (closed_form_gap) the closed form
+    answers, one evaluation per gcd class of the residue. Otherwise a fold
+    already built for these coefficients mod n and n is read. Else, when the
+    fold fits under the row and bit caps, the second call in a row with the
+    same key builds it, so a sweep over the residues of one modulus folds
+    once, and any other call folds when the cost model (_mitm_is_cheaper)
+    prefers it. Everything else meets in the middle, which raises
+    CapExceeded past the same caps before it allocates. The route may depend
+    on the previous call; the result, and whether one is computed at all, do
+    not. ``verify`` and the tests compare the closed form with
+    weight_enumerator_fold, not with this dispatcher.
     """
     global _last_fold
+    try:
+        return weight_enumerator_closed(spec)
+    except OutOfDomain:
+        pass
     key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
     memo = _last_fold  # one read, so a concurrent caller cannot swap it midway
     repeat = memo is not None and memo[0] == key
@@ -229,6 +240,14 @@ def _check_float(n: int, k: int, rows: int) -> None:
         raise CapExceeded(f"{n * k * rows} float cells exceeds the cap of {_MAX_FLOAT_WORK}")
 
 
+def _float_scale(k: int, n: int) -> float:
+    # 2^k / n; a float holds 2^k only for k < 1024
+    try:
+        return 2.0**k / n
+    except OverflowError:
+        raise IntegralityFailure(f"scale 2^{k} / {n} overflows a float") from None
+
+
 def _float_blocks(key: tuple, width: int, build: Callable[[range], list[list]]):
     """Yield (ms, rows) for m = 1..n, n = key[-1], in blocks of consecutive m.
 
@@ -270,7 +289,8 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     m = 1..n in floating point, rounds every coefficient to the nearest
     integer and returns the rounded enumerator together with the largest
     distance |raw - rounded| seen (imaginary leakage included). Raises
-    IntegralityFailure when that distance exceeds 1e-6, and CapExceeded,
+    IntegralityFailure when that distance exceeds 1e-6 or a coefficient
+    overflows a float (past about 1030 coefficients), and CapExceeded,
     before building anything, past the float modulus or cell cap. Advisory
     path; exact results come from weight_enumerator.
 
@@ -302,6 +322,8 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     max_dev = 0.0
     for t in range(k + 1):
         raw = acc[t] / n
+        if not cmath.isfinite(raw):  # the products' coefficients passed the float range
+            raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")
         r = round(raw.real)
         dev = abs(raw - r)
         if dev > max_dev:
@@ -324,8 +346,9 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
     where eta = -b + (a_1 + ... + a_k) / 2 is carried as the exact
     half-integer 2*eta. The raw value must be real and nonnegative up to
     tolerance; the rounded size and |raw - rounded| are returned, with
-    IntegralityFailure past 1e-6 relative tolerance. CapExceeded past the
-    float modulus or cell cap, before building anything.
+    IntegralityFailure past 1e-6 relative tolerance or when 2^k overflows a
+    float (k >= 1024). CapExceeded past the float modulus or cell cap,
+    before building anything.
     """
     k = len(spec.coefficients)
     n = spec.modulus
@@ -340,7 +363,7 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
         for a in spec.coefficients:
             prod *= cosines[(a * m) % n2]
         acc += phases[(two_eta * m) % n2] * prod
-    raw = acc * (2.0**k / n)
+    raw = acc * _float_scale(k, n)
     r = round(raw.real)
     dev = abs(raw - r)
     tol = 1e-6 * max(1.0, abs(r))
@@ -352,7 +375,8 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
 def size_upper_bound(spec: CodeSpec) -> float:
     """Upper bound (2^k / n) * sum_m prod_j |cos(pi a_j m / n)| on the size.
 
-    CapExceeded past the float modulus or cell cap, before building anything.
+    CapExceeded past the float modulus or cell cap, before building anything;
+    IntegralityFailure when 2^k overflows a float (k >= 1024).
     """
     k = len(spec.coefficients)
     n = spec.modulus
@@ -365,7 +389,7 @@ def size_upper_bound(spec: CodeSpec) -> float:
         for a in spec.coefficients:
             prod *= abscos[(a * m) % n2]
         acc += prod
-    return (2.0**k / n) * acc
+    return _float_scale(k, n) * acc
 
 
 def lehmer_count(coeffs: Iterable[int], n: int, b: int) -> int:
@@ -386,39 +410,100 @@ def lehmer_count(coeffs: Iterable[int], n: int, b: int) -> int:
     return l * n ** (k - 1)
 
 
+# ((k, n), the coefficients last found in the domain, {gcd(b, n): enumerator})
+# of the closed form. In its domain the enumerator depends on the spec only
+# through k, n and gcd(b, n), so a residue sweep evaluates the form once per
+# gcd class, and a repeat of the same coefficients skips the domain check.
+_last_closed: tuple[tuple[int, int], tuple[int, ...], dict[int, WeightEnumerator]] | None = None
+
+
+def closed_form_gap(spec: CodeSpec) -> str:
+    """Why weight_enumerator_closed does not cover spec; "" when it does.
+
+    Its domain: the modulus n divides k + 1, and among the coefficients
+    reduced mod n every nonzero residue occurs (k + 1) / n times and 0 occurs
+    (k + 1) / n - 1 times, as in 1..k, in any order and with any signs. VT
+    codes, Helberg codes with s = 1 and Levenshtein codes with n | k + 1 lie
+    in it. O(k + n).
+    """
+    coeffs, n = spec.coefficients, spec.modulus
+    k = len(coeffs)
+    if (k + 1) % n:
+        return f"modulus {n} does not divide k+1 = {k + 1}"
+    occurs = [0] * n
+    for a in coeffs:
+        occurs[a % n] += 1
+    occurs[0] += 1  # 1..k mod n holds every residue (k + 1) / n times, less one 0
+    if occurs.count((k + 1) // n) != n:
+        return f"coefficients mod {n} are not 1..{k} mod {n}"
+    return ""
+
+
+def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
+    """Exact weight enumerator from the closed divisor sum over the divisors of n.
+
+    Raises OutOfDomain, with closed_form_gap's reason, outside its domain.
+    Each gcd class of the residue is evaluated once and kept in a one-entry
+    memo keyed by (k, n).
+    """
+    global _last_closed
+    coeffs, n = spec.coefficients, spec.modulus
+    key = (len(coeffs), n)
+    memo = _last_closed  # one read, so a concurrent caller cannot swap it midway
+    if memo is None or memo[0] != key or memo[1] != coeffs:
+        gap = closed_form_gap(spec)
+        if gap:
+            raise OutOfDomain(gap)
+        classes = memo[2] if memo is not None and memo[0] == key else {}
+        memo = _last_closed = key, coeffs, classes
+    g = math.gcd(spec.residue, n)  # n for b = 0
+    w = memo[2].get(g)
+    if w is None:
+        w = memo[2][g] = _closed_form(*key, g)
+    return w
+
+
+def _closed_form(k: int, n: int, b: int) -> WeightEnumerator:
+    """W_b(z) = (1/n) sum_{d | n} c_d(b) (1 - (-z)^d)^((k+1)/d) / (1 + z), n | k + 1.
+
+    Expands each divisor's term one binomial row at a time, then divides by
+    n and by z+1, the latter as a running alternating sum. Both divisions
+    are exact for every k, n and b of the domain, and both are checked:
+    NonExactDivision here signals a bug.
+    """
+    total = [0] * (k + 2)
+    for d in divisors(factor(n)):
+        c = ramanujan_sum(d, b)
+        if c == 0:
+            continue
+        # c (1 + z^d)^((k+1)/d) for odd d, c (1 - z^d)^((k+1)/d) for even d
+        odd = c if d % 2 else -c
+        for i, binom in enumerate(binomial_row((k + 1) // d)):
+            total[d * i] += (odd if i % 2 else c) * binom
+    counts = []
+    quotient = 0  # coefficient of z^i in the quotient by 1 + z, then the remainder
+    for coeff in total:
+        v, rem = divmod(coeff, n)
+        if rem:  # VT_b(n) has modulus n+1
+            raise NonExactDivision(f"divisor sum not divisible by {'n+1' if n == k + 1 else 'n'}")
+        quotient = v - quotient
+        counts.append(quotient)
+    if counts.pop():
+        raise NonExactDivision("divisor sum not divisible by 1 + z")
+    return WeightEnumerator(k, counts)
+
+
 def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
     """Closed-form VT_b(n) weight enumerator via Ramanujan sums.
 
-    Expands sum_{d | n+1} c_d(b) (1 - (-z)^d)^((n+1)/d) one binomial row per
-    divisor, then divides by n+1 and by z+1, the latter as a running
-    alternating sum. Both divisions are exact for every valid (n, b), and
-    both are checked: NonExactDivision here signals a bug.
+    The closed form of weight_enumerator_closed with k = n and modulus n+1,
+    evaluated afresh on every call.
     """
     if n < 1:
         raise ValueError("VT length must be >= 1")
     if not 0 <= b <= n:
         raise ValueError(f"residue {b} not in [0, {n + 1})")
-    q = n + 1
-    total = [0] * (q + 1)
-    for d in divisors(factor(q)):
-        c = ramanujan_sum(d, b)
-        if c == 0:
-            continue
-        # c (1 + z^d)^(q/d) for odd d, c (1 - z^d)^(q/d) for even d
-        odd = c if d % 2 else -c
-        for i, binom in enumerate(binomial_row(q // d)):
-            total[d * i] += (odd if i % 2 else c) * binom
-    counts = []
-    quotient = 0  # coefficient of z^i in the quotient by 1 + z, then the remainder
-    for coeff in total:
-        v, rem = divmod(coeff, q)
-        if rem:
-            raise NonExactDivision("divisor sum not divisible by n+1")
-        quotient = v - quotient
-        counts.append(quotient)
-    if counts.pop():
-        raise NonExactDivision("divisor sum not divisible by 1 + z")
-    return WeightEnumerator(n, counts)
+    return _closed_form(n, n + 1, b)
 
 
 def vt_weight_count(n: int, b: int, t: int) -> int:
@@ -509,8 +594,9 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     With A_m = prod_j cos(pi a_j m / n) and B_m = prod_j i sin(pi a_j m / n),
     the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
     the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
-    Returns (even, odd, max residual), IntegralityFailure past 1e-6 and
-    CapExceeded past the float modulus or cell cap, before building anything.
+    Returns (even, odd, max residual), IntegralityFailure past 1e-6 or when
+    2^(k-1) overflows a float (k >= 1025), and CapExceeded past the float
+    modulus or cell cap, before building anything.
     """
     base = spec.base
     k = len(base.coefficients)
@@ -536,7 +622,7 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     for ms, rows in _float_blocks(("svt", a_red, n), 2, build):
         _accumulate(acc, [phases[two_eta * m % n2] for m in ms], rows)
     acc_a, acc_b = acc
-    scale = 2.0 ** (k - 1) / n
+    scale = _float_scale(k - 1, n)
     b_term = (1, 1j, -1, -1j)[k % 4] * acc_b  # i^k * prod(sin) terms
     sign = -1 if k % 2 else 1
     even_raw = scale * (acc_a + sign * b_term)

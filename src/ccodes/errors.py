@@ -28,6 +28,14 @@ class CapExceeded(CongruenceCodeError):
     """
 
 
+class OutOfDomain(CongruenceCodeError):
+    """A route was asked about an instance its formula does not cover.
+
+    The closed form covers only the codes whose coefficients reduce to
+    1..k mod n with n dividing k + 1; the message says which condition fails.
+    """
+
+
 class InvariantViolation(CongruenceCodeError):
     """An exact computation broke an identity that holds for every input.
 

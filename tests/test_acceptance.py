@@ -33,6 +33,7 @@ from ccodes import (
     vt_weight_enumerator_closed,
     weight_enumerator,
     weight_enumerator_charsum_float,
+    weight_enumerator_fold,
 )
 
 SEED = 20260821
@@ -65,7 +66,7 @@ def test_criterion_01_vt_triple_agreement():
         for n in range(1, 15):
             for b in range(n + 1):
                 closed = vt_weight_enumerator_closed(n, b)
-                folded = weight_enumerator(make_vt(n, b))
+                folded = weight_enumerator_fold(make_vt(n, b))
                 brute = brute_weight_enumerator(make_vt(n, b))
                 assert closed.counts == folded.counts == brute.counts, (n, b)
         elapsed = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from ccodes import (InvariantViolation, __version__, cli, enumerator, polyring, vt_size,
-                    vt_weight_enumerator_closed)
+from ccodes import (InvariantViolation, __version__, cli, enumerator, make_vt, polyring,
+                    vt_size, weight_enumerator_closed, weight_enumerator_fold)
 from ccodes.cli import main, parse_range
 from ccodes.cli import UsageError
 
@@ -205,11 +206,41 @@ def test_verify_unknown_method_exits_2(capsys):
     assert "unknown method" in err
 
 
-def test_verify_closed_rejected_outside_vt(capsys):
-    code, _, err = run(capsys, "verify", "--family", "blcc", "--coeffs", "1",
-                       "--mod", "2", "--b", "0", "--methods", "exact,closed")
-    assert code == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("argv, label", [
+    (("--family", "levenshtein", "--k", "11", "--n", "4"), "family=levenshtein k=11 n=4"),
+    (("--family", "helberg", "--k", "6", "--s", "1"), "family=helberg k=6 s=1"),
+    # 1..5 mod 3 in another order, shifted by multiples of 3, two of them negative
+    (("--family", "blcc", "--coeffs", "5,-3,7,-11,8", "--mod", "3"),
+     "family=blcc coeffs=5,-3,7,-11,8 mod=3"),
+])
+def test_verify_closed_passes_in_its_domain(capsys, argv, label):
+    code, out, _ = run(capsys, "verify", *argv, "--b", "all", "--methods", "exact,closed")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} instances agree"
+    assert all(line.startswith(f"PASS {label} b=") and line.endswith(
+        " methods=exact,closed dev=0.000e+00") for line in lines[:-1])
+    # closed is opt-in outside vt: the default methods leave it out, bytes unchanged
+    code, out, _ = run(capsys, "verify", *argv, "--b", "all")
+    assert code == 0 and "closed" not in out
+
+
+def test_verify_closed_skips_outside_its_domain(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "levenshtein", "--k", "10", "--n", "4",
+                       "--b", "1", "--methods", "exact,closed,brute")
+    label = "family=levenshtein k=10 n=4 b=1"
+    assert (code, out.splitlines()) == (0, [
+        f"SKIP {label} method=closed reason=modulus 4 does not divide k+1 = 11",
+        f"PASS {label} methods=exact,brute dev=0.000e+00",
+        "1/1 instances agree",
+    ])
+    code, out, _ = run(capsys, "verify", "--family", "blcc", "--coeffs", "1,1", "--mod", "3",
+                       "--b", "2", "--methods", "closed")
+    label = "family=blcc coeffs=1,1 mod=3 b=2"
+    assert (code, out.splitlines()) == (1, [
+        f"SKIP {label} method=closed reason=coefficients mod 3 are not 1..2 mod 3",
+        f"UNVERIFIED {label} methods=",
+        "0/1 instances agree",
+    ])
 
 
 def test_verify_skips_out_of_domain_methods(capsys):
@@ -254,12 +285,12 @@ def test_verify_single_requested_method(capsys):
 
 
 def test_verify_disagreement_among_methods_that_ran_fails(capsys, monkeypatch):
-    def wrong_closed(n, b):
-        counts = list(vt_weight_enumerator_closed(n, b).counts)
+    def wrong_closed(spec):
+        counts = list(weight_enumerator_closed(spec).counts)
         counts[0] ^= 1
-        return enumerator.WeightEnumerator(n, counts)
+        return enumerator.WeightEnumerator(spec.length, counts)
 
-    monkeypatch.setattr(cli, "vt_weight_enumerator_closed", wrong_closed)
+    monkeypatch.setattr(cli, "weight_enumerator_closed", wrong_closed)
     code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "50", "--b", "0")
     assert code == 1
     lines = out.strip().split("\n")
@@ -296,13 +327,14 @@ def test_fold_invariant_is_not_a_usage_error(capsys, monkeypatch):
 
     monkeypatch.setattr(enumerator, "_last_fold", None)  # force a fresh fold
     monkeypatch.setattr(polyring, "_check_mass", broken_check)
-    code, out, err = run(capsys, "enum", "--family", "vt", "--n", "4", "--b", "0")
+    # 4 does not divide k+1 = 5, so the closed form does not answer and enum folds
+    instance = ("--family", "levenshtein", "--k", "4", "--n", "4", "--b", "0")
+    code, out, err = run(capsys, "enum", *instance)
     assert (code, out) == (3, "")
     assert err == "ccodes: internal error: InvariantViolation: broken\n"
-    code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "4", "--b", "0",
-                       "--methods", "exact,closed")
+    code, out, _ = run(capsys, "verify", *instance, "--methods", "exact,closed")
     assert code == 1
-    assert out.startswith("FAIL family=vt n=4 b=0 error=broken")
+    assert out.startswith("FAIL family=levenshtein k=4 n=4 b=0 error=broken")
 
 
 @pytest.mark.parametrize("argv", [
@@ -424,10 +456,24 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
 
 
 def test_vt_past_the_bit_cap_exits_4(capsys):
-    # VT(800): 801 rows of 801^2 bits, for the fold and for either half alike
-    code, out, err = run(capsys, "enum", "--family", "vt", "--n", "800", "--b", "0")
+    # VT(800)'s coefficients shifted by one, 2..801 mod 801, lie outside the closed
+    # form's domain: 801 rows of 801^2 bits, for the fold and for either half alike
+    coeffs = ",".join(str(a) for a in range(2, 802))
+    code, out, err = run(capsys, "enum", "--family", "blcc", "--coeffs", coeffs,
+                         "--mod", "801", "--b", "0")
     assert (code, out) == (4, "")
     assert err == f"ccodes: limit: up to {801**3} packed bits exceeds the cap of 469762048\n"
+
+
+def test_vt_past_the_fold_caps_answers_from_the_closed_form(capsys):
+    # VT(800) exited 4 on the fold's bit cap before the closed form answered enum
+    code, out, err = run(capsys, "enum", "--family", "vt", "--n", "800", "--b", "0",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert int(rec["size"]) == vt_size(800, 0)
+    assert [int(c) for c in rec["enumerator"]] == list(
+        enumerator.vt_weight_enumerator_closed(800, 0).counts)
 
 
 def test_vt_past_the_float_work_bound_is_unverified(capsys):
@@ -446,8 +492,10 @@ def test_vt_past_the_float_work_bound_is_unverified(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--family", "vt", "--n", "1..12"),  # moduli 2..13; only the last is over the cap
-    ("--family", "svt", "--k", "12", "--n", "3..13", "--r", "both"),
+    # moduli 2..13; only the last is over the cap, and 13 does not divide k+1 = 12,
+    # so the closed form does not answer it
+    ("--family", "levenshtein", "--k", "11", "--n", "2..13"),
+    ("--family", "svt", "--k", "11", "--n", "3..13", "--r", "both"),
 ])
 def test_table_checks_every_modulus_before_folding(capsys, monkeypatch, argv):
     folds = count_folds(monkeypatch)
@@ -456,6 +504,69 @@ def test_table_checks_every_modulus_before_folding(capsys, monkeypatch, argv):
     assert (code, out) == (4, "")
     assert err == "ccodes: limit: up to 13 residue rows exceeds the cap of 12\n"
     assert folds == []
+
+
+def test_vt_table_reads_one_closed_form_per_gcd_class(capsys, monkeypatch):
+    folds = count_folds(monkeypatch)
+    halves = []
+    fold = polyring._fold
+    monkeypatch.setattr(polyring, "_fold", lambda a, *rest: halves.append(len(a)) or fold(a, *rest))
+    calls = []
+    form = enumerator._closed_form
+    monkeypatch.setattr(enumerator, "_closed_form",
+                        lambda k, n, g: calls.append((n, g)) or form(k, n, g))
+    monkeypatch.setattr(enumerator, "_last_closed", None)
+    code, out, _ = run(capsys, "table", "--family", "vt", "--quantity", "nt", "--n", "1..12",
+                       "--b", "all")
+    assert (code, folds, halves) == (0, [], [])
+    # one evaluation per class gcd(b, n + 1), in the order the residues meet them:
+    # tau(2) + ... + tau(13) = 36 of them
+    want = []
+    for q in range(2, 14):
+        want += [(q, g) for g in dict.fromkeys(math.gcd(b, q) for b in range(q))]
+    assert calls == want and len(calls) == 36
+    rows = out.splitlines()[1:]
+    assert len(rows) == sum(range(2, 14))
+    for row in rows:  # the per-residue fold gives every row of the class sweep
+        _, n, b, *cells = row.split(",")
+        assert [int(c) for c in cells if c] == list(weight_enumerator_fold(
+            make_vt(int(n), int(b))).counts)
+
+
+def test_vt_table_past_the_fold_caps_answers(capsys):
+    # VT(776) is the largest VT the fold's bit cap lets through
+    code, out, err = run(capsys, "table", "--family", "vt", "--quantity", "size", "--n", "777",
+                         "--b", "all")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert rows[0] == "family,n,b,size" and len(rows) == 1 + 778
+    assert rows[1:] == [f"vt,777,{b},{vt_size(777, b)}" for b in range(778)]
+
+
+def test_svt_float_overflow_skips_inside_verify(capsys):
+    # 2^1099 passes the largest float; the exact fold of 1100 coefficients mod 5 answers
+    code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1100", "--n", "5",
+                       "--b", "0", "--r", "0")
+    label = "family=svt k=1100 n=5 b=0 r=0"
+    assert (code, out.splitlines()) == (1, [
+        f"SKIP {label} method=float reason=scale 2^1099 / 5 overflows a float",
+        f"SKIP {label} method=brute reason=2^1100 tuples exceeds the 2^24 cap",
+        f"UNVERIFIED {label} methods=exact",
+        "0/1 instances agree",
+    ])
+
+
+def test_charsum_float_overflow_skips_inside_verify(capsys):
+    # C(1100, 550) passes the largest float: the character sum's coefficients turn to inf
+    code, out, _ = run(capsys, "verify", "--family", "levenshtein", "--k", "1100", "--n", "5",
+                       "--b", "0")
+    label = "family=levenshtein k=1100 n=5 b=0"
+    assert (code, out.splitlines()) == (1, [
+        f"SKIP {label} method=float reason=character sum of 1100 coefficients overflows a float",
+        f"SKIP {label} method=brute reason=2^1100 tuples exceeds the 2^24 cap",
+        f"UNVERIFIED {label} methods=exact",
+        "0/1 instances agree",
+    ])
 
 
 def test_cap_skips_inside_verify(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,9 +21,11 @@ from ccodes import (
     CodeSpec,
     IntegralityFailure,
     NonExactDivision,
+    OutOfDomain,
     WeightEnumerator,
     binomial_row,
     brute_weight_enumerator,
+    closed_form_gap,
     lehmer_count,
     make_helberg,
     make_levenshtein,
@@ -40,6 +43,8 @@ from ccodes import (
     vt_weight_enumerator_closed,
     weight_enumerator,
     weight_enumerator_charsum_float,
+    weight_enumerator_closed,
+    weight_enumerator_fold,
 )
 import ccodes
 from ccodes import enumerator, polyring
@@ -271,6 +276,26 @@ def test_float_routes_check_the_work_bound_before_their_tables(monkeypatch, rout
     assert peak < 1 << 20  # a root table of 2^16 or 2^17 entries takes megabytes
     monkeypatch.setattr(enumerator, "_MAX_FLOAT_WORK", cells)
     assert route(spec) == exact(spec)
+
+
+@pytest.mark.parametrize("route, reason", [
+    (weight_enumerator_charsum_float, "character sum of 1100 coefficients overflows a float"),
+    (size_cosine_float, "scale 2^1100 / 2 overflows a float"),
+    (size_upper_bound, "scale 2^1100 / 2 overflows a float"),
+    (lambda spec: svt_sizes_charsum_float(ParityCodeSpec(spec, 0)),
+     "scale 2^1099 / 2 overflows a float"),
+], ids=["charsum", "cosine", "bound", "svt"])
+def test_float_routes_that_overflow_fail_integrality(route, reason):
+    # C(1100, 550) and 2^1100 pass the largest float, about 2^1024
+    with pytest.raises(IntegralityFailure, match=f"^{re.escape(reason)}$"):
+        route(make_levenshtein(1100, 2, 0))
+
+
+def test_float_scale_below_the_overflow():
+    spec = make_levenshtein(1023, 2, 0)  # 2^1023 is the largest power of two a float holds
+    assert size(spec) == 2**1022
+    assert size_cosine_float(spec)[0] == 2**1022
+    assert size_upper_bound(spec) == 2.0**1022
 
 
 def test_charsum_float_matches_exact():
@@ -564,8 +589,113 @@ def test_vt_closed_matches_fold():
     for n in range(1, 13):
         for b in range(n + 1):
             closed = vt_weight_enumerator_closed(n, b)
-            folded = weight_enumerator(make_vt(n, b))
+            folded = weight_enumerator_fold(make_vt(n, b))
             assert closed.counts == folded.counts, (n, b)
+
+
+def test_closed_form_equals_fold_wherever_n_divides_k_plus_1():
+    # every Levenshtein L_b(k, n) with k <= 30 and n | k+1, every residue: the
+    # memo answers a residue from its gcd class, the fold from its own slot
+    cases = 0
+    for k in range(1, 31):
+        for n in range(1, k + 2):
+            if (k + 1) % n:
+                assert closed_form_gap(make_levenshtein(k, n, 0)) == (
+                    f"modulus {n} does not divide k+1 = {k + 1}")
+                continue
+            for b in range(n):
+                spec = make_levenshtein(k, n, b)
+                assert closed_form_gap(spec) == ""
+                assert weight_enumerator_closed(spec) == weight_enumerator_fold(spec), (k, n, b)
+                cases += 1
+    assert cases == 793
+
+
+def test_closed_form_domain_edges():
+    # no coefficients mod 1: the empty word alone
+    assert weight_enumerator_closed(CodeSpec((), 1, 0)).counts == (1,)
+    # modulus 1 takes every word, whatever the coefficients
+    assert weight_enumerator_closed(CodeSpec((4, -7, 0), 1, 0)).counts == (1, 3, 3, 1)
+    for coeffs, n, reason in (((1, 2), 2, "modulus 2 does not divide k+1 = 3"),
+                              ((1, 1, 2), 4, "coefficients mod 4 are not 1..3 mod 4"),
+                              ((0, 2, 3), 4, "coefficients mod 4 are not 1..3 mod 4"),
+                              ((5, 2, 7, 8, 1, -2, 4), 4, "coefficients mod 4 are not 1..7 mod 4")):
+        spec = CodeSpec(coeffs, n, 0)
+        assert closed_form_gap(spec) == reason
+        with pytest.raises(OutOfDomain, match=f"^{re.escape(reason)}$"):
+            weight_enumerator_closed(spec)
+        assert weight_enumerator(spec) == brute_weight_enumerator(spec)
+    # 1..7 mod 4 holds 0 once and 1, 2 and 3 twice each, in any order and with any signs
+    assert closed_form_gap(CodeSpec((5, 2, 7, 8, 1, -2, 11), 4, 0)) == ""
+
+
+def test_closed_form_evaluates_each_gcd_class_once(monkeypatch):
+    want = [vt_weight_enumerator_closed(11, b) for b in range(12)]
+    calls = []
+    form = enumerator._closed_form
+    monkeypatch.setattr(enumerator, "_closed_form",
+                        lambda k, n, g: calls.append((k, n, g)) or form(k, n, g))
+    monkeypatch.setattr(enumerator, "_last_closed", None)
+    sweep = [weight_enumerator_closed(make_levenshtein(11, 12, b)) for b in range(12)]
+    assert calls == [(11, 12, g) for g in (12, 1, 2, 3, 4, 6)]  # gcd(b, 12) in order of b
+    assert sweep == want
+    # the memo is keyed by (k, n): the same residues in another order share the classes
+    shuffled = (11, 2, 9, 4, 7, 6, 5, 8, 3, 10, 1)
+    assert [weight_enumerator_closed(CodeSpec(shuffled, 12, b)) for b in range(12)] == sweep
+    assert len(calls) == 6
+    weight_enumerator_closed(make_levenshtein(11, 6, 3))
+    weight_enumerator_closed(make_levenshtein(11, 12, 3))
+    assert calls[6:] == [(11, 6, 3), (11, 12, 3)]
+
+
+def test_weight_enumerator_takes_the_closed_route_in_its_domain(monkeypatch):
+    specs = (make_levenshtein(23, 8, 5), make_helberg(15, 1, 6), CodeSpec((5, -3, 7, -11, 8), 3, 1))
+    want = [weight_enumerator_fold(spec) for spec in specs]
+
+    def must_not_run(*args):
+        raise AssertionError("a route other than the closed form ran")
+
+    for name in ("weight_enumerator_fold", "weight_enumerator_mitm", "residue_product",
+                 "residue_slot"):
+        monkeypatch.setattr(enumerator, name, must_not_run)
+    monkeypatch.setattr(enumerator, "_last_closed", None)
+    assert [weight_enumerator(spec) for spec in specs] == want
+    assert [size(spec) for spec in specs] == [w.size() for w in want]
+    # past both exact routes' caps, where VT(800) used to raise CapExceeded
+    w = weight_enumerator(make_vt(800, 3))
+    assert w == vt_weight_enumerator_closed(800, 3) and w.size() == vt_size(800, 3)
+
+
+if hypothesis is not None:
+    @st.composite
+    def closed_domain_specs(draw):
+        """1..k mod n with n | k+1, shuffled and shifted by multiples of n, any sign."""
+        n = draw(st.integers(1, 9))
+        k = draw(st.integers(1, 16 // n)) * n - 1
+        order = draw(st.permutations(range(1, k + 1)))
+        shifts = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+        coeffs = tuple(a + s * n for a, s in zip(order, shifts))
+        return CodeSpec(coeffs, n, draw(st.integers(0, n - 1)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(closed_domain_specs(), st.data())
+    def test_closed_form_equals_fold_on_shuffled_shifted_coefficients(spec, data):
+        assert closed_form_gap(spec) == ""
+        assert weight_enumerator_closed(spec) == weight_enumerator_fold(spec)
+        if spec.modulus == 1:
+            return  # every coefficient is 0 mod 1, so no change leaves the domain
+        # one coefficient moved to another residue leaves the domain; the dispatcher
+        # then answers by another route, which must still equal brute force
+        coeffs = list(spec.coefficients)
+        i = data.draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] += data.draw(st.integers(1, spec.modulus - 1))
+        mutant = CodeSpec(coeffs, spec.modulus, spec.residue)
+        assert closed_form_gap(mutant) != ""
+        assert weight_enumerator(mutant) == brute_weight_enumerator(mutant)
+else:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_closed_form_equals_fold_on_shuffled_shifted_coefficients():
+        pass
 
 
 def test_vt_closed_large_lengths():
