@@ -17,11 +17,14 @@ Examples:
     ccodes verify --family blcc --random 100 --seed 7
 
 Each family takes its own grid flags and no others, as the --family help
-lists. Ranges are written a..b (inclusive); --b all sweeps every residue of
-the instance's modulus; for svt and levenshtein grids --n also accepts the
-relative forms k+1 and 2k. enum reads the same grid but needs it to name
-exactly one instance. --format (plain, json or csv) exists on enum only:
-table always writes CSV and verify plain lines. enum and table answer from
+lists. A flag's value follows it (--n 4) or an = (--n=4) and may start with
+a dash (--coeffs -3,2); a unique prefix names a flag (--fam vt), and the
+last repeat wins. argparse is imported only to print --help. Ranges are
+written a..b (inclusive); --b all sweeps every residue of the instance's
+modulus; for svt and levenshtein grids --n also accepts the relative forms
+k+1 and 2k. enum reads the same grid but needs it to name exactly one
+instance. --format (plain, json or csv) exists on enum only: table always
+writes CSV and verify plain lines. enum and table answer from
 the closed form when the coefficients are 1..k mod n with n dividing k+1
 (every vt code), one evaluation per gcd(b, n), and otherwise from the
 residue fold or by meeting in the middle. verify prints one PASS, FAIL or
@@ -52,13 +55,14 @@ bytes.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import itertools
+import re
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from types import SimpleNamespace
 
 from . import __version__
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
@@ -79,8 +83,6 @@ from .oracle import brute_weight_enumerator
 from .polyring import check_rows
 
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
-
-_GRID_FLAGS = ("n", "k", "s", "b", "r", "coeffs", "mod")
 
 Params = dict[str, int | str]
 Route = Callable[[CodeSpec], WeightEnumerator]  # an exact route from spec to enumerator
@@ -301,7 +303,7 @@ _FAMILIES = {
 # ---- instance grids ----
 
 
-def _expand(family: _Family, args: argparse.Namespace,
+def _expand(family: _Family, args: SimpleNamespace,
             params: Params) -> Iterator[tuple[Params, object]]:
     if len(params) == len(family.grid):
         yield params, family.make(*params.values())
@@ -311,14 +313,14 @@ def _expand(family: _Family, args: argparse.Namespace,
         yield from _expand(family, args, {**params, flag: value})
 
 
-def _check_grid_flags(args: argparse.Namespace, takes: Sequence[str], who: str) -> None:
+def _check_grid_flags(args: SimpleNamespace, takes: Sequence[str], who: str) -> None:
     for flag in _GRID_FLAGS:
         if (flag in takes) != (getattr(args, flag) is not None):
             verb = "requires" if flag in takes else "does not take"
             raise UsageError(f"{who} {verb} --{flag}")
 
 
-def _iter_instances(args: argparse.Namespace,
+def _iter_instances(args: SimpleNamespace,
                     family: _Family | None = None) -> Iterator[tuple[Params, object]]:
     """Yield (params, spec) in deterministic order; spec is CodeSpec or ParityCodeSpec.
 
@@ -353,7 +355,7 @@ def _random_blcc(count: int, seed: int) -> Iterator[tuple[dict[str, int | str], 
 # ---- subcommands ----
 
 
-def cmd_enum(args: argparse.Namespace) -> int:
+def cmd_enum(args: SimpleNamespace) -> int:
     if args.q is not None:
         if args.family != "vt":
             raise UsageError("--q applies to --family vt only")
@@ -381,7 +383,7 @@ def _sweep(spec: CodeSpec) -> WeightEnumerator:
         return weight_enumerator_fold(spec)
 
 
-def _check_fold_caps(args: argparse.Namespace) -> None:
+def _check_fold_caps(args: SimpleNamespace) -> None:
     """The fold's caps for every modulus of an all-residue grid, before any fold.
 
     Moduli in the closed form's domain are not folded, so not checked. The
@@ -406,7 +408,7 @@ def _check_fold_caps(args: argparse.Namespace) -> None:
         raise limit
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
     # A table of every residue reads them from the closed form, one evaluation
@@ -436,9 +438,12 @@ def cmd_table(args: argparse.Namespace) -> int:
         value_header = [f"N{t}" for t in range(width)]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family"] + param_keys + value_header)
+    sizes: dict[int, int] = {}  # the rows of a gcd class share one counts tuple: sum it once
     for params, counts in rows:
         if args.quantity == "size":
-            values = [sum(counts)]
+            if id(counts) not in sizes:  # rows keeps every tuple alive, so ids stay distinct
+                sizes[id(counts)] = sum(counts)
+            values = [sizes[id(counts)]]
         elif args.quantity == "enumerator":
             values = [" ".join(str(c) for c in counts)]
         else:
@@ -461,7 +466,7 @@ def _methods_for(family: str, requested: str | None) -> list[str]:
     return methods
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     methods = _methods_for(args.family, args.methods)
     if args.random is not None:
         if args.family != "blcc":
@@ -505,70 +510,190 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_version(args: argparse.Namespace) -> int:
+def cmd_version(args: SimpleNamespace) -> int:
     print(f"ccodes {__version__}")
     return 0
 
 
-# ---- parser ----
+# ---- command line ----
+#
+# One flag table serves both parsers. parse_args reads every command line
+# that does not ask for help; build_parser hands the same table to argparse,
+# imported only to render --help.
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        # one line on stderr and exit 2, like every other usage error
-        raise UsageError(f"{message} (see {self.prog} --help)")
+class _Flag(namedtuple("_Flag", "name type choices default help required",
+                       defaults=(str, None, None, None, False))):
+    """One --name flag: its value's converter (bool for a switch), choices and default."""
+
+    __slots__ = ()
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=tuple(_FAMILIES),
-                   help="; ".join(f"{name} takes --{' --'.join(flag for flag, _ in family.grid)}"
-                                  for name, family in _FAMILIES.items()))
-    p.add_argument("--n", help="length / modulus parameter; INT, LO..HI, k+1 or 2k")
-    p.add_argument("--k", help="block length; INT or LO..HI")
-    p.add_argument("--s", type=int, help="Helberg deletion parameter")
-    p.add_argument("--b", help="congruence residue; INT, LO..HI or all")
-    p.add_argument("--r", choices=("0", "1", "both"), help="weight parity for svt")
-    p.add_argument("--coeffs", help="comma-separated coefficients for blcc")
-    p.add_argument("--mod", help="modulus for blcc; INT or LO..HI")
+class _Command(namedtuple("_Command", "help run flags")):
+    """One subcommand: its help line, its handler and its flags in help order."""
+
+    __slots__ = ()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+_GRID = (
+    _Flag("family", choices=tuple(_FAMILIES), required=True,
+          help="; ".join(f"{name} takes --{' --'.join(flag for flag, _ in family.grid)}"
+                         for name, family in _FAMILIES.items())),
+    _Flag("n", help="length / modulus parameter; INT, LO..HI, k+1 or 2k"),
+    _Flag("k", help="block length; INT or LO..HI"),
+    _Flag("s", int, help="Helberg deletion parameter"),
+    _Flag("b", help="congruence residue; INT, LO..HI or all"),
+    _Flag("r", choices=("0", "1", "both"), help="weight parity for svt"),
+    _Flag("coeffs", help="comma-separated coefficients for blcc"),
+    _Flag("mod", help="modulus for blcc; INT or LO..HI"),
+)
+_GRID_FLAGS = tuple(flag.name for flag in _GRID[1:])
+
+_COMMANDS = {
+    "enum": _Command("one instance: enumerator and size", cmd_enum, _GRID + (
+        _Flag("q", int, help="alphabet size for the q-ary vt size"),
+        _Flag("format", choices=("plain", "json", "csv"), default="plain"),
+    )),
+    "table": _Command("sweep a grid, one CSV row per instance", cmd_table, _GRID + (
+        _Flag("quantity", choices=("size", "enumerator", "nt"), default="size"),
+    )),
+    "verify": _Command("cross-check methods over a grid", cmd_verify, _GRID + (
+        _Flag("methods", help="comma list from exact,closed,float,brute,mitm "
+                              "(mitm, and closed outside vt, run only when named)"),
+        _Flag("random", int, help="verify N seeded random blcc specs"),
+        _Flag("seed", int, help="seed for --random (default 0)"),
+        _Flag("quiet", bool, default=False),
+    )),
+    "version": _Command("print the package version", cmd_version, ()),
+}
+
+
+def build_parser():
+    """The argparse parser of the flag table; main uses it only for --help."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            # one line on stderr and exit 2, like every other usage error
+            raise UsageError(f"{message} (see {self.prog} --help)")
+
+    parser = Parser(
         prog="ccodes",
         description="Exact weight enumerators and sizes of binary linear congruence codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_enum = sub.add_parser("enum", help="one instance: enumerator and size")
-    _add_grid_flags(p_enum)
-    p_enum.add_argument("--q", type=int, help="alphabet size for the q-ary vt size")
-    p_enum.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_enum.set_defaults(func=cmd_enum)
-
-    p_table = sub.add_parser("table", help="sweep a grid, one CSV row per instance")
-    _add_grid_flags(p_table)
-    p_table.add_argument("--quantity", choices=("size", "enumerator", "nt"),
-                         default="size")
-    p_table.set_defaults(func=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="cross-check methods over a grid")
-    _add_grid_flags(p_verify)
-    p_verify.add_argument("--methods", help="comma list from exact,closed,float,brute,mitm "
-                                            "(mitm, and closed outside vt, run only when named)")
-    p_verify.add_argument("--random", type=int, help="verify N seeded random blcc specs")
-    p_verify.add_argument("--seed", type=int, help="seed for --random (default 0)")
-    p_verify.add_argument("--quiet", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_version = sub.add_parser("version", help="print the package version")
-    p_version.set_defaults(func=cmd_version)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            if flag.type is bool:
+                p.add_argument(f"--{flag.name}", action="store_true", help=flag.help)
+            else:
+                p.add_argument(f"--{flag.name}", type=flag.type, choices=flag.choices,
+                               default=flag.default, required=flag.required, help=flag.help)
+        p.set_defaults(func=command.run)
     return parser
+
+
+def _wants_argparse(token: str) -> bool:
+    """-h, --help or a prefix of it (argparse renders help), or the -- separator."""
+    return token.startswith("-h") or (token.startswith("--")
+                                      and "--help".startswith(token.partition("=")[0]))
+
+
+def _match(token: str, flags: dict[str, _Flag]) -> tuple[_Flag, str | None] | None:
+    """The flag a token names, with its =value if any, as argparse matches it."""
+    if token in flags:
+        return flags[token], None
+    if not token.startswith("--"):
+        return None
+    name, eq, value = token.partition("=")
+    hits = [name] if name in flags else [f for f in flags if f.startswith(name)]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(hits)}")
+    return (flags[hits[0]], value if eq else None) if hits else None
+
+
+def _reads_as_option(token: str, flags: dict[str, _Flag]) -> bool:
+    """Whether argparse reads the token as an option string, known or not."""
+    return _match(token, flags) is not None or (
+        token.startswith("-") and token != "-" and " " not in token
+        and not re.match(r"^-\d+$|^-\d*\.\d+$", token))  # argparse's negative number
+
+
+def _parse_command(name: str, tokens: Sequence[str]) -> tuple[SimpleNamespace, list[str]]:
+    """One subcommand's flags from its tokens; returns the tokens it does not take."""
+    command = _COMMANDS[name]
+    flags = {f"--{flag.name}": flag for flag in command.flags}
+    args = SimpleNamespace(command=name, func=command.run,
+                           **{flag.name: flag.default for flag in command.flags})
+    extras: list[str] = []
+    seen = set()
+    try:
+        for token in tokens:  # argparse reads every token before taking one: ambiguity fails first
+            _match(token, flags)
+        rest = iter(tokens)
+        for token in rest:
+            hit = _match(token, flags)
+            if hit is None:
+                extras.append(token)
+                continue
+            flag, value = hit
+            seen.add(flag)
+            if flag.type is bool:
+                if value is not None:
+                    raise UsageError(f"argument --{flag.name}: ignored explicit argument {value!r}")
+                setattr(args, flag.name, True)
+                continue
+            if value is None:
+                # the next token is the value, even when it starts with a single '-'
+                value = next(rest, None)
+                if value is None or (value.startswith("--") and _reads_as_option(value, flags)):
+                    raise UsageError(f"argument --{flag.name}: expected one argument")
+            try:
+                value = flag.type(value)
+            except ValueError:
+                raise UsageError(f"argument --{flag.name}: invalid {flag.type.__name__} "
+                                 f"value: {value!r}") from None
+            if flag.choices is not None and value not in flag.choices:
+                raise UsageError(f"argument --{flag.name}: invalid choice: {value!r} (choose "
+                                 f"from {', '.join(map(repr, flag.choices))})")
+            setattr(args, flag.name, value)
+        missing = [f"--{flag.name}" for flag in command.flags if flag.required and flag not in seen]
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    except UsageError as exc:
+        raise UsageError(f"{exc} (see ccodes {name} --help)") from None
+    return args, extras
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace that build_parser().parse_args(argv) gives, read from the flag table.
+
+    Usage errors raise UsageError with argparse's wording. Command lines
+    that ask for help, or hold the -- separator, go to argparse itself.
+    One difference: a flag's value may start with '-' (--coeffs -3,2),
+    where argparse reads such a token as an unknown option unless it is a
+    negative number.
+    """
+    if any(map(_wants_argparse, argv)):
+        return build_parser().parse_args(argv)
+    # argparse passes over unknown options before the subcommand, and reports them last
+    lead = list(itertools.takewhile(lambda token: _reads_as_option(token, {}), argv))
+    if len(lead) == len(argv):
+        raise UsageError("the following arguments are required: command (see ccodes --help)")
+    name = argv[len(lead)]
+    if name not in _COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {name!r} (choose from "
+                         f"{', '.join(map(repr, _COMMANDS))}) (see ccodes --help)")
+    args, extras = _parse_command(name, argv[len(lead) + 1:])
+    if lead or extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(lead + extras)} (see ccodes --help)")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

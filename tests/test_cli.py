@@ -395,6 +395,93 @@ def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):
     assert out == ""
 
 
+def parsed(parse, argv):
+    """vars() of the parsed command line, or the UsageError text."""
+    try:
+        return vars(parse(list(argv)))
+    except UsageError as exc:
+        return str(exc)
+
+
+GRID = ("--family", "vt", "--n", "4", "--b", "0")
+
+
+@pytest.mark.parametrize("argv", [
+    # valid: both spellings, prefixes, repeats, defaults and the switch
+    ("version",),
+    ("enum", *GRID),
+    ("enum", "--family=blcc", "--coeffs=1,2", "--mod=3", "--b=0", "--format=json"),
+    ("enum", "--fam", "vt", "--n", "4", "--b", "0", "--fo", "csv", "--q", "3"),
+    ("enum", *GRID, "--n", "5", "--b", "1"),  # the last repeat wins
+    ("enum", "--family", "blcc", "--coeffs", "-3", "--mod", "5", "--b", "0"),  # a negative number
+    ("enum", "--family", "vt", "--n", "4", "--b", "-1"),
+    ("table", "--family", "svt", "--k", "1..4", "--n", "k+1", "--b", "all", "--r", "both"),
+    ("table", *GRID, "--quant", "nt", "--quantity", "enumerator"),
+    ("verify", *GRID, "--quiet", "--methods", "exact,brute", "--quiet"),
+    ("verify", "--family", "blcc", "--ra", "5", "--se", "-7"),
+    ("verify", *GRID, "--b", "- x"),
+    # invalid: one case for each of argparse's wordings
+    (),
+    ("frobnicate",),
+    ("",),
+    ("--family", "vt", "enum"),
+    ("-x", "version", "y"),
+    ("enum",),
+    ("enum", "--family"),
+    ("enum", "--family", "xx"),
+    ("enum", *GRID, "--format", "xml"),
+    ("enum", "--family", "svt", "--k", "4", "--n", "5", "--b", "1", "--r", "2"),
+    ("enum", *GRID, "--q", "x"),
+    ("verify", *GRID, "--random", "1.5"),
+    ("enum", "--family", "vt", "--n", "--b", "0"),
+    ("enum", "--family", "vt", "--n", "4", "--b"),
+    ("enum", "--f", "vt"),
+    ("verify", *GRID, "--m", "exact"),
+    ("verify", *GRID, "--m=exact"),
+    ("enum", *GRID, "extra", "--bogus", "-x"),
+    ("version", "--n", "3"),
+    ("verify", *GRID, "--quiet=1"),
+    ("verify", *GRID, "--qu="),
+    # the first error in argv order wins; an ambiguous prefix anywhere comes first
+    ("enum", "--family", "xx", "--q", "x"),
+    ("enum", "--family", "xx", "--fo", "x", "--f"),
+    ("enum", "--n", "4", "--b", "0", "extra"),
+])
+def test_parser_matches_argparse(argv):
+    assert parsed(cli.parse_args, argv) == parsed(cli.build_parser().parse_args, argv)
+
+
+def test_flag_values_may_start_with_a_dash(capsys):
+    argv = ("enum", "--family", "blcc", "--coeffs", "-3,2", "--mod", "5", "--b", "0")
+    # argparse reads -3,2 as an unknown option; the table parser takes it as the value
+    assert parsed(cli.build_parser().parse_args, argv) == (
+        "argument --coeffs: expected one argument (see ccodes enum --help)")
+    assert parsed(cli.parse_args, argv)["coeffs"] == "-3,2"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "family=blcc coeffs=-3,2 mod=5 b=0 method=exact size=1 W(z)=1\n", "")
+    # a value still cannot be a --flag
+    code, _, err = run(capsys, "enum", "--family", "blcc", "--coeffs", "--mod", "5", "--b", "0")
+    assert (code, err) == (2, "ccodes: argument --coeffs: expected one argument "
+                              "(see ccodes enum --help)\n")
+
+
+@pytest.mark.parametrize("columns", ["80", "120"])
+@pytest.mark.parametrize("command", [None, "enum", "table", "verify", "version"])
+def test_help_is_what_argparse_renders(capsys, monkeypatch, columns, command):
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    if command is not None:
+        [sub] = [a for a in parser._actions if a.dest == "command"]
+        parser = sub.choices[command]
+    prefix = [] if command is None else [command]
+    for flag in ("--help", "-h", "--he"):
+        code, out, err = run(capsys, *prefix, flag)
+        assert (code, out, err) == (0, parser.format_help(), "")
+    # help wins over a usage error later in argv, as argparse reads it
+    code, out, _ = run(capsys, *prefix, "--help", "--bogus")
+    assert (code, out) == (0, parser.format_help())
+
+
 def test_docstring_examples_run(capsys):
     examples = [line.split()[1:] for line in cli.__doc__.splitlines()
                 if line.startswith("    ccodes ")]
@@ -613,8 +700,8 @@ def test_verify_float_skips_a_huge_modulus(capsys):
 
 
 def test_cli_start_up_imports_no_heavy_stdlib_modules():
-    # `ccodes version` in a child, against a bare child: site hooks may preload
-    # some modules, so only the ones ccodes itself adds count
+    # `ccodes version` and one `enum` in a child, against a bare child: site hooks
+    # may preload some modules, so only the ones ccodes itself adds count
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     listing = "print(*sorted(sys.modules))"
 
@@ -623,13 +710,19 @@ def test_cli_start_up_imports_no_heavy_stdlib_modules():
                               capture_output=True, text=True, check=True)
         return set(done.stdout.splitlines()[-1].split())
 
-    run_version = f"import sys, ccodes.cli; ccodes.cli.main(['version']); {listing}"
-    bare = modules(f"import sys; {listing}")
-    added = modules(run_version) - bare
-    assert "ccodes.cli" in added
-    assert not added & {"dataclasses", "inspect", "json", "random"}
-    # with -S the site hooks preload nothing, so typing would show if ccodes imported it
-    bare = modules(f"import sys; {listing}", "-S")
-    added = modules(run_version, "-S") - bare
-    assert "ccodes.cli" in added
-    assert not added & {"typing", "dataclasses", "inspect", "json", "random"}
+    # argparse, with gettext and locale behind it, loads only to render --help
+    heavy = {"argparse", "gettext", "locale", "dataclasses", "inspect", "json", "random"}
+    for argv in (["version"], ["enum", "--family", "vt", "--n", "4", "--b", "0"]):
+        run_argv = f"import sys, ccodes.cli; ccodes.cli.main({argv!r}); {listing}"
+        bare = modules(f"import sys; {listing}")
+        added = modules(run_argv) - bare
+        assert "ccodes.cli" in added
+        assert not added & heavy, argv
+        # with -S the site hooks preload nothing, so typing would show if ccodes imported it
+        bare = modules(f"import sys; {listing}", "-S")
+        added = modules(run_argv, "-S") - bare
+        assert "ccodes.cli" in added
+        assert not added & (heavy | {"typing"}), argv
+    # and --help does load argparse, so the check above can fail
+    added = modules(f"import sys, ccodes.cli; ccodes.cli.main(['--help']); {listing}") - bare
+    assert "argparse" in added
