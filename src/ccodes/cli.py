@@ -58,7 +58,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
@@ -594,17 +593,17 @@ def build_parser():
     return parser
 
 
-def _wants_argparse(token: str) -> bool:
-    """-h, --help or a prefix of it (argparse renders help), or the -- separator."""
-    return token.startswith("-h") or (token.startswith("--")
-                                      and "--help".startswith(token.partition("=")[0]))
+def _wants_help(token: str) -> bool:
+    """-h, --help or a prefix of --help, with or without =value."""
+    name = token.partition("=")[0]
+    return token.startswith("-h") or (len(name) > 2 and "--help".startswith(name))
 
 
 def _match(token: str, flags: dict[str, _Flag]) -> tuple[_Flag, str | None] | None:
-    """The flag a token names, with its =value if any, as argparse matches it."""
+    """The flag a token names, with its =value if any: the whole name or a unique prefix."""
     if token in flags:
         return flags[token], None
-    if not token.startswith("--"):
+    if not token.startswith("--") or token == "--":
         return None
     name, eq, value = token.partition("=")
     hits = [name] if name in flags else [f for f in flags if f.startswith(name)]
@@ -613,11 +612,8 @@ def _match(token: str, flags: dict[str, _Flag]) -> tuple[_Flag, str | None] | No
     return (flags[hits[0]], value if eq else None) if hits else None
 
 
-def _reads_as_option(token: str, flags: dict[str, _Flag]) -> bool:
-    """Whether argparse reads the token as an option string, known or not."""
-    return _match(token, flags) is not None or (
-        token.startswith("-") and token != "-" and " " not in token
-        and not re.match(r"^-\d+$|^-\d*\.\d+$", token))  # argparse's negative number
+def _choices(values: Sequence[str]) -> str:
+    return f"(choose from {', '.join(map(repr, values))})"
 
 
 def _parse_command(name: str, tokens: Sequence[str]) -> tuple[SimpleNamespace, list[str]]:
@@ -629,8 +625,6 @@ def _parse_command(name: str, tokens: Sequence[str]) -> tuple[SimpleNamespace, l
     extras: list[str] = []
     seen = set()
     try:
-        for token in tokens:  # argparse reads every token before taking one: ambiguity fails first
-            _match(token, flags)
         rest = iter(tokens)
         for token in rest:
             hit = _match(token, flags)
@@ -645,9 +639,10 @@ def _parse_command(name: str, tokens: Sequence[str]) -> tuple[SimpleNamespace, l
                 setattr(args, flag.name, True)
                 continue
             if value is None:
-                # the next token is the value, even when it starts with a single '-'
+                # the next token is the value, even when it starts with '-'; one that
+                # starts with '--' and holds no space reads as a flag, as in argparse
                 value = next(rest, None)
-                if value is None or (value.startswith("--") and _reads_as_option(value, flags)):
+                if value is None or (value.startswith("--") and " " not in value):
                     raise UsageError(f"argument --{flag.name}: expected one argument")
             try:
                 value = flag.type(value)
@@ -655,8 +650,8 @@ def _parse_command(name: str, tokens: Sequence[str]) -> tuple[SimpleNamespace, l
                 raise UsageError(f"argument --{flag.name}: invalid {flag.type.__name__} "
                                  f"value: {value!r}") from None
             if flag.choices is not None and value not in flag.choices:
-                raise UsageError(f"argument --{flag.name}: invalid choice: {value!r} (choose "
-                                 f"from {', '.join(map(repr, flag.choices))})")
+                raise UsageError(f"argument --{flag.name}: invalid choice: {value!r} "
+                                 f"{_choices(flag.choices)}")
             setattr(args, flag.name, value)
         missing = [f"--{flag.name}" for flag in command.flags if flag.required and flag not in seen]
         if missing:
@@ -667,27 +662,29 @@ def _parse_command(name: str, tokens: Sequence[str]) -> tuple[SimpleNamespace, l
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """The namespace that build_parser().parse_args(argv) gives, read from the flag table.
+    """The namespace of a command line, read from the flag table.
 
-    Usage errors raise UsageError with argparse's wording. Command lines
-    that ask for help, or hold the -- separator, go to argparse itself.
-    One difference: a flag's value may start with '-' (--coeffs -3,2),
-    where argparse reads such a token as an unknown option unless it is a
-    negative number.
+    A valid command line gives the namespace that build_parser().parse_args
+    gives, but for one difference: a flag's value may start with a single
+    '-' (--coeffs -3,2), where argparse reads such a token as an unknown
+    option unless it is a negative number. Command lines that ask for help
+    go to argparse. A usage error raises UsageError in the words of Python
+    3.11's argparse, whatever Python runs (later argparse releases list an
+    invalid choice's options unquoted). It reports the first bad command,
+    flag or value in argv order, then a missing --family, then the tokens
+    that no flag takes, the -- separator among them.
     """
-    if any(map(_wants_argparse, argv)):
+    if any(map(_wants_help, argv)):
         return build_parser().parse_args(argv)
-    # argparse passes over unknown options before the subcommand, and reports them last
-    lead = list(itertools.takewhile(lambda token: _reads_as_option(token, {}), argv))
-    if len(lead) == len(argv):
+    if not argv:
         raise UsageError("the following arguments are required: command (see ccodes --help)")
-    name = argv[len(lead)]
+    name = argv[0]
     if name not in _COMMANDS:
-        raise UsageError(f"argument command: invalid choice: {name!r} (choose from "
-                         f"{', '.join(map(repr, _COMMANDS))}) (see ccodes --help)")
-    args, extras = _parse_command(name, argv[len(lead) + 1:])
-    if lead or extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(lead + extras)} (see ccodes --help)")
+        raise UsageError(f"argument command: invalid choice: {name!r} "
+                         f"{_choices(tuple(_COMMANDS))} (see ccodes --help)")
+    args, extras = _parse_command(name, argv[1:])
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)} (see ccodes --help)")
     return args
 
 
