@@ -55,7 +55,6 @@ bytes.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import sys
@@ -125,6 +124,8 @@ def _emit_record(rec: OutputRecord, fmt: str) -> str:
             payload["enumerator"] = [_json_scalar(c) for c in rec.enumerator]
         return json.dumps(payload, separators=(",", ":"))
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["family", "params", "method", "size", "deviation", "enumerator"])
@@ -435,6 +436,8 @@ def cmd_table(args: SimpleNamespace) -> int:
         value_header = ["enumerator"]
     else:  # nt: one column per weight
         value_header = [f"N{t}" for t in range(width)]
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family"] + param_keys + value_header)
     sizes: dict[int, int] = {}  # the rows of a gcd class share one counts tuple: sum it once

@@ -68,11 +68,23 @@ class WeightEnumerator(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
-        if self.k < 0 or len(self.counts) != self.k + 1:
+        k, counts = self.k, self.counts
+        if k < 0 or len(counts) != k + 1:
             raise ValueError("counts must list N_0..N_k")
-        for t, (c, bound) in enumerate(zip(self.counts, binomial_row(self.k))):
-            if not 0 <= c <= bound:
-                raise ValueError(f"N_{t} = {c} impossible at length {self.k}")
+        # C(k, t) = C(k, k - t): half a row bounds N_t and N_{k-t}. Every index
+        # of the lower half is below every index of the upper half, and k - t
+        # falls as t grows, so the lowest failing index is the first failing
+        # N_t, else the last failing N_{k-t}.
+        bad = None
+        for t, low, top, bound in zip(range(k // 2 + 1), counts, reversed(counts),
+                                      binomial_row(k)):
+            if not 0 <= low <= bound:
+                bad = t
+                break
+            if not 0 <= top <= bound:
+                bad = k - t
+        if bad is not None:
+            raise ValueError(f"N_{bad} = {counts[bad]} impossible at length {k}")
 
     def size(self) -> int:
         """Number of codewords, W(1)."""
@@ -207,12 +219,20 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
 # enumerator sum, 2 for the svt sum, 1 for the cosine size and its bound. In
 # a fresh process (Python 3.11, x86-64) the enumerator sum took about 90 ns a
 # cell: 2.2 s for 18 coefficients at n = 2^16 (2.2e7 cells, 24 MB peak RSS)
-# and 2.9 s for 22 (3.3e7). At n = 2^16 the svt sum took about 400 ns a cell
-# and the cosine routes 235 ns, so at the cell cap they may take about 13 s
-# and 8 s. VT(n) holds about n^3 cells: VT(3000), 2.7e10 of them, would take
-# about 35 minutes by n^3 from VT(600)'s 17 s.
+# and 2.9 s for 22 (3.3e7). VT(n) holds about n^3 cells: VT(3000), 2.7e10 of
+# them, would take about 35 minutes by n^3 from VT(600)'s 17 s.
 _MAX_FLOAT_MODULUS = 1 << 16
 _MAX_FLOAT_WORK = 1 << 25
+
+# What a cell of the other float routes costs, in enumerator-sum cells; each
+# route's cell cap is _MAX_FLOAT_WORK divided by its cost. At n = 2^16 with
+# random coefficients, in fresh processes, the enumerator sum took 85-100 ns a
+# cell, the svt sum 220-470 ns and the cosine size and its bound 170-230 ns.
+# At these caps each route stops within about the enumerator sum's 3 s (3.0 s
+# for 22 coefficients): the svt sum took 2.2-2.7 s for 51 coefficients and the
+# cosine routes 1.9-2.6 s for 170.
+_SVT_CELL_COST = 5
+_COSINE_CELL_COST = 3
 
 # Cells (m values times product rows) in one block of the column-wise float
 # sums. Building every m at once peaked at 66 MB RSS at the float cap with 18
@@ -233,11 +253,12 @@ _FLOAT_MEMO_CELLS = 1 << 18
 _last_float: tuple[tuple, list[tuple[range, list[list]]]] | None = None
 
 
-def _check_float(n: int, k: int, rows: int) -> None:
+def _check_float(n: int, k: int, rows: int, cost: int = 1) -> None:
     if n > _MAX_FLOAT_MODULUS:
         raise CapExceeded(f"modulus {n} exceeds the float cap of {_MAX_FLOAT_MODULUS}")
-    if n * k * rows > _MAX_FLOAT_WORK:
-        raise CapExceeded(f"{n * k * rows} float cells exceeds the cap of {_MAX_FLOAT_WORK}")
+    cap = _MAX_FLOAT_WORK // cost
+    if n * k * rows > cap:
+        raise CapExceeded(f"{n * k * rows} float cells exceeds the cap of {cap}")
 
 
 def _float_scale(k: int, n: int) -> float:
@@ -352,7 +373,7 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
     """
     k = len(spec.coefficients)
     n = spec.modulus
-    _check_float(n, k, 1)
+    _check_float(n, k, 1, _COSINE_CELL_COST)
     two_eta = sum(spec.coefficients) - 2 * spec.residue
     n2 = 2 * n
     phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
@@ -380,7 +401,7 @@ def size_upper_bound(spec: CodeSpec) -> float:
     """
     k = len(spec.coefficients)
     n = spec.modulus
-    _check_float(n, k, 1)
+    _check_float(n, k, 1, _COSINE_CELL_COST)
     n2 = 2 * n
     abscos = [abs(math.cos(math.pi * t / n)) for t in range(n2)]
     acc = 0.0
@@ -469,7 +490,9 @@ def _closed_form(k: int, n: int, b: int) -> WeightEnumerator:
     Expands each divisor's term one binomial row at a time, then divides by
     n and by z+1, the latter as a running alternating sum. Both divisions
     are exact for every k, n and b of the domain, and both are checked:
-    NonExactDivision here signals a bug.
+    NonExactDivision here signals a bug. Each quotient overwrites the divisor
+    sum it came from, and the list becomes the enumerator's counts, so the
+    route holds one row of k+2 big integers, not two.
     """
     total = [0] * (k + 2)
     for d in divisors(factor(n)):
@@ -480,17 +503,15 @@ def _closed_form(k: int, n: int, b: int) -> WeightEnumerator:
         odd = c if d % 2 else -c
         for i, binom in enumerate(binomial_row((k + 1) // d)):
             total[d * i] += (odd if i % 2 else c) * binom
-    counts = []
     quotient = 0  # coefficient of z^i in the quotient by 1 + z, then the remainder
-    for coeff in total:
+    for i, coeff in enumerate(total):
         v, rem = divmod(coeff, n)
         if rem:  # VT_b(n) has modulus n+1
             raise NonExactDivision(f"divisor sum not divisible by {'n+1' if n == k + 1 else 'n'}")
-        quotient = v - quotient
-        counts.append(quotient)
-    if counts.pop():
+        quotient = total[i] = v - quotient
+    if total.pop():
         raise NonExactDivision("divisor sum not divisible by 1 + z")
-    return WeightEnumerator(k, counts)
+    return WeightEnumerator(k, total)
 
 
 def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
@@ -601,7 +622,7 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     base = spec.base
     k = len(base.coefficients)
     n = base.modulus
-    _check_float(n, k, 2)
+    _check_float(n, k, 2, _SVT_CELL_COST)
     two_eta = sum(base.coefficients) - 2 * base.residue
     n2 = 2 * n
     phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]

@@ -786,8 +786,9 @@ def test_cli_start_up_imports_no_heavy_stdlib_modules():
                               capture_output=True, text=True, check=True)
         return set(done.stdout.splitlines()[-1].split())
 
-    # argparse, with gettext and locale behind it, loads only to render --help
-    heavy = {"argparse", "gettext", "locale", "dataclasses", "inspect", "json", "random"}
+    # argparse, with gettext and locale behind it, loads only to render --help,
+    # and csv, with re and enum behind it, only to write CSV
+    heavy = {"argparse", "gettext", "locale", "dataclasses", "inspect", "json", "random", "csv"}
     for argv in (["version"], ["enum", "--family", "vt", "--n", "4", "--b", "0"]):
         run_argv = f"import sys, ccodes.cli; ccodes.cli.main({argv!r}); {listing}"
         bare = modules(f"import sys; {listing}")
@@ -798,7 +799,10 @@ def test_cli_start_up_imports_no_heavy_stdlib_modules():
         bare = modules(f"import sys; {listing}", "-S")
         added = modules(run_argv, "-S") - bare
         assert "ccodes.cli" in added
-        assert not added & (heavy | {"typing"}), argv
-    # and --help does load argparse, so the check above can fail
+        assert not added & (heavy | {"typing", "re", "enum"}), argv
+    # --help does load argparse and enum --format csv loads csv, so the checks above can fail
     added = modules(f"import sys, ccodes.cli; ccodes.cli.main(['--help']); {listing}") - bare
     assert "argparse" in added
+    csv_argv = ["enum", "--family", "vt", "--n", "4", "--b", "0", "--format", "csv"]
+    added = modules(f"import sys, ccodes.cli; ccodes.cli.main({csv_argv!r}); {listing}") - bare
+    assert "csv" in added

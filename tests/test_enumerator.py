@@ -92,6 +92,28 @@ def test_weight_enumerator_bounds_at_length_4095_in_every_mode():
         assert proc.stdout == f"{debug} True\nTrue\nTrue\n"
 
 
+@pytest.mark.parametrize("k", [0, 1, 11, 12, 4095])
+def test_weight_enumerator_names_the_lowest_index_out_of_bounds(k):
+    # half a binomial row bounds both N_t and N_{k-t}; the walk meets N_{k-t}
+    # before the higher N_t, and still names the lowest index that fails
+    row = list(binomial_row(k))
+
+    def message(*changes):
+        counts = row.copy()
+        for t, c in changes:
+            counts[t] = c
+        with pytest.raises(ValueError) as info:
+            WeightEnumerator(k, counts)
+        return str(info.value)
+
+    for t in range(k + 1) if k < 20 else (0, 1, 5, 2047, 2048, 4090, 4094, 4095):
+        assert message((t, row[t] + 1)) == f"N_{t} = {row[t] + 1} impossible at length {k}"
+        assert message((t, -1)) == f"N_{t} = -1 impossible at length {k}"
+    if k > 5:
+        assert message((5, -1), (k - 1, -1)) == f"N_5 = -1 impossible at length {k}"
+        assert message((k - 1, -1), (k - 3, -2)) == f"N_{k - 3} = -2 impossible at length {k}"
+
+
 # === exact fold ===
 
 
@@ -252,20 +274,22 @@ def _svt(spec):
     return make_svt(3, spec.modulus, 5, 0)
 
 
-FLOAT_ROUTES = {  # name: (float route, its product rows, the exact answer it must give)
-    "charsum": (lambda spec: weight_enumerator_charsum_float(spec)[0], 4, weight_enumerator),
-    "svt": (lambda spec: svt_sizes_charsum_float(_svt(spec))[:2], 2,
+FLOAT_ROUTES = {  # name: (float route, its product rows, its cost a cell, the exact answer)
+    "charsum": (lambda spec: weight_enumerator_charsum_float(spec)[0], 4, 1, weight_enumerator),
+    "svt": (lambda spec: svt_sizes_charsum_float(_svt(spec))[:2], 2, 5,
             lambda spec: svt_sizes(_svt(spec))),
-    "cosine": (lambda spec: size_cosine_float(spec)[0], 1, size),
-    "bound": (lambda spec: size_upper_bound(spec) >= size(spec), 1, lambda spec: True),
+    "cosine": (lambda spec: size_cosine_float(spec)[0], 1, 3, size),
+    "bound": (lambda spec: size_upper_bound(spec) >= size(spec), 1, 3, lambda spec: True),
 }
 
 
-@pytest.mark.parametrize("route, rows, exact", FLOAT_ROUTES.values(), ids=FLOAT_ROUTES)
-def test_float_routes_check_the_work_bound_before_their_tables(monkeypatch, route, rows, exact):
+@pytest.mark.parametrize("route, rows, cost, exact", FLOAT_ROUTES.values(), ids=FLOAT_ROUTES)
+def test_float_routes_check_the_work_bound_before_their_tables(monkeypatch, route, rows, cost,
+                                                                exact):
     spec = make_levenshtein(3, 1 << 16, 5)  # 3 coefficients at the float modulus cap
     cells = (1 << 16) * 3 * rows
-    monkeypatch.setattr(enumerator, "_MAX_FLOAT_WORK", cells - 1)
+    # a route's cell cap is the work bound divided by its cost a cell
+    monkeypatch.setattr(enumerator, "_MAX_FLOAT_WORK", cells * cost - 1)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded, match=f"^{cells} float cells exceeds the cap of {cells - 1}$"):
@@ -274,8 +298,20 @@ def test_float_routes_check_the_work_bound_before_their_tables(monkeypatch, rout
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # a root table of 2^16 or 2^17 entries takes megabytes
-    monkeypatch.setattr(enumerator, "_MAX_FLOAT_WORK", cells)
+    monkeypatch.setattr(enumerator, "_MAX_FLOAT_WORK", cells * cost)
     assert route(spec) == exact(spec)
+
+
+@pytest.mark.parametrize("route, k, cells, cap", [
+    (lambda spec: svt_sizes_charsum_float(ParityCodeSpec(spec, 0)), 52, 52 << 17, (1 << 25) // 5),
+    (size_cosine_float, 171, 171 << 16, (1 << 25) // 3),
+    (size_upper_bound, 171, 171 << 16, (1 << 25) // 3),
+], ids=["svt", "cosine", "bound"])
+def test_float_routes_stop_at_their_own_cell_caps(route, k, cells, cap):
+    # at n = 2^16 the svt sum stops past 51 coefficients and the cosine routes
+    # past 170, so each stops within about the enumerator sum's 3 s at its cap
+    with pytest.raises(CapExceeded, match=f"^{cells} float cells exceeds the cap of {cap}$"):
+        route(make_levenshtein(k, 1 << 16, 5))
 
 
 @pytest.mark.parametrize("route, reason", [
@@ -838,6 +874,20 @@ def test_nonexactdivision_guards_vt_forms(monkeypatch):
         vt_weight_count(4, 0, 0)
     with pytest.raises(NonExactDivision):
         vt_size(4, 0)
+
+
+def test_closed_form_memory_stays_near_its_answer():
+    # each quotient overwrites its divisor sum, so one row of k+2 big integers
+    # is alive; a second list of quotients beside the sums peaked at twice the answer
+    for b in (0, 2367):
+        tracemalloc.start()
+        try:
+            w = enumerator._closed_form(4095, 4096, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.size() == vt_size(4095, b)
+        assert peak < 1.25 * sum(map(sys.getsizeof, w.counts))
 
 
 def test_vt_closed_checks_division_by_one_plus_z(monkeypatch):
