@@ -63,7 +63,6 @@ from .oracle import (
     check_single_deletion,
 )
 from .polyring import (
-    IntPolynomial,
     ResiduePolynomial,
     residue_product,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "CongruenceCodeError",
     "FactoredInteger",
     "IntegralityFailure",
-    "IntPolynomial",
     "InvariantViolation",
     "NonExactDivision",
     "OutOfDomain",

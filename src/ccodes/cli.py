@@ -67,6 +67,7 @@ from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, mak
 from .enumerator import (
     WeightEnumerator,
     closed_form_gap,
+    pretty_counts,
     svt_sizes,
     svt_sizes_charsum_float,
     vt_q_size,
@@ -83,7 +84,6 @@ from .polyring import check_rows
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
 
 Params = dict[str, int | str]
-Route = Callable[[CodeSpec], WeightEnumerator]  # an exact route from spec to enumerator
 
 
 class UsageError(Exception):
@@ -106,12 +106,6 @@ class OutputRecord(namedtuple("OutputRecord", "family params method size enumera
 
 def _json_scalar(v: int):
     return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
-
-
-def _poly_text(coeffs: Sequence[int]) -> str:
-    from .polyring import IntPolynomial
-
-    return IntPolynomial(coeffs).pretty()
 
 
 def _emit_record(rec: OutputRecord, fmt: str) -> str:
@@ -143,7 +137,7 @@ def _emit_record(rec: OutputRecord, fmt: str) -> str:
     parts.append(f"method={rec.method}")
     parts.append(f"size={rec.size}")
     if rec.enumerator is not None:
-        parts.append(f"W(z)={_poly_text(rec.enumerator)}")
+        parts.append(f"W(z)={pretty_counts(rec.enumerator)}")
     return " ".join(parts)
 
 
@@ -187,6 +181,8 @@ def _residues(modulus_of: Callable[[Params], int]) -> Callable[[str, Params], Se
     """--b for a family whose modulus follows from its other parameters."""
     def expand(text: str, params: Params) -> Sequence[int]:
         modulus = modulus_of(params)
+        if modulus < 1:
+            raise UsageError(f"modulus {modulus} must be >= 1")
         if text == "all":
             return range(modulus)
         bs = parse_range(text)
@@ -203,14 +199,13 @@ def _coeff_text(text: str, params: Params) -> list[str]:
     return [text]
 
 
-def _counts(spec: CodeSpec, route: Route) -> tuple[int, ...]:
-    return route(spec).counts
+def _counts(spec: CodeSpec) -> tuple[int, ...]:
+    return weight_enumerator(spec).counts
 
 
-def _parity_counts(spec: ParityCodeSpec, route: Route) -> tuple[int, ...]:
+def _parity_counts(spec: ParityCodeSpec) -> tuple[int, ...]:
     """The base code's weight distribution with the other weight parity zeroed."""
-    return tuple(c if t % 2 == spec.parity else 0
-                 for t, c in enumerate(_counts(spec.base, route)))
+    return tuple(c if t % 2 == spec.parity else 0 for t, c in enumerate(_counts(spec.base)))
 
 
 def _exact(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
@@ -239,7 +234,7 @@ def _svt_float(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
     return (even, odd), dev
 
 
-def _parity_split(route: Route):
+def _parity_split(route: Callable[[CodeSpec], WeightEnumerator]):
     """An svt method: the (even, odd) sizes from one route's base enumerator."""
     def method(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
         w = route(spec.base)
@@ -256,8 +251,8 @@ class _Family(namedtuple("_Family", "grid make methods counts opt_in",
     grid: (flag, expander) pairs in output-parameter order; make: the spec
     from the grid values, passed in grid order; methods: verify methods by
     name, in default order, each spec -> (result, deviation); counts:
-    (spec, route) -> what enum and table print; opt_in: the methods verify
-    runs only when --methods names them.
+    spec -> what enum and table print; opt_in: the methods verify runs only
+    when --methods names them.
     """
 
     __slots__ = ()
@@ -369,18 +364,10 @@ def cmd_enum(args: SimpleNamespace) -> int:
         rec = OutputRecord(args.family, {**params, "q": args.q}, "closed",
                            vt_q_size(spec.length, spec.residue, args.q))
     else:
-        counts = _FAMILIES[args.family].counts(spec, weight_enumerator)
+        counts = _FAMILIES[args.family].counts(spec)
         rec = OutputRecord(args.family, params, "exact", sum(counts), list(counts))
     print(_emit_record(rec, args.format))
     return 0
-
-
-def _sweep(spec: CodeSpec) -> WeightEnumerator:
-    """The route of --b all: the closed form in its domain, else one fold per modulus."""
-    try:
-        return weight_enumerator_closed(spec)
-    except OutOfDomain:
-        return weight_enumerator_fold(spec)
 
 
 def _check_fold_caps(args: SimpleNamespace) -> None:
@@ -411,25 +398,23 @@ def _check_fold_caps(args: SimpleNamespace) -> None:
 def cmd_table(args: SimpleNamespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
-    # A table of every residue reads them from the closed form, one evaluation
-    # per gcd class, or else from one fold per modulus, once every modulus to
-    # fold has passed the fold's caps.
+    # Every row comes from weight_enumerator. Over all residues of a modulus it
+    # reads the closed form once per gcd class or, from the second residue on,
+    # one fold, so every modulus it may fold passes the fold's caps first.
     if args.b == "all":
         _check_fold_caps(args)
-    route = _sweep if args.b == "all" else weight_enumerator
-    counts = _FAMILIES[args.family].counts
+    family = _FAMILIES[args.family]
     rows: list[tuple[Params, tuple[int, ...]]] = []
     limit: CapExceeded | None = None
     for params, spec in _iter_instances(args):  # a usage error anywhere in the grid wins
         if limit is None:
             try:
-                rows.append((params, counts(spec, route)))
+                rows.append((params, family.counts(spec)))
             except CapExceeded as exc:
                 rows, limit = [], exc
     if limit is not None:
         raise limit
-    param_keys = list(rows[0][0]) if rows else []
-    width = max((len(counts) for _, counts in rows), default=1)
+    width = max((len(counts) for _, counts in rows), default=0)
     if args.quantity == "size":
         value_header = ["size"]
     elif args.quantity == "enumerator":
@@ -439,7 +424,7 @@ def cmd_table(args: SimpleNamespace) -> int:
     import csv
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["family"] + param_keys + value_header)
+    writer.writerow(["family"] + [flag for flag, _ in family.grid] + value_header)
     sizes: dict[int, int] = {}  # the rows of a gcd class share one counts tuple: sum it once
     for params, counts in rows:
         if args.quantity == "size":

@@ -32,7 +32,7 @@ from ._record import Record
 from .arith import binomial_row, divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
-from .polyring import IntPolynomial, ResiduePolynomial, reach, residue_product, residue_slot
+from .polyring import ResiduePolynomial, reach, residue_product, residue_slot
 
 __all__ = [
     "WeightEnumerator",
@@ -97,21 +97,24 @@ class WeightEnumerator(Record):
             acc = acc * z + c
         return acc
 
-    def polynomial(self) -> IntPolynomial:
-        return IntPolynomial(self.counts)
-
     def pretty(self, var: str = "z") -> str:
-        return self.polynomial().pretty(var)
+        return pretty_counts(self.counts, var)
+
+
+def pretty_counts(counts: Iterable[int], var: str = "z") -> str:
+    """Ascending form of the non-negative counts N_0, N_1, ..., e.g. '1 + 2z^2 + z^4'."""
+    terms = []
+    for t, c in enumerate(counts):
+        if c:
+            power = "" if t == 0 else var if t == 1 else f"{var}^{t}"
+            terms.append(power if c == 1 and t else f"{c}{power}")
+    return " + ".join(terms) or "0"
 
 
 # (coefficients reduced mod n, n) of the last exact call, with its fold once
 # one is built; sweeps ask for every residue of one modulus in a row, so they
 # fold once.
 _last_fold: tuple[tuple[tuple[int, ...], int], ResiduePolynomial | None] | None = None
-
-
-def _enumerator(k: int, poly: IntPolynomial) -> WeightEnumerator:
-    return WeightEnumerator(k, list(poly.coeffs) + [0] * (k + 1 - len(poly.coeffs)))
 
 
 # Route costs, in units of one row add of a narrow packed row, about 160 ns
@@ -202,7 +205,7 @@ def weight_enumerator_fold(spec: CodeSpec) -> WeightEnumerator:
     if memo is None or memo[0] != key or memo[1] is None:
         memo = _last_fold = None  # free the old fold before building the next
         memo = _last_fold = key, residue_product(*key)
-    return _enumerator(spec.length, memo[1].slot(spec.residue))
+    return WeightEnumerator(spec.length, memo[1].slot(spec.residue))
 
 
 def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
@@ -211,7 +214,8 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
     Holds about 2^ceil(k/2) rows per half instead of the fold's 2^k, and is
     independent of the fold's memo (``polyring.residue_slot``).
     """
-    return _enumerator(spec.length, residue_slot(spec.coefficients, spec.modulus, spec.residue))
+    return WeightEnumerator(spec.length,
+                            residue_slot(spec.coefficients, spec.modulus, spec.residue))
 
 
 # The float routes build root tables of n or 2n entries before they loop, and

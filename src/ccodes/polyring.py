@@ -1,9 +1,8 @@
-"""Exact integer polynomials and the residue-indexed product fold.
+"""The residue-indexed product fold of weight generating polynomials.
 
-IntPolynomial is a dense immutable polynomial over the integers; the list
-index is the degree in z. The fold splits the weight generating polynomial
-of all binary tuples across the residues of a congruence sum: slot r
-collects z^weight over the tuples whose weighted sum is r mod n.
+The fold splits the weight generating polynomial of all binary tuples
+across the residues of a congruence sum: slot r collects z^weight over the
+tuples whose weighted sum is r mod n.
 
 Folding in one coefficient a is
 
@@ -22,7 +21,7 @@ add per residue. The slots sit in a dict keyed by the residues that some
 tuple reaches, at most reach(coeffs, n) = min(n, 2^k, 1 + the sum of the
 reduced coefficients) of them, so one fold serves every modulus; an
 unreached residue is the zero polynomial. Only this module knows the field
-width; callers get IntPolynomial slots.
+width; callers get each slot as its k+1 counts N_0..N_k.
 
 When one residue b is wanted, residue_slot meets in the middle (Horowitz and
 Sahni, J. ACM 1974): it folds each half of the coefficients at the full
@@ -42,7 +41,6 @@ from collections.abc import Iterable
 from .errors import CapExceeded, InvariantViolation
 
 __all__ = [
-    "IntPolynomial",
     "ResiduePolynomial",
     "check_rows",
     "reach",
@@ -72,68 +70,14 @@ _MAX_ROWS = 1 << 20
 _MAX_BITS = 7 << 26
 
 
-class IntPolynomial:
-    """Dense univariate polynomial with integer coefficients.
-
-    Trailing zero coefficients are stripped on construction; the zero
-    polynomial is the empty coefficient tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)!r})"
-
-    def pretty(self, var: str = "z") -> str:
-        """Ascending human-readable form, e.g. '1 + 2z^2 + z^4'."""
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for t, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if t == 0:
-                term = str(mag)
-            else:
-                power = var if t == 1 else f"{var}^{t}"
-                term = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
-
-def _unpack(packed: int, width: int) -> IntPolynomial:
+def _unpack(packed: int, width: int) -> tuple[int, ...]:
+    # the width fields of a packed row, N_0 first
     mask = (1 << width) - 1
-    coeffs = []
-    while packed:
-        coeffs.append(packed & mask)
+    counts = []
+    for _ in range(width):
+        counts.append(packed & mask)
         packed >>= width
-    return IntPolynomial(coeffs)
+    return tuple(counts)
 
 
 def _check_mass(rows: Iterable[int], k: int, width: int) -> None:
@@ -195,8 +139,8 @@ class ResiduePolynomial:
     """Per-residue weight polynomials of one fold, kept packed.
 
     Built by residue_product and keyed by the residues that tuples reach;
-    slot(r) unpacks the polynomial of residue r, the zero polynomial when no
-    tuple reaches r.
+    slot(r) unpacks the counts N_0..N_k of residue r, all zero when no tuple
+    reaches r.
     """
 
     __slots__ = ("modulus", "_width", "_rows")
@@ -206,7 +150,7 @@ class ResiduePolynomial:
         self._width = width
         self._rows = rows
 
-    def slot(self, residue: int) -> IntPolynomial:
+    def slot(self, residue: int) -> tuple[int, ...]:
         if not 0 <= residue < self.modulus:
             raise ValueError(f"residue {residue} out of range for modulus {self.modulus}")
         return _unpack(self._rows.get(residue, 0), self._width)
@@ -241,8 +185,8 @@ def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
     return ResiduePolynomial(modulus, width, _fold(a_list, modulus, width))
 
 
-def residue_slot(coeffs: Iterable[int], modulus: int, residue: int) -> IntPolynomial:
-    """One residue's weight polynomial by meeting in the middle.
+def residue_slot(coeffs: Iterable[int], modulus: int, residue: int) -> tuple[int, ...]:
+    """One residue's counts N_0..N_k by meeting in the middle.
 
     Folds the first ceil(k/2) and the last floor(k/2) coefficients apart,
     each with the mass check, and joins them at the residue. Raises

@@ -138,7 +138,47 @@ def test_table_empty_range_header_only(capsys):
     code, out, _ = run(capsys, "table", "--family", "vt", "--quantity", "size",
                        "--n", "6..4", "--b", "all")
     assert code == 0
-    assert out.strip() == "family,size"
+    assert out.strip() == "family,n,b,size"
+
+
+@pytest.mark.parametrize("grid, columns", [
+    (("--family", "vt", "--n", "5..3", "--b", "0"), "n,b"),
+    (("--family", "levenshtein", "--k", "4..3", "--n", "k+1", "--b", "all"), "k,n,b"),
+    (("--family", "helberg", "--k", "3..2", "--s", "2", "--b", "0"), "k,s,b"),
+    (("--family", "blcc", "--coeffs", "1,2", "--mod", "5..4", "--b", "all"), "coeffs,mod,b"),
+])
+@pytest.mark.parametrize("quantity", ["size", "enumerator", "nt"])
+def test_table_header_of_an_empty_grid_names_the_grid_flags(capsys, grid, columns, quantity):
+    # the columns come from the family, not from a first row; nt has no weights to name
+    code, out, err = run(capsys, "table", *grid, "--quantity", quantity)
+    value = {"size": ",size", "enumerator": ",enumerator", "nt": ""}[quantity]
+    assert (code, out, err) == (0, f"family,{columns}{value}\n", "")
+
+
+def test_table_svt_empty_grid_header(capsys):
+    code, out, _ = run(capsys, "table", "--family", "svt", "--k", "3..2", "--n", "k+1",
+                       "--b", "all", "--r", "both")
+    assert (code, out) == (0, "family,k,n,b,r,size\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "blcc", "--coeffs", "1,2", "--mod", "0", "--b", "all"),
+    ("table", "--family", "blcc", "--coeffs", "1,2", "--mod", "0", "--b", "0"),
+    ("verify", "--family", "blcc", "--coeffs", "1,2", "--mod", "-4", "--b", "all"),
+    ("table", "--family", "levenshtein", "--k", "3", "--n", "0", "--b", "all"),
+    ("verify", "--family", "levenshtein", "--k", "3", "--n", "-1", "--b", "all"),
+    ("table", "--family", "svt", "--k", "3", "--n", "0", "--b", "all", "--r", "0"),
+    ("verify", "--family", "svt", "--k", "3", "--n", "-2", "--b", "all", "--r", "both"),
+    ("table", "--family", "vt", "--n", "-1", "--b", "all"),
+    ("enum", "--family", "blcc", "--coeffs", "1,2", "--mod", "0", "--b", "all"),
+])
+def test_modulus_below_one_is_a_usage_error(capsys, argv):
+    # --b all over such a modulus was an empty grid that printed a header, exit 0
+    code, out, err = run(capsys, *argv)
+    modulus = int(argv[argv.index("--mod" if "--mod" in argv else "--n") + 1])
+    modulus += argv[2] == "vt"  # VT(n) has modulus n+1
+    assert (code, out) == (2, "")
+    assert err == f"ccodes: modulus {modulus} must be >= 1\n"
 
 
 def test_table_helberg_sizes(capsys):
@@ -387,8 +427,7 @@ def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):
     def must_not_run(spec):
         raise AssertionError("weight_enumerator ran before the usage check")
 
-    monkeypatch.setattr(cli, "weight_enumerator", must_not_run)
-    monkeypatch.setattr(cli, "weight_enumerator_fold", must_not_run)  # --b all reads the fold
+    monkeypatch.setattr(cli, "weight_enumerator", must_not_run)  # every table row reads it
     code, out, _ = run(capsys, "table", "--family", "svt", "--quantity", "nt",
                        "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
     assert code == 2

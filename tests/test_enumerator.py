@@ -67,6 +67,31 @@ def test_weight_enumerator_validation():
         WeightEnumerator(2, (1, -1, 1))
 
 
+def test_weight_enumerator_pretty():
+    assert WeightEnumerator(4, (1, 0, 2, 0, 1)).pretty() == "1 + 2z^2 + z^4"
+    assert WeightEnumerator(3, (0, 0, 0, 0)).pretty() == "0"
+    assert WeightEnumerator(1, (0, 1)).pretty() == "z"
+    assert WeightEnumerator(1, (0, 1)).pretty("x") == "x"
+    assert WeightEnumerator(3, (0, 2, 0, 0)).pretty() == "2z"
+    assert WeightEnumerator(3, (1, 3, 3, 0)).pretty("x") == "1 + 3x + 3x^2"
+
+
+def test_every_route_keeps_the_trailing_zero_weights():
+    # 1,1,2 mod 5, b = 1: two words of weight 1 and none heavier, W(z) = 2z
+    spec = CodeSpec((1, 1, 2), 5, 1)
+    want = (0, 2, 0, 0)
+    assert weight_enumerator(spec).counts == want
+    assert weight_enumerator_fold(spec).counts == want
+    assert enumerator.weight_enumerator_mitm(spec).counts == want
+    assert brute_weight_enumerator(spec).counts == want
+    assert weight_enumerator_charsum_float(spec)[0].counts == want
+    # the closed form's domain: VT_1(4) has no word of weight 4
+    vt = make_vt(4, 1)
+    assert weight_enumerator_closed(vt).counts == vt_weight_enumerator_closed(4, 1).counts
+    assert weight_enumerator_closed(vt).counts == weight_enumerator_fold(vt).counts == (
+        0, 1, 1, 1, 0)
+
+
 _BOUNDS_SCRIPT = """
 from ccodes import WeightEnumerator, binomial_row
 k = 4095

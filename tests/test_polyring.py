@@ -6,44 +6,11 @@ import pytest
 
 from ccodes import (
     CapExceeded,
-    IntPolynomial,
     InvariantViolation,
     residue_product,
 )
 from ccodes import polyring
 from ccodes.polyring import check_rows, reach, residue_slot
-
-P = IntPolynomial
-
-# === IntPolynomial basics ===
-
-
-def test_trailing_zeros_stripped():
-    assert P([1, 0, 2, 0, 0]).coeffs == (1, 0, 2)
-    assert P([0, 0, 0]).coeffs == ()
-    assert P().coeffs == ()
-
-
-def test_degree():
-    assert P().degree == -1
-    assert P([5]).degree == 0
-    assert P([0, 0, 1]).degree == 2
-
-
-def test_equality_and_hash():
-    assert P([1, 2]) == P((1, 2, 0))
-    assert hash(P([1, 2])) == hash(P((1, 2)))
-    assert P([1]) != P([2])
-
-
-def test_pretty():
-    assert P([1, 0, 2, 0, 1]).pretty() == "1 + 2z^2 + z^4"
-    assert P().pretty() == "0"
-    assert P([0, 1]).pretty() == "z"
-    assert P([1, -1]).pretty() == "1 - z"
-    assert P([-2, 0, 3]).pretty() == "-2 + 3z^2"
-    assert P([0, 1]).pretty("x") == "x"
-
 
 # === residue_product ===
 
@@ -54,32 +21,32 @@ def brute_slots(coeffs, n):
     for bits in product((0, 1), repeat=k):
         s = sum(a * c for a, c in zip(coeffs, bits)) % n
         slots[s][sum(bits)] += 1
-    return [P(row) for row in slots]
+    return [tuple(row) for row in slots]
 
 
 def test_residue_product_two_coefficients():
     rp = residue_product([1, 2], 3)
-    assert rp.slot(0) == P([1, 0, 1])
-    assert rp.slot(1) == P([0, 1])
-    assert rp.slot(2) == P([0, 1])
+    assert rp.slot(0) == (1, 0, 1)
+    assert rp.slot(1) == (0, 1, 0)
+    assert rp.slot(2) == (0, 1, 0)
 
 
 def test_residue_product_empty_fold():
     rp = residue_product([], 5)
-    assert rp.slot(0) == P([1])
-    assert all(not rp.slot(r) for r in range(1, 5))
+    assert rp.slot(0) == (1,)
+    assert all(rp.slot(r) == (0,) for r in range(1, 5))
 
 
 def test_residue_product_vt_shape():
     rp = residue_product([1, 2, 3, 4], 5)
-    assert rp.slot(0) == P([1, 0, 2, 0, 1])
+    assert rp.slot(0) == (1, 0, 2, 0, 1)
 
 
 def test_residue_product_zero_coefficients():
     # every zero coefficient just doubles each slot by (1 + z)
     rp = residue_product([0, 0, 0], 4)
-    assert rp.slot(0) == P([1, 3, 3, 1])
-    assert all(not rp.slot(r) for r in range(1, 4))
+    assert rp.slot(0) == (1, 3, 3, 1)
+    assert all(rp.slot(r) == (0, 0, 0, 0) for r in range(1, 4))
 
 
 def test_residue_product_mass_and_oracle():
@@ -124,7 +91,7 @@ def test_residue_slot_range_check():
 
 def test_packed_folds_widest_field():
     # modulus 1 puts every tuple in one slot: N_t = C(40, t), up to C(40, 20)
-    binomials = P([math.comb(40, t) for t in range(41)])
+    binomials = tuple(math.comb(40, t) for t in range(41))
     assert residue_product([0] * 40, 1).slot(0) == binomials
 
 
@@ -132,14 +99,13 @@ def test_residue_product_huge_modulus():
     # only the 4 reached residues are stored; any other slot is zero
     big = 10**9 + 7
     rp = residue_product([3, -5], big)
-    assert rp.slot(0) == P([1])
-    assert rp.slot(3) == P([0, 1])
-    assert rp.slot(big - 5) == P([0, 1])
-    assert rp.slot(big - 2) == P([0, 0, 1])
-    assert rp.slot(1) == P() and rp.slot(big - 1) == P()
-    assert repr(rp) == (f"ResiduePolynomial({big}, {{0: IntPolynomial([1]), "
-                        f"3: IntPolynomial([0, 1]), {big - 5}: IntPolynomial([0, 1]), "
-                        f"{big - 2}: IntPolynomial([0, 0, 1])}})")
+    assert rp.slot(0) == (1, 0, 0)
+    assert rp.slot(3) == (0, 1, 0)
+    assert rp.slot(big - 5) == (0, 1, 0)
+    assert rp.slot(big - 2) == (0, 0, 1)
+    assert rp.slot(1) == rp.slot(big - 1) == (0, 0, 0)
+    assert repr(rp) == (f"ResiduePolynomial({big}, {{0: (1, 0, 0), 3: (0, 1, 0), "
+                        f"{big - 5}: (0, 1, 0), {big - 2}: (0, 0, 1)}})")
     with pytest.raises(ValueError):
         rp.slot(big)
 
@@ -154,15 +120,26 @@ def test_fold_mass_check():
 
 
 def test_residue_slot_examples():
-    assert residue_slot([1, 2], 3, 0) == P([1, 0, 1])
-    assert residue_slot([], 5, 0) == P([1]) and residue_slot([], 5, 3) == P()
-    assert residue_slot([0] * 40, 1, 0) == P([math.comb(40, t) for t in range(41)])
+    assert residue_slot([1, 2], 3, 0) == (1, 0, 1)
+    assert residue_slot([], 5, 0) == (1,) and residue_slot([], 5, 3) == (0,)
+    assert residue_slot([0] * 40, 1, 0) == tuple(math.comb(40, t) for t in range(41))
     big = 10**9 + 7
-    assert residue_slot([3, -5, 7], big, big - 2) == P([0, 0, 1])
-    assert residue_slot([3, -5, 7], big, 1) == P()
+    assert residue_slot([3, -5, 7], big, big - 2) == (0, 0, 1, 0)
+    assert residue_slot([3, -5, 7], big, 1) == (0, 0, 0, 0)
     for bad in ((0, 0), (3, 3), (3, -1)):
         with pytest.raises(ValueError):
             residue_slot([1], *bad)
+
+
+def test_slots_hold_k_plus_one_counts():
+    # the subset sums of 1,1,2 are 0..4: mod 5 every residue is reached, mod 11
+    # residues 5..10 are not
+    for n in (5, 11):
+        rp = residue_product([1, 1, 2], n)
+        for r in range(n):
+            assert len(rp.slot(r)) == len(residue_slot([1, 1, 2], n, r)) == 4
+    assert residue_product([1, 1, 2], 5).slot(1) == residue_slot([1, 1, 2], 5, 1) == (0, 2, 0, 0)
+    assert residue_product([1, 1, 2], 11).slot(7) == residue_slot([1, 1, 2], 11, 7) == (0,) * 4
 
 
 def test_residue_slot_matches_fold():
@@ -215,8 +192,8 @@ def test_row_cap_comes_before_any_fold(monkeypatch):
     fold = polyring._fold
     monkeypatch.setattr(polyring, "_fold", lambda a, *rest: folded.append(len(a)) or fold(a, *rest))
     monkeypatch.setattr(polyring, "_MAX_ROWS", 16)
-    assert residue_product([1, 2, 4, 8], 100).slot(15) == P([0, 0, 0, 0, 1])
-    assert residue_slot([1, 2, 4, 8, 16, 32, 64, 128], 1000, 255) == P([0] * 8 + [1])
+    assert residue_product([1, 2, 4, 8], 100).slot(15) == (0, 0, 0, 0, 1)
+    assert residue_slot([1, 2, 4, 8, 16, 32, 64, 128], 1000, 255) == (0,) * 8 + (1,)
     assert folded == [4, 4, 4]
     with pytest.raises(CapExceeded, match="up to 17 residue rows exceeds the cap of 16"):
         residue_product([1, 2, 4, 8, 16], 17)
