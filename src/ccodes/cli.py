@@ -208,25 +208,23 @@ def _parity_counts(spec: ParityCodeSpec) -> tuple[int, ...]:
     return tuple(c if t % 2 == spec.parity else 0 for t, c in enumerate(_counts(spec.base)))
 
 
-def _exact(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
-    return weight_enumerator_fold(spec).counts, 0.0
+# The verify methods below call a route through this module's global of its
+# name when they run, so a replaced or traced global is what runs.
 
 
-def _mitm(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
-    return weight_enumerator_mitm(spec).counts, 0.0
+def _exact_route(route: Callable[[CodeSpec], WeightEnumerator]):
+    """A verify method: one exact route's counts, with deviation 0."""
+    name = route.__name__
 
+    def method(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
+        return globals()[name](spec).counts, 0.0
 
-def _closed(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
-    return weight_enumerator_closed(spec).counts, 0.0
+    return method
 
 
 def _float(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
     w, dev = weight_enumerator_charsum_float(spec)
     return w.counts, dev
-
-
-def _brute(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
-    return brute_weight_enumerator(spec).counts, 0.0
 
 
 def _svt_float(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
@@ -236,8 +234,10 @@ def _svt_float(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
 
 def _parity_split(route: Callable[[CodeSpec], WeightEnumerator]):
     """An svt method: the (even, odd) sizes from one route's base enumerator."""
+    name = route.__name__
+
     def method(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
-        w = route(spec.base)
+        w = globals()[name](spec.base)
         even = sum(c for t, c in enumerate(w.counts) if t % 2 == 0)
         return (even, w.size() - even), 0.0
 
@@ -258,7 +258,10 @@ class _Family(namedtuple("_Family", "grid make methods counts opt_in",
     __slots__ = ()
 
 
-_METHODS = {"exact": _exact, "closed": _closed, "float": _float, "brute": _brute, "mitm": _mitm}
+_METHODS = {"exact": _exact_route(weight_enumerator_fold),
+            "closed": _exact_route(weight_enumerator_closed), "float": _float,
+            "brute": _exact_route(brute_weight_enumerator),
+            "mitm": _exact_route(weight_enumerator_mitm)}
 
 _FAMILIES = {
     "vt": _Family(

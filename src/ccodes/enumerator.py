@@ -28,11 +28,12 @@ from operator import mul
 from collections.abc import Callable, Iterable
 
 from . import polyring
+from ._memo import Memo
 from ._record import Record
 from .arith import binomial_row, divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
-from .polyring import ResiduePolynomial, reach, residue_product, residue_slot
+from .polyring import reach, residue_product, residue_slot
 
 __all__ = [
     "WeightEnumerator",
@@ -111,10 +112,8 @@ def pretty_counts(counts: Iterable[int], var: str = "z") -> str:
     return " + ".join(terms) or "0"
 
 
-# (coefficients reduced mod n, n) of the last exact call, with its fold once
-# one is built; sweeps ask for every residue of one modulus in a row, so they
-# fold once.
-_last_fold: tuple[tuple[tuple[int, ...], int], ResiduePolynomial | None] | None = None
+# (coefficients reduced mod n, n) -> their fold, or a mark of the first call
+_fold_memo = Memo()
 
 
 # Route costs, in units of one row add of a narrow packed row, about 160 ns
@@ -174,19 +173,18 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     not. ``verify`` and the tests compare the closed form with
     weight_enumerator_fold, not with this dispatcher.
     """
-    global _last_fold
     try:
         return weight_enumerator_closed(spec)
     except OutOfDomain:
         pass
     key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
-    memo = _last_fold  # one read, so a concurrent caller cannot swap it midway
-    repeat = memo is not None and memo[0] == key
-    if (repeat and memo[1] is not None) or (
+    entry = _fold_memo.peek()
+    repeat = entry is not None and entry[0] == key
+    if (repeat and entry[1] is not None) or (
             not polyring._over_cap([key[0]], key[1])
             and (repeat or not _mitm_is_cheaper(*key))):
         return weight_enumerator_fold(spec)
-    _last_fold = key, None  # the next call with this key folds if it fits
+    _fold_memo.mark(key)  # the next call with this key folds if it fits
     return weight_enumerator_mitm(spec)
 
 
@@ -199,13 +197,9 @@ def weight_enumerator_fold(spec: CodeSpec) -> WeightEnumerator:
     coefficients mod n and n, and it is what ``verify`` runs as its exact
     method.
     """
-    global _last_fold
     key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
-    memo = _last_fold
-    if memo is None or memo[0] != key or memo[1] is None:
-        memo = _last_fold = None  # free the old fold before building the next
-        memo = _last_fold = key, residue_product(*key)
-    return WeightEnumerator(spec.length, memo[1].slot(spec.residue))
+    fold = _fold_memo.get(key, lambda: residue_product(*key))
+    return WeightEnumerator(spec.length, fold.slot(spec.residue))
 
 
 def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
@@ -250,11 +244,9 @@ _FLOAT_CELLS = 1 << 16
 # peaked at 35 MB.
 _FLOAT_MEMO_CELLS = 1 << 18
 
-# (route, table coefficients, n) of the last float call whose blocks held at
-# most _FLOAT_MEMO_CELLS cells, with its (ms, product rows) blocks; the rows
-# do not depend on the residue, so a residue sweep builds them once per
-# modulus.
-_last_float: tuple[tuple, list[tuple[range, list[list]]]] | None = None
+# (route, table coefficients, n) -> the (ms, product rows) blocks of a float
+# call whose blocks held at most _FLOAT_MEMO_CELLS cells
+_float_memo = Memo()
 
 
 def _check_float(n: int, k: int, rows: int, cost: int = 1) -> None:
@@ -281,20 +273,15 @@ def _float_blocks(key: tuple, width: int, build: Callable[[range], list[list]]):
     _FLOAT_MEMO_CELLS the blocks are kept in the one-entry memo under key;
     otherwise none are kept.
     """
-    global _last_float
     n = key[-1]
     step = max(1, _FLOAT_CELLS // width)
     blocks = (range(start, min(start + step, n + 1)) for start in range(1, n + 1, step))
     if n * width > _FLOAT_MEMO_CELLS:
-        _last_float = None
+        _float_memo.clear()
         for ms in blocks:
             yield ms, build(ms)
         return
-    memo = _last_float  # one read, so a concurrent caller cannot swap it midway
-    if memo is None or memo[0] != key:
-        memo = _last_float = None  # free the old rows before building the next
-        memo = _last_float = key, [(ms, build(ms)) for ms in blocks]
-    yield from memo[1]
+    yield from _float_memo.get(key, lambda: [(ms, build(ms)) for ms in blocks])
 
 
 def _accumulate(acc: list, phases: list, rows: list[list]) -> None:
@@ -435,11 +422,12 @@ def lehmer_count(coeffs: Iterable[int], n: int, b: int) -> int:
     return l * n ** (k - 1)
 
 
-# ((k, n), the coefficients last found in the domain, {gcd(b, n): enumerator})
-# of the closed form. In its domain the enumerator depends on the spec only
-# through k, n and gcd(b, n), so a residue sweep evaluates the form once per
-# gcd class, and a repeat of the same coefficients skips the domain check.
-_last_closed: tuple[tuple[int, int], tuple[int, ...], dict[int, WeightEnumerator]] | None = None
+# (coefficients, n) -> closed_form_gap; (k, n) -> {gcd(b, n): enumerator}. In
+# its domain the enumerator depends on the spec only through k, n and
+# gcd(b, n), so a residue sweep checks the domain once and evaluates the form
+# once per gcd class, and shuffled coefficients share the classes.
+_gap_memo = Memo()
+_closed_memo = Memo()
 
 
 def closed_form_gap(spec: CodeSpec) -> str:
@@ -468,23 +456,20 @@ def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator from the closed divisor sum over the divisors of n.
 
     Raises OutOfDomain, with closed_form_gap's reason, outside its domain.
-    Each gcd class of the residue is evaluated once and kept in a one-entry
-    memo keyed by (k, n).
+    The domain check is kept in a one-entry memo keyed by (coefficients, n),
+    so a residue sweep runs it once, in the domain or not. Each gcd class of
+    the residue is evaluated once and kept in a one-entry memo keyed by
+    (k, n).
     """
-    global _last_closed
-    coeffs, n = spec.coefficients, spec.modulus
-    key = (len(coeffs), n)
-    memo = _last_closed  # one read, so a concurrent caller cannot swap it midway
-    if memo is None or memo[0] != key or memo[1] != coeffs:
-        gap = closed_form_gap(spec)
-        if gap:
-            raise OutOfDomain(gap)
-        classes = memo[2] if memo is not None and memo[0] == key else {}
-        memo = _last_closed = key, coeffs, classes
-    g = math.gcd(spec.residue, n)  # n for b = 0
-    w = memo[2].get(g)
+    gap = _gap_memo.get((spec.coefficients, spec.modulus), lambda: closed_form_gap(spec))
+    if gap:
+        raise OutOfDomain(gap)
+    key = (len(spec.coefficients), spec.modulus)
+    classes = _closed_memo.get(key, dict)
+    g = math.gcd(spec.residue, spec.modulus)  # n for b = 0
+    w = classes.get(g)
     if w is None:
-        w = memo[2][g] = _closed_form(*key, g)
+        w = classes[g] = _closed_form(*key, g)
     return w
 
 

@@ -13,17 +13,16 @@ tuples' residues grouped by weight, one str character per tuple (an int
 in a list past modulus 0x110000), and for each prefix counts the entries
 that make a·x = b, a C-level str.count that still tests every tuple on its
 own. build_codebook keeps, for each prefix, the low tuples whose residue
-completes b. The q-ary counts tally every residue of {0..q-1}^k, one pass
-per coefficients mod n, n and q, in chunks of at most 2^14 tuples; past
-modulus 2^16 they count only the asked residue.
+completes b. The q-ary counts enumerate {0..q-1}^k for every call, in
+chunks of at most 2^14 tuples, and count the asked residue in each.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, count, product
 
+from ._memo import Memo
 from ._record import Record
 from .codes import CodeSpec
 from .enumerator import WeightEnumerator
@@ -44,7 +43,6 @@ __all__ = [
 # codebook 1.5 s at 10^9+7.
 _MAX_TUPLE_BITS = 24
 _CHUNK_BITS = 14  # low tuples 2^14: their residues stay near 0.5 MB
-_TALLY_MAX = 1 << 16  # q-ary tallies have n keys; past this, count the asked residue only
 _CHARS = 0x110000  # moduli up to this hold a residue as one str character
 _MAX_GRID = 10**7  # q-ary enumeration cap: q^k tuples
 _MAX_DELETION_LEN = 16
@@ -134,10 +132,8 @@ def _count(cells: list, prefixes: list[int], n: int, b: int, width: int) -> list
     return counts
 
 
-# (coefficients reduced mod n, n) of the last brute_weight_enumerator call,
-# with its cells and prefixes; residue sweeps group the tuples once per
-# modulus and count each residue from them.
-_last_cells: tuple[tuple[tuple[int, ...], int], list, list[int]] | None = None
+# (coefficients reduced mod n, n) -> their cells and prefixes
+_cells_memo = Memo()
 
 
 def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
@@ -155,14 +151,10 @@ def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     time; at k = 24 a child process peaked at 15 MB RSS, most of it the
     interpreter.
     """
-    global _last_cells
     k, n = spec.length, spec.modulus
     key = (tuple(a % n for a in spec.coefficients), n)
-    memo = _last_cells  # one read, so a concurrent caller cannot swap it midway
-    if memo is None or memo[0] != key:
-        memo = _last_cells = None  # free the old cells before building the next
-        memo = _last_cells = (key, *_cells(*key))
-    return WeightEnumerator(k, _count(memo[1], memo[2], n, spec.residue, k + 1))
+    cells, prefixes = _cells_memo.get(key, lambda: _cells(*key))
+    return WeightEnumerator(k, _count(cells, prefixes, n, spec.residue, k + 1))
 
 
 def build_codebook(spec: CodeSpec) -> Codebook:
@@ -218,39 +210,15 @@ def _qary_chunks(coeffs: Sequence[int], n: int, q: int) -> Iterator[list[int]]:
             yield low if d == 0 else [(r + d) % n for r in low]
 
 
-# (coefficients reduced mod n, n, q, kept residue) and the residue tally of
-# the last q-ary count; residue sweeps enumerate once per modulus.
-_last_qary: tuple[tuple[tuple[int, ...], int, int, int | None], Counter] | None = None
-
-
 def _qary_count(coeffs: Sequence[int], n: int, b: int, q: int) -> int:
-    """Tuples over {0..q-1}^k with the congruence, from one tally per modulus.
-
-    Each tuple's residue is tallied on its own. A tally of every residue
-    has at most n keys; when n exceeds 2^16 only residue b is counted, and
-    b joins the memo key.
-    """
-    global _last_qary
-    every = n <= _TALLY_MAX
-    key = (tuple(a % n for a in coeffs), n, q, None if every else b)
-    memo = _last_qary  # one read, so a concurrent caller cannot swap it midway
-    if memo is None or memo[0] != key:
-        memo = _last_qary = None  # free the old tally before building the next
-        tally = Counter()
-        for residues in _qary_chunks(key[0], n, q):
-            if every:
-                tally.update(residues)
-            else:
-                tally[b] += residues.count(b)
-        memo = _last_qary = key, tally
-    return memo[1][b]
+    # tuples over {0..q-1}^k with the congruence: each tuple's residue is tested on its own
+    return sum(residues.count(b) for residues in _qary_chunks([a % n for a in coeffs], n, q))
 
 
 def brute_count_zn(coeffs: Iterable[int], n: int, b: int, k: int) -> int:
     """Exhaustive count of solutions over Z_n^k. Capped at n^k <= 10^7.
 
-    One pass tallies every residue and is reused while consecutive calls
-    share coefficients mod n and n; past n = 2^16 a pass counts one residue.
+    Every call enumerates all n^k tuples and counts its one residue.
     """
     a = list(coeffs)
     if len(a) != k:
@@ -265,9 +233,8 @@ def brute_count_zn(coeffs: Iterable[int], n: int, b: int, k: int) -> int:
 def brute_count_qary(coeffs: Iterable[int], n: int, b: int, k: int, q: int) -> int:
     """Exhaustive count over {0..q-1}^k of tuples with the congruence mod n.
 
-    One pass tallies every residue and is reused while consecutive calls
-    share coefficients mod n, n and q; past n = 2^16 a pass counts one
-    residue. Capped at q^k <= 10^7.
+    Every call enumerates all q^k tuples and counts its one residue. Capped
+    at q^k <= 10^7.
     """
     a = list(coeffs)
     if len(a) != k:

@@ -365,7 +365,6 @@ def test_fold_invariant_is_not_a_usage_error(capsys, monkeypatch):
     def broken_check(rows, k, width):
         raise InvariantViolation("broken")
 
-    monkeypatch.setattr(enumerator, "_last_fold", None)  # force a fresh fold
     monkeypatch.setattr(polyring, "_check_mass", broken_check)
     # 4 does not divide k+1 = 5, so the closed form does not answer and enum folds
     instance = ("--family", "levenshtein", "--k", "4", "--n", "4", "--b", "0")
@@ -612,7 +611,6 @@ def count_folds(monkeypatch):
     """Record the modulus of every full fold the enumerator builds."""
     folds = []
     fold = enumerator.residue_product
-    monkeypatch.setattr(enumerator, "_last_fold", None)
     monkeypatch.setattr(enumerator, "residue_product",
                         lambda coeffs, n: folds.append(n) or fold(coeffs, n))
     return folds
@@ -639,7 +637,6 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
     fold = polyring._fold
     monkeypatch.setattr(polyring, "_fold", lambda a, *rest: halves.append(len(a)) or fold(a, *rest))
     monkeypatch.setattr(polyring, "_MAX_ROWS", 100)
-    monkeypatch.setattr(enumerator, "_last_fold", None)
     # Helberg(10, 2): modulus 232; the halves reach at most 27 and 32 residues
     code, out, err = run(capsys, "table", "--family", "helberg", "--quantity", "size",
                          "--k", "10", "--s", "2", "--b", "all")
@@ -717,7 +714,6 @@ def test_vt_table_reads_one_closed_form_per_gcd_class(capsys, monkeypatch):
     form = enumerator._closed_form
     monkeypatch.setattr(enumerator, "_closed_form",
                         lambda k, n, g: calls.append((n, g)) or form(k, n, g))
-    monkeypatch.setattr(enumerator, "_last_closed", None)
     code, out, _ = run(capsys, "table", "--family", "vt", "--quantity", "nt", "--n", "1..12",
                        "--b", "all")
     assert (code, folds, halves) == (0, [], [])

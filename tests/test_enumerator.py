@@ -173,7 +173,6 @@ def test_dense_fold_memo_key(monkeypatch):
         folds.append((tuple(coeffs), modulus))
         return residue_product(coeffs, modulus)
 
-    monkeypatch.setattr(enumerator, "_last_fold", None)
     monkeypatch.setattr(enumerator, "residue_product", counting_fold)
     a = (1, 2, 4, 8, 16, 32)
     sequence = [
@@ -225,7 +224,6 @@ def test_dispatcher_takes_the_cheaper_route(monkeypatch):
     monkeypatch.setattr(enumerator, "residue_slot",
                         lambda *args: routes.append("mitm") or residue_slot(*args))
     for n, route in ((13, "fold"), (14, "mitm")):
-        monkeypatch.setattr(enumerator, "_last_fold", None)
         spec = CodeSpec((1, 2, 4, 8, 16, 32), n, 3)
         assert weight_enumerator(spec) == brute_weight_enumerator(spec)
         assert routes.pop() == route and not routes
@@ -237,7 +235,6 @@ def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
                         lambda *args: routes.append("fold") or residue_product(*args))
     monkeypatch.setattr(enumerator, "residue_slot",
                         lambda *args: routes.append("mitm") or residue_slot(*args))
-    monkeypatch.setattr(enumerator, "_last_fold", None)
     monkeypatch.setattr(polyring, "_MAX_ROWS", 100)
     spec = make_helberg(10, 2, 3)  # modulus 232; the halves reach at most 27 and 32 residues
     expected = brute_weight_enumerator(spec)
@@ -258,7 +255,6 @@ def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
                         lambda *args: routes.append("fold") or residue_product(*args))
     monkeypatch.setattr(enumerator, "residue_slot",
                         lambda *args: routes.append("mitm") or residue_slot(*args))
-    monkeypatch.setattr(enumerator, "_last_fold", None)
     spec = make_helberg(10, 2, 3)  # 232 rows of 11^2 bits; the halves 27 and 32 rows
     expected = brute_weight_enumerator(spec)
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2 - 1)
@@ -463,7 +459,7 @@ def column_svt(pspec):
 def _same_float_results(spec, pspec, cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumerator, "_FLOAT_CELLS", cells)
-        mp.setattr(enumerator, "_last_float", None)
+        enumerator._float_memo.clear()  # build the rows in blocks of these cells
         assert column_charsum(spec) == per_m_charsum(spec)
         assert column_svt(pspec) == per_m_svt(pspec)
 
@@ -508,30 +504,29 @@ def test_column_float_kernels_across_blocks_and_failures():
     (column_svt, per_m_svt, "svt", lambda a, n, b: ParityCodeSpec(CodeSpec(a, n, b), b % 2)),
 ])
 def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
-    monkeypatch.setattr(enumerator, "_last_float", None)
     a = (3, -5, 8, 13, 21)
     memo = None
     for b in range(17):  # a residue sweep builds the products once
         spec = make(a, 17, b)
         assert route(spec) == per_m(spec)
-        memo = memo or enumerator._last_float
-        assert enumerator._last_float is memo
+        memo = memo or enumerator._float_memo.peek()
+        assert enumerator._float_memo.peek() is memo
     table = tuple(x % (17 if tag == "charsum" else 34) for x in a)
     assert memo[0] == (tag, table, 17)
     # coefficients that agree mod n index the same roots, but the svt tables
     # have 2n entries, so there they are another key
     spec = make(tuple(x + 17 for x in a), 17, 4)
     assert route(spec) == per_m(spec)
-    assert (enumerator._last_float is memo) == (tag == "charsum")
+    assert (enumerator._float_memo.peek() is memo) == (tag == "charsum")
     spec = make(a, 19, 4)  # another modulus replaces the entry
     assert route(spec) == per_m(spec)
-    assert enumerator._last_float[0][2] == 19
+    assert enumerator._float_memo.peek()[0][2] == 19
     # past the memo bound nothing is kept
     monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
     monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 40)
     spec = make(a, 23, 5)
     assert route(spec) == per_m(spec)
-    assert enumerator._last_float is None
+    assert enumerator._float_memo.peek() is None
 
 
 def _count_float_builds(monkeypatch) -> list:
@@ -547,7 +542,6 @@ def _count_float_builds(monkeypatch) -> list:
         return blocks(key, width, counted)
 
     monkeypatch.setattr(enumerator, "_float_blocks", counting)
-    monkeypatch.setattr(enumerator, "_last_float", None)
     return builds
 
 
@@ -696,7 +690,6 @@ def test_closed_form_evaluates_each_gcd_class_once(monkeypatch):
     form = enumerator._closed_form
     monkeypatch.setattr(enumerator, "_closed_form",
                         lambda k, n, g: calls.append((k, n, g)) or form(k, n, g))
-    monkeypatch.setattr(enumerator, "_last_closed", None)
     sweep = [weight_enumerator_closed(make_levenshtein(11, 12, b)) for b in range(12)]
     assert calls == [(11, 12, g) for g in (12, 1, 2, 3, 4, 6)]  # gcd(b, 12) in order of b
     assert sweep == want
@@ -709,6 +702,21 @@ def test_closed_form_evaluates_each_gcd_class_once(monkeypatch):
     assert calls[6:] == [(11, 6, 3), (11, 12, 3)]
 
 
+def test_closed_domain_check_runs_once_per_sweep(monkeypatch):
+    checked = []
+    gap = enumerator.closed_form_gap
+    monkeypatch.setattr(enumerator, "closed_form_gap",
+                        lambda spec: checked.append(spec.residue) or gap(spec))
+    # 7 does not divide k+1 = 11: every residue is outside the closed form's domain
+    sweep = [weight_enumerator(make_levenshtein(10, 7, b)) for b in range(7)]
+    assert sweep == [brute_weight_enumerator(make_levenshtein(10, 7, b)) for b in range(7)]
+    assert checked == [0]
+    # in the domain too, and a new coefficient list is checked again
+    assert [weight_enumerator(make_levenshtein(11, 6, b)) for b in range(6)] == [
+        weight_enumerator_fold(make_levenshtein(11, 6, b)) for b in range(6)]
+    assert checked == [0, 0]
+
+
 def test_weight_enumerator_takes_the_closed_route_in_its_domain(monkeypatch):
     specs = (make_levenshtein(23, 8, 5), make_helberg(15, 1, 6), CodeSpec((5, -3, 7, -11, 8), 3, 1))
     want = [weight_enumerator_fold(spec) for spec in specs]
@@ -719,7 +727,6 @@ def test_weight_enumerator_takes_the_closed_route_in_its_domain(monkeypatch):
     for name in ("weight_enumerator_fold", "weight_enumerator_mitm", "residue_product",
                  "residue_slot"):
         monkeypatch.setattr(enumerator, name, must_not_run)
-    monkeypatch.setattr(enumerator, "_last_closed", None)
     assert [weight_enumerator(spec) for spec in specs] == want
     assert [size(spec) for spec in specs] == [w.size() for w in want]
     # past both exact routes' caps, where VT(800) used to raise CapExceeded

@@ -75,8 +75,7 @@ def residues_to_check(reached, n):
 
 
 @pytest.mark.parametrize("coeffs, n, sampled", TALLY_CASES + ENCODING_CASES)
-def test_brute_tally_equals_literal_loop(monkeypatch, coeffs, n, sampled):
-    monkeypatch.setattr(oracle, "_last_cells", None)
+def test_brute_tally_equals_literal_loop(coeffs, n, sampled):
     tally = literal_tally(coeffs, n)
     k = len(coeffs)
     check = residues_to_check({r for r, _ in tally}, n)
@@ -123,10 +122,8 @@ def test_brute_tally_memo_key(monkeypatch):
         runs.append(("count",))
         return count(*args)
 
-    monkeypatch.setattr(oracle, "_last_cells", None)
     monkeypatch.setattr(oracle, "_cells", counting_cells)
     monkeypatch.setattr(oracle, "_count", counting_count)
-    monkeypatch.setattr(oracle, "Counter", lambda *a: runs.append(("tally",)) or Counter(*a))
     a = (1, 2, 3, 5)
     sequence = [
         (CodeSpec(a, 7, 0), True),  # the first call groups the tuples
@@ -149,19 +146,17 @@ def test_brute_tally_memo_key(monkeypatch):
         got = brute_weight_enumerator(spec)
         assert [kind for kind, *_ in runs[before:]] == ["cells"] * built + ["count"]
         key = (tuple(x % spec.modulus for x in spec.coefficients), spec.modulus)
-        assert oracle._last_cells[0] == key
+        assert oracle._cells_memo.peek()[0] == key
         tally = literal_tally(spec.coefficients, spec.modulus)
         assert got.counts == tuple(tally[spec.residue, t] for t in range(spec.length + 1))
     assert [run[1:] for run in runs if run[0] == "cells"] == [
         (a, 7), ((2, 4, 6), 7), (a, 7), (a, 9), (a, 13107), (a, 13108), (a, P)]
-    assert ("tally",) not in runs
 
 
-def test_brute_memory_stays_bounded(monkeypatch):
+def test_brute_memory_stays_bounded():
     rng = random.Random(18)
     coeffs = tuple(rng.randrange(10**8, 10**9) for _ in range(18))
     spec = CodeSpec(coeffs, P, sum(coeffs[::2]) % P)
-    monkeypatch.setattr(oracle, "_last_cells", None)
     tracemalloc.start()
     try:
         w = brute_weight_enumerator(spec)
@@ -261,8 +256,7 @@ QARY_CASES = [
 
 
 @pytest.mark.parametrize("coeffs, n, q", QARY_CASES)
-def test_qary_tally_equals_literal_loop(monkeypatch, coeffs, n, q):
-    monkeypatch.setattr(oracle, "_last_qary", None)
+def test_qary_tally_equals_literal_loop(coeffs, n, q):
     k = len(coeffs)
     tally = Counter(sum(a * x for a, x in zip(coeffs, xs)) % n
                     for xs in product(range(q), repeat=k))
@@ -272,42 +266,17 @@ def test_qary_tally_equals_literal_loop(monkeypatch, coeffs, n, q):
             assert brute_count_zn(coeffs, n, b, k) == tally[b], b
 
 
-def test_qary_tally_memo_key(monkeypatch):
-    runs = []
-    chunks = oracle._qary_chunks
-    monkeypatch.setattr(oracle, "_last_qary", None)
-    monkeypatch.setattr(oracle, "_qary_chunks",
-                        lambda a, n, q: runs.append((n, q)) or chunks(a, n, q))
-    sequence = [
-        (lambda b: brute_count_qary([1, 2, 3], 4, b, 3, 3), [(4, 3)]),
-        (lambda b: brute_count_qary([5, -2, 7], 4, b, 3, 3), []),  # same mod 4
-        (lambda b: brute_count_qary([1, 2, 3], 4, b, 3, 2), [(4, 2)]),  # another alphabet
-        (lambda b: brute_count_zn([1, 2, 3], 4, b, 3), [(4, 4)]),
-        (lambda b: brute_count_zn([1, 2, 3], 5, b, 3), [(5, 5)]),
-        # past 2^16 residues only the asked one is counted: one pass per residue
-        (lambda b: brute_count_qary([1, 2, 3], P, b, 3, 3), [(P, 3)] * 4),
-    ]
-    for count, expected in sequence:
-        before = len(runs)
-        for b in range(4):
-            count(b)
-        assert runs[before:] == expected
-    assert brute_count_qary([1, 2, 3], P, 3, 3, 3) == 2 and runs[-1] == (P, 3)
-    assert brute_count_qary([1, 2, 3], P, 3, 3, 3) == 2 and len(runs) == 8  # reused
-
-
 # (coefficients, modulus, alphabet): alphabets past 2^14, moduli past 2^16
 WIDE_CASES = [
     ((7,), 50, 20000),  # q > 2^14: the one coordinate's digits in blocks
-    ((-3,), 1 << 16, 70000),  # and the largest modulus that tallies every residue
-    ((3, 0, -5, 11, 4), P, 9),  # one residue at a time
+    ((-3,), 1 << 16, 70000),  # and a modulus of 2^16
+    ((3, 0, -5, 11, 4), P, 9),  # moduli far above q^k: most residues unreached
     ((10**9, 1, 2, 10**9 - 7), P, 13),
 ]
 
 
 @pytest.mark.parametrize("coeffs, n, q", WIDE_CASES)
-def test_qary_wide_alphabet_or_modulus_equals_literal_loop(monkeypatch, coeffs, n, q):
-    monkeypatch.setattr(oracle, "_last_qary", None)
+def test_qary_wide_alphabet_or_modulus_equals_literal_loop(coeffs, n, q):
     k = len(coeffs)
     tally = Counter(sum(a * x for a, x in zip(coeffs, xs)) % n
                     for xs in product(range(q), repeat=k))
@@ -318,8 +287,7 @@ def test_qary_wide_alphabet_or_modulus_equals_literal_loop(monkeypatch, coeffs, 
             assert brute_count_zn(coeffs, n, b, k) == tally[b], b
 
 
-def test_qary_memory_stays_bounded(monkeypatch):
-    monkeypatch.setattr(oracle, "_last_qary", None)
+def test_qary_memory_stays_bounded():
     rng = random.Random(17)
     coeffs = [rng.randrange(P) for _ in range(17)]
     tracemalloc.start()
