@@ -79,7 +79,7 @@ from .enumerator import (
 )
 from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure, OutOfDomain
 from .oracle import brute_weight_enumerator
-from .polyring import check_rows
+from .polyring import cap_error
 
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
 
@@ -390,10 +390,7 @@ def _check_fold_caps(args: SimpleNamespace) -> None:
     for _, spec in _iter_instances(args, family._replace(grid=grid)):
         base = spec.base if isinstance(spec, ParityCodeSpec) else spec
         if limit is None and closed_form_gap(base):  # the closed form folds nothing
-            try:
-                check_rows([base.coefficients], base.modulus)
-            except CapExceeded as exc:
-                limit = exc
+            limit = cap_error([base.coefficients], base.modulus)
     if limit is not None:
         raise limit
 
@@ -462,6 +459,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
         if args.family != "blcc":
             raise UsageError("--random applies to --family blcc only")
         _check_grid_flags(args, (), "--random")
+        if args.random < 0:
+            raise UsageError("--random must be >= 0")
         instances = list(_random_blcc(args.random, args.seed or 0))
     elif args.seed is not None:
         raise UsageError("--seed applies to --random only")

@@ -3,7 +3,8 @@
 The authoritative paths are exact integer arithmetic with no rounding:
 the closed divisor-sum form for the codes whose coefficients are 1..k mod n
 with n dividing k + 1 (VT codes among them), and otherwise the residue fold
-in ``polyring`` or its meet-in-the-middle split for one residue. The fold
+in ``polyring`` or its meet-in-the-middle split for one residue, as the
+caps and the route cost model in ``polyring`` allow and prefer. The fold
 and the closed form are checked against each other, and the literal
 floating-point character sums here (and brute force in ``oracle``) check
 both; those never replace them.
@@ -27,13 +28,12 @@ import math
 from operator import mul
 from collections.abc import Callable, Iterable
 
-from . import polyring
 from ._memo import Memo
 from ._record import Record
 from .arith import binomial_row, divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
-from .polyring import reach, residue_product, residue_slot
+from .polyring import cap_error, mitm_is_cheaper, residue_product, residue_slot
 
 __all__ = [
     "WeightEnumerator",
@@ -116,48 +116,6 @@ def pretty_counts(counts: Iterable[int], var: str = "z") -> str:
 _fold_memo = Memo()
 
 
-# Route costs, in units of one row add of a narrow packed row, about 160 ns
-# (Python 3.11 on x86-64). Measured there: an add costs one unit more per 1600
-# bits of row; a product of rows of x and y bits costs about
-# (x * y) ** 0.85 / 14000 units; meeting in the middle pays about 20 units of
-# fixed overhead for its second fold and the join.
-_ADD_BITS = 1600
-_PRODUCT_SCALE = 14000
-_MITM_OVERHEAD = 20
-
-
-def _fold_cost(coeffs: tuple[int, ...], n: int, width: int) -> float:
-    # Fold step i adds one row per residue reached by the first i - 1
-    # coefficients, each row up to i fields of width bits wide.
-    cost, total, doubling = 0.0, 0, 1
-    for i, a in enumerate(coeffs, 1):
-        cost += min(n, doubling, 1 + total) * (1 + i * width / _ADD_BITS)
-        total += a
-        doubling = min(2 * doubling, n)
-    return cost
-
-
-def _mitm_is_cheaper(coeffs: tuple[int, ...], n: int) -> bool:
-    """The route cost model for one residue of reduced coefficients mod n.
-
-    A fold of the k coefficients is charged its row adds (_fold_cost); its
-    rows double each step until they reach min(n, 1 + the coefficient sum),
-    and widen by one field of k + 1 bits. Meeting in the middle is charged
-    the folds of both halves, one product per row of the left half and a
-    fixed overhead. With n >= 2^k that is about 2^ceil(k/2) rows against
-    2^k; when n is small enough that both halves fill it, the routes do the
-    same adds and the join decides, so the fold wins as k grows (VT(200)).
-    """
-    k = len(coeffs)
-    half = (k + 1) // 2
-    width = k + 1
-    left, right = coeffs[:half], coeffs[half:]
-    product = 1 + ((half + 1) * (k - half + 1) * width * width) ** 0.85 / _PRODUCT_SCALE
-    mitm = (_fold_cost(left, n, width) + _fold_cost(right, n, width)
-            + reach(left, n) * product + _MITM_OVERHEAD)
-    return mitm < _fold_cost(coeffs, n, width)
-
-
 def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator: the closed form, the fold or meeting in the middle.
 
@@ -166,7 +124,7 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     already built for these coefficients mod n and n is read. Else, when the
     fold fits under the row and bit caps, the second call in a row with the
     same key builds it, so a sweep over the residues of one modulus folds
-    once, and any other call folds when the cost model (_mitm_is_cheaper)
+    once, and any other call folds when the cost model (mitm_is_cheaper)
     prefers it. Everything else meets in the middle, which raises
     CapExceeded past the same caps before it allocates. The route may depend
     on the previous call; the result, and whether one is computed at all, do
@@ -181,8 +139,8 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     entry = _fold_memo.peek()
     repeat = entry is not None and entry[0] == key
     if (repeat and entry[1] is not None) or (
-            not polyring._over_cap([key[0]], key[1])
-            and (repeat or not _mitm_is_cheaper(*key))):
+            cap_error([key[0]], key[1]) is None
+            and (repeat or not mitm_is_cheaper(*key))):
         return weight_enumerator_fold(spec)
     _fold_memo.mark(key)  # the next call with this key folds if it fits
     return weight_enumerator_mitm(spec)
@@ -503,16 +461,20 @@ def _closed_form(k: int, n: int, b: int) -> WeightEnumerator:
     return WeightEnumerator(k, total)
 
 
+def _check_vt(n: int, b: int) -> None:
+    if n < 1:
+        raise ValueError("VT length must be >= 1")
+    if not 0 <= b <= n:
+        raise ValueError(f"residue {b} not in [0, {n + 1})")
+
+
 def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
     """Closed-form VT_b(n) weight enumerator via Ramanujan sums.
 
     The closed form of weight_enumerator_closed with k = n and modulus n+1,
     evaluated afresh on every call.
     """
-    if n < 1:
-        raise ValueError("VT length must be >= 1")
-    if not 0 <= b <= n:
-        raise ValueError(f"residue {b} not in [0, {n + 1})")
+    _check_vt(n, b)
     return _closed_form(n, n + 1, b)
 
 
@@ -522,10 +484,7 @@ def vt_weight_count(n: int, b: int, t: int) -> int:
     N_t = ((-1)^t / (n+1)) * sum_{d | n+1} (-1)^floor(t/d) c_d(b)
           * C((n+1)/d - 1, floor(t/d)).
     """
-    if n < 1:
-        raise ValueError("VT length must be >= 1")
-    if not 0 <= b <= n:
-        raise ValueError(f"residue {b} not in [0, {n + 1})")
+    _check_vt(n, b)
     if not 0 <= t <= n:
         raise ValueError(f"weight {t} not in [0, {n}]")
     q = n + 1
@@ -542,10 +501,7 @@ def vt_weight_count(n: int, b: int, t: int) -> int:
 
 def vt_size(n: int, b: int) -> int:
     """|VT_b(n)| = (1 / (2(n+1))) * sum over odd d | n+1 of c_d(b) 2^((n+1)/d)."""
-    if n < 1:
-        raise ValueError("VT length must be >= 1")
-    if not 0 <= b <= n:
-        raise ValueError(f"residue {b} not in [0, {n + 1})")
+    _check_vt(n, b)
     q = n + 1
     s = sum(
         ramanujan_sum(d, b) * (1 << (q // d))

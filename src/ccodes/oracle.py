@@ -216,18 +216,12 @@ def _qary_count(coeffs: Sequence[int], n: int, b: int, q: int) -> int:
 
 
 def brute_count_zn(coeffs: Iterable[int], n: int, b: int, k: int) -> int:
-    """Exhaustive count of solutions over Z_n^k. Capped at n^k <= 10^7.
+    """Exhaustive count of solutions over Z_n^k: brute_count_qary with q = n.
 
-    Every call enumerates all n^k tuples and counts its one residue.
+    Every call enumerates all n^k tuples and counts its one residue. Capped
+    at n^k <= 10^7.
     """
-    a = list(coeffs)
-    if len(a) != k:
-        raise ValueError("coefficient list length must equal k")
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    if n**k > _MAX_GRID:
-        raise CapExceeded(f"{n}^{k} tuples exceeds the {_MAX_GRID} cap")
-    return _qary_count(a, n, b % n, n)
+    return brute_count_qary(coeffs, n, b, k, n)
 
 
 def brute_count_qary(coeffs: Iterable[int], n: int, b: int, k: int, q: int) -> int:

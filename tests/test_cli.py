@@ -232,6 +232,13 @@ def test_verify_random_deterministic(capsys):
     assert out3 != out1
 
 
+def test_verify_negative_random_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--family", "blcc", "--random", "-3")
+    assert (code, out, err) == (2, "", "ccodes: --random must be >= 0\n")
+    code, out, err = run(capsys, "verify", "--family", "blcc", "--random", "0")
+    assert (code, out, err) == (0, "0/0 instances agree\n", "")
+
+
 def test_verify_svt_relative_n(capsys):
     code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1..6",
                        "--n", "k+1", "--b", "all", "--r", "both", "--quiet")

@@ -214,7 +214,7 @@ RANDOM24 = tuple(random.Random(1).randrange(1024) for _ in range(24))
     (make_vt(200, 0).coefficients, 201, False),  # 78 / 100 ms: the join of wide rows
 ])
 def test_route_cost_model(coeffs, n, mitm):
-    assert enumerator._mitm_is_cheaper(tuple(a % n for a in coeffs), n) is mitm
+    assert polyring.mitm_is_cheaper(tuple(a % n for a in coeffs), n) is mitm
 
 
 def test_dispatcher_takes_the_cheaper_route(monkeypatch):

@@ -10,7 +10,7 @@ from ccodes import (
     residue_product,
 )
 from ccodes import polyring
-from ccodes.polyring import check_rows, reach, residue_slot
+from ccodes.polyring import cap_error, reach, residue_slot
 
 # === residue_product ===
 
@@ -167,14 +167,14 @@ def test_bit_cap_at_the_bound(monkeypatch):
     monkeypatch.setattr(polyring, "_fold", lambda a, *rest: folded.append(len(a)) or fold(a, *rest))
     # 8191 ones reach every residue mod 7 or 8: rows of 8192^2 bits, 7 rows exactly at the cap
     assert 7 * 8192**2 == polyring._MAX_BITS
-    check_rows([[1] * 8191], 7)
+    assert cap_error([[1] * 8191], 7) is None
     with pytest.raises(CapExceeded, match=f"up to {8 * 8192**2} packed bits exceeds the cap of "
                                           f"{polyring._MAX_BITS}"):
-        check_rows([[1] * 8191], 8)
+        raise cap_error([[1] * 8191], 8)
     with pytest.raises(CapExceeded, match="packed bits"):
         residue_product([1] * 8191, 8)
     # each half is charged rows of the whole spec's width, 8192^2 bits
-    check_rows([[1] * 4096, [1] * 4095], 7)
+    assert cap_error([[1] * 4096, [1] * 4095], 7) is None
     with pytest.raises(CapExceeded, match=f"up to {8 * 8192**2} packed bits"):
         residue_slot([1] * 8191, 8, 0)
     # VT(800): its fold and its halves alike, before anything is folded
@@ -184,7 +184,7 @@ def test_bit_cap_at_the_bound(monkeypatch):
     # the row cap still comes first
     monkeypatch.setattr(polyring, "_MAX_ROWS", 7)
     with pytest.raises(CapExceeded, match="up to 8 residue rows exceeds the cap of 7"):
-        check_rows([[1] * 8191], 8)
+        raise cap_error([[1] * 8191], 8)
 
 
 def test_row_cap_comes_before_any_fold(monkeypatch):
