@@ -44,11 +44,11 @@ Exit status:
     2  usage error, reported as one "ccodes: ..." line
     3  internal error outside verify (a package error or an impossible
        enumerator), reported as one "ccodes: internal error: ..." line
-    4  a route's cap (rows or packed bits of the fold or of meeting in the
-       middle, float modulus or cells, brute-force tuples) stops the
-       computation outside verify, reported as one "ccodes: limit: ..."
-       line before the route allocates; the closed form has no cap, so an
-       instance in its domain never exits 4
+    4  a route's cap (packed bits of the fold or of meeting in the middle,
+       float modulus or cells, brute-force tuples) stops the computation
+       outside verify, reported as one "ccodes: limit: ..." line before
+       the route allocates; the closed form has no cap, so an instance in
+       its domain never exits 4
 Output carries no timestamps, so identical invocations produce identical
 bytes.
 """
@@ -68,7 +68,6 @@ from .enumerator import (
     WeightEnumerator,
     closed_form_gap,
     pretty_counts,
-    svt_sizes,
     svt_sizes_charsum_float,
     vt_q_size,
     weight_enumerator,
@@ -232,16 +231,14 @@ def _svt_float(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
     return (even, odd), dev
 
 
-def _parity_split(route: Callable[[CodeSpec], WeightEnumerator]):
-    """An svt method: the (even, odd) sizes from one route's base enumerator."""
-    name = route.__name__
+def _parity(method: Callable[[CodeSpec], tuple[tuple[int, ...], float]]):
+    """An svt method: the (even, odd) sizes from a method's counts of the base code."""
+    def svt_method(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
+        counts, dev = method(spec.base)
+        even = sum(counts[::2])
+        return (even, sum(counts) - even), dev
 
-    def method(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
-        w = globals()[name](spec.base)
-        even = sum(c for t, c in enumerate(w.counts) if t % 2 == 0)
-        return (even, w.size() - even), 0.0
-
-    return method
+    return svt_method
 
 
 class _Family(namedtuple("_Family", "grid make methods counts opt_in",
@@ -285,9 +282,7 @@ _FAMILIES = {
         (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"])),
          ("r", lambda r, p: (0, 1) if r == "both" else (int(r),))),
         make_svt,
-        {"exact": lambda spec: (svt_sizes(spec), 0.0), "float": _svt_float,
-         "brute": _parity_split(brute_weight_enumerator),
-         "mitm": _parity_split(weight_enumerator_mitm)},
+        {**{name: _parity(method) for name, method in _METHODS.items()}, "float": _svt_float},
         counts=_parity_counts,
     ),
     "blcc": _Family(
@@ -374,10 +369,10 @@ def cmd_enum(args: SimpleNamespace) -> int:
 
 
 def _check_fold_caps(args: SimpleNamespace) -> None:
-    """The fold's caps for every modulus of an all-residue grid, before any fold.
+    """The fold's cap for every modulus of an all-residue grid, before any fold.
 
     Moduli in the closed form's domain are not folded, so not checked. The
-    caps depend only on (coefficients mod n, n), which the parameters
+    cap depends only on (coefficients mod n, n), which the parameters
     other than the residue fix, so the grid is walked with one residue per
     modulus. Every residue of --b all is valid, so this walk meets every
     usage error that the whole grid would, and one of those still wins over
@@ -400,7 +395,7 @@ def cmd_table(args: SimpleNamespace) -> int:
         raise UsageError("svt tables support --quantity size only")
     # Every row comes from weight_enumerator. Over all residues of a modulus it
     # reads the closed form once per gcd class or, from the second residue on,
-    # one fold, so every modulus it may fold passes the fold's caps first.
+    # one fold, so every modulus it may fold passes the fold's cap first.
     if args.b == "all":
         _check_fold_caps(args)
     family = _FAMILIES[args.family]
@@ -444,10 +439,12 @@ def _methods_for(family: str, requested: str | None) -> list[str]:
     if requested is None:
         return [m for m in known if m not in _FAMILIES[family].opt_in]
     methods = [m.strip() for m in requested.split(",") if m.strip()]
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in known:
             raise UsageError(f"unknown method {m!r} for --family {family}; "
                              f"choose from {','.join(known)}")
+        if m in methods[:i]:
+            raise UsageError(f"--methods names {m} twice")
     if not methods:
         raise UsageError("--methods must name at least one method")
     return methods

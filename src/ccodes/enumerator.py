@@ -4,7 +4,7 @@ The authoritative paths are exact integer arithmetic with no rounding:
 the closed divisor-sum form for the codes whose coefficients are 1..k mod n
 with n dividing k + 1 (VT codes among them), and otherwise the residue fold
 in ``polyring`` or its meet-in-the-middle split for one residue, as the
-caps and the route cost model in ``polyring`` allow and prefer. The fold
+cap and the route cost model in ``polyring`` allow and prefer. The fold
 and the closed form are checked against each other, and the literal
 floating-point character sums here (and brute force in ``oracle``) check
 both; those never replace them.
@@ -122,13 +122,13 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     Inside the closed form's domain (closed_form_gap) the closed form
     answers, one evaluation per gcd class of the residue. Otherwise a fold
     already built for these coefficients mod n and n is read. Else, when the
-    fold fits under the row and bit caps, the second call in a row with the
-    same key builds it, so a sweep over the residues of one modulus folds
-    once, and any other call folds when the cost model (mitm_is_cheaper)
-    prefers it. Everything else meets in the middle, which raises
-    CapExceeded past the same caps before it allocates. The route may depend
-    on the previous call; the result, and whether one is computed at all, do
-    not. ``verify`` and the tests compare the closed form with
+    fold fits under the packed-bit cap (cap_error), the second call in a row
+    with the same key builds it, so a sweep over the residues of one modulus
+    folds once, and any other call folds when the cost model
+    (mitm_is_cheaper) prefers it. Everything else meets in the middle, which
+    raises CapExceeded past the same cap before it allocates. The route may
+    depend on the previous call; the result, and whether one is computed at
+    all, do not. ``verify`` and the tests compare the closed form with
     weight_enumerator_fold, not with this dispatcher.
     """
     try:

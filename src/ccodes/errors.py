@@ -21,10 +21,10 @@ class IntegralityFailure(CongruenceCodeError):
 class CapExceeded(CongruenceCodeError):
     """A route was asked to go beyond its safety cap, a limit and not a bug.
 
-    The caps bound brute-force tuples; the rows and the packed bits of the
-    residue fold, and of each half when meeting in the middle; and the
-    modulus and the n·k·rows cells of the float routes. Each is checked
-    before the route allocates.
+    The caps bound brute-force tuples; the packed bits of the residue fold,
+    and of each half when meeting in the middle; and the modulus and the
+    n·k·rows cells of the float routes. Each is checked before the route
+    allocates.
     """
 
 

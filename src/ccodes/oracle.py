@@ -87,11 +87,12 @@ class Codebook(Record):
         ]
 
 
-def _subset_keys(steps: Sequence[int], wrap: int) -> list[int]:
-    # the sums mod wrap of the subsets x of steps, in the binary order of x, by list doubling
+def _digit_sums(steps: Sequence[int], wrap: int, q: int) -> list[int]:
+    # the sums mod wrap of d·steps over every digit tuple d in {0..q-1}^len(steps), first
+    # digit fastest (for q = 2, the subsets x of steps in the binary order of x)
     keys = [0]
     for step in steps:
-        keys += [(x + step) % wrap for x in keys]
+        keys += [(x + d * step) % wrap for d in range(1, q) for x in keys]
     return keys
 
 
@@ -117,7 +118,7 @@ def _cells(coeffs: Sequence[int], n: int) -> tuple[list, list[int]]:
         cells = [x + [(r + a) % n for r in y] for x, y in zip(cells + [[]], [[]] + cells)]
     if n <= _CHARS:
         cells = ["".join(map(chr, cell)) for cell in cells]
-    return cells, _subset_keys([(k + 1) * a + 1 for a in coeffs[c:]], (k + 1) * n)
+    return cells, _digit_sums([(k + 1) * a + 1 for a in coeffs[c:]], (k + 1) * n, 2)
 
 
 def _count(cells: list, prefixes: list[int], n: int, b: int, width: int) -> list[int]:
@@ -170,19 +171,11 @@ def build_codebook(spec: CodeSpec) -> Codebook:
     k = len(coeffs)
     _check_tuples(k)
     c = min(k, _CHUNK_BITS)
-    low = _subset_keys(coeffs[:c], n)
+    low = _digit_sums(coeffs[:c], n, 2)
     words: list[int] = []
-    for h, p in enumerate(_subset_keys(coeffs[c:], n)):
+    for h, p in enumerate(_digit_sums(coeffs[c:], n, 2)):
         words += compress(count(h << c), map(((b - p) % n).__eq__, low))
     return Codebook(k, tuple(words))
-
-
-def _digit_residues(coeffs: Sequence[int], n: int, q: int) -> list[int]:
-    # the residue of every tuple over {0..q-1}, one entry per tuple
-    residues = [0]
-    for a in coeffs:
-        residues = [(r + a * d) % n for d in range(q) for r in residues]
-    return residues
 
 
 def _qary_chunks(coeffs: Sequence[int], n: int, q: int) -> Iterator[list[int]]:
@@ -202,7 +195,7 @@ def _qary_chunks(coeffs: Sequence[int], n: int, q: int) -> Iterator[list[int]]:
             [(a * d) % n for d in range(lo, min(q, lo + step))] for lo in range(0, q, step))
         c = 1
     else:
-        lows = [_digit_residues(coeffs[:c], n, q)]
+        lows = [_digit_sums(coeffs[:c], n, q)]
     rest = coeffs[c:]
     for low in lows:
         for digits in product(range(q), repeat=len(rest)):

@@ -30,12 +30,12 @@ The packed product is exact for the same reason the fold is: every
 coefficient of the result counts tuples of one weight, so stays below
 2^(k+1). It holds about 2^ceil(k/2) rows per half instead of 2^k.
 
-Both routes check their row bound, and the bits those rows could hold,
-before they allocate anything and raise CapExceeded past either; cap_error
-gives that verdict to callers that only need to know. The cost model that
-picks a route for one residue (mitm_is_cheaper) prices row adds and
-products by the same width, so the packed format, its caps and its costs
-all live here.
+Both routes check the bits that their rows could hold before they
+allocate anything and raise CapExceeded past the one cap, _MAX_BITS;
+cap_error gives that verdict to callers that only need to know. The cost
+model that picks a route for one residue (mitm_is_cheaper) prices row adds
+and products by the same width, so the packed format, its cap and its
+costs all live here.
 """
 
 from __future__ import annotations
@@ -53,25 +53,19 @@ __all__ = [
     "residue_slot",
 ]
 
-# Cap on the rows one fold may build, checked on the reach bound: the whole
-# fold's, or each half's when meeting in the middle. Child peak RSS near the
-# cap (Python 3.11, x86-64): a fold of 20 coefficients mod 10^9+7 took 171 MB
-# and 0.9 s, of Helberg(27,2)'s 832,039 residues 296 MB and 1.5 s, and of 30
-# coefficients mod 2^20 - 3 415 MB and 17 s; meeting in the middle on 40
-# coefficients mod 10^9+7 (2^20 rows per half) took 382 MB and 2.8 s.
-_MAX_ROWS = 1 << 20
-
-# Cap on the packed bits one fold may hold, checked on reach times (k+1)^2,
-# the bits of reach rows that each hold k+1 fields of k+1 bits; k counts
-# every coefficient of the spec, so the halves of a meeting in the middle are
-# charged full-width rows too. The row cap lets the fold of VT(n) through at
-# any n, while its memory grows about as n^3 and its time as n^4. Child peak
-# RSS and time (Python 3.11, x86-64) of VT(n) folds: n = 400 took 32 MB and
-# 1.4 s, n = 700 110 MB and 9.1 s, n = 800 159 MB and 22 s. The cap admits
-# 2^20 rows of 21^2 bits, the fold of 20 coefficients mod 10^9+7 (171 MB),
-# and Helberg(26, 2) (179 MB), so VT(n) folds up to n = 776; it stops the
-# heavier Helberg(27, 2) fold (295 MB) and meeting in the middle on 40
-# coefficients mod 10^9+7 (382 MB).
+# The one cap of a fold: the packed bits it may hold, checked on reach times
+# (k+1)^2, the bits of reach rows that each hold k+1 fields of k+1 bits; k
+# counts every coefficient of the spec, so the halves of a meeting in the
+# middle are charged full-width rows too. As reach <= 2^k, the cap admits at
+# most 2^20 rows, at k = 20; raised past (2^20+1) * 22^2 it would admit more,
+# and the memory would have to be measured again. Child peak RSS and time
+# (Python 3.11, x86-64): the fold of 20 coefficients mod 10^9+7, 2^20 rows of
+# 21^2 bits, took 171 MB and 0.9 s, and Helberg(26, 2) 179 MB. VT(n) folds
+# grow about as n^3 in memory and n^4 in time: n = 400 took 32 MB and 1.4 s,
+# n = 700 110 MB and 9.1 s, n = 800 159 MB and 22 s; the cap lets them
+# through up to n = 776. It stops the Helberg(27, 2) fold (296 MB, 1.5 s) and
+# meeting in the middle on 40 coefficients mod 10^9+7 (2^20 rows per half,
+# 382 MB, 2.8 s).
 _MAX_BITS = 7 << 26
 
 
@@ -106,20 +100,17 @@ def cap_error(parts: Iterable[Iterable[int]], modulus: int) -> CapExceeded | Non
     """The CapExceeded that a fold of some part would raise, or None if none would.
 
     The parts together are the spec's k coefficients; a fold of any part
-    passes the caps when it could reach more than _MAX_ROWS residues or hold
-    more than _MAX_BITS bits in rows of (k+1)^2 bits. Reads only
-    reach(part, modulus) and k, so it allocates nothing; residue_product
-    checks its one part and residue_slot its two halves this way.
+    passes the cap when its rows of (k+1)^2 bits could hold more than
+    _MAX_BITS bits. Reads only reach(part, modulus) and k, so it allocates
+    nothing; residue_product checks its one part and residue_slot its two
+    halves this way, the left half first.
     """
     parts = [list(part) for part in parts]
     width = 1 + sum(map(len, parts))
     for part in parts:
-        rows = reach(part, modulus)
-        if rows > _MAX_ROWS:
-            return CapExceeded(f"up to {rows} residue rows exceeds the cap of {_MAX_ROWS}")
-        if rows * width * width > _MAX_BITS:
-            return CapExceeded(
-                f"up to {rows * width * width} packed bits exceeds the cap of {_MAX_BITS}")
+        bits = reach(part, modulus) * width * width
+        if bits > _MAX_BITS:
+            return CapExceeded(f"up to {bits} packed bits exceeds the cap of {_MAX_BITS}")
     return None
 
 
@@ -217,9 +208,9 @@ def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
     turn, one big-integer add per reached residue, of which there are at most
     reach(coeffs, modulus), so moduli far above 2^k stay cheap. Negative
     coefficients are reduced mod the modulus first, which does not change
-    the code. Raises CapExceeded, before building anything, when that bound
-    passes _MAX_ROWS or its rows of (k+1)^2 bits pass _MAX_BITS, and
-    InvariantViolation if the slots do not add up to (1 + z)^k.
+    the code. Raises CapExceeded, before building anything, when that many
+    rows of (k+1)^2 bits pass _MAX_BITS, and InvariantViolation if the slots
+    do not add up to (1 + z)^k.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -236,9 +227,8 @@ def residue_slot(coeffs: Iterable[int], modulus: int, residue: int) -> tuple[int
 
     Folds the first ceil(k/2) and the last floor(k/2) coefficients apart,
     each with the mass check, and joins them at the residue. Raises
-    CapExceeded, before building anything, when either half could reach
-    more than _MAX_ROWS residues or hold more than _MAX_BITS bits in rows
-    of (k+1)^2 bits.
+    CapExceeded, before building anything, when either half could hold more
+    than _MAX_BITS bits in rows of (k+1)^2 bits.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")

@@ -244,6 +244,19 @@ def test_verify_svt_relative_n(capsys):
                        "--n", "k+1", "--b", "all", "--r", "both", "--quiet")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().split("\n"))
+    # the closed form covers every base code with n = k+1
+    code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1..6",
+                       "--n", "k+1", "--b", "all", "--r", "both", "--methods", "exact,closed")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "54/54 instances agree"
+    assert all(line.startswith("PASS") and " methods=exact,closed " in line
+               for line in lines[:-1])
+
+
+def test_verify_repeated_method_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--family", "vt", "--n", "3", "--b", "0",
+                         "--methods", "exact,exact")
+    assert (code, out, err) == (2, "", "ccodes: --methods names exact twice\n")
 
 
 def test_verify_unknown_method_exits_2(capsys):
@@ -355,19 +368,6 @@ def test_parse_range():
         parse_range("a..b")
 
 
-def test_table_svt_rejects_non_size_quantity_before_computing(capsys, monkeypatch):
-    def must_not_run(spec):
-        raise AssertionError("svt_sizes ran before the usage check")
-
-    monkeypatch.setattr(cli, "svt_sizes", must_not_run)
-    for quantity in ("nt", "enumerator"):
-        code, out, err = run(capsys, "table", "--family", "svt", "--quantity", quantity,
-                             "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
-        assert code == 2
-        assert out == ""
-        assert "--quantity size only" in err
-
-
 def test_fold_invariant_is_not_a_usage_error(capsys, monkeypatch):
     def broken_check(rows, k, width):
         raise InvariantViolation("broken")
@@ -434,10 +434,11 @@ def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):
         raise AssertionError("weight_enumerator ran before the usage check")
 
     monkeypatch.setattr(cli, "weight_enumerator", must_not_run)  # every table row reads it
-    code, out, _ = run(capsys, "table", "--family", "svt", "--quantity", "nt",
-                       "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
-    assert code == 2
-    assert out == ""
+    for quantity in ("nt", "enumerator"):
+        code, out, err = run(capsys, "table", "--family", "svt", "--quantity", quantity,
+                             "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
+        assert (code, out) == (2, "")
+        assert "--quantity size only" in err
 
 
 def parsed(parse, argv):
@@ -643,12 +644,13 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
     halves = []
     fold = polyring._fold
     monkeypatch.setattr(polyring, "_fold", lambda a, *rest: halves.append(len(a)) or fold(a, *rest))
-    monkeypatch.setattr(polyring, "_MAX_ROWS", 100)
-    # Helberg(10, 2): modulus 232; the halves reach at most 27 and 32 residues
+    monkeypatch.setattr(polyring, "_MAX_BITS", 100 * 11**2)
+    # Helberg(10, 2): modulus 232, rows of 11^2 bits; the halves reach at most 27 and 32
+    # residues
     code, out, err = run(capsys, "table", "--family", "helberg", "--quantity", "size",
                          "--k", "10", "--s", "2", "--b", "all")
     assert (code, out) == (4, "")
-    assert err == "ccodes: limit: up to 232 residue rows exceeds the cap of 100\n"
+    assert err == f"ccodes: limit: up to {232 * 11**2} packed bits exceeds the cap of 12100\n"
     assert halves == []  # an all-residue table reads the fold, capped before any folding
     # two residues meet in the middle, whatever the previous call was
     code, out, _ = run(capsys, "table", "--family", "helberg", "--quantity", "size",
@@ -698,17 +700,17 @@ def test_vt_past_the_float_work_bound_is_unverified(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # moduli 2..13; only the last is over the cap, and 13 does not divide k+1 = 12,
-    # so the closed form does not answer it
+    # moduli 2..13, rows of 12^2 bits; only the last is over the cap, and 13 does not
+    # divide k+1 = 12, so the closed form does not answer it
     ("--family", "levenshtein", "--k", "11", "--n", "2..13"),
     ("--family", "svt", "--k", "11", "--n", "3..13", "--r", "both"),
 ])
 def test_table_checks_every_modulus_before_folding(capsys, monkeypatch, argv):
     folds = count_folds(monkeypatch)
-    monkeypatch.setattr(polyring, "_MAX_ROWS", 12)
+    monkeypatch.setattr(polyring, "_MAX_BITS", 12 * 12**2)
     code, out, err = run(capsys, "table", *argv, "--b", "all")
     assert (code, out) == (4, "")
-    assert err == "ccodes: limit: up to 13 residue rows exceeds the cap of 12\n"
+    assert err == f"ccodes: limit: up to {13 * 12**2} packed bits exceeds the cap of 1728\n"
     assert folds == []
 
 
@@ -775,13 +777,14 @@ def test_charsum_float_overflow_skips_inside_verify(capsys):
 
 
 def test_cap_skips_inside_verify(capsys, monkeypatch):
-    monkeypatch.setattr(polyring, "_MAX_ROWS", 100)
+    monkeypatch.setattr(polyring, "_MAX_BITS", 100 * 11**2)
     code, out, _ = run(capsys, "verify", "--family", "helberg", "--k", "10", "--s", "2",
                        "--b", "3", "--methods", "exact,mitm,brute")
     assert code == 0
     label = "family=helberg k=10 s=2 b=3"
     assert out.splitlines() == [
-        f"SKIP {label} method=exact reason=up to 232 residue rows exceeds the cap of 100",
+        f"SKIP {label} method=exact reason=up to {232 * 11**2} packed bits exceeds the cap "
+        "of 12100",
         f"PASS {label} methods=mitm,brute dev=0.000e+00",
         "1/1 instances agree",
     ]

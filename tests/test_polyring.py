@@ -181,23 +181,36 @@ def test_bit_cap_at_the_bound(monkeypatch):
     with pytest.raises(CapExceeded, match=f"up to {801**3} packed bits"):
         residue_slot(range(1, 801), 801, 0)
     assert folded == []
-    # the row cap still comes first
-    monkeypatch.setattr(polyring, "_MAX_ROWS", 7)
-    with pytest.raises(CapExceeded, match="up to 8 residue rows exceeds the cap of 7"):
-        raise cap_error([[1] * 8191], 8)
+
+
+def test_bit_cap_admits_at_most_2_20_rows():
+    # a part reaches at most 2^k residues in rows of (k+1)^2 bits: the cap peaks at k = 20
+    rows = [min(1 << k, polyring._MAX_BITS // (k + 1) ** 2) for k in range(100)]
+    assert max(rows) == rows[20] == 1 << 20
+    # 2^20 rows at k = 20 pass the cap, and 2^20 + 1 rows at k = 21 do not
+    assert cap_error([[1 << i for i in range(20)]], 1 << 20) is None
+    assert cap_error([[1 << i for i in range(21)]], (1 << 20) + 1) is not None
 
 
 def test_row_cap_comes_before_any_fold(monkeypatch):
     folded = []
     fold = polyring._fold
     monkeypatch.setattr(polyring, "_fold", lambda a, *rest: folded.append(len(a)) or fold(a, *rest))
-    monkeypatch.setattr(polyring, "_MAX_ROWS", 16)
+
+    def cap(rows, k):  # rows of (k+1)^2 bits
+        monkeypatch.setattr(polyring, "_MAX_BITS", rows * (k + 1) ** 2)
+
+    cap(16, 4)
     assert residue_product([1, 2, 4, 8], 100).slot(15) == (0, 0, 0, 0, 1)
+    cap(16, 8)
     assert residue_slot([1, 2, 4, 8, 16, 32, 64, 128], 1000, 255) == (0,) * 8 + (1,)
     assert folded == [4, 4, 4]
-    with pytest.raises(CapExceeded, match="up to 17 residue rows exceeds the cap of 16"):
+    cap(16, 5)
+    with pytest.raises(CapExceeded, match=f"up to {17 * 6**2} packed bits exceeds the cap of "
+                                          f"{16 * 6**2}"):
         residue_product([1, 2, 4, 8, 16], 17)
-    # the right half reaches 32 residues: neither half is folded
-    with pytest.raises(CapExceeded, match="up to 32 residue rows"):
+    # the left half reaches 32 residues: neither half is folded
+    cap(16, 9)
+    with pytest.raises(CapExceeded, match=f"up to {32 * 10**2} packed bits"):
         residue_slot([1, 2, 4, 8, 16, 32, 64, 128, 256], 1000, 0)
     assert folded == [4, 4, 4]
