@@ -429,7 +429,7 @@ def test_impossible_enumerator_is_not_a_usage_error(capsys, monkeypatch):
     assert err == "ccodes: internal error: ValueError: N_0 = 5 impossible at length 1\n"
 
 
-def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):
+def test_table_svt_rejects_non_size_quantity_before_computing(capsys, monkeypatch):
     def must_not_run(spec):
         raise AssertionError("weight_enumerator ran before the usage check")
 
@@ -439,6 +439,17 @@ def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):
                              "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
         assert (code, out) == (2, "")
         assert "--quantity size only" in err
+
+
+def test_table_svt_usage_check_precedes_the_fold(capsys, monkeypatch):
+    folds = count_folds(monkeypatch)
+    monkeypatch.setattr(polyring, "_MAX_BITS", 0)  # every fold is past the cap
+    # 3 does not divide k+1 = 4, so the closed form does not answer and the fold is capped
+    code, out, err = run(capsys, "table", "--family", "svt", "--quantity", "nt",
+                         "--k", "3", "--n", "3", "--b", "all", "--r", "both")
+    assert (code, out) == (2, "")  # the usage error wins over the cap's exit 4
+    assert "--quantity size only" in err
+    assert folds == []
 
 
 def parsed(parse, argv):

@@ -229,6 +229,26 @@ def test_dispatcher_takes_the_cheaper_route(monkeypatch):
         assert routes.pop() == route and not routes
 
 
+def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
+    routes = []
+    monkeypatch.setattr(enumerator, "residue_product",
+                        lambda *args: routes.append("fold") or residue_product(*args))
+    monkeypatch.setattr(enumerator, "residue_slot",
+                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    monkeypatch.setattr(polyring, "_MAX_BITS", 100 * 11**2)
+    spec = make_helberg(10, 2, 3)  # modulus 232, rows of 11^2 bits; the halves 27 and 32 rows
+    expected = brute_weight_enumerator(spec)
+    assert weight_enumerator(spec) == expected
+    assert weight_enumerator(spec) == expected  # a repeat no longer folds past the cap
+    assert size(spec) == expected.size()
+    assert routes == ["mitm"] * 3
+    # under the cap the repeat folds, and the fold serves the next residue
+    monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
+    assert weight_enumerator(spec) == expected
+    assert weight_enumerator(make_helberg(10, 2, 4)) == brute_weight_enumerator(make_helberg(10, 2, 4))
+    assert routes == ["mitm"] * 3 + ["fold"]
+
+
 def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
     routes = []
     monkeypatch.setattr(enumerator, "residue_product",
@@ -237,18 +257,13 @@ def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
                         lambda *args: routes.append("mitm") or residue_slot(*args))
     spec = make_helberg(10, 2, 3)  # 232 rows of 11^2 bits; the halves 27 and 32 rows
     expected = brute_weight_enumerator(spec)
-    for cap in (100 * 11**2, 232 * 11**2 - 1):  # far past the fold, and just past it
-        monkeypatch.setattr(polyring, "_MAX_BITS", cap)
-        assert weight_enumerator(spec) == expected
-        assert weight_enumerator(spec) == expected  # a repeat does not fold past the cap either
-        assert size(spec) == expected.size()
-        assert routes == ["mitm"] * 3
-        routes.clear()
-    # at the cap the repeat folds, and the fold serves the next residue
+    monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2 - 1)
+    assert weight_enumerator(spec) == expected
+    assert weight_enumerator(spec) == expected  # a repeat does not fold past the cap either
+    assert routes == ["mitm"] * 2
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
     assert weight_enumerator(spec) == expected
-    assert weight_enumerator(make_helberg(10, 2, 4)) == brute_weight_enumerator(make_helberg(10, 2, 4))
-    assert routes == ["fold"]
+    assert routes == ["mitm"] * 2 + ["fold"]
 
 
 # === float character sum ===
