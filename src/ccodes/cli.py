@@ -89,17 +89,6 @@ class UsageError(Exception):
     """Bad command line parameters; reported on one line, exit code 2."""
 
 
-class OutputRecord(namedtuple("OutputRecord", "family params method size enumerator",
-                              defaults=(None,))):
-    """One computed result, ready for any output format.
-
-    family and method are names, params maps each grid flag to its value,
-    size is the code size and enumerator the weight counts, or None.
-    """
-
-    __slots__ = ()
-
-
 # ---- formatting ----
 
 
@@ -107,14 +96,20 @@ def _json_scalar(v: int):
     return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
 
 
-def _emit_record(rec: OutputRecord, fmt: str) -> str:
+def _emit_record(fmt: str, family: str, params: Params, method: str, size: int,
+                 enumerator: Sequence[int] | None = None) -> str:
+    """One computed result in format fmt.
+
+    family and method are names, params maps each grid flag to its value,
+    size is the code size and enumerator the weight counts, or None.
+    """
     if fmt == "json":
         import json
 
-        payload: dict = {"family": rec.family, "params": rec.params, "method": rec.method,
-                         "size": _json_scalar(rec.size)}
-        if rec.enumerator is not None:
-            payload["enumerator"] = [_json_scalar(c) for c in rec.enumerator]
+        payload: dict = {"family": family, "params": params, "method": method,
+                         "size": _json_scalar(size)}
+        if enumerator is not None:
+            payload["enumerator"] = [_json_scalar(c) for c in enumerator]
         return json.dumps(payload, separators=(",", ":"))
     if fmt == "csv":
         import csv
@@ -123,20 +118,20 @@ def _emit_record(rec: OutputRecord, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["family", "params", "method", "size", "deviation", "enumerator"])
         writer.writerow([
-            rec.family,
-            " ".join(f"{k}={v}" for k, v in rec.params.items()),
-            rec.method,
-            rec.size,
+            family,
+            " ".join(f"{k}={v}" for k, v in params.items()),
+            method,
+            size,
             "",  # deviation: the column stays so the CSV layout does not change
-            "" if rec.enumerator is None else " ".join(str(c) for c in rec.enumerator),
+            "" if enumerator is None else " ".join(str(c) for c in enumerator),
         ])
         return buf.getvalue().rstrip("\n")
-    parts = [f"family={rec.family}"]
-    parts += [f"{k}={v}" for k, v in rec.params.items()]
-    parts.append(f"method={rec.method}")
-    parts.append(f"size={rec.size}")
-    if rec.enumerator is not None:
-        parts.append(f"W(z)={pretty_counts(rec.enumerator)}")
+    parts = [f"family={family}"]
+    parts += [f"{k}={v}" for k, v in params.items()]
+    parts.append(f"method={method}")
+    parts.append(f"size={size}")
+    if enumerator is not None:
+        parts.append(f"W(z)={pretty_counts(enumerator)}")
     return " ".join(parts)
 
 
@@ -359,12 +354,11 @@ def cmd_enum(args: SimpleNamespace) -> int:
         raise UsageError("enum needs a grid of exactly one instance; use table or verify")
     [(params, spec)] = instances
     if args.q not in (None, 2):
-        rec = OutputRecord(args.family, {**params, "q": args.q}, "closed",
-                           vt_q_size(spec.length, spec.residue, args.q))
+        print(_emit_record(args.format, args.family, {**params, "q": args.q}, "closed",
+                           vt_q_size(spec.length, spec.residue, args.q)))
     else:
         counts = _FAMILIES[args.family].counts(spec)
-        rec = OutputRecord(args.family, params, "exact", sum(counts), list(counts))
-    print(_emit_record(rec, args.format))
+        print(_emit_record(args.format, args.family, params, "exact", sum(counts), counts))
     return 0
 
 

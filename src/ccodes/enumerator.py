@@ -15,8 +15,10 @@ code a_1 c_1 + ... + a_k c_k = b (mod n) is
     W(z) = (1/n) * sum_{m=1}^{n} e(-b m / n) * prod_j (1 + z e(a_j m / n)),
 
 setting z = 1 collapses the product to cosines and yields both the size
-formula and an absolute-value upper bound. When the coefficients run
-through 1..k mod n and n divides k + 1, the average telescopes into a
+formula and an absolute-value upper bound; splitting it by weight parity
+adds a sine product. Those three trigonometric sums share one column-wise
+product builder, and the enumerator sum has its own. When the coefficients
+run through 1..k mod n and n divides k + 1, the average telescopes into a
 Ramanujan-sum closed form over the divisors of n, which depends on b only
 through gcd(b, n); VT_b(n) is the case of modulus n + 1 = k + 1.
 """
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from collections.abc import Callable, Iterable
 
 from ._memo import Memo
@@ -243,13 +246,41 @@ def _float_blocks(key: tuple, width: int, build: Callable[[range], list[list]]):
 
 
 def _accumulate(acc: list, phases: list, rows: list[list]) -> None:
-    # acc[t] += phase_m * row_t[m] in m order: an explicit loop, because the
-    # builtin sum compensates float sums from Python 3.12 on
+    # acc[t] += phase_m * row_t[m] in m order: a left fold, because the builtin
+    # sum compensates float sums from Python 3.12 on
     for t, row in enumerate(rows):
-        s = acc[t]
-        for v in map(mul, phases, row):
-            s += v
-        acc[t] = s
+        acc[t] = reduce(add, map(mul, phases, row), acc[t])
+
+
+def _trig_sums(tag: str, spec: CodeSpec, fs: tuple, phased: bool = True) -> list:
+    """sum_{m=1}^{n} e(eta m / n) prod_j f(pi a_j m / n) for each f of fs.
+
+    eta = -b + (a_1 + ... + a_k) / 2 is carried as the integer 2*eta, each f
+    is read from a table of its 2n values, and without phased every phase is
+    1.0 and the sums are floats. The products are built column-wise, a block
+    of m at a time, one row per f, and kept in the float memo under tag; every
+    m sees the same multiplications in the same order as a product on its own.
+    """
+    n = spec.modulus
+    n2 = 2 * n
+    tables = [[f(math.pi * t / n) for t in range(n2)] for f in fs]
+    a_red = tuple(a % n2 for a in spec.coefficients)
+
+    def build(ms: range) -> list[list]:
+        rows = [[1.0] * len(ms) for _ in fs]
+        for a in a_red:
+            idx = [a * m % n2 for m in ms]
+            rows = [[x * table[t] for x, t in zip(row, idx)] for row, table in zip(rows, tables)]
+        return rows
+
+    two_eta = sum(spec.coefficients) - 2 * spec.residue
+    if phased:
+        phases, acc = [cmath.exp(1j * math.pi * t / n) for t in range(n2)], [0j] * len(fs)
+    else:
+        phases, acc = [1.0] * n2, [0.0] * len(fs)
+    for ms, rows in _float_blocks((tag, a_red, n), len(fs), build):
+        _accumulate(acc, [phases[two_eta * m % n2] for m in ms], rows)
+    return acc
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -313,9 +344,9 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
     """Code size through the cosine-product character sum.
 
     Evaluates (2^k / n) * sum_m e(eta m / n) * prod_j cos(pi a_j m / n)
-    where eta = -b + (a_1 + ... + a_k) / 2 is carried as the exact
-    half-integer 2*eta. The raw value must be real and nonnegative up to
-    tolerance; the rounded size and |raw - rounded| are returned, with
+    where eta = -b + (a_1 + ... + a_k) / 2, with the svt sum's and the
+    bound's column-wise kernel. The raw value must be real and nonnegative up
+    to tolerance; the rounded size and |raw - rounded| are returned, with
     IntegralityFailure past 1e-6 relative tolerance or when 2^k overflows a
     float (k >= 1024). CapExceeded past the float modulus or cell cap,
     before building anything.
@@ -323,16 +354,7 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
     k = len(spec.coefficients)
     n = spec.modulus
     _check_float(n, k, 1, _COSINE_CELL_COST)
-    two_eta = sum(spec.coefficients) - 2 * spec.residue
-    n2 = 2 * n
-    phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
-    cosines = [math.cos(math.pi * t / n) for t in range(n2)]
-    acc = 0j
-    for m in range(1, n + 1):
-        prod = 1.0
-        for a in spec.coefficients:
-            prod *= cosines[(a * m) % n2]
-        acc += phases[(two_eta * m) % n2] * prod
+    [acc] = _trig_sums("cosine", spec, (math.cos,))
     raw = acc * _float_scale(k, n)
     r = round(raw.real)
     dev = abs(raw - r)
@@ -345,20 +367,14 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
 def size_upper_bound(spec: CodeSpec) -> float:
     """Upper bound (2^k / n) * sum_m prod_j |cos(pi a_j m / n)| on the size.
 
-    CapExceeded past the float modulus or cell cap, before building anything;
-    IntegralityFailure when 2^k overflows a float (k >= 1024).
+    The cosine size's kernel with unit phases. CapExceeded past the float
+    modulus or cell cap, before building anything; IntegralityFailure when
+    2^k overflows a float (k >= 1024).
     """
     k = len(spec.coefficients)
     n = spec.modulus
     _check_float(n, k, 1, _COSINE_CELL_COST)
-    n2 = 2 * n
-    abscos = [abs(math.cos(math.pi * t / n)) for t in range(n2)]
-    acc = 0.0
-    for m in range(1, n + 1):
-        prod = 1.0
-        for a in spec.coefficients:
-            prod *= abscos[(a * m) % n2]
-        acc += prod
+    [acc] = _trig_sums("bound", spec, (lambda x: abs(math.cos(x)),), phased=False)
     return _float_scale(k, n) * acc
 
 
@@ -560,6 +576,7 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     With A_m = prod_j cos(pi a_j m / n) and B_m = prod_j i sin(pi a_j m / n),
     the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
     the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
+    Both products come from one column-wise pass of the cosine size's kernel.
     Returns (even, odd, max residual), IntegralityFailure past 1e-6 or when
     2^(k-1) overflows a float (k >= 1025), and CapExceeded past the float
     modulus or cell cap, before building anything.
@@ -568,26 +585,7 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     k = len(base.coefficients)
     n = base.modulus
     _check_float(n, k, 2, _SVT_CELL_COST)
-    two_eta = sum(base.coefficients) - 2 * base.residue
-    n2 = 2 * n
-    phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
-    cosines = [math.cos(math.pi * t / n) for t in range(n2)]
-    sines = [math.sin(math.pi * t / n) for t in range(n2)]
-    a_red = tuple(a % n2 for a in base.coefficients)
-
-    def build(ms: range) -> list[list]:
-        pc = [1.0] * len(ms)
-        ps = [1.0] * len(ms)
-        for a in a_red:
-            idx = [a * m % n2 for m in ms]
-            pc = [x * cosines[t] for x, t in zip(pc, idx)]
-            ps = [x * sines[t] for x, t in zip(ps, idx)]
-        return [pc, ps]
-
-    acc = [0j, 0j]
-    for ms, rows in _float_blocks(("svt", a_red, n), 2, build):
-        _accumulate(acc, [phases[two_eta * m % n2] for m in ms], rows)
-    acc_a, acc_b = acc
+    acc_a, acc_b = _trig_sums("svt", base, (math.cos, math.sin))
     scale = _float_scale(k - 1, n)
     b_term = (1, 1j, -1, -1j)[k % 4] * acc_b  # i^k * prod(sin) terms
     sign = -1 if k % 2 else 1

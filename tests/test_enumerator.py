@@ -441,6 +441,42 @@ def per_m_svt(pspec):
     return even, odd, dev
 
 
+def per_m_cosine(spec):
+    k = len(spec.coefficients)
+    n = spec.modulus
+    two_eta = sum(spec.coefficients) - 2 * spec.residue
+    n2 = 2 * n
+    phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
+    cosines = [math.cos(math.pi * t / n) for t in range(n2)]
+    acc = 0j
+    for m in range(1, n + 1):
+        prod = 1.0
+        for a in spec.coefficients:
+            prod *= cosines[(a * m) % n2]
+        acc += phases[(two_eta * m) % n2] * prod
+    raw = acc * (2.0**k / n)
+    r = round(raw.real)
+    dev = abs(raw - r)
+    tol = 1e-6 * max(1.0, abs(r))
+    if dev > tol or raw.real < -tol or r < 0:
+        return f"cosine size {raw!r} fails integrality"
+    return r, dev
+
+
+def per_m_bound(spec):
+    k = len(spec.coefficients)
+    n = spec.modulus
+    n2 = 2 * n
+    abscos = [abs(math.cos(math.pi * t / n)) for t in range(n2)]
+    acc = 0.0
+    for m in range(1, n + 1):
+        prod = 1.0
+        for a in spec.coefficients:
+            prod *= abscos[(a * m) % n2]
+        acc += prod
+    return (2.0**k / n) * acc
+
+
 def column_charsum(spec):
     try:
         w, dev = weight_enumerator_charsum_float(spec)
@@ -456,12 +492,21 @@ def column_svt(pspec):
         return str(exc)
 
 
+def column_cosine(spec):
+    try:
+        return size_cosine_float(spec)
+    except IntegralityFailure as exc:
+        return str(exc)
+
+
 def _same_float_results(spec, pspec, cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumerator, "_FLOAT_CELLS", cells)
         enumerator._float_memo.clear()  # build the rows in blocks of these cells
         assert column_charsum(spec) == per_m_charsum(spec)
         assert column_svt(pspec) == per_m_svt(pspec)
+        assert column_cosine(spec) == per_m_cosine(spec)
+        assert size_upper_bound(spec).hex() == per_m_bound(spec).hex()
 
 
 if hypothesis is not None:
@@ -497,11 +542,17 @@ def test_column_float_kernels_across_blocks_and_failures():
     assert isinstance(per_m_charsum(make_vt(50, 7)), str)
     assert isinstance(per_m_svt(make_svt(45, 46, 0, 0)), str)
     _same_float_results(make_levenshtein(45, 46, 0), make_svt(45, 46, 0, 0), 200)
+    # an empty code of 40 coefficients: the cosine sum's noise passes 1e-6
+    spec = CodeSpec((1,) * 40, 64, 63)
+    assert isinstance(per_m_cosine(spec), str)
+    _same_float_results(spec, ParityCodeSpec(spec, 1), 9)
 
 
 @pytest.mark.parametrize("route, per_m, tag, make", [
     (column_charsum, per_m_charsum, "charsum", lambda a, n, b: CodeSpec(a, n, b)),
     (column_svt, per_m_svt, "svt", lambda a, n, b: ParityCodeSpec(CodeSpec(a, n, b), b % 2)),
+    (column_cosine, per_m_cosine, "cosine", lambda a, n, b: CodeSpec(a, n, b)),
+    (size_upper_bound, per_m_bound, "bound", lambda a, n, b: CodeSpec(a, n, b)),
 ])
 def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
     a = (3, -5, 8, 13, 21)
@@ -523,7 +574,7 @@ def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
     assert enumerator._float_memo.peek()[0][2] == 19
     # past the memo bound nothing is kept
     monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
-    monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 40)
+    monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 22)  # one row of 23 cells is past it
     spec = make(a, 23, 5)
     assert route(spec) == per_m(spec)
     assert enumerator._float_memo.peek() is None
