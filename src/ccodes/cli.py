@@ -48,7 +48,9 @@ Exit status:
        float modulus or cells, brute-force tuples) stops the computation
        outside verify, reported as one "ccodes: limit: ..." line before
        the route allocates; the closed form has no cap, so an instance in
-       its domain never exits 4
+       its domain never exits 4. table stops at its first cap; a usage
+       error still wins, as ranges expand in ascending order and a grid
+       with one raises it before its first instance
 Output carries no timestamps, so identical invocations produce identical
 bytes.
 """
@@ -66,7 +68,7 @@ from . import __version__
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
 from .enumerator import (
     WeightEnumerator,
-    closed_form_gap,
+    check_sweep,
     pretty_counts,
     svt_sizes_charsum_float,
     vt_q_size,
@@ -78,7 +80,6 @@ from .enumerator import (
 )
 from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure, OutOfDomain
 from .oracle import brute_weight_enumerator
-from .polyring import cap_error
 
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
 
@@ -308,13 +309,9 @@ def _check_grid_flags(args: SimpleNamespace, takes: Sequence[str], who: str) -> 
             raise UsageError(f"{who} {verb} --{flag}")
 
 
-def _iter_instances(args: SimpleNamespace,
-                    family: _Family | None = None) -> Iterator[tuple[Params, object]]:
-    """Yield (params, spec) in deterministic order; spec is CodeSpec or ParityCodeSpec.
-
-    The grid is that of --family unless a variant of it is passed.
-    """
-    family = family or _FAMILIES[args.family]
+def _iter_instances(args: SimpleNamespace) -> Iterator[tuple[Params, object]]:
+    """Yield (params, spec) in deterministic order; spec is CodeSpec or ParityCodeSpec."""
+    family = _FAMILIES[args.family]
     _check_grid_flags(args, [flag for flag, _ in family.grid], f"--family {args.family}")
     try:
         yield from _expand(family, args, {})
@@ -362,47 +359,18 @@ def cmd_enum(args: SimpleNamespace) -> int:
     return 0
 
 
-def _check_fold_caps(args: SimpleNamespace) -> None:
-    """The fold's cap for every modulus of an all-residue grid, before any fold.
-
-    Moduli in the closed form's domain are not folded, so not checked. The
-    cap depends only on (coefficients mod n, n), which the parameters
-    other than the residue fix, so the grid is walked with one residue per
-    modulus. Every residue of --b all is valid, so this walk meets every
-    usage error that the whole grid would, and one of those still wins over
-    the cap.
-    """
-    family = _FAMILIES[args.family]
-    grid = tuple((flag, (lambda text, params, expand=expand: expand(text, params)[:1])
-                  if flag == "b" else expand) for flag, expand in family.grid)
-    limit: CapExceeded | None = None
-    for _, spec in _iter_instances(args, family._replace(grid=grid)):
-        base = spec.base if isinstance(spec, ParityCodeSpec) else spec
-        if limit is None and closed_form_gap(base):  # the closed form folds nothing
-            limit = cap_error([base.coefficients], base.modulus)
-    if limit is not None:
-        raise limit
-
-
 def cmd_table(args: SimpleNamespace) -> int:
     if args.family == "svt" and args.quantity != "size":
         raise UsageError("svt tables support --quantity size only")
-    # Every row comes from weight_enumerator. Over all residues of a modulus it
-    # reads the closed form once per gcd class or, from the second residue on,
-    # one fold, so every modulus it may fold passes the fold's cap first.
+    # The first cap stops the table, yet a usage error anywhere in the grid wins:
+    # ranges expand in ascending order and every usage error depends only on k,
+    # s, the modulus or b < modulus, so it comes before the grid's first instance.
+    # --b all checks every modulus (--b 0 is valid for each) before any row.
     if args.b == "all":
-        _check_fold_caps(args)
+        for _, spec in _iter_instances(SimpleNamespace(**{**vars(args), "b": "0"})):
+            check_sweep(spec.base if isinstance(spec, ParityCodeSpec) else spec)
     family = _FAMILIES[args.family]
-    rows: list[tuple[Params, tuple[int, ...]]] = []
-    limit: CapExceeded | None = None
-    for params, spec in _iter_instances(args):  # a usage error anywhere in the grid wins
-        if limit is None:
-            try:
-                rows.append((params, family.counts(spec)))
-            except CapExceeded as exc:
-                rows, limit = [], exc
-    if limit is not None:
-        raise limit
+    rows = [(params, family.counts(spec)) for params, spec in _iter_instances(args)]
     width = max((len(counts) for _, counts in rows), default=0)
     if args.quantity == "size":
         value_header = ["size"]

@@ -41,6 +41,7 @@ from .polyring import cap_error, mitm_is_cheaper, residue_product, residue_slot
 __all__ = [
     "WeightEnumerator",
     "weight_enumerator",
+    "check_sweep",
     "weight_enumerator_closed",
     "weight_enumerator_fold",
     "weight_enumerator_mitm",
@@ -147,6 +148,19 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
         return weight_enumerator_fold(spec)
     _fold_memo.mark(key)  # the next call with this key folds if it fits
     return weight_enumerator_mitm(spec)
+
+
+def check_sweep(spec: CodeSpec) -> None:
+    """Raise CapExceeded when a sweep over spec's residues would fold past the cap.
+
+    weight_enumerator reads every residue of a modulus from the closed form in
+    its domain (closed_form_gap), which has no cap, and otherwise from one
+    fold: so this raises the fold's cap_error outside that domain and does
+    nothing inside it. Neither depends on spec's residue; nothing is built.
+    """
+    error = closed_form_gap(spec) and cap_error([spec.coefficients], spec.modulus)
+    if error:
+        raise error
 
 
 def weight_enumerator_fold(spec: CodeSpec) -> WeightEnumerator:
@@ -347,15 +361,16 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
     where eta = -b + (a_1 + ... + a_k) / 2, with the svt sum's and the
     bound's column-wise kernel. The raw value must be real and nonnegative up
     to tolerance; the rounded size and |raw - rounded| are returned, with
-    IntegralityFailure past 1e-6 relative tolerance or when 2^k overflows a
-    float (k >= 1024). CapExceeded past the float modulus or cell cap,
-    before building anything.
+    IntegralityFailure past 1e-6 relative tolerance. Before building
+    anything: CapExceeded past the float modulus or cell cap, then
+    IntegralityFailure when 2^k overflows a float (k >= 1024).
     """
     k = len(spec.coefficients)
     n = spec.modulus
     _check_float(n, k, 1, _COSINE_CELL_COST)
+    scale = _float_scale(k, n)
     [acc] = _trig_sums("cosine", spec, (math.cos,))
-    raw = acc * _float_scale(k, n)
+    raw = acc * scale
     r = round(raw.real)
     dev = abs(raw - r)
     tol = 1e-6 * max(1.0, abs(r))
@@ -367,15 +382,16 @@ def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
 def size_upper_bound(spec: CodeSpec) -> float:
     """Upper bound (2^k / n) * sum_m prod_j |cos(pi a_j m / n)| on the size.
 
-    The cosine size's kernel with unit phases. CapExceeded past the float
-    modulus or cell cap, before building anything; IntegralityFailure when
-    2^k overflows a float (k >= 1024).
+    The cosine size's kernel with unit phases. Before building anything:
+    CapExceeded past the float modulus or cell cap, then IntegralityFailure
+    when 2^k overflows a float (k >= 1024).
     """
     k = len(spec.coefficients)
     n = spec.modulus
     _check_float(n, k, 1, _COSINE_CELL_COST)
+    scale = _float_scale(k, n)
     [acc] = _trig_sums("bound", spec, (lambda x: abs(math.cos(x)),), phased=False)
-    return _float_scale(k, n) * acc
+    return scale * acc
 
 
 def lehmer_count(coeffs: Iterable[int], n: int, b: int) -> int:
@@ -577,16 +593,16 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
     the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
     Both products come from one column-wise pass of the cosine size's kernel.
-    Returns (even, odd, max residual), IntegralityFailure past 1e-6 or when
-    2^(k-1) overflows a float (k >= 1025), and CapExceeded past the float
-    modulus or cell cap, before building anything.
+    Returns (even, odd, max residual), or IntegralityFailure past 1e-6.
+    Before building anything: CapExceeded past the float modulus or cell
+    cap, then IntegralityFailure when 2^(k-1) overflows a float (k >= 1025).
     """
     base = spec.base
     k = len(base.coefficients)
     n = base.modulus
     _check_float(n, k, 2, _SVT_CELL_COST)
-    acc_a, acc_b = _trig_sums("svt", base, (math.cos, math.sin))
     scale = _float_scale(k - 1, n)
+    acc_a, acc_b = _trig_sums("svt", base, (math.cos, math.sin))
     b_term = (1, 1j, -1, -1j)[k % 4] * acc_b  # i^k * prod(sin) terms
     sign = -1 if k % 2 else 1
     even_raw = scale * (acc_a + sign * b_term)

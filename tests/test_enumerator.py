@@ -668,6 +668,29 @@ def test_size_upper_bound():
         assert size(spec) <= size_upper_bound(spec) + 1e-6
 
 
+def test_float_size_routes_check_the_scale_before_the_sum(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def trig_sums(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(enumerator, "_trig_sums", trig_sums)
+    # both specs pass the cell caps: 1.02e7 cells of 1.12e7, and 6.6e6 of 6.71e6
+    lev, svt = make_levenshtein(1024, 10000, 0), make_svt(1100, 3000, 0, 0)
+    for route, spec, reason in ((size_cosine_float, lev, "scale 2^1024 / 10000"),
+                                (size_upper_bound, lev, "scale 2^1024 / 10000"),
+                                (svt_sizes_charsum_float, svt, "scale 2^1099 / 3000")):
+        with pytest.raises(IntegralityFailure, match=f"^{re.escape(reason)} overflows a float$"):
+            route(spec)
+    # at k = 1023 the scale fits, so each route goes on to its sum
+    for route, spec in ((size_cosine_float, make_levenshtein(1023, 10000, 0)),
+                        (size_upper_bound, make_levenshtein(1023, 10000, 0)),
+                        (svt_sizes_charsum_float, make_svt(1023, 3000, 0, 0))):
+        with pytest.raises(Reached):
+            route(spec)
+
+
 # === full-space solution count ===
 
 
@@ -733,6 +756,16 @@ def test_closed_form_domain_edges():
         assert weight_enumerator(spec) == brute_weight_enumerator(spec)
     # 1..7 mod 4 holds 0 once and 1, 2 and 3 twice each, in any order and with any signs
     assert closed_form_gap(CodeSpec((5, 2, 7, 8, 1, -2, 11), 4, 0)) == ""
+
+
+def test_check_sweep_raises_the_fold_cap_outside_the_closed_domain():
+    # VT(800) would fold 801 rows of 801^2 bits, past the cap, but the closed form sweeps it
+    assert enumerator.check_sweep(make_vt(800, 0)) is None
+    with pytest.raises(CapExceeded,
+                       match="^up to 513922401 packed bits exceeds the cap of 469762048$"):
+        enumerator.check_sweep(CodeSpec(range(2, 802), 801, 0))
+    # outside the closed domain (5 does not divide 7) and under the cap
+    assert enumerator.check_sweep(make_levenshtein(6, 5, 3)) is None
 
 
 def test_closed_form_evaluates_each_gcd_class_once(monkeypatch):

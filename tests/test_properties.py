@@ -1,6 +1,9 @@
 """Property tests over random specs; skipped when hypothesis is not installed."""
 
+import contextlib
+import io
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -9,6 +12,10 @@ st = hypothesis.strategies
 
 from ccodes import (  # noqa: E402
     CodeSpec,
+    cli,
+    enumerator,
+    oracle,
+    polyring,
     make_helberg,
     make_svt,
     make_vt,
@@ -20,6 +27,7 @@ from ccodes import (  # noqa: E402
     weight_enumerator,
     weight_enumerator_fold,
 )
+from ccodes._memo import Memo  # noqa: E402
 from ccodes.polyring import residue_slot  # noqa: E402
 
 # derandomized and without an example database: every run checks the same draws
@@ -79,3 +87,63 @@ def test_size_within_cosine_bound(fold, data):
     spec = CodeSpec(tuple(coeffs), n, data.draw(st.integers(0, n - 1)))
     bound = size_upper_bound(spec)
     assert size(spec) <= bound * (1 + 1e-9) + 1e-9
+
+
+def _ranges(lo, hi, relative=False):
+    """--k, --n or --mod text: an INT, a LO..HI that often starts below lo, or malformed."""
+    span = st.tuples(st.one_of(st.integers(lo - 2, lo + 2), st.integers(lo, hi)),
+                     st.integers(-1, 6))
+    forms = [st.integers(lo - 1, hi).map(str), span.map(lambda t: f"{t[0]}..{sum(t)}"),
+             st.sampled_from(["x", "1..", "..3", "1.5"])]
+    if relative:
+        forms.append(st.sampled_from(["k+1", "2k"]))
+    return st.one_of(forms)
+
+
+@st.composite
+def table_argvs(draw):
+    """table command lines of every family, k <= 12 and moduli up to about 40."""
+    family = draw(st.sampled_from(["vt", "levenshtein", "helberg", "svt", "blcc"]))
+    argv = ["table", "--family", family]
+    if family == "vt":
+        argv += ["--n", draw(_ranges(1, 40))]
+    elif family == "helberg":  # k <= 8 keeps the modulus v_{k+1} at most 177
+        argv += ["--k", draw(_ranges(1, 8)), "--s", draw(st.sampled_from("0123"))]
+    elif family == "blcc":
+        coeffs = st.lists(st.integers(-50, 200), min_size=1, max_size=12)
+        argv += ["--coeffs", draw(st.one_of(coeffs.map(lambda c: ",".join(map(str, c))),
+                                            st.sampled_from(["1,,2", "a"]))),
+                 "--mod", draw(_ranges(1, 40))]
+    else:
+        argv += ["--k", draw(_ranges(1, 12)), "--n", draw(_ranges(1, 40, relative=True))]
+    argv += ["--b", draw(st.one_of(st.just("all"), _ranges(0, 12)))]
+    if family == "svt":
+        argv += ["--r", draw(st.sampled_from(["0", "1", "both"]))]
+    return argv + ["--quantity", draw(st.sampled_from(["size", "enumerator", "nt"]))]
+
+
+def _table(argv, bits):
+    """(exit status, stderr) of one table run with fresh memos under a fold cap of bits."""
+    for module in (enumerator, oracle):
+        for value in vars(module).values():
+            if isinstance(value, Memo):
+                value.clear()
+    err = io.StringIO()
+    with mock.patch.object(polyring, "_MAX_BITS", bits), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return cli.main(argv), err.getvalue()
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(table_argvs())
+@hypothesis.example(["table", "--family", "levenshtein", "--k", "11", "--n", "2..13", "--b", "5"])
+@hypothesis.example(["table", "--family", "blcc", "--coeffs", "3,5,7", "--mod", "0..9",
+                     "--b", "all"])
+@hypothesis.example(["table", "--family", "svt", "--k", "-1..4", "--n", "2k", "--b", "all",
+                     "--r", "both"])
+@hypothesis.example(["table", "--family", "helberg", "--k", "0..5", "--s", "2", "--b", "all"])
+def test_a_cap_never_hides_a_usage_error(argv):
+    # table stops at its first cap; a usage error anywhere in the grid must still win
+    capped, free = _table(argv, 0), _table(argv, polyring._MAX_BITS)
+    if 2 in (capped[0], free[0]):
+        assert capped == free
