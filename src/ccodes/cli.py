@@ -31,12 +31,13 @@ residue fold or by meeting in the middle. verify prints one PASS, FAIL or
 UNVERIFIED line per instance. Its exact method is the residue fold; mitm,
 meeting in the middle, runs only when --methods names it, and so does
 closed, the closed form, except for vt, where it is a default method. A
-method run outside its domain (a float sum that misses integrality or
-overflows, a route past its cap, the closed form where n does not fit the
-coefficients) first prints SKIP ... method=M reason=... and drops out of
-the comparison; PASS lists the methods that ran. An instance passes when those
-agree and at least two ran, or the one method asked for; it is UNVERIFIED
-when fewer ran, and FAIL on a disagreement or any other package error.
+method run outside its domain (a float sum that misses integrality,
+overflows or reaches 2^52, where a float stops resolving integers, a route
+past its cap, the closed form where n does not fit the coefficients) first
+prints SKIP ... method=M reason=... and drops out of the comparison; PASS
+lists the methods that ran. An instance passes when those agree and at least
+two ran, or the one method asked for; it is UNVERIFIED when fewer ran, and
+FAIL on a disagreement, an impossible enumerator or any other package error.
 
 Exit status:
     0  success
@@ -436,7 +437,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
                     found[m] = routes[m](spec)
                 except (IntegralityFailure, CapExceeded, OutOfDomain) as exc:  # outside its domain
                     print(f"SKIP family={args.family} {label} method={m} reason={exc}")
-        except CongruenceCodeError as exc:
+        except (CongruenceCodeError, ValueError) as exc:  # a package bug, as in main
             failures += 1
             print(f"FAIL family={args.family} {label} error={exc}")
             continue

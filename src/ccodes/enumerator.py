@@ -240,6 +240,12 @@ def _float_scale(k: int, n: int) -> float:
         raise IntegralityFailure(f"scale 2^{k} / {n} overflows a float") from None
 
 
+def _check_resolved(what: str, values: Iterable[int]) -> None:
+    # from 2^52 on, neighbouring floats lie 1 or more apart, so rounding shows no error
+    if max(map(abs, values)) >= 1 << 52:
+        raise IntegralityFailure(f"{what} reaches 2^52, where a float stops resolving integers")
+
+
 def _float_blocks(key: tuple, width: int, build: Callable[[range], list[list]]):
     """Yield (ms, rows) for m = 1..n, n = key[-1], in blocks of consecutive m.
 
@@ -304,8 +310,9 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     m = 1..n in floating point, rounds every coefficient to the nearest
     integer and returns the rounded enumerator together with the largest
     distance |raw - rounded| seen (imaginary leakage included). Raises
-    IntegralityFailure when that distance exceeds 1e-6 or a coefficient
-    overflows a float (past about 1030 coefficients), and CapExceeded,
+    IntegralityFailure when that distance exceeds 1e-6, a coefficient
+    overflows a float (past about 1030 coefficients) or reaches 2^52, where
+    rounding stops showing an error, and CapExceeded,
     before building anything, past the float modulus or cell cap. Advisory
     path; exact results come from weight_enumerator.
 
@@ -346,6 +353,7 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
         rounded.append(r)
     if max_dev > 1e-6:
         raise IntegralityFailure(f"character sum off integer by {max_dev:g}")
+    _check_resolved("character sum", rounded)
     return WeightEnumerator(k, rounded), max_dev
 
 
@@ -510,6 +518,20 @@ def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
     return _closed_form(n, n + 1, b)
 
 
+def _divisor_sum(n: int, b: int, term: Callable[[int], int], denominator: int,
+                 message: str) -> int:
+    """(sum over d | n of c_d(b) term(d)) / denominator, with c_d(b) only where term(d) != 0.
+
+    The closed counts divide exactly for every valid input, so a remainder
+    signals a bug: NonExactDivision with the caller's message.
+    """
+    total = sum(ramanujan_sum(d, b) * t for d in divisors(factor(n)) if (t := term(d)))
+    v, rem = divmod(total, denominator)
+    if rem:
+        raise NonExactDivision(message)
+    return v
+
+
 def vt_weight_count(n: int, b: int, t: int) -> int:
     """Number of weight-t words in VT_b(n), without building the enumerator.
 
@@ -520,30 +542,15 @@ def vt_weight_count(n: int, b: int, t: int) -> int:
     if not 0 <= t <= n:
         raise ValueError(f"weight {t} not in [0, {n}]")
     q = n + 1
-    s = sum(
-        (-1) ** (t // d) * ramanujan_sum(d, b) * math.comb(q // d - 1, t // d)
-        for d in divisors(factor(q))
-    )
-    num = -s if t % 2 else s
-    v, rem = divmod(num, q)
-    if rem:
-        raise NonExactDivision("weight-class sum not divisible by n+1")
-    return v
+    return _divisor_sum(q, b, lambda d: (-1) ** (t + t // d) * math.comb(q // d - 1, t // d),
+                        q, "weight-class sum not divisible by n+1")
 
 
 def vt_size(n: int, b: int) -> int:
     """|VT_b(n)| = (1 / (2(n+1))) * sum over odd d | n+1 of c_d(b) 2^((n+1)/d)."""
     _check_vt(n, b)
-    q = n + 1
-    s = sum(
-        ramanujan_sum(d, b) * (1 << (q // d))
-        for d in divisors(factor(q))
-        if d % 2
-    )
-    v, rem = divmod(s, 2 * q)
-    if rem:
-        raise NonExactDivision("size sum not divisible by 2(n+1)")
-    return v
+    return _divisor_sum(n + 1, b, lambda d: (1 << ((n + 1) // d)) if d % 2 else 0,
+                        2 * (n + 1), "size sum not divisible by 2(n+1)")
 
 
 def vt_q_size(n: int, b: int, q: int) -> int:
@@ -558,32 +565,14 @@ def vt_q_size(n: int, b: int, q: int) -> int:
         raise ValueError("length must be >= 1")
     if not 0 <= b <= n:
         raise ValueError(f"residue {b} not in [0, {n + 1})")
-    period = n + 1
-    s = sum(
-        ramanujan_sum(d, b) * q ** (period // d)
-        for d in divisors(factor(period))
-        if math.gcd(d, q) == 1
-    )
-    v, rem = divmod(s, q * period)
-    if rem:
-        raise NonExactDivision("q-ary size sum not divisible by q(n+1)")
-    return v
+    return _divisor_sum(n + 1, b, lambda d: q ** ((n + 1) // d) if math.gcd(d, q) == 1 else 0,
+                        q * (n + 1), "q-ary size sum not divisible by q(n+1)")
 
 
 def svt_sizes(spec: ParityCodeSpec) -> tuple[int, int]:
-    """(even, odd) weight-parity split of the base code's codeword count.
-
-    even = (W(1) + W(-1)) / 2 and odd = (W(1) - W(-1)) / 2 on the exact
-    enumerator of the fold, which serves both parities; the halving is exact
-    for any genuine weight distribution.
-    """
-    w = weight_enumerator_fold(spec.base)
-    s1 = w.size()
-    sm1 = w.evaluate(-1)
-    even, rem = divmod(s1 + sm1, 2)
-    if rem:
-        raise NonExactDivision("parity split not integral")
-    return even, s1 - even
+    """(even, odd): the base code's codewords of even and of odd weight, from the fold."""
+    counts = weight_enumerator_fold(spec.base).counts
+    return sum(counts[::2]), sum(counts[1::2])
 
 
 def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
@@ -593,7 +582,8 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
     the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
     Both products come from one column-wise pass of the cosine size's kernel.
-    Returns (even, odd, max residual), or IntegralityFailure past 1e-6.
+    Returns (even, odd, max residual), or IntegralityFailure past 1e-6 or
+    when a size reaches 2^52, where rounding stops showing an error.
     Before building anything: CapExceeded past the float modulus or cell
     cap, then IntegralityFailure when 2^(k-1) overflows a float (k >= 1025).
     """
@@ -612,4 +602,5 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     dev = max(abs(even_raw - even), abs(odd_raw - odd))
     if dev > 1e-6 or even < 0 or odd < 0:
         raise IntegralityFailure(f"parity character sum off integer by {dev:g}")
+    _check_resolved("parity character sum", (even, odd))
     return even, odd, dev

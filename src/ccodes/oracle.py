@@ -13,14 +13,16 @@ tuples' residues grouped by weight, one str character per tuple (an int
 in a list past modulus 0x110000), and for each prefix counts the entries
 that make a·x = b, a C-level str.count that still tests every tuple on its
 own. build_codebook keeps, for each prefix, the low tuples whose residue
-completes b. The q-ary counts enumerate {0..q-1}^k for every call, in
-chunks of at most 2^14 tuples, and count the asked residue in each.
+completes b. The q-ary counts enumerate {0..q-1}^k for every call: the
+residues of the first c coordinates, the most with q^c <= 2^14, are listed
+once, and each residue p over the other coordinates counts those equal to
+b - p.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import compress, count, product
+from collections.abc import Iterable, Sequence
+from itertools import compress, count
 
 from ._memo import Memo
 from ._record import Record
@@ -178,34 +180,15 @@ def build_codebook(spec: CodeSpec) -> Codebook:
     return Codebook(k, tuple(words))
 
 
-def _qary_chunks(coeffs: Sequence[int], n: int, q: int) -> Iterator[list[int]]:
-    """Yield the residues of every tuple over {0..q-1}^k, at most 2^14 at a time.
-
-    The first c coordinates, q^c <= 2^14 tuples, vary within a chunk and
-    the rest, streamed, pick it. When q > 2^14 (c = 0) the first
-    coordinate's digits are cut into blocks of 2^14 instead.
-    """
-    step = 1 << _CHUNK_BITS
-    c = 0
-    while c < len(coeffs) and q ** (c + 1) <= step:
-        c += 1
-    if c == 0 and coeffs:
-        a = coeffs[0]
-        lows: Iterable[list[int]] = (
-            [(a * d) % n for d in range(lo, min(q, lo + step))] for lo in range(0, q, step))
-        c = 1
-    else:
-        lows = [_digit_sums(coeffs[:c], n, q)]
-    rest = coeffs[c:]
-    for low in lows:
-        for digits in product(range(q), repeat=len(rest)):
-            d = sum(a * x for a, x in zip(rest, digits)) % n
-            yield low if d == 0 else [(r + d) % n for r in low]
-
-
 def _qary_count(coeffs: Sequence[int], n: int, b: int, q: int) -> int:
-    # tuples over {0..q-1}^k with the congruence: each tuple's residue is tested on its own
-    return sum(residues.count(b) for residues in _qary_chunks([a % n for a in coeffs], n, q))
+    # tuples over {0..q-1}^k with the congruence, each tuple's residue tested on its own: the
+    # first c coordinates, the most with q^c <= 2^14, are listed once, and each residue p over
+    # the others counts the listed residues equal to b - p
+    c = next(j for j in range(len(coeffs), -1, -1) if q**j <= 1 << _CHUNK_BITS)
+    if c == 0 and coeffs:  # q > 2^14, so the q^k cap leaves k = 1: its digits one at a time
+        return sum(coeffs[0] * d % n == b for d in range(q))
+    low = _digit_sums(coeffs[:c], n, q)
+    return sum(low.count((b - p) % n) for p in _digit_sums(coeffs[c:], n, q))
 
 
 def brute_count_zn(coeffs: Iterable[int], n: int, b: int, k: int) -> int:

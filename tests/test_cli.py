@@ -427,6 +427,13 @@ def test_impossible_enumerator_is_not_a_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "enum", "--family", "vt", "--n", "4", "--b", "0")
     assert (code, out) == (3, "")
     assert err == "ccodes: internal error: ValueError: N_0 = 5 impossible at length 1\n"
+    # inside verify it is that instance's FAIL, like any other package error
+    monkeypatch.setattr(cli, "weight_enumerator_fold", impossible)
+    code, out, err = run(capsys, "verify", "--family", "vt", "--n", "4", "--b", "0",
+                         "--methods", "exact,closed")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["FAIL family=vt n=4 b=0 error=N_0 = 5 impossible at length 1",
+                                "0/1 instances agree"]
 
 
 def test_table_svt_rejects_non_size_quantity_before_computing(capsys, monkeypatch):
@@ -785,6 +792,25 @@ def test_charsum_float_overflow_skips_inside_verify(capsys):
         f"UNVERIFIED {label} methods=exact",
         "0/1 instances agree",
     ])
+
+
+@pytest.mark.parametrize("grid, labels, route", [
+    (("--family", "levenshtein", "--k", "60", "--n", "2..7", "--b", "0"),
+     [f"family=levenshtein k=60 n={n} b=0" for n in range(2, 8)], "character sum"),
+    (("--family", "levenshtein", "--k", "60", "--n", "1", "--b", "0"),
+     ["family=levenshtein k=60 n=1 b=0"], "character sum"),
+    (("--family", "svt", "--k", "64", "--n", "11", "--b", "0", "--r", "0"),
+     ["family=svt k=64 n=11 b=0 r=0"], "parity character sum"),
+], ids=["levenshtein-n2..7", "levenshtein-n1", "svt"])
+def test_float_counts_from_2_to_the_52_skip_inside_verify(capsys, grid, labels, route):
+    # from 2^52 on, rounding hides a float sum's error: unchecked, these counts gave false
+    # FAILs at n = 2..7, an impossible N_25 at n = 1 and an svt size 16 too large
+    code, out, _ = run(capsys, "verify", *grid, "--methods", "exact,float")
+    reason = f"{route} reaches 2^52, where a float stops resolving integers"
+    want = []
+    for label in labels:
+        want += [f"SKIP {label} method=float reason={reason}", f"UNVERIFIED {label} methods=exact"]
+    assert (code, out.splitlines()) == (1, want + [f"0/{len(labels)} instances agree"])
 
 
 def test_cap_skips_inside_verify(capsys, monkeypatch):

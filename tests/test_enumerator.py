@@ -943,6 +943,16 @@ def test_svt_charsum_float_matches_exact():
                 assert dev < 1e-6
 
 
+def test_svt_charsum_float_refuses_sizes_from_2_to_the_52(monkeypatch):
+    # from 2^52 on, floats lie 1 or more apart and rounding hides any error
+    spec = make_svt(1, 1, 0, 0)  # scale 2^0 / 1 = 1, and the sine product drops out
+    monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [complex(2**52 - 1), 0j])
+    assert svt_sizes_charsum_float(spec) == (2**52 - 1, 2**52 - 1, 0.0)
+    monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [complex(2**52), 0j])
+    with pytest.raises(IntegralityFailure, match="^parity character sum reaches 2\\^52"):
+        svt_sizes_charsum_float(spec)
+
+
 # === character-sum underpinnings ===
 
 
@@ -984,12 +994,30 @@ def test_nonexactdivision_guards_vt_forms(monkeypatch):
     # c_1 = 2 is the way to see each division check fire
     exact = enumerator.ramanujan_sum
     monkeypatch.setattr(enumerator, "ramanujan_sum", lambda d, m: exact(d, m) + (d == 1))
-    with pytest.raises(NonExactDivision, match="not divisible by n\\+1"):
+    with pytest.raises(NonExactDivision, match="^divisor sum not divisible by n\\+1$"):
         vt_weight_enumerator_closed(4, 0)
-    with pytest.raises(NonExactDivision):
+    with pytest.raises(NonExactDivision, match="^weight-class sum not divisible by n\\+1$"):
         vt_weight_count(4, 0, 0)
-    with pytest.raises(NonExactDivision):
+    with pytest.raises(NonExactDivision, match="^size sum not divisible by 2\\(n\\+1\\)$"):
         vt_size(4, 0)
+    with pytest.raises(NonExactDivision, match="^q-ary size sum not divisible by q\\(n\\+1\\)$"):
+        vt_q_size(4, 0, 3)
+
+
+def test_vt_sizes_evaluate_ramanujan_sums_only_where_their_term_is_nonzero(monkeypatch):
+    # only odd divisors of n+1 count towards the size, only those coprime to q towards
+    # the q-ary size: the other c_d(b) are never computed
+    seen = []
+    exact = enumerator.ramanujan_sum
+    monkeypatch.setattr(enumerator, "ramanujan_sum", lambda d, m: seen.append(d) or exact(d, m))
+    assert vt_size(35, 3) == vt_q_size(35, 3, 2)
+    assert seen == [1, 3, 9] * 2  # of the divisors 1, 2, 3, 4, 6, 9, 12, 18, 36
+    seen.clear()
+    vt_q_size(35, 3, 3)
+    assert seen == [1, 2, 4]
+    seen.clear()
+    vt_q_size(35, 3, 6)
+    assert seen == [1]
 
 
 def test_closed_form_memory_stays_near_its_answer():

@@ -294,6 +294,9 @@ def test_qary_memory_stays_bounded():
     try:
         brute_count_qary(coeffs, P, 5, 17, 2)  # 2^17 tuples, nearly all residues distinct
         brute_count_zn([3], 3 * 10**5, 9, 1)  # 3 * 10^5 digits of one coordinate
+        # 215^3 tuples: 215 listed residues and 215^2 = 46,225 over the other two coordinates,
+        # the longest such list under the q^k cap
+        brute_count_qary(coeffs[:3], P, 5, 3, 215)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
