@@ -48,10 +48,12 @@ Exit status:
     4  a route's cap (packed bits of the fold or of meeting in the middle,
        float modulus or cells, brute-force tuples) stops the computation
        outside verify, reported as one "ccodes: limit: ..." line before
-       the route allocates; the closed form has no cap, so an instance in
-       its domain never exits 4. table stops at its first cap; a usage
-       error still wins, as ranges expand in ascending order and a grid
-       with one raises it before its first instance
+       the route allocates; or the output cap: exact answers print whole,
+       past Python's 4300-digit limit, but enum and table refuse more than
+       _MAX_DIGITS decimal digits before their first byte. The closed form
+       has no cap of its own. table stops at its first cap; a usage error
+       still wins, as ranges expand in ascending order and a grid with one
+       raises it before its first instance
 Output carries no timestamps, so identical invocations produce identical
 bytes.
 """
@@ -62,13 +64,12 @@ import io
 import itertools
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
 from . import __version__
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
 from .enumerator import (
-    WeightEnumerator,
     check_sweep,
     pretty_counts,
     svt_sizes_charsum_float,
@@ -83,6 +84,7 @@ from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure, OutOfD
 from .oracle import brute_weight_enumerator
 
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
+_MAX_DIGITS = 50_000_000  # output cap; VT(14299)'s enumerator, 4.43e7 digits, prints
 
 Params = dict[str, int | str]
 
@@ -92,6 +94,16 @@ class UsageError(Exception):
 
 
 # ---- formatting ----
+
+
+def _check_digits(values: Iterable[int]) -> None:
+    """Refuse an output past _MAX_DIGITS before its first byte is written."""
+    # 0.30103 decimal digits a bit; past 4300 digits (14284 bits), where int-to-str
+    # turns quadratic, a number of d digits counts d*d/4300
+    bits = list(map(int.bit_length, values))
+    digits = 0.30103 * (sum(bits) + sum(b * b / 14284 - b for b in bits if b > 14284))
+    if digits > _MAX_DIGITS:
+        raise CapExceeded(f"about {digits:.0f} output digits exceed the cap of {_MAX_DIGITS}")
 
 
 def _json_scalar(v: int):
@@ -195,27 +207,10 @@ def _coeff_text(text: str, params: Params) -> list[str]:
     return [text]
 
 
-def _counts(spec: CodeSpec) -> tuple[int, ...]:
-    return weight_enumerator(spec).counts
-
-
 def _parity_counts(spec: ParityCodeSpec) -> tuple[int, ...]:
     """The base code's weight distribution with the other weight parity zeroed."""
-    return tuple(c if t % 2 == spec.parity else 0 for t, c in enumerate(_counts(spec.base)))
-
-
-# The verify methods below call a route through this module's global of its
-# name when they run, so a replaced or traced global is what runs.
-
-
-def _exact_route(route: Callable[[CodeSpec], WeightEnumerator]):
-    """A verify method: one exact route's counts, with deviation 0."""
-    name = route.__name__
-
-    def method(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
-        return globals()[name](spec).counts, 0.0
-
-    return method
+    return tuple(c if t % 2 == spec.parity else 0
+                 for t, c in enumerate(weight_enumerator(spec.base).counts))
 
 
 def _float(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
@@ -239,7 +234,8 @@ def _parity(method: Callable[[CodeSpec], tuple[tuple[int, ...], float]]):
 
 
 class _Family(namedtuple("_Family", "grid make methods counts opt_in",
-                         defaults=(_counts, ("mitm", "closed")))):
+                         defaults=(lambda spec: weight_enumerator(spec).counts,
+                                   ("mitm", "closed")))):
     """How one code family reads its grid flags and which routes compute it.
 
     grid: (flag, expander) pairs in output-parameter order; make: the spec
@@ -252,10 +248,12 @@ class _Family(namedtuple("_Family", "grid make methods counts opt_in",
     __slots__ = ()
 
 
-_METHODS = {"exact": _exact_route(weight_enumerator_fold),
-            "closed": _exact_route(weight_enumerator_closed), "float": _float,
-            "brute": _exact_route(brute_weight_enumerator),
-            "mitm": _exact_route(weight_enumerator_mitm)}
+# A lambda reads its route's global when it runs, so a replaced or traced one runs.
+_METHODS = {"exact": lambda spec: (weight_enumerator_fold(spec).counts, 0.0),
+            "closed": lambda spec: (weight_enumerator_closed(spec).counts, 0.0),
+            "float": _float,
+            "brute": lambda spec: (brute_weight_enumerator(spec).counts, 0.0),
+            "mitm": lambda spec: (weight_enumerator_mitm(spec).counts, 0.0)}
 
 _FAMILIES = {
     "vt": _Family(
@@ -316,7 +314,7 @@ def _iter_instances(args: SimpleNamespace) -> Iterator[tuple[Params, object]]:
     _check_grid_flags(args, [flag for flag, _ in family.grid], f"--family {args.family}")
     try:
         yield from _expand(family, args, {})
-    except ValueError as exc:  # a code constructor rejected the parameters
+    except (ValueError, OverflowError) as exc:  # a code constructor rejected the parameters
         raise UsageError(str(exc)) from None
 
 
@@ -352,11 +350,13 @@ def cmd_enum(args: SimpleNamespace) -> int:
         raise UsageError("enum needs a grid of exactly one instance; use table or verify")
     [(params, spec)] = instances
     if args.q not in (None, 2):
-        print(_emit_record(args.format, args.family, {**params, "q": args.q}, "closed",
-                           vt_q_size(spec.length, spec.residue, args.q)))
+        params, method, counts = {**params, "q": args.q}, "closed", None
+        size = vt_q_size(spec.length, spec.residue, args.q)
     else:
-        counts = _FAMILIES[args.family].counts(spec)
-        print(_emit_record(args.format, args.family, params, "exact", sum(counts), counts))
+        method, counts = "exact", _FAMILIES[args.family].counts(spec)
+        size = sum(counts)
+    _check_digits((size, *(counts or ())))
+    print(_emit_record(args.format, args.family, params, method, size, counts))
     return 0
 
 
@@ -373,27 +373,21 @@ def cmd_table(args: SimpleNamespace) -> int:
     family = _FAMILIES[args.family]
     rows = [(params, family.counts(spec)) for params, spec in _iter_instances(args)]
     width = max((len(counts) for _, counts in rows), default=0)
-    if args.quantity == "size":
-        value_header = ["size"]
-    elif args.quantity == "enumerator":
-        value_header = ["enumerator"]
-    else:  # nt: one column per weight
-        value_header = [f"N{t}" for t in range(width)]
+    if args.quantity == "size":  # the rows of a gcd class share one counts tuple: sum it once
+        sizes = {id(c): (sum(c),) for c in {id(c): c for _, c in rows}.values()}
+        rows = [(params, sizes[id(counts)]) for params, counts in rows]
+    _check_digits(itertools.chain.from_iterable(values for _, values in rows))
     import csv
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["family"] + [flag for flag, _ in family.grid] + value_header)
-    sizes: dict[int, int] = {}  # the rows of a gcd class share one counts tuple: sum it once
-    for params, counts in rows:
-        if args.quantity == "size":
-            if id(counts) not in sizes:  # rows keeps every tuple alive, so ids stay distinct
-                sizes[id(counts)] = sum(counts)
-            values = [sizes[id(counts)]]
-        elif args.quantity == "enumerator":
-            values = [" ".join(str(c) for c in counts)]
-        else:
-            values = list(counts) + [""] * (width - len(counts))
-        writer.writerow([args.family] + list(params.values()) + values)
+    writer.writerow(["family"] + [flag for flag, _ in family.grid] + (  # nt: a column per weight
+        [f"N{t}" for t in range(width)] if args.quantity == "nt" else [args.quantity]))
+    for params, values in rows:
+        if args.quantity == "enumerator":
+            values = [" ".join(str(c) for c in values)]
+        elif args.quantity == "nt":
+            values = list(values) + [""] * (width - len(values))
+        writer.writerow([args.family, *params.values(), *values])
     return 0
 
 
@@ -639,6 +633,9 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()  # Python 3.10.7 and later
+    if saved is not None:  # print exact answers whole; _MAX_DIGITS bounds them instead
+        sys.set_int_max_str_digits(0)
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
@@ -655,6 +652,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except BrokenPipeError:
         return 0
+    finally:  # a library caller keeps its own limit
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from ccodes import (InvariantViolation, __version__, cli, enumerator, make_vt, polyring,
-                    vt_size, weight_enumerator_closed, weight_enumerator_fold)
+                    vt_q_size, vt_size, weight_enumerator, weight_enumerator_closed,
+                    weight_enumerator_fold)
 from ccodes.cli import main, parse_range
 from ccodes.cli import UsageError
 
@@ -411,6 +413,9 @@ def test_flag_that_would_be_ignored_exits_2(capsys, argv):
     ("enum", "--family", "vt", "--n", "4", "--b", "0", "--q", "0"),
     ("enum", "--family", "helberg", "--k", "0", "--s", "2", "--b", "0"),
     ("table", "--family", "levenshtein", "--k", "0..2", "--n", "k+1", "--b", "0"),
+    # a length past a C ssize_t, and one past Python's 4300-digit limit on int parsing
+    ("enum", "--family", "vt", "--n", "1" + "0" * 20, "--b", "0"),
+    ("verify", "--family", "svt", "--k", "1" * 5000, "--n", "3", "--b", "0", "--r", "0"),
 ])
 def test_bad_grid_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -855,6 +860,89 @@ def test_verify_float_skips_a_huge_modulus(capsys):
         f"PASS {label} methods=exact,brute dev=0.000e+00",
         "1/1 instances agree",
     ]
+
+
+@pytest.mark.parametrize("grid", [
+    ("--family", "vt", "--n", "6", "--b", "1"),
+    ("--family", "svt", "--k", "5", "--n", "6", "--b", "1", "--r", "0"),
+])
+@pytest.mark.parametrize("method", ["exact", "closed", "float", "brute", "mitm"])
+def test_every_verify_method_runs_its_routes_current_global(capsys, monkeypatch, grid, method):
+    route = {"exact": "weight_enumerator_fold", "closed": "weight_enumerator_closed",
+             "float": "weight_enumerator_charsum_float", "brute": "brute_weight_enumerator",
+             "mitm": "weight_enumerator_mitm"}[method]
+    if method == "float" and grid[1] == "svt":
+        route = "svt_sizes_charsum_float"  # svt's one method that does not split base counts
+    calls = []
+    original = getattr(cli, route)
+    monkeypatch.setattr(cli, route, lambda spec: calls.append(spec) or original(spec))
+    code, out, _ = run(capsys, "verify", *grid, "--methods", method)
+    assert code == 0 and out.startswith(f"PASS family={grid[1]} ")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--family", "blcc", "--random", "125", "--seed", "92542"),
+     "4a4eeaf944062af4512b4f026fb71ec6cf435147185125891dd3cccb14bfb2af"),
+    (("--family", "svt", "--k", "1..12", "--n", "2k", "--b", "all", "--r", "both"),
+     "dd0c997f55b08860a98e87ac09e3c4c80f3dcb18d9963df5f688972d63c2262c"),
+])
+def test_verify_stdout_pins_the_float_deviations(capsys, argv, digest):
+    # every PASS line prints the float sum's dev, so a float kernel must keep every bit
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str limit")
+@pytest.mark.parametrize("n, digits", [(9020, 4300), (9021, 4301)])
+def test_sizes_print_on_each_side_of_4300_digits(capsys, n, digits):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default: the 4301-digit size exited 3 under it
+    try:
+        code, out, err = run(capsys, "enum", "--family", "vt", "--n", str(n), "--b", "0",
+                             "--q", "3")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 4300  # main gives its caller's limit back
+        size = out.removesuffix("\n").split(" size=")[1]
+        sys.set_int_max_str_digits(0)
+        assert (len(size), size) == (digits, str(vt_q_size(n, 0, 3)))
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_vt_table_prints_a_size_past_4300_digits(capsys):
+    code, out, err = run(capsys, "table", "--family", "vt", "--quantity", "size",
+                         "--n", "14320", "--b", "0")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header == "family,n,b,size"
+    assert row.startswith("vt,14320,0,") and len(row.split(",")[3]) == 4307
+
+
+def test_output_cap_sits_between_vt_15086_and_vt_15087(capsys):
+    # VT(14299)'s enumerator, the largest output before the 4300-digit limit was
+    # lifted, is 4.43e7 digits; the cap admits VT(n, 0)'s enumerator up to n = 15086
+    counts = weight_enumerator(make_vt(15086, 0)).counts
+    cli._check_digits((sum(counts), *counts))
+    code, out, err = run(capsys, "enum", "--family", "vt", "--n", "15087", "--b", "0")
+    assert (code, out) == (4, "")
+    assert err == "ccodes: limit: about 50000153 output digits exceed the cap of 50000000\n"
+
+
+def test_output_cap_refuses_before_the_first_byte(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_DIGITS", 100)
+    code, out, _ = run(capsys, "table", "--family", "vt", "--quantity", "nt", "--n", "1..14",
+                       "--b", "0")
+    assert code == 0 and len(out.splitlines()) == 15
+    for argv in (("enum", "--family", "vt", "--n", "60", "--b", "0", "--format", "json"),
+                 ("enum", "--family", "vt", "--n", "400", "--b", "0", "--q", "3"),
+                 ("table", "--family", "vt", "--quantity", "nt", "--n", "1..15", "--b", "0"),
+                 ("table", "--family", "vt", "--quantity", "size", "--n", "400", "--b", "all")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv  # not even the table's header line
+        assert err.startswith("ccodes: limit: about ")
+        assert err.endswith(" output digits exceed the cap of 100\n") and err.count("\n") == 1
 
 
 def test_cli_start_up_imports_no_heavy_stdlib_modules():
