@@ -33,7 +33,6 @@ from .enumerator import (
     closed_form_gap,
     lehmer_count,
     size,
-    size_cosine_float,
     size_upper_bound,
     svt_sizes,
     svt_sizes_charsum_float,
@@ -103,7 +102,6 @@ __all__ = [
     "ramanujan_sum_direct",
     "residue_product",
     "size",
-    "size_cosine_float",
     "size_upper_bound",
     "svt_sizes",
     "svt_sizes_charsum_float",

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -351,7 +352,13 @@ def cmd_enum(args: SimpleNamespace) -> int:
     [(params, spec)] = instances
     if args.q not in (None, 2):
         params, method, counts = {**params, "q": args.q}, "closed", None
-        size = vt_q_size(spec.length, spec.residue, args.q)
+        # q(n+1) size >= q^(n+1) - (n+1) q^((n+1)/2), as |c_d(b)| <= phi(d) and the
+        # phi(d) of d | n+1 sum to n+1; so size >= q^n / (2(n+1)) once 2(n+1) <=
+        # q^((n+1)/2). A number one bit shorter refuses a size past the cap early.
+        n, log_q = spec.length, math.log2(args.q)
+        if (n + 1) / 2 * log_q >= math.log2(2 * (n + 1)) + 1:
+            _check_digits((1 << int(n * log_q - math.log2(2 * (n + 1))) - 1,))
+        size = vt_q_size(n, spec.residue, args.q)
     else:
         method, counts = "exact", _FAMILIES[args.family].counts(spec)
         size = sum(counts)

@@ -14,13 +14,14 @@ code a_1 c_1 + ... + a_k c_k = b (mod n) is
 
     W(z) = (1/n) * sum_{m=1}^{n} e(-b m / n) * prod_j (1 + z e(a_j m / n)),
 
-setting z = 1 collapses the product to cosines and yields both the size
-formula and an absolute-value upper bound; splitting it by weight parity
-adds a sine product. Those three trigonometric sums share one column-wise
-product builder, and the enumerator sum has its own. When the coefficients
-run through 1..k mod n and n divides k + 1, the average telescopes into a
-Ramanujan-sum closed form over the divisors of n, which depends on b only
-through gcd(b, n); VT_b(n) is the case of modulus n + 1 = k + 1.
+setting z = 1 collapses the product to cosines and yields an absolute-value
+upper bound on the size; splitting it by weight parity adds a sine product
+and yields the even and odd sizes. Those two trigonometric sums share one
+column-wise product builder, and the enumerator sum has its own. When the
+coefficients run through 1..k mod n and n divides k + 1, the average
+telescopes into a Ramanujan-sum closed form over the divisors of n, which
+depends on b only through gcd(b, n); VT_b(n) is the case of modulus
+n + 1 = k + 1.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "weight_enumerator_mitm",
     "weight_enumerator_charsum_float",
     "size",
-    "size_cosine_float",
     "size_upper_bound",
     "lehmer_count",
     "closed_form_gap",
@@ -189,21 +189,21 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
 
 # The float routes build root tables of n or 2n entries before they loop, and
 # their time grows with the n·k·rows cells of their products: k+1 rows for the
-# enumerator sum, 2 for the svt sum, 1 for the cosine size and its bound. In
-# a fresh process (Python 3.11, x86-64) the enumerator sum took about 90 ns a
-# cell: 2.2 s for 18 coefficients at n = 2^16 (2.2e7 cells, 24 MB peak RSS)
-# and 2.9 s for 22 (3.3e7). VT(n) holds about n^3 cells: VT(3000), 2.7e10 of
-# them, would take about 35 minutes by n^3 from VT(600)'s 17 s.
+# enumerator sum, 2 for the svt sum, 1 for the size bound. In a fresh process
+# (Python 3.11, x86-64) the enumerator sum took about 90 ns a cell: 2.2 s for
+# 18 coefficients at n = 2^16 (2.2e7 cells, 24 MB peak RSS) and 2.9 s for 22
+# (3.3e7). VT(n) holds about n^3 cells: VT(3000), 2.7e10 of them, would take
+# about 35 minutes by n^3 from VT(600)'s 17 s.
 _MAX_FLOAT_MODULUS = 1 << 16
 _MAX_FLOAT_WORK = 1 << 25
 
 # What a cell of the other float routes costs, in enumerator-sum cells; each
 # route's cell cap is _MAX_FLOAT_WORK divided by its cost. At n = 2^16 with
 # random coefficients, in fresh processes, the enumerator sum took 85-100 ns a
-# cell, the svt sum 220-470 ns and the cosine size and its bound 170-230 ns.
-# At these caps each route stops within about the enumerator sum's 3 s (3.0 s
-# for 22 coefficients): the svt sum took 2.2-2.7 s for 51 coefficients and the
-# cosine routes 1.9-2.6 s for 170.
+# cell, the svt sum 220-470 ns and the size bound 170-230 ns. At these caps
+# each route stops within about the enumerator sum's 3 s (3.0 s for 22
+# coefficients): the svt sum took 2.2-2.7 s for 51 coefficients and the bound
+# 1.9-2.6 s for 170.
 _SVT_CELL_COST = 5
 _COSINE_CELL_COST = 3
 
@@ -362,37 +362,12 @@ def size(spec: CodeSpec) -> int:
     return weight_enumerator(spec).size()
 
 
-def size_cosine_float(spec: CodeSpec) -> tuple[int, float]:
-    """Code size through the cosine-product character sum.
-
-    Evaluates (2^k / n) * sum_m e(eta m / n) * prod_j cos(pi a_j m / n)
-    where eta = -b + (a_1 + ... + a_k) / 2, with the svt sum's and the
-    bound's column-wise kernel. The raw value must be real and nonnegative up
-    to tolerance; the rounded size and |raw - rounded| are returned, with
-    IntegralityFailure past 1e-6 relative tolerance. Before building
-    anything: CapExceeded past the float modulus or cell cap, then
-    IntegralityFailure when 2^k overflows a float (k >= 1024).
-    """
-    k = len(spec.coefficients)
-    n = spec.modulus
-    _check_float(n, k, 1, _COSINE_CELL_COST)
-    scale = _float_scale(k, n)
-    [acc] = _trig_sums("cosine", spec, (math.cos,))
-    raw = acc * scale
-    r = round(raw.real)
-    dev = abs(raw - r)
-    tol = 1e-6 * max(1.0, abs(r))
-    if dev > tol or raw.real < -tol or r < 0:
-        raise IntegralityFailure(f"cosine size {raw!r} fails integrality")
-    return r, dev
-
-
 def size_upper_bound(spec: CodeSpec) -> float:
     """Upper bound (2^k / n) * sum_m prod_j |cos(pi a_j m / n)| on the size.
 
-    The cosine size's kernel with unit phases. Before building anything:
-    CapExceeded past the float modulus or cell cap, then IntegralityFailure
-    when 2^k overflows a float (k >= 1024).
+    The svt sum's kernel with one |cos| table and unit phases. Before
+    building anything: CapExceeded past the float modulus or cell cap, then
+    IntegralityFailure when 2^k overflows a float (k >= 1024).
     """
     k = len(spec.coefficients)
     n = spec.modulus
@@ -561,10 +536,7 @@ def vt_q_size(n: int, b: int, q: int) -> int:
     """
     if q < 1:
         raise ValueError("alphabet size must be >= 1")
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    if not 0 <= b <= n:
-        raise ValueError(f"residue {b} not in [0, {n + 1})")
+    _check_vt(n, b)
     return _divisor_sum(n + 1, b, lambda d: q ** ((n + 1) // d) if math.gcd(d, q) == 1 else 0,
                         q * (n + 1), "q-ary size sum not divisible by q(n+1)")
 
@@ -581,7 +553,7 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     With A_m = prod_j cos(pi a_j m / n) and B_m = prod_j i sin(pi a_j m / n),
     the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
     the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
-    Both products come from one column-wise pass of the cosine size's kernel.
+    Both products come from one column-wise pass of the bound's kernel.
     Returns (even, odd, max residual), or IntegralityFailure past 1e-6 or
     when a size reaches 2^52, where rounding stops showing an error.
     Before building anything: CapExceeded past the float modulus or cell

@@ -945,6 +945,26 @@ def test_output_cap_refuses_before_the_first_byte(capsys, monkeypatch):
         assert err.endswith(" output digits exceed the cap of 100\n") and err.count("\n") == 1
 
 
+def test_qary_size_past_the_output_cap_is_refused_before_the_sum(capsys, monkeypatch):
+    # under a cap of 100 digits the ternary VT(214) size prints, VT(215)'s 101
+    # digits are refused after the sum and VT(216)'s before it
+    monkeypatch.setattr(cli, "_MAX_DIGITS", 100)
+    argv = ("enum", "--family", "vt", "--b", "0", "--q", "3", "--n")
+    assert run(capsys, *argv, "214") == (
+        0, f"family=vt n=214 b=0 q=3 method=closed size={vt_q_size(214, 0, 3)}\n", "")
+    assert run(capsys, *argv, "215") == (
+        4, "", "ccodes: limit: about 101 output digits exceed the cap of 100\n")
+
+    def unreachable(*args):
+        raise AssertionError("vt_q_size called")
+
+    monkeypatch.setattr(cli, "vt_q_size", unreachable)
+    code, out, err = run(capsys, *argv, "216")
+    assert (code, out) == (4, "")
+    assert err.startswith("ccodes: limit: about ") and err.count("\n") == 1
+    assert err.endswith(" output digits exceed the cap of 100\n")
+
+
 def test_cli_start_up_imports_no_heavy_stdlib_modules():
     # `ccodes version` and one `enum` in a child, against a bare child: site hooks
     # may preload some modules, so only the ones ccodes itself adds count

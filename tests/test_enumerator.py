@@ -33,7 +33,6 @@ from ccodes import (
     make_vt,
     residue_product,
     size,
-    size_cosine_float,
     size_upper_bound,
     svt_sizes,
     svt_sizes_charsum_float,
@@ -271,7 +270,7 @@ def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
 
 def test_float_routes_check_the_cap_before_their_tables(monkeypatch):
     monkeypatch.setattr(enumerator, "_MAX_FLOAT_MODULUS", 1 << 10)
-    routes = [weight_enumerator_charsum_float, size_cosine_float, size_upper_bound,
+    routes = [weight_enumerator_charsum_float, size_upper_bound,
               lambda spec: svt_sizes_charsum_float(make_svt(3, spec.modulus, 5, 0))]
     tracemalloc.start()
     try:
@@ -284,7 +283,6 @@ def test_float_routes_check_the_cap_before_their_tables(monkeypatch):
     assert peak < 1 << 20  # a root table of 2^21 entries takes tens of MB
     at_cap = make_levenshtein(3, 1 << 10, 5)
     assert weight_enumerator_charsum_float(at_cap)[0] == weight_enumerator(at_cap)
-    assert size_cosine_float(at_cap)[0] == size(at_cap)
     assert size_upper_bound(at_cap) >= size(at_cap)
     assert svt_sizes_charsum_float(make_svt(3, 1 << 10, 5, 0))[:2] == svt_sizes(
         make_svt(3, 1 << 10, 5, 0))
@@ -299,7 +297,6 @@ FLOAT_ROUTES = {  # name: (float route, its product rows, its cost a cell, the e
     "charsum": (lambda spec: weight_enumerator_charsum_float(spec)[0], 4, 1, weight_enumerator),
     "svt": (lambda spec: svt_sizes_charsum_float(_svt(spec))[:2], 2, 5,
             lambda spec: svt_sizes(_svt(spec))),
-    "cosine": (lambda spec: size_cosine_float(spec)[0], 1, 3, size),
     "bound": (lambda spec: size_upper_bound(spec) >= size(spec), 1, 3, lambda spec: True),
 }
 
@@ -325,11 +322,10 @@ def test_float_routes_check_the_work_bound_before_their_tables(monkeypatch, rout
 
 @pytest.mark.parametrize("route, k, cells, cap", [
     (lambda spec: svt_sizes_charsum_float(ParityCodeSpec(spec, 0)), 52, 52 << 17, (1 << 25) // 5),
-    (size_cosine_float, 171, 171 << 16, (1 << 25) // 3),
     (size_upper_bound, 171, 171 << 16, (1 << 25) // 3),
-], ids=["svt", "cosine", "bound"])
+], ids=["svt", "bound"])
 def test_float_routes_stop_at_their_own_cell_caps(route, k, cells, cap):
-    # at n = 2^16 the svt sum stops past 51 coefficients and the cosine routes
+    # at n = 2^16 the svt sum stops past 51 coefficients and the size bound
     # past 170, so each stops within about the enumerator sum's 3 s at its cap
     with pytest.raises(CapExceeded, match=f"^{cells} float cells exceeds the cap of {cap}$"):
         route(make_levenshtein(k, 1 << 16, 5))
@@ -337,11 +333,10 @@ def test_float_routes_stop_at_their_own_cell_caps(route, k, cells, cap):
 
 @pytest.mark.parametrize("route, reason", [
     (weight_enumerator_charsum_float, "character sum of 1100 coefficients overflows a float"),
-    (size_cosine_float, "scale 2^1100 / 2 overflows a float"),
     (size_upper_bound, "scale 2^1100 / 2 overflows a float"),
     (lambda spec: svt_sizes_charsum_float(ParityCodeSpec(spec, 0)),
      "scale 2^1099 / 2 overflows a float"),
-], ids=["charsum", "cosine", "bound", "svt"])
+], ids=["charsum", "bound", "svt"])
 def test_float_routes_that_overflow_fail_integrality(route, reason):
     # C(1100, 550) and 2^1100 pass the largest float, about 2^1024
     with pytest.raises(IntegralityFailure, match=f"^{re.escape(reason)}$"):
@@ -351,7 +346,6 @@ def test_float_routes_that_overflow_fail_integrality(route, reason):
 def test_float_scale_below_the_overflow():
     spec = make_levenshtein(1023, 2, 0)  # 2^1023 is the largest power of two a float holds
     assert size(spec) == 2**1022
-    assert size_cosine_float(spec)[0] == 2**1022
     assert size_upper_bound(spec) == 2.0**1022
 
 
@@ -441,28 +435,6 @@ def per_m_svt(pspec):
     return even, odd, dev
 
 
-def per_m_cosine(spec):
-    k = len(spec.coefficients)
-    n = spec.modulus
-    two_eta = sum(spec.coefficients) - 2 * spec.residue
-    n2 = 2 * n
-    phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
-    cosines = [math.cos(math.pi * t / n) for t in range(n2)]
-    acc = 0j
-    for m in range(1, n + 1):
-        prod = 1.0
-        for a in spec.coefficients:
-            prod *= cosines[(a * m) % n2]
-        acc += phases[(two_eta * m) % n2] * prod
-    raw = acc * (2.0**k / n)
-    r = round(raw.real)
-    dev = abs(raw - r)
-    tol = 1e-6 * max(1.0, abs(r))
-    if dev > tol or raw.real < -tol or r < 0:
-        return f"cosine size {raw!r} fails integrality"
-    return r, dev
-
-
 def per_m_bound(spec):
     k = len(spec.coefficients)
     n = spec.modulus
@@ -492,20 +464,12 @@ def column_svt(pspec):
         return str(exc)
 
 
-def column_cosine(spec):
-    try:
-        return size_cosine_float(spec)
-    except IntegralityFailure as exc:
-        return str(exc)
-
-
 def _same_float_results(spec, pspec, cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumerator, "_FLOAT_CELLS", cells)
         enumerator._float_memo.clear()  # build the rows in blocks of these cells
         assert column_charsum(spec) == per_m_charsum(spec)
         assert column_svt(pspec) == per_m_svt(pspec)
-        assert column_cosine(spec) == per_m_cosine(spec)
         assert size_upper_bound(spec).hex() == per_m_bound(spec).hex()
 
 
@@ -542,16 +506,15 @@ def test_column_float_kernels_across_blocks_and_failures():
     assert isinstance(per_m_charsum(make_vt(50, 7)), str)
     assert isinstance(per_m_svt(make_svt(45, 46, 0, 0)), str)
     _same_float_results(make_levenshtein(45, 46, 0), make_svt(45, 46, 0, 0), 200)
-    # an empty code of 40 coefficients: the cosine sum's noise passes 1e-6
+    # an empty code of 40 coefficients: the svt sum's noise passes 1e-6
     spec = CodeSpec((1,) * 40, 64, 63)
-    assert isinstance(per_m_cosine(spec), str)
+    assert isinstance(per_m_svt(ParityCodeSpec(spec, 1)), str)
     _same_float_results(spec, ParityCodeSpec(spec, 1), 9)
 
 
 @pytest.mark.parametrize("route, per_m, tag, make", [
     (column_charsum, per_m_charsum, "charsum", lambda a, n, b: CodeSpec(a, n, b)),
     (column_svt, per_m_svt, "svt", lambda a, n, b: ParityCodeSpec(CodeSpec(a, n, b), b % 2)),
-    (column_cosine, per_m_cosine, "cosine", lambda a, n, b: CodeSpec(a, n, b)),
     (size_upper_bound, per_m_bound, "bound", lambda a, n, b: CodeSpec(a, n, b)),
 ])
 def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
@@ -630,17 +593,24 @@ def test_size_examples():
     assert size(make_vt(4, 1)) == 3
 
 
-def test_size_cosine_float():
-    got, dev = size_cosine_float(make_vt(6, 0))
+def _float_size(spec):
+    # the float size of any congruence: the svt sum's even plus odd sizes
+    even, odd, dev = svt_sizes_charsum_float(ParityCodeSpec(spec, 0))
+    assert (even, odd) == svt_sizes(ParityCodeSpec(spec, 0))
+    return even + odd, dev
+
+
+def test_float_size_from_the_svt_sum():
+    got, dev = _float_size(make_vt(6, 0))
     assert got == 10 and dev < 1e-9
     # gcd(coefficients, n) does not divide b: empty code
-    got, dev = size_cosine_float(CodeSpec((2, 4), 6, 1))
+    got, dev = _float_size(CodeSpec((2, 4), 6, 1))
     assert got == 0
-    got, _ = size_cosine_float(CodeSpec((1,), 2, 1))
+    got, _ = _float_size(CodeSpec((1,), 2, 1))
     assert got == 1
 
 
-def test_size_cosine_float_random():
+def test_float_size_from_the_svt_sum_random():
     rng = random.Random(9)
     for _ in range(30):
         k = rng.randint(1, 10)
@@ -648,9 +618,9 @@ def test_size_cosine_float_random():
         spec = CodeSpec(
             tuple(rng.randint(-60, 60) for _ in range(k)), n, rng.randint(0, n - 1)
         )
-        got, dev = size_cosine_float(spec)
+        got, dev = _float_size(spec)
         assert got == size(spec)
-        assert dev < 1e-6 * max(1, got)
+        assert dev < 1e-6
 
 
 def test_size_upper_bound():
@@ -678,14 +648,12 @@ def test_float_size_routes_check_the_scale_before_the_sum(monkeypatch):
     monkeypatch.setattr(enumerator, "_trig_sums", trig_sums)
     # both specs pass the cell caps: 1.02e7 cells of 1.12e7, and 6.6e6 of 6.71e6
     lev, svt = make_levenshtein(1024, 10000, 0), make_svt(1100, 3000, 0, 0)
-    for route, spec, reason in ((size_cosine_float, lev, "scale 2^1024 / 10000"),
-                                (size_upper_bound, lev, "scale 2^1024 / 10000"),
+    for route, spec, reason in ((size_upper_bound, lev, "scale 2^1024 / 10000"),
                                 (svt_sizes_charsum_float, svt, "scale 2^1099 / 3000")):
         with pytest.raises(IntegralityFailure, match=f"^{re.escape(reason)} overflows a float$"):
             route(spec)
     # at k = 1023 the scale fits, so each route goes on to its sum
-    for route, spec in ((size_cosine_float, make_levenshtein(1023, 10000, 0)),
-                        (size_upper_bound, make_levenshtein(1023, 10000, 0)),
+    for route, spec in ((size_upper_bound, make_levenshtein(1023, 10000, 0)),
                         (svt_sizes_charsum_float, make_svt(1023, 3000, 0, 0))):
         with pytest.raises(Reached):
             route(spec)
