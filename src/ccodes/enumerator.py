@@ -205,7 +205,7 @@ _MAX_FLOAT_WORK = 1 << 25
 # coefficients): the svt sum took 2.2-2.7 s for 51 coefficients and the bound
 # 1.9-2.6 s for 170.
 _SVT_CELL_COST = 5
-_COSINE_CELL_COST = 3
+_BOUND_CELL_COST = 3
 
 # Cells (m values times product rows) in one block of the column-wise float
 # sums. Building every m at once peaked at 66 MB RSS at the float cap with 18
@@ -240,10 +240,19 @@ def _float_scale(k: int, n: int) -> float:
         raise IntegralityFailure(f"scale 2^{k} / {n} overflows a float") from None
 
 
-def _check_resolved(what: str, values: Iterable[int]) -> None:
-    # from 2^52 on, neighbouring floats lie 1 or more apart, so rounding shows no error
-    if max(map(abs, values)) >= 1 << 52:
+def _rounded(what: str, raws: Iterable[complex]) -> tuple[list[int], float]:
+    # the rounded real parts and the largest |raw - rounded|; IntegralityFailure past 1e-6,
+    # then from 2^52 on, where neighbouring floats lie 1 or more apart and rounding hides errors
+    ints, dev = [], 0.0
+    for raw in raws:
+        r = round(raw.real)
+        dev = max(dev, abs(raw - r))
+        ints.append(r)
+    if dev > 1e-6:
+        raise IntegralityFailure(f"{what} off integer by {dev:g}")
+    if max(map(abs, ints)) >= 1 << 52:
         raise IntegralityFailure(f"{what} reaches 2^52, where a float stops resolving integers")
+    return ints, dev
 
 
 def _float_blocks(key: tuple, width: int, build: Callable[[range], list[list]]):
@@ -272,12 +281,12 @@ def _accumulate(acc: list, phases: list, rows: list[list]) -> None:
         acc[t] = reduce(add, map(mul, phases, row), acc[t])
 
 
-def _trig_sums(tag: str, spec: CodeSpec, fs: tuple, phased: bool = True) -> list:
+def _trig_sums(tag: str, spec: CodeSpec, fs: tuple, two_eta: int) -> list[complex]:
     """sum_{m=1}^{n} e(eta m / n) prod_j f(pi a_j m / n) for each f of fs.
 
-    eta = -b + (a_1 + ... + a_k) / 2 is carried as the integer 2*eta, each f
-    is read from a table of its 2n values, and without phased every phase is
-    1.0 and the sums are floats. The products are built column-wise, a block
+    eta comes as the integer two_eta = 2 eta and each f from a table of its 2n
+    values. At two_eta = 0 every phase is exactly 1+0j, so each real part is
+    the float sum of the products alone. The products are built column-wise, a block
     of m at a time, one row per f, and kept in the float memo under tag; every
     m sees the same multiplications in the same order as a product on its own.
     """
@@ -293,11 +302,7 @@ def _trig_sums(tag: str, spec: CodeSpec, fs: tuple, phased: bool = True) -> list
             rows = [[x * table[t] for x, t in zip(row, idx)] for row, table in zip(rows, tables)]
         return rows
 
-    two_eta = sum(spec.coefficients) - 2 * spec.residue
-    if phased:
-        phases, acc = [cmath.exp(1j * math.pi * t / n) for t in range(n2)], [0j] * len(fs)
-    else:
-        phases, acc = [1.0] * n2, [0.0] * len(fs)
+    phases, acc = [cmath.exp(1j * math.pi * t / n) for t in range(n2)], [0j] * len(fs)
     for ms, rows in _float_blocks((tag, a_red, n), len(fs), build):
         _accumulate(acc, [phases[two_eta * m % n2] for m in ms], rows)
     return acc
@@ -340,21 +345,11 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     acc = [0j] * (k + 1)
     for ms, rows in _float_blocks(("charsum", a_red, n), k + 1, build):
         _accumulate(acc, [roots[-b * m % n] for m in ms], rows)
-    rounded: list[int] = []
-    max_dev = 0.0
-    for t in range(k + 1):
-        raw = acc[t] / n
-        if not cmath.isfinite(raw):  # the products' coefficients passed the float range
-            raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")
-        r = round(raw.real)
-        dev = abs(raw - r)
-        if dev > max_dev:
-            max_dev = dev
-        rounded.append(r)
-    if max_dev > 1e-6:
-        raise IntegralityFailure(f"character sum off integer by {max_dev:g}")
-    _check_resolved("character sum", rounded)
-    return WeightEnumerator(k, rounded), max_dev
+    raws = [x / n for x in acc]
+    if not all(map(cmath.isfinite, raws)):  # the products' coefficients passed the float range
+        raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")
+    counts, dev = _rounded("character sum", raws)
+    return WeightEnumerator(k, counts), dev
 
 
 def size(spec: CodeSpec) -> int:
@@ -371,10 +366,10 @@ def size_upper_bound(spec: CodeSpec) -> float:
     """
     k = len(spec.coefficients)
     n = spec.modulus
-    _check_float(n, k, 1, _COSINE_CELL_COST)
+    _check_float(n, k, 1, _BOUND_CELL_COST)
     scale = _float_scale(k, n)
-    [acc] = _trig_sums("bound", spec, (lambda x: abs(math.cos(x)),), phased=False)
-    return scale * acc
+    [acc] = _trig_sums("bound", spec, (lambda x: abs(math.cos(x)),), 0)
+    return scale * acc.real
 
 
 def lehmer_count(coeffs: Iterable[int], n: int, b: int) -> int:
@@ -564,15 +559,12 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     n = base.modulus
     _check_float(n, k, 2, _SVT_CELL_COST)
     scale = _float_scale(k - 1, n)
-    acc_a, acc_b = _trig_sums("svt", base, (math.cos, math.sin))
+    acc_a, acc_b = _trig_sums("svt", base, (math.cos, math.sin),
+                              sum(base.coefficients) - 2 * base.residue)
     b_term = (1, 1j, -1, -1j)[k % 4] * acc_b  # i^k * prod(sin) terms
     sign = -1 if k % 2 else 1
-    even_raw = scale * (acc_a + sign * b_term)
-    odd_raw = scale * (acc_a - sign * b_term)
-    even = round(even_raw.real)
-    odd = round(odd_raw.real)
-    dev = max(abs(even_raw - even), abs(odd_raw - odd))
-    if dev > 1e-6 or even < 0 or odd < 0:
+    (even, odd), dev = _rounded("parity character sum",
+                                (scale * (acc_a + sign * b_term), scale * (acc_a - sign * b_term)))
+    if even < 0 or odd < 0:
         raise IntegralityFailure(f"parity character sum off integer by {dev:g}")
-    _check_resolved("parity character sum", (even, odd))
     return even, odd, dev

@@ -919,6 +919,31 @@ def test_svt_charsum_float_refuses_sizes_from_2_to_the_52(monkeypatch):
     monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [complex(2**52), 0j])
     with pytest.raises(IntegralityFailure, match="^parity character sum reaches 2\\^52"):
         svt_sizes_charsum_float(spec)
+    # a deviation of exactly 1e-6 passes; it is checked before 2^52, and a negative size
+    # fails on its own
+    monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [1e-6j, 0j])
+    assert svt_sizes_charsum_float(spec) == (0, 0, 1e-6)
+    for acc_a, dev in ((complex(2**52, 0.5), "0.5"), (complex(-1), "0")):
+        monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [acc_a, 0j])
+        with pytest.raises(IntegralityFailure, match=f"^parity character sum off integer by {dev}$"):
+            svt_sizes_charsum_float(spec)
+
+
+@pytest.mark.parametrize("what", ["character sum", "parity character sum"])
+def test_rounded_gate_edges(what):
+    # both float counts pass this one gate: deviation first, then 2^52
+    up = math.nextafter(1e-6, 1.0)
+    assert enumerator._rounded(what, [1e-6 + 0j, complex(3, -1e-6)]) == ([0, 3], 1e-6)
+    with pytest.raises(IntegralityFailure, match=f"^{what} off integer by {up:g}$"):
+        enumerator._rounded(what, [0j, complex(up)])
+    top = 2**52 - 1
+    assert enumerator._rounded(what, [complex(top), complex(-top)]) == ([top, -top], 0.0)
+    for raw in (2**52, -(2**52)):
+        with pytest.raises(IntegralityFailure,
+                           match=f"^{what} reaches 2\\^52, where a float stops resolving integers$"):
+            enumerator._rounded(what, [complex(raw)])
+    with pytest.raises(IntegralityFailure, match=f"^{what} off integer by 0.5$"):
+        enumerator._rounded(what, [complex(2**52), 0.5 + 0j])
 
 
 # === character-sum underpinnings ===
