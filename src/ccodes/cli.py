@@ -309,9 +309,10 @@ def _check_grid_flags(args: SimpleNamespace, takes: Sequence[str], who: str) -> 
             raise UsageError(f"{who} {verb} --{flag}")
 
 
-def _iter_instances(args: SimpleNamespace) -> Iterator[tuple[Params, object]]:
-    """Yield (params, spec) in deterministic order; spec is CodeSpec or ParityCodeSpec."""
-    family = _FAMILIES[args.family]
+def _iter_instances(args: SimpleNamespace,
+                    family: _Family | None = None) -> Iterator[tuple[Params, object]]:
+    """Yield (params, spec) in deterministic order; spec is what family.make returns."""
+    family = family or _FAMILIES[args.family]
     _check_grid_flags(args, [flag for flag, _ in family.grid], f"--family {args.family}")
     try:
         yield from _expand(family, args, {})
@@ -346,7 +347,11 @@ def cmd_enum(args: SimpleNamespace) -> int:
             raise UsageError("--q applies to --family vt only")
         if args.q < 1:
             raise UsageError("--q must be >= 1")
-    instances = list(itertools.islice(_iter_instances(args), 2))
+    family = _FAMILIES[args.family]
+    if args.q not in (None, 2):  # the q-ary size reads only (n, b): build no coefficients
+        # len(range(n)) refuses a length past a C ssize_t, as make_vt's tuple does
+        family = family._replace(make=lambda n, b: make_vt(n, b) if n < 1 else (len(range(n)), b))
+    instances = list(itertools.islice(_iter_instances(args, family), 2))
     if len(instances) != 1:
         raise UsageError("enum needs a grid of exactly one instance; use table or verify")
     [(params, spec)] = instances
@@ -355,12 +360,12 @@ def cmd_enum(args: SimpleNamespace) -> int:
         # q(n+1) size >= q^(n+1) - (n+1) q^((n+1)/2), as |c_d(b)| <= phi(d) and the
         # phi(d) of d | n+1 sum to n+1; so size >= q^n / (2(n+1)) once 2(n+1) <=
         # q^((n+1)/2). A number one bit shorter refuses a size past the cap early.
-        n, log_q = spec.length, math.log2(args.q)
+        (n, b), log_q = spec, math.log2(args.q)
         if (n + 1) / 2 * log_q >= math.log2(2 * (n + 1)) + 1:
             _check_digits((1 << int(n * log_q - math.log2(2 * (n + 1))) - 1,))
-        size = vt_q_size(n, spec.residue, args.q)
+        size = vt_q_size(n, b, args.q)
     else:
-        method, counts = "exact", _FAMILIES[args.family].counts(spec)
+        method, counts = "exact", family.counts(spec)
         size = sum(counts)
     _check_digits((size, *(counts or ())))
     print(_emit_record(args.format, args.family, params, method, size, counts))

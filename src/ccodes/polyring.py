@@ -109,8 +109,9 @@ def cap_error(parts: Iterable[Iterable[int]], modulus: int) -> CapExceeded | Non
     width = 1 + sum(map(len, parts))
     for part in parts:
         bits = reach(part, modulus) * width * width
-        if bits > _MAX_BITS:
-            return CapExceeded(f"up to {bits} packed bits exceeds the cap of {_MAX_BITS}")
+        if bits > _MAX_BITS:  # a count from 10^18 on prints as the power of 2 below it
+            shown = bits if bits < 10**18 else f"2^{bits.bit_length() - 1}+"
+            return CapExceeded(f"up to {shown} packed bits exceeds the cap of {_MAX_BITS}")
     return None
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -415,6 +416,7 @@ def test_flag_that_would_be_ignored_exits_2(capsys, argv):
     ("table", "--family", "levenshtein", "--k", "0..2", "--n", "k+1", "--b", "0"),
     # a length past a C ssize_t, and one past Python's 4300-digit limit on int parsing
     ("enum", "--family", "vt", "--n", "1" + "0" * 20, "--b", "0"),
+    ("enum", "--family", "vt", "--n", "1" + "0" * 20, "--b", "0", "--q", "3"),
     ("verify", "--family", "svt", "--k", "1" * 5000, "--n", "3", "--b", "0", "--r", "0"),
 ])
 def test_bad_grid_exits_2(capsys, argv):
@@ -963,6 +965,21 @@ def test_qary_size_past_the_output_cap_is_refused_before_the_sum(capsys, monkeyp
     assert (code, out) == (4, "")
     assert err.startswith("ccodes: limit: about ") and err.count("\n") == 1
     assert err.endswith(" output digits exceed the cap of 100\n")
+
+
+def test_qary_size_builds_no_coefficients(capsys):
+    # the q-ary size reads n and b alone: VT(3e7)'s coefficients, about 1.2 GB as a
+    # tuple of ints, are never built before the output cap refuses the size
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "enum", "--family", "vt", "--n", "30000000", "--b", "0",
+                             "--q", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (4, "")
+    assert err == "ccodes: limit: about 47647481952 output digits exceed the cap of 50000000\n"
+    assert peak < 20 * 2**20
 
 
 def test_cli_start_up_imports_no_heavy_stdlib_modules():

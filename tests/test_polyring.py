@@ -173,6 +173,15 @@ def test_bit_cap_at_the_bound(monkeypatch):
         raise cap_error([[1] * 8191], 8)
     with pytest.raises(CapExceeded, match="packed bits"):
         residue_product([1] * 8191, 8)
+    # a count below 10^18 prints in full; from 10^18 on, as the power of 2 below it,
+    # from the bit length alone: a reach of 2^3000 residues allocates nothing
+    assert str(cap_error([[1 << 48] * 48], 1 << 49)) == (
+        f"up to {(1 << 48) * 49**2} packed bits exceeds the cap of {polyring._MAX_BITS}")
+    assert (1 << 48) * 49**2 < 10**18 <= (1 << 49) * 50**2 < 1 << 61
+    assert str(cap_error([[1 << 48] * 49], 1 << 49)) == (
+        f"up to 2^60+ packed bits exceeds the cap of {polyring._MAX_BITS}")
+    assert str(cap_error([[10**900] * 3000], 10**1000)) == (
+        f"up to 2^3023+ packed bits exceeds the cap of {polyring._MAX_BITS}")
     # each half is charged rows of the whole spec's width, 8192^2 bits
     assert cap_error([[1] * 4096, [1] * 4095], 7) is None
     with pytest.raises(CapExceeded, match=f"up to {8 * 8192**2} packed bits"):
