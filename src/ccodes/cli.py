@@ -97,11 +97,11 @@ class UsageError(Exception):
 # ---- formatting ----
 
 
-def _check_digits(values: Iterable[int]) -> None:
-    """Refuse an output past _MAX_DIGITS before its first byte is written."""
+def _check_digits(bit_lengths: Iterable[int]) -> None:
+    """Refuse an output of numbers of these bit lengths past _MAX_DIGITS before its first byte."""
     # 0.30103 decimal digits a bit; past 4300 digits (14284 bits), where int-to-str
     # turns quadratic, a number of d digits counts d*d/4300
-    bits = list(map(int.bit_length, values))
+    bits = list(bit_lengths)
     digits = 0.30103 * (sum(bits) + sum(b * b / 14284 - b for b in bits if b > 14284))
     if digits > _MAX_DIGITS:
         raise CapExceeded(f"about {digits:.0f} output digits exceed the cap of {_MAX_DIGITS}")
@@ -347,27 +347,27 @@ def cmd_enum(args: SimpleNamespace) -> int:
             raise UsageError("--q applies to --family vt only")
         if args.q < 1:
             raise UsageError("--q must be >= 1")
-    family = _FAMILIES[args.family]
-    if args.q not in (None, 2):  # the q-ary size reads only (n, b): build no coefficients
+    family, qary = _FAMILIES[args.family], args.q not in (None, 2)
+    if qary:  # the q-ary size reads only (n, b): build no coefficients
         # len(range(n)) refuses a length past a C ssize_t, as make_vt's tuple does
         family = family._replace(make=lambda n, b: make_vt(n, b) if n < 1 else (len(range(n)), b))
     instances = list(itertools.islice(_iter_instances(args, family), 2))
     if len(instances) != 1:
         raise UsageError("enum needs a grid of exactly one instance; use table or verify")
     [(params, spec)] = instances
-    if args.q not in (None, 2):
+    if qary:
         params, method, counts = {**params, "q": args.q}, "closed", None
         # q(n+1) size >= q^(n+1) - (n+1) q^((n+1)/2), as |c_d(b)| <= phi(d) and the
         # phi(d) of d | n+1 sum to n+1; so size >= q^n / (2(n+1)) once 2(n+1) <=
-        # q^((n+1)/2). A number one bit shorter refuses a size past the cap early.
+        # q^((n+1)/2). A bit length one short of that refuses a size past the cap early.
         (n, b), log_q = spec, math.log2(args.q)
         if (n + 1) / 2 * log_q >= math.log2(2 * (n + 1)) + 1:
-            _check_digits((1 << int(n * log_q - math.log2(2 * (n + 1))) - 1,))
+            _check_digits((int(n * log_q - math.log2(2 * (n + 1))),))
         size = vt_q_size(n, b, args.q)
     else:
         method, counts = "exact", family.counts(spec)
         size = sum(counts)
-    _check_digits((size, *(counts or ())))
+    _check_digits(map(int.bit_length, (size, *(counts or ()))))
     print(_emit_record(args.format, args.family, params, method, size, counts))
     return 0
 
@@ -388,7 +388,7 @@ def cmd_table(args: SimpleNamespace) -> int:
     if args.quantity == "size":  # the rows of a gcd class share one counts tuple: sum it once
         sizes = {id(c): (sum(c),) for c in {id(c): c for _, c in rows}.values()}
         rows = [(params, sizes[id(counts)]) for params, counts in rows]
-    _check_digits(itertools.chain.from_iterable(values for _, values in rows))
+    _check_digits(map(int.bit_length, itertools.chain.from_iterable(values for _, values in rows)))
     import csv
 
     writer = csv.writer(sys.stdout, lineterminator="\n")

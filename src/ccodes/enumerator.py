@@ -16,12 +16,12 @@ code a_1 c_1 + ... + a_k c_k = b (mod n) is
 
 setting z = 1 collapses the product to cosines and yields an absolute-value
 upper bound on the size; splitting it by weight parity adds a sine product
-and yields the even and odd sizes. Those two trigonometric sums share one
-column-wise product builder, and the enumerator sum has its own. When the
-coefficients run through 1..k mod n and n divides k + 1, the average
-telescopes into a Ramanujan-sum closed form over the divisors of n, which
-depends on b only through gcd(b, n); VT_b(n) is the case of modulus
-n + 1 = k + 1.
+and yields the even and odd sizes. All three sums share one float driver;
+the two trigonometric sums share one row builder, and the enumerator sum
+keeps its polynomial one. When the coefficients run through 1..k mod n and
+n divides k + 1, the average telescopes into a Ramanujan-sum closed form
+over the divisors of n, which depends on b only through gcd(b, n); VT_b(n)
+is the case of modulus n + 1 = k + 1.
 """
 
 from __future__ import annotations
@@ -187,13 +187,13 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
                             residue_slot(spec.coefficients, spec.modulus, spec.residue))
 
 
-# The float routes build root tables of n or 2n entries before they loop, and
-# their time grows with the n·k·rows cells of their products: k+1 rows for the
-# enumerator sum, 2 for the svt sum, 1 for the size bound. In a fresh process
-# (Python 3.11, x86-64) the enumerator sum took about 90 ns a cell: 2.2 s for
-# 18 coefficients at n = 2^16 (2.2e7 cells, 24 MB peak RSS) and 2.9 s for 22
-# (3.3e7). VT(n) holds about n^3 cells: VT(3000), 2.7e10 of them, would take
-# about 35 minutes by n^3 from VT(600)'s 17 s.
+# The float routes build a phase table and trig tables of 2n entries before
+# they loop, and their time grows with the n·k·rows cells of their products:
+# k+1 rows for the enumerator sum, 2 for the svt sum, 1 for the size bound. In
+# a fresh process (Python 3.11, x86-64) the enumerator sum took about 90 ns a
+# cell: 2.2 s for 18 coefficients at n = 2^16 (2.2e7 cells, 24 MB peak RSS) and
+# 2.9 s for 22 (3.3e7). VT(n) holds about n^3 cells: VT(3000), 2.7e10 of them,
+# would take about 35 minutes by n^3 from VT(600)'s 17 s.
 _MAX_FLOAT_MODULUS = 1 << 16
 _MAX_FLOAT_WORK = 1 << 25
 
@@ -255,57 +255,56 @@ def _rounded(what: str, raws: Iterable[complex]) -> tuple[list[int], float]:
     return ints, dev
 
 
-def _float_blocks(key: tuple, width: int, build: Callable[[range], list[list]]):
-    """Yield (ms, rows) for m = 1..n, n = key[-1], in blocks of consecutive m.
+def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list]],
+                two_eta: int) -> list[complex]:
+    """sum_{m=1}^{n} e(two_eta m / 2n) row_t[m] for each of width rows, n = key[-1].
 
-    build(ms) returns width rows, each a list over ms; a block holds at most
-    _FLOAT_CELLS cells, or one m. When all n * width cells fit in
-    _FLOAT_MEMO_CELLS the blocks are kept in the one-entry memo under key;
-    otherwise none are kept.
+    build(ms, phases) returns the width rows, each a list over ms, and may read
+    the one phase table, phases[t] = e(t / 2n) for t < 2n. A block of
+    consecutive m holds at most _FLOAT_CELLS cells, or one m. When all n * width
+    cells fit in _FLOAT_MEMO_CELLS the blocks are kept in the one-entry memo
+    under key; otherwise none are kept. At two_eta = 0 every phase is exactly
+    1+0j, so each real part is the float sum of the rows alone.
     """
     n = key[-1]
+    n2 = 2 * n
+    phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
     step = max(1, _FLOAT_CELLS // width)
     blocks = (range(start, min(start + step, n + 1)) for start in range(1, n + 1, step))
     if n * width > _FLOAT_MEMO_CELLS:
         _float_memo.clear()
-        for ms in blocks:
-            yield ms, build(ms)
-        return
-    yield from _float_memo.get(key, lambda: [(ms, build(ms)) for ms in blocks])
-
-
-def _accumulate(acc: list, phases: list, rows: list[list]) -> None:
-    # acc[t] += phase_m * row_t[m] in m order: a left fold, because the builtin
-    # sum compensates float sums from Python 3.12 on
-    for t, row in enumerate(rows):
-        acc[t] = reduce(add, map(mul, phases, row), acc[t])
+        built = ((ms, build(ms, phases)) for ms in blocks)
+    else:
+        built = _float_memo.get(key, lambda: [(ms, build(ms, phases)) for ms in blocks])
+    acc = [0j] * width
+    for ms, rows in built:
+        row_phases = [phases[two_eta * m % n2] for m in ms]
+        for t, row in enumerate(rows):  # a left fold: sum() compensates from Python 3.12 on
+            acc[t] = reduce(add, map(mul, row_phases, row), acc[t])
+    return acc
 
 
 def _trig_sums(tag: str, spec: CodeSpec, fs: tuple, two_eta: int) -> list[complex]:
     """sum_{m=1}^{n} e(eta m / n) prod_j f(pi a_j m / n) for each f of fs.
 
     eta comes as the integer two_eta = 2 eta and each f from a table of its 2n
-    values. At two_eta = 0 every phase is exactly 1+0j, so each real part is
-    the float sum of the products alone. The products are built column-wise, a block
-    of m at a time, one row per f, and kept in the float memo under tag; every
-    m sees the same multiplications in the same order as a product on its own.
+    values. The products are built column-wise, one row per f, by the float
+    driver under tag; every m sees the same multiplications in the same order
+    as a product on its own.
     """
     n = spec.modulus
     n2 = 2 * n
     tables = [[f(math.pi * t / n) for t in range(n2)] for f in fs]
     a_red = tuple(a % n2 for a in spec.coefficients)
 
-    def build(ms: range) -> list[list]:
+    def build(ms: range, _) -> list[list]:
         rows = [[1.0] * len(ms) for _ in fs]
         for a in a_red:
             idx = [a * m % n2 for m in ms]
             rows = [[x * table[t] for x, t in zip(row, idx)] for row, table in zip(rows, tables)]
         return rows
 
-    phases, acc = [cmath.exp(1j * math.pi * t / n) for t in range(n2)], [0j] * len(fs)
-    for ms, rows in _float_blocks((tag, a_red, n), len(fs), build):
-        _accumulate(acc, [phases[two_eta * m % n2] for m in ms], rows)
-    return acc
+    return _float_sums((tag, a_red, n), len(fs), build, two_eta)
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -321,30 +320,26 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     before building anything, past the float modulus or cell cap. Advisory
     path; exact results come from weight_enumerator.
 
-    The products are built column-wise, a block of m at a time: row t holds
-    the z^t coefficient of every product of the block, and each coefficient
-    updates the rows from the top down. Every m sees the same operations in
-    the same order as a product built on its own.
+    The products are built column-wise, e(a m / n) being the driver's phase
+    e(2 a m / 2n): row t holds the z^t coefficient of every product of a block,
+    and each coefficient updates the rows from the top down. Every m sees the
+    same operations in the same order as a product built on its own.
     """
     k = len(spec.coefficients)
     n = spec.modulus
-    b = spec.residue
     _check_float(n, k, k + 1)
-    roots = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
     a_red = tuple(a % n for a in spec.coefficients)
 
-    def build(ms: range) -> list[list]:
+    def build(ms: range, phases: list) -> list[list]:
         rows = [[1 + 0j] * len(ms)]
         for a in a_red:
-            w = [roots[a * m % n] for m in ms]
+            w = [phases[2 * (a * m % n)] for m in ms]
             rows.append([x * y for x, y in zip(w, rows[-1])])
             for t in range(len(rows) - 2, 0, -1):
                 rows[t] = [x + y * z for x, y, z in zip(rows[t], w, rows[t - 1])]
         return rows
 
-    acc = [0j] * (k + 1)
-    for ms, rows in _float_blocks(("charsum", a_red, n), k + 1, build):
-        _accumulate(acc, [roots[-b * m % n] for m in ms], rows)
+    acc = _float_sums(("charsum", a_red, n), k + 1, build, -2 * spec.residue)
     raws = [x / n for x in acc]
     if not all(map(cmath.isfinite, raws)):  # the products' coefficients passed the float range
         raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")

@@ -926,7 +926,7 @@ def test_output_cap_sits_between_vt_15086_and_vt_15087(capsys):
     # VT(14299)'s enumerator, the largest output before the 4300-digit limit was
     # lifted, is 4.43e7 digits; the cap admits VT(n, 0)'s enumerator up to n = 15086
     counts = weight_enumerator(make_vt(15086, 0)).counts
-    cli._check_digits((sum(counts), *counts))
+    cli._check_digits(map(int.bit_length, (sum(counts), *counts)))
     code, out, err = run(capsys, "enum", "--family", "vt", "--n", "15087", "--b", "0")
     assert (code, out) == (4, "")
     assert err == "ccodes: limit: about 50000153 output digits exceed the cap of 50000000\n"
@@ -969,17 +969,19 @@ def test_qary_size_past_the_output_cap_is_refused_before_the_sum(capsys, monkeyp
 
 def test_qary_size_builds_no_coefficients(capsys):
     # the q-ary size reads n and b alone: VT(3e7)'s coefficients, about 1.2 GB as a
-    # tuple of ints, are never built before the output cap refuses the size
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "enum", "--family", "vt", "--n", "30000000", "--b", "0",
-                             "--q", "3")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, out) == (4, "")
-    assert err == "ccodes: limit: about 47647481952 output digits exceed the cap of 50000000\n"
-    assert peak < 20 * 2**20
+    # tuple of ints, are never built before the output cap refuses the size, and
+    # the cap reads a bit length, so no number near VT(1e9)'s 200 MB size is built
+    for n, digits in ((30000000, 47647481952), (1000000000, 52941702439832)):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "enum", "--family", "vt", "--n", str(n), "--b", "0",
+                                 "--q", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert err == f"ccodes: limit: about {digits} output digits exceed the cap of 50000000\n"
+        assert peak < 20 * 2**20, n
 
 
 def test_cli_start_up_imports_no_heavy_stdlib_modules():

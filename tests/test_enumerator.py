@@ -546,16 +546,16 @@ def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
 def _count_float_builds(monkeypatch) -> list:
     """Record the modulus of every block of product rows the float routes build."""
     builds = []
-    blocks = enumerator._float_blocks
+    sums = enumerator._float_sums
 
-    def counting(key, width, build):
-        def counted(ms):
+    def counting(key, width, build, two_eta):
+        def counted(ms, phases):
             builds.append(key[-1])
-            return build(ms)
+            return build(ms, phases)
 
-        return blocks(key, width, counted)
+        return sums(key, width, counted, two_eta)
 
-    monkeypatch.setattr(enumerator, "_float_blocks", counting)
+    monkeypatch.setattr(enumerator, "_float_sums", counting)
     return builds
 
 

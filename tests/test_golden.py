@@ -141,6 +141,10 @@ GRIDS = (
     # the ternary VT(3e7) size is refused by a lower bound on its length before the
     # divisor sum, which took over 20 s, and before any coefficient is built
     "enum --family vt --n 30000000 --b 0 --q 3",
+    # the same bound read as a bit length: no probe number is built, so VT(1e9)
+    # stays small and a length near 2^63 is refused, not a MemoryError
+    "enum --family vt --n 1000000000 --b 0 --q 3",
+    "enum --family vt --n 9223372036854775806 --b 0 --q 3",
 )
 
 
