@@ -16,12 +16,12 @@ code a_1 c_1 + ... + a_k c_k = b (mod n) is
 
 setting z = 1 collapses the product to cosines and yields an absolute-value
 upper bound on the size; splitting it by weight parity adds a sine product
-and yields the even and odd sizes. All three sums share one float driver;
-the two trigonometric sums share one row builder, and the enumerator sum
-keeps its polynomial one. When the coefficients run through 1..k mod n and
-n divides k + 1, the average telescopes into a Ramanujan-sum closed form
-over the divisors of n, which depends on b only through gcd(b, n); VT_b(n)
-is the case of modulus n + 1 = k + 1.
+and yields the even and odd sizes. All three sums share one float driver and its
+table of e(t/2n); the two trigonometric sums read cos and sin off it in one row
+builder, and the enumerator sum keeps its polynomial one. When the coefficients
+run through 1..k mod n and n divides k + 1, the average telescopes into a
+Ramanujan-sum closed form over the divisors of n, which depends on b only
+through gcd(b, n); VT_b(n) is the case of modulus n + 1 = k + 1.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import reduce
-from operator import add, mul
+from operator import add, attrgetter, mul
 from collections.abc import Callable, Iterable
 
 from ._memo import Memo
@@ -187,8 +187,8 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
                             residue_slot(spec.coefficients, spec.modulus, spec.residue))
 
 
-# The float routes build a phase table and trig tables of 2n entries before
-# they loop, and their time grows with the n·k·rows cells of their products:
+# The float routes build one table of the 2n phases e(t/2n) before they
+# loop, and their time grows with the n·k·rows cells of their products:
 # k+1 rows for the enumerator sum, 2 for the svt sum, 1 for the size bound. In
 # a fresh process (Python 3.11, x86-64) the enumerator sum took about 90 ns a
 # cell: 2.2 s for 18 coefficients at n = 2^16 (2.2e7 cells, 24 MB peak RSS) and
@@ -200,10 +200,10 @@ _MAX_FLOAT_WORK = 1 << 25
 # What a cell of the other float routes costs, in enumerator-sum cells; each
 # route's cell cap is _MAX_FLOAT_WORK divided by its cost. At n = 2^16 with
 # random coefficients, in fresh processes, the enumerator sum took 85-100 ns a
-# cell, the svt sum 220-470 ns and the size bound 170-230 ns. At these caps
+# cell, the svt sum 180-270 ns and the size bound 190-220 ns. At these caps
 # each route stops within about the enumerator sum's 3 s (3.0 s for 22
-# coefficients): the svt sum took 2.2-2.7 s for 51 coefficients and the bound
-# 1.9-2.6 s for 170.
+# coefficients): the svt sum took 1.2-1.8 s for 51 coefficients and the bound
+# 2.1-2.5 s for 170.
 _SVT_CELL_COST = 5
 _BOUND_CELL_COST = 3
 
@@ -284,27 +284,26 @@ def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list
     return acc
 
 
-def _trig_sums(tag: str, spec: CodeSpec, fs: tuple, two_eta: int) -> list[complex]:
-    """sum_{m=1}^{n} e(eta m / n) prod_j f(pi a_j m / n) for each f of fs.
+def _trig_sums(tag: str, spec: CodeSpec, reads: tuple, two_eta: int) -> list[complex]:
+    """sum_{m=1}^{n} e(eta m / n) prod_j f(e(a_j m / 2n)) for each f of reads.
 
-    eta comes as the integer two_eta = 2 eta and each f from a table of its 2n
-    values. The products are built column-wise, one row per f, by the float
-    driver under tag; every m sees the same multiplications in the same order
-    as a product on its own.
+    eta comes as the integer two_eta = 2 eta. A block maps the driver's one table of
+    e(t / 2n) = cos(pi t / n) + i sin(pi t / n) through each f, so a memo hit builds
+    no table. The products are built column-wise, one row per f; every m sees the
+    same multiplications in the same order as a product on its own.
     """
-    n = spec.modulus
-    n2 = 2 * n
-    tables = [[f(math.pi * t / n) for t in range(n2)] for f in fs]
+    n2 = 2 * spec.modulus
     a_red = tuple(a % n2 for a in spec.coefficients)
 
-    def build(ms: range, _) -> list[list]:
-        rows = [[1.0] * len(ms) for _ in fs]
+    def build(ms: range, phases: list) -> list[list]:
+        tables = [list(map(read, phases)) for read in reads]
+        rows = [[1.0] * len(ms) for _ in reads]
         for a in a_red:
             idx = [a * m % n2 for m in ms]
             rows = [[x * table[t] for x, t in zip(row, idx)] for row, table in zip(rows, tables)]
         return rows
 
-    return _float_sums((tag, a_red, n), len(fs), build, two_eta)
+    return _float_sums((tag, a_red, spec.modulus), len(reads), build, two_eta)
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -363,7 +362,7 @@ def size_upper_bound(spec: CodeSpec) -> float:
     n = spec.modulus
     _check_float(n, k, 1, _BOUND_CELL_COST)
     scale = _float_scale(k, n)
-    [acc] = _trig_sums("bound", spec, (lambda x: abs(math.cos(x)),), 0)
+    [acc] = _trig_sums("bound", spec, (lambda phase: abs(phase.real),), 0)
     return scale * acc.real
 
 
@@ -554,7 +553,7 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     n = base.modulus
     _check_float(n, k, 2, _SVT_CELL_COST)
     scale = _float_scale(k - 1, n)
-    acc_a, acc_b = _trig_sums("svt", base, (math.cos, math.sin),
+    acc_a, acc_b = _trig_sums("svt", base, (attrgetter("real"), attrgetter("imag")),
                               sum(base.coefficients) - 2 * base.residue)
     b_term = (1, 1j, -1, -1j)[k % 4] * acc_b  # i^k * prod(sin) terms
     sign = -1 if k % 2 else 1

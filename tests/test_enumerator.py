@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -369,7 +370,9 @@ def test_charsum_float_modulus_one_is_exact():
 
 # Reference forms of the float sums, one product per m. The column-wise
 # kernels do the same float operations in the same order, so they must agree
-# bit for bit, deviation and failure message included.
+# bit for bit, deviation and failure message included. per_m_svt and
+# per_m_bound build their own math.cos and math.sin tables, so they stay
+# independent of the phase table that the kernels read them from.
 
 
 def per_m_charsum(spec):
@@ -541,6 +544,44 @@ def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
     spec = make(a, 23, 5)
     assert route(spec) == per_m(spec)
     assert enumerator._float_memo.peek() is None
+
+
+def test_phase_table_holds_the_cosines_and_sines_bit_for_bit():
+    # the svt sum and the bound read cos(pi t / n) and sin(pi t / n) off the
+    # driver's phases e(t / 2n): cmath.exp(iy) is e^0 (cos y + i sin y) with
+    # e^0 exactly 1, and both sides take the angle y = fl(fl(pi t) / n)
+    rng = random.Random(29)
+    cases = [(n, range(2 * n)) for n in range(1, 401)]
+    for n in rng.sample(range(401, 1 << 16), 99) + [1 << 16]:
+        cases.append((n, {0, n // 2, n, 3 * n // 2, *rng.sample(range(2 * n), 40)}))
+    for n, ts in cases:
+        for t in ts:
+            x = math.pi * t / n
+            phase = cmath.exp(1j * math.pi * t / n)
+            assert (phase.real.hex(), phase.imag.hex()) == (math.cos(x).hex(),
+                                                            math.sin(x).hex()), (n, t)
+
+
+def test_trig_sums_read_no_phase_on_a_memo_hit(monkeypatch):
+    # blocks of 30 cells hold 15 m of the two rows, so n = 23 takes two blocks
+    monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
+    enumerator._float_memo.clear()
+    reads = []
+
+    def counting(part):
+        def read(phase):
+            reads.append((part, phase))
+            return getattr(phase, part)
+
+        return read
+
+    spec = CodeSpec((3, -5, 8, 13, 21), 23, 4)
+    phases = [cmath.exp(1j * math.pi * t / 23) for t in range(46)]
+    for two_eta, blocks in ((7, 2), (-1, 0)):  # the second residue is a memo hit
+        reads.clear()
+        enumerator._trig_sums("svt", spec, (counting("real"), counting("imag")), two_eta)
+        assert Counter(reads) == Counter([(part, p) for part in ("real", "imag")
+                                          for p in phases] * blocks)
 
 
 def _count_float_builds(monkeypatch) -> list:

@@ -78,6 +78,11 @@ GRIDS = (
     "table --family vt --quantity size --n 1000..1010 --b all",
     # 2^1099 passes the largest float: the svt float sum prints SKIP, not a traceback
     "verify --family svt --k 1100 --n 5 --b 0 --r 0",
+    # the svt float sum reads cos and sin off the driver's phase table: two blocks
+    # of 2^16 cells, and every call after the first a memo hit
+    "verify --family svt --k 3 --n 40000 --b 0..1 --r both --methods float",
+    # the svt float sum at its cell cap, 51 coefficients at n = 2^16: SKIP off integer
+    "verify --family svt --k 51 --n 65536 --b 0 --r 0 --methods float",
     # a float stops resolving integers at 2^52: the float sum prints SKIP, not an
     # impossible enumerator's exit 3
     "verify --family levenshtein --k 60 --n 1 --b 0 --methods exact,float",
