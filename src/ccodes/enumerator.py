@@ -216,11 +216,14 @@ _FLOAT_CELLS = 1 << 16
 # Cells of all the blocks that the float memo may keep, so that a residue sweep
 # past one block also builds its rows once. A memo this full peaked at 25 MB
 # child RSS against 20 MB without it, with 12 or 40 coefficients; 2^19 cells
-# peaked at 35 MB.
+# peaked at 35 MB. The memo also keeps the call's table of 2n phases, at most
+# 2^17 complex numbers (about 5 MB) at n = 2^16, which every call builds
+# anyway: a four-residue sweep of the svt sum at n = 2^16 and the two sweeps
+# above peaked at the same RSS with the table kept as without it.
 _FLOAT_MEMO_CELLS = 1 << 18
 
-# (route, table coefficients, n) -> the (ms, product rows) blocks of a float
-# call whose blocks held at most _FLOAT_MEMO_CELLS cells
+# (route, table coefficients, n) -> the phase table and the (ms, product rows)
+# blocks of a float call whose blocks held at most _FLOAT_MEMO_CELLS cells
 _float_memo = Memo()
 
 
@@ -262,20 +265,27 @@ def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list
     build(ms, phases) returns the width rows, each a list over ms, and may read
     the one phase table, phases[t] = e(t / 2n) for t < 2n. A block of
     consecutive m holds at most _FLOAT_CELLS cells, or one m. When all n * width
-    cells fit in _FLOAT_MEMO_CELLS the blocks are kept in the one-entry memo
-    under key; otherwise none are kept. At two_eta = 0 every phase is exactly
-    1+0j, so each real part is the float sum of the rows alone.
+    cells fit in _FLOAT_MEMO_CELLS the table and the blocks are kept in the
+    one-entry memo under key, so a memo hit builds neither; otherwise none are
+    kept. At two_eta = 0 every phase is exactly 1+0j, so each real part is the
+    float sum of the rows alone.
     """
     n = key[-1]
     n2 = 2 * n
-    phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
     step = max(1, _FLOAT_CELLS // width)
     blocks = (range(start, min(start + step, n + 1)) for start in range(1, n + 1, step))
-    if n * width > _FLOAT_MEMO_CELLS:
-        _float_memo.clear()
+    keep = n * width <= _FLOAT_MEMO_CELLS
+
+    def tabled() -> tuple[list, Iterable]:
+        phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
         built = ((ms, build(ms, phases)) for ms in blocks)
+        return phases, list(built) if keep else built
+
+    if keep:
+        phases, built = _float_memo.get(key, tabled)
     else:
-        built = _float_memo.get(key, lambda: [(ms, build(ms, phases)) for ms in blocks])
+        _float_memo.clear()
+        phases, built = tabled()
     acc = [0j] * width
     for ms, rows in built:
         row_phases = [phases[two_eta * m % n2] for m in ms]

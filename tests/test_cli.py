@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -1015,3 +1016,95 @@ def test_cli_start_up_imports_no_heavy_stdlib_modules():
     csv_argv = ["enum", "--family", "vt", "--n", "4", "--b", "0", "--format", "csv"]
     added = modules(f"import sys, ccodes.cli; ccodes.cli.main({csv_argv!r}); {listing}") - bare
     assert "csv" in added
+
+
+def test_verify_svt_runs_each_method_once_per_base_code(capsys, monkeypatch):
+    # r = 0 and r = 1 print the same split of one base code: one fold per (k, b)
+    calls = []
+    monkeypatch.setattr(cli, "weight_enumerator_fold",
+                        lambda spec: calls.append(spec) or weight_enumerator_fold(spec))
+    code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1..3", "--n", "k+1",
+                       "--b", "all", "--r", "both", "--methods", "exact")
+    assert code == 0
+    assert sum(line.startswith("PASS ") for line in out.splitlines()) == 18
+    assert len(calls) == len(set(calls)) == 2 + 3 + 4
+    # a method that raises keeps no answer and raises again for r = 1: SKIP on both lines
+    code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1100", "--n", "5",
+                       "--b", "0", "--r", "both", "--methods", "float")
+    assert code == 1
+    skips = [line for line in out.splitlines() if line.startswith("SKIP ")]
+    assert [line.replace(" r=1 ", " r=0 ") for line in skips] == [skips[0]] * 2
+
+
+class _BrokenPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("version",),
+    ("enum", "--family", "vt", "--n", "4", "--b", "0"),
+    ("table", "--family", "vt", "--n", "1..3", "--b", "all"),
+    ("verify", "--family", "vt", "--n", "3", "--b", "0"),
+])
+def test_broken_pipe_in_process_exits_0_quietly(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().err == ""
+
+
+# the program as the console script and the benchmark run it
+_PROGRAM = "import sys; from ccodes.cli import main; sys.exit(main())"
+
+
+def _program(argv, code=_PROGRAM, **kwargs):
+    """`python -c code argv` in a child under this interpreter's -O, -X dev and -W
+    switches; no PYTHON* variable such as PYTHONUNBUFFERED reaches it, so its stdout
+    into a pipe is block-buffered and flushed as the process ends."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON") or k == "PYTHONHOME"}
+    env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), COLUMNS="80")
+    flags = ["-O"] * sys.flags.optimize + ["-X", "dev"] * sys.flags.dev_mode
+    flags += [f"-W{option}" for option in sys.warnoptions]
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env, timeout=60,
+                          **kwargs)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("version",), 0),
+    *[(("enum", "--family", "vt", "--n", "4", "--b", "0", "--format", fmt), 0)
+      for fmt in ("plain", "json", "csv")],
+    (("verify", "--family", "vt", "--n", "50", "--b", "0", "--methods", "float"), 1),
+    (("enum", "--family", "vt", "--n", "4", "--b", "0", "--format", "xml"), 2),
+    (("table", "--family", "helberg", "--k", "28", "--s", "2", "--b", "all"), 4),
+    (("--help",), 0),
+    (("enum", "--help"), 0),
+])
+def test_program_exit_matches_main_in_process(capsys, monkeypatch, argv, status):
+    # main() ends the process with os._exit; what it prints and returns stays main(argv)'s
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+    code, out, err = run(capsys, *argv)
+    done = _program(argv, capture_output=True)
+    assert code == status
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (code, out.encode(), err)
+
+
+def test_program_runs_atexit_handlers_and_survives_a_closed_reader():
+    code = "import atexit; atexit.register(print, 'handler ran'); " + _PROGRAM
+    done = _program(["version"], code, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"ccodes {__version__}\nhandler ran\n".encode(), b"")
+    # the output waits in stdout's buffer for the final flush, which finds no reader:
+    # exit 0 with nothing on stderr, where Python's own exit reports the error with 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _program(["enum", "--family", "vt", "--n", "4", "--b", "0"], stdout=write_end,
+                        stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")

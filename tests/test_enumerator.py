@@ -584,6 +584,29 @@ def test_trig_sums_read_no_phase_on_a_memo_hit(monkeypatch):
                                           for p in phases] * blocks)
 
 
+def test_float_memo_keeps_the_phase_table(monkeypatch):
+    # the table of 2n phases is kept with the rows: a memo hit calls cmath.exp
+    # not once, and a call past the memo bound builds its table afresh
+    exps = []
+    exp = cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda x: exps.append(x) or exp(x))
+    a = (3, -5, 8, 13, 21)
+    for route, per_m, make in ((column_charsum, per_m_charsum, CodeSpec),
+                               (column_svt, per_m_svt, lambda *s: ParityCodeSpec(CodeSpec(*s), 0))):
+        for b, calls in ((4, 46), (5, 0), (6, 0)):
+            spec = make(a, 23, b)
+            expected = per_m(spec)  # the reference builds its own tables
+            exps.clear()
+            assert route(spec) == expected
+            assert len(exps) == calls
+    monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 22)  # one row of 23 cells is past it
+    for b in (4, 5):
+        expected = per_m_charsum(CodeSpec(a, 23, b))
+        exps.clear()
+        assert column_charsum(CodeSpec(a, 23, b)) == expected
+        assert len(exps) == 46
+
+
 def _count_float_builds(monkeypatch) -> list:
     """Record the modulus of every block of product rows the float routes build."""
     builds = []
