@@ -61,10 +61,7 @@ from .oracle import (
     build_codebook,
     check_single_deletion,
 )
-from .polyring import (
-    ResiduePolynomial,
-    residue_product,
-)
+from .polyring import residue_product
 
 __version__ = "0.1.0"
 
@@ -80,7 +77,6 @@ __all__ = [
     "NonExactDivision",
     "OutOfDomain",
     "ParityCodeSpec",
-    "ResiduePolynomial",
     "WeightEnumerator",
     "binomial_row",
     "brute_count_qary",

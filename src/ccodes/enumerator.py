@@ -37,7 +37,7 @@ from ._record import Record
 from .arith import binomial_row, divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
-from .polyring import cap_error, mitm_is_cheaper, residue_product, residue_slot
+from .polyring import cap_error, mitm_is_cheaper, residue_product, residue_slot, row_counts
 
 __all__ = [
     "WeightEnumerator",
@@ -116,7 +116,7 @@ def pretty_counts(counts: Iterable[int], var: str = "z") -> str:
     return " + ".join(terms) or "0"
 
 
-# (coefficients reduced mod n, n) -> their fold, or a mark of the first call
+# (coefficients reduced mod n, n) -> their fold's rows, or a mark of the first call
 _fold_memo = Memo()
 
 
@@ -173,8 +173,8 @@ def weight_enumerator_fold(spec: CodeSpec) -> WeightEnumerator:
     method.
     """
     key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
-    fold = _fold_memo.get(key, lambda: residue_product(*key))
-    return WeightEnumerator(spec.length, fold.slot(spec.residue))
+    rows = _fold_memo.get(key, lambda: residue_product(*key))
+    return WeightEnumerator(spec.length, row_counts(rows.get(spec.residue, 0), spec.length))
 
 
 def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:

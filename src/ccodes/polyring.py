@@ -20,8 +20,9 @@ multiplying by z is a shift by k+1 bits. A fold step is then one big-integer
 add per residue. The slots sit in a dict keyed by the residues that some
 tuple reaches, at most reach(coeffs, n) = min(n, 2^k, 1 + the sum of the
 reduced coefficients) of them, so one fold serves every modulus; an
-unreached residue is the zero polynomial. Only this module knows the field
-width; callers get each slot as its k+1 counts N_0..N_k.
+unreached residue has no row and stands for the zero polynomial. That dict
+is the fold's one value. Only this module knows the field width: callers
+pass k to row_counts, which reads a row as its k+1 counts N_0..N_k.
 
 When one residue b is wanted, residue_slot meets in the middle (Horowitz and
 Sahni, J. ACM 1974): it folds each half of the coefficients at the full
@@ -45,12 +46,12 @@ from collections.abc import Iterable
 from .errors import CapExceeded, InvariantViolation
 
 __all__ = [
-    "ResiduePolynomial",
     "cap_error",
     "mitm_is_cheaper",
     "reach",
     "residue_product",
     "residue_slot",
+    "row_counts",
 ]
 
 # The one cap of a fold: the packed bits it may hold, checked on reach times
@@ -69,13 +70,20 @@ __all__ = [
 _MAX_BITS = 7 << 26
 
 
-def _unpack(packed: int, width: int) -> tuple[int, ...]:
-    # the width fields of a packed row, N_0 first
+def row_counts(row: int, k: int) -> tuple[int, ...]:
+    """The counts N_0..N_k of a packed row of a fold of k coefficients.
+
+    An unreached residue has no row: row_counts(0, k) gives its k+1 zeros.
+    Raises ValueError when row holds more than k+1 fields, or is negative.
+    """
+    width = k + 1
     mask = (1 << width) - 1
     counts = []
     for _ in range(width):
-        counts.append(packed & mask)
-        packed >>= width
+        counts.append(row & mask)
+        row >>= width
+    if row:
+        raise ValueError(f"not a packed row of {k} coefficients")
     return tuple(counts)
 
 
@@ -171,46 +179,17 @@ def _fold(a_list: list[int], modulus: int, width: int) -> dict[int, int]:
     return rows
 
 
-class ResiduePolynomial:
-    """Per-residue weight polynomials of one fold, kept packed.
+def residue_product(coeffs: Iterable[int], modulus: int) -> dict[int, int]:
+    """Fold a coefficient list into the packed rows of its reached residues.
 
-    Built by residue_product and keyed by the residues that tuples reach;
-    slot(r) unpacks the counts N_0..N_k of residue r, all zero when no tuple
-    reaches r.
-    """
-
-    __slots__ = ("modulus", "_width", "_rows")
-
-    def __init__(self, modulus: int, width: int, rows: dict[int, int]) -> None:
-        self.modulus = modulus
-        self._width = width
-        self._rows = rows
-
-    def slot(self, residue: int) -> tuple[int, ...]:
-        if not 0 <= residue < self.modulus:
-            raise ValueError(f"residue {residue} out of range for modulus {self.modulus}")
-        return _unpack(self._rows.get(residue, 0), self._width)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResiduePolynomial):
-            return NotImplemented
-        return (self.modulus, self._width, self._rows) == (
-            other.modulus, other._width, other._rows)
-
-    def __repr__(self) -> str:
-        slots = {r: self.slot(r) for r in sorted(self._rows)}
-        return f"ResiduePolynomial({self.modulus}, {slots!r})"
-
-
-def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
-    """Fold a coefficient list into per-residue weight polynomials.
-
-    Starts from slot 0 = 1 (the empty tuple) and folds each coefficient in
+    Starts from row 0 = 1 (the empty tuple) and folds each coefficient in
     turn, one big-integer add per reached residue, of which there are at most
-    reach(coeffs, modulus), so moduli far above 2^k stay cheap. Negative
+    reach(coeffs, modulus), so moduli far above 2^k stay cheap. Returns
+    {residue: packed row} for the reached residues alone; row_counts(row, k)
+    reads a row, and a missing residue counts no tuple. Negative
     coefficients are reduced mod the modulus first, which does not change
     the code. Raises CapExceeded, before building anything, when that many
-    rows of (k+1)^2 bits pass _MAX_BITS, and InvariantViolation if the slots
+    rows of (k+1)^2 bits pass _MAX_BITS, and InvariantViolation if the rows
     do not add up to (1 + z)^k.
     """
     if modulus < 1:
@@ -219,8 +198,7 @@ def residue_product(coeffs: Iterable[int], modulus: int) -> ResiduePolynomial:
     error = cap_error([a_list], modulus)
     if error:
         raise error
-    width = len(a_list) + 1
-    return ResiduePolynomial(modulus, width, _fold(a_list, modulus, width))
+    return _fold(a_list, modulus, len(a_list) + 1)
 
 
 def residue_slot(coeffs: Iterable[int], modulus: int, residue: int) -> tuple[int, ...]:
@@ -244,4 +222,4 @@ def residue_slot(coeffs: Iterable[int], modulus: int, residue: int) -> tuple[int
     left = _fold(a_list[:half], modulus, width)
     right = _fold(a_list[half:], modulus, width)
     packed = sum(x * right.get((residue - r) % modulus, 0) for r, x in left.items())
-    return _unpack(packed, width)
+    return row_counts(packed, len(a_list))

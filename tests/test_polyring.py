@@ -10,7 +10,7 @@ from ccodes import (
     residue_product,
 )
 from ccodes import polyring
-from ccodes.polyring import cap_error, reach, residue_slot
+from ccodes.polyring import cap_error, reach, residue_slot, row_counts
 
 # === residue_product ===
 
@@ -24,29 +24,28 @@ def brute_slots(coeffs, n):
     return [tuple(row) for row in slots]
 
 
+def slots(coeffs, n):
+    """Every residue's counts N_0..N_k, read off the fold's rows."""
+    rows = residue_product(coeffs, n)
+    return [row_counts(rows.get(r, 0), len(coeffs)) for r in range(n)]
+
+
 def test_residue_product_two_coefficients():
-    rp = residue_product([1, 2], 3)
-    assert rp.slot(0) == (1, 0, 1)
-    assert rp.slot(1) == (0, 1, 0)
-    assert rp.slot(2) == (0, 1, 0)
+    assert slots([1, 2], 3) == [(1, 0, 1), (0, 1, 0), (0, 1, 0)]
 
 
 def test_residue_product_empty_fold():
-    rp = residue_product([], 5)
-    assert rp.slot(0) == (1,)
-    assert all(rp.slot(r) == (0,) for r in range(1, 5))
+    assert residue_product([], 5) == {0: 1}
+    assert slots([], 5) == [(1,)] + [(0,)] * 4
 
 
 def test_residue_product_vt_shape():
-    rp = residue_product([1, 2, 3, 4], 5)
-    assert rp.slot(0) == (1, 0, 2, 0, 1)
+    assert slots([1, 2, 3, 4], 5)[0] == (1, 0, 2, 0, 1)
 
 
 def test_residue_product_zero_coefficients():
-    # every zero coefficient just doubles each slot by (1 + z)
-    rp = residue_product([0, 0, 0], 4)
-    assert rp.slot(0) == (1, 3, 3, 1)
-    assert all(rp.slot(r) == (0, 0, 0, 0) for r in range(1, 4))
+    # every zero coefficient just doubles each row by (1 + z)
+    assert slots([0, 0, 0], 4) == [(1, 3, 3, 1)] + [(0, 0, 0, 0)] * 3
 
 
 def test_residue_product_mass_and_oracle():
@@ -57,8 +56,7 @@ def test_residue_product_mass_and_oracle():
         n = rng.randint(1, 40)
         coeffs = [rng.choice((0, rng.randint(-40, 40))) for _ in range(k)]
         expected = brute_slots(coeffs, n)
-        rp = residue_product(coeffs, n)
-        assert [rp.slot(r) for r in range(n)] == expected
+        assert slots(coeffs, n) == expected
 
 
 def test_residue_product_order_invariant():
@@ -81,33 +79,31 @@ def test_residue_product_bad_modulus():
         residue_product([1], 0)
 
 
-def test_residue_slot_range_check():
-    rp = residue_product([1], 2)
-    with pytest.raises(ValueError):
-        rp.slot(2)
-    with pytest.raises(ValueError):
-        rp.slot(-1)
-
-
 def test_packed_folds_widest_field():
     # modulus 1 puts every tuple in one slot: N_t = C(40, t), up to C(40, 20)
     binomials = tuple(math.comb(40, t) for t in range(41))
-    assert residue_product([0] * 40, 1).slot(0) == binomials
+    assert row_counts(residue_product([0] * 40, 1)[0], 40) == binomials
 
 
 def test_residue_product_huge_modulus():
-    # only the 4 reached residues are stored; any other slot is zero
+    # only the 4 reached residues are stored; any other residue counts no tuple
     big = 10**9 + 7
-    rp = residue_product([3, -5], big)
-    assert rp.slot(0) == (1, 0, 0)
-    assert rp.slot(3) == (0, 1, 0)
-    assert rp.slot(big - 5) == (0, 1, 0)
-    assert rp.slot(big - 2) == (0, 0, 1)
-    assert rp.slot(1) == rp.slot(big - 1) == (0, 0, 0)
-    assert repr(rp) == (f"ResiduePolynomial({big}, {{0: (1, 0, 0), 3: (0, 1, 0), "
-                        f"{big - 5}: (0, 1, 0), {big - 2}: (0, 0, 1)}})")
-    with pytest.raises(ValueError):
-        rp.slot(big)
+    rows = residue_product([3, -5], big)
+    assert sorted(rows) == [0, 3, big - 5, big - 2]
+    assert row_counts(rows[0], 2) == (1, 0, 0)
+    assert row_counts(rows[3], 2) == (0, 1, 0)
+    assert row_counts(rows[big - 5], 2) == (0, 1, 0)
+    assert row_counts(rows[big - 2], 2) == (0, 0, 1)
+    assert row_counts(rows.get(1, 0), 2) == row_counts(rows.get(big - 1, 0), 2) == (0, 0, 0)
+
+
+def test_row_counts_reads_k_plus_one_fields():
+    # fields of k+1 bits, N_0 first: 1 + 2z + z^2 at k = 2 is 1 + 2*8 + 64
+    assert row_counts(1 + (2 << 3) + (1 << 6), 2) == (1, 2, 1)
+    assert row_counts(0, 0) == (0,)
+    for bad in (1 << 9, -1):  # a fourth field of 3 bits, and a negative row
+        with pytest.raises(ValueError, match="^not a packed row of 2 coefficients$"):
+            row_counts(bad, 2)
 
 
 def test_fold_mass_check():
@@ -135,11 +131,10 @@ def test_slots_hold_k_plus_one_counts():
     # the subset sums of 1,1,2 are 0..4: mod 5 every residue is reached, mod 11
     # residues 5..10 are not
     for n in (5, 11):
-        rp = residue_product([1, 1, 2], n)
-        for r in range(n):
-            assert len(rp.slot(r)) == len(residue_slot([1, 1, 2], n, r)) == 4
-    assert residue_product([1, 1, 2], 5).slot(1) == residue_slot([1, 1, 2], 5, 1) == (0, 2, 0, 0)
-    assert residue_product([1, 1, 2], 11).slot(7) == residue_slot([1, 1, 2], 11, 7) == (0,) * 4
+        for r, counts in enumerate(slots([1, 1, 2], n)):
+            assert len(counts) == len(residue_slot([1, 1, 2], n, r)) == 4
+    assert slots([1, 1, 2], 5)[1] == residue_slot([1, 1, 2], 5, 1) == (0, 2, 0, 0)
+    assert slots([1, 1, 2], 11)[7] == residue_slot([1, 1, 2], 11, 7) == (0,) * 4
 
 
 def test_residue_slot_matches_fold():
@@ -148,9 +143,9 @@ def test_residue_slot_matches_fold():
         k = rng.randint(0, 11)
         n = rng.choice((rng.randint(1, 60), 1 << rng.randint(0, 12), 10**9 + 7))
         coeffs = [rng.choice((0, rng.randint(-90, 90))) for _ in range(k)]
-        rp = residue_product(coeffs, n)
+        rows = residue_product(coeffs, n)
         for b in rng.sample(range(n), min(n, 8)):
-            assert residue_slot(coeffs, n, b) == rp.slot(b)
+            assert residue_slot(coeffs, n, b) == row_counts(rows.get(b, 0), k)
 
 
 def test_reach_bounds_the_rows():
@@ -210,7 +205,7 @@ def test_row_cap_comes_before_any_fold(monkeypatch):
         monkeypatch.setattr(polyring, "_MAX_BITS", rows * (k + 1) ** 2)
 
     cap(16, 4)
-    assert residue_product([1, 2, 4, 8], 100).slot(15) == (0, 0, 0, 0, 1)
+    assert row_counts(residue_product([1, 2, 4, 8], 100)[15], 4) == (0, 0, 0, 0, 1)
     cap(16, 8)
     assert residue_slot([1, 2, 4, 8, 16, 32, 64, 128], 1000, 255) == (0,) * 8 + (1,)
     assert folded == [4, 4, 4]

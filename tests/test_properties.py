@@ -28,7 +28,7 @@ from ccodes import (  # noqa: E402
     weight_enumerator_fold,
 )
 from ccodes._memo import Memo  # noqa: E402
-from ccodes.polyring import residue_slot  # noqa: E402
+from ccodes.polyring import reach, residue_slot, row_counts  # noqa: E402
 
 # derandomized and without an example database: every run checks the same draws
 settings = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
@@ -56,10 +56,24 @@ def test_residue_product_equals_brute_force(fold):
     expected = [[0] * (k + 1) for _ in range(n)]
     for bits in product((0, 1), repeat=k):
         expected[sum(a * c for a, c in zip(coeffs, bits)) % n][sum(bits)] += 1
-    rp = residue_product(coeffs, n)
+    rows = residue_product(coeffs, n)
     for r in range(n):
-        assert list(rp.slot(r)) == expected[r]
-        assert residue_slot(coeffs, n, r) == rp.slot(r)
+        counts = row_counts(rows.get(r, 0), k)
+        assert list(counts) == expected[r]
+        assert residue_slot(coeffs, n, r) == counts
+
+
+@settings
+@hypothesis.given(folds())
+def test_residue_product_keeps_only_reached_residues(fold):
+    # a row for every residue that some subset sum hits and for no other,
+    # so at most reach(coeffs, n) of them
+    coeffs, n = fold
+    hit = {sum(a * c for a, c in zip(coeffs, bits)) % n
+           for bits in product((0, 1), repeat=len(coeffs))}
+    rows = residue_product(coeffs, n)
+    assert set(rows) == hit and len(rows) <= reach(coeffs, n)
+    assert all(rows.values())
 
 
 @settings
