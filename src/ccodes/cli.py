@@ -46,14 +46,14 @@ Exit status:
     3  internal error outside verify (a package error or an impossible
        enumerator), reported as one "ccodes: internal error: ..." line
     4  a route's cap (packed bits of the fold or of meeting in the middle,
-       float modulus or cells, brute-force tuples) stops the computation
-       outside verify, reported as one "ccodes: limit: ..." line before
-       the route allocates; or the output cap: exact answers print whole,
-       past Python's 4300-digit limit, but enum and table refuse more than
-       _MAX_DIGITS decimal digits before their first byte. The closed form
-       has no cap of its own. table stops at its first cap; a usage error
-       still wins, as ranges expand in ascending order and a grid with one
-       raises it before its first instance
+       the bits of the closed form's row, float modulus or cells,
+       brute-force tuples) stops the computation outside verify, reported
+       as one "ccodes: limit: ..." line before the route allocates; or the
+       output cap: exact answers print whole, past Python's 4300-digit
+       limit, but enum and table refuse more than _MAX_DIGITS decimal
+       digits before their first byte. table stops at its first cap; a
+       usage error still wins, as ranges expand in ascending order and a
+       grid with one raises it before its first instance
 Run as a program (the console script, python -m ccodes.cli or
 sys.exit(main())), main ends the process itself once the command returns:
 it runs the atexit handlers, flushes stdout and stderr and calls os._exit

@@ -124,7 +124,8 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator: the closed form, the fold or meeting in the middle.
 
     Inside the closed form's domain (closed_form_gap) the closed form
-    answers, one evaluation per gcd class of the residue. Otherwise a fold
+    answers, one evaluation per gcd class of the residue, or raises
+    CapExceeded past its own cap. Otherwise a fold
     already built for these coefficients mod n and n is read. Else, when the
     fold fits under the packed-bit cap (cap_error), the second call in a row
     with the same key builds it, so a sweep over the residues of one modulus
@@ -151,15 +152,18 @@ def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
 
 
 def check_sweep(spec: CodeSpec) -> None:
-    """Raise CapExceeded when a sweep over spec's residues would fold past the cap.
+    """Raise CapExceeded when a sweep over spec's residues would pass a cap.
 
-    weight_enumerator reads every residue of a modulus from the closed form in
-    its domain (closed_form_gap), which has no cap, and otherwise from one
-    fold: so this raises the fold's cap_error outside that domain and does
-    nothing inside it. Neither depends on spec's residue; nothing is built.
+    weight_enumerator reads every residue of a modulus n from the closed form
+    in its domain (closed_form_gap), keeping one enumerator per gcd class, so
+    tau(n) of them, and otherwise from one fold: so this charges tau(n) rows
+    to the closed form's cap inside that domain and raises the fold's
+    cap_error outside it. Neither depends on spec's residue; nothing is built.
     """
-    error = closed_form_gap(spec) and cap_error([spec.coefficients], spec.modulus)
-    if error:
+    n = spec.modulus
+    if not closed_form_gap(spec):
+        _check_closed(len(spec.coefficients), n, len(divisors(factor(n))))
+    elif error := cap_error([spec.coefficients], n):
         raise error
 
 
@@ -427,8 +431,9 @@ def closed_form_gap(spec: CodeSpec) -> str:
 def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator from the closed divisor sum over the divisors of n.
 
-    Raises OutOfDomain, with closed_form_gap's reason, outside its domain.
-    The domain check is kept in a one-entry memo keyed by (coefficients, n),
+    Raises OutOfDomain, with closed_form_gap's reason, outside its domain,
+    and CapExceeded past the closed form's cap (_check_closed). The
+    domain check is kept in a one-entry memo keyed by (coefficients, n),
     so a residue sweep runs it once, in the domain or not. Each gcd class of
     the residue is evaluated once and kept in a one-entry memo keyed by
     (k, n).
@@ -445,6 +450,23 @@ def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
     return w
 
 
+# The closed form's cap, on the bits of its row of k+2 integers: the divisor sum
+# n (1 + z) W_b(z) and its partial sums stay below n 2^(k+1) a coefficient, so a
+# row is charged (k+2) (k+1 + the bits of n), and a sweep one row per gcd class.
+# Child peak RSS and time (Python 3.11, x86-64) of table --quantity size at b = 0:
+# VT(20000) 52 MB and 0.40 s, VT(30000) 99 MB and 0.71 s, VT(40000) 165 MB and
+# 1.2 s; at --b all, the two classes of VT(28350) 178 MB. The cap admits VT(n) up
+# to n = 40122, and two-class sweeps up to VT(28350), near the fold cap's 171-179 MB.
+_MAX_CLOSED_BITS = 3 << 29
+
+
+def _check_closed(k: int, n: int, classes: int = 1) -> None:
+    # CapExceeded when classes rows of the closed form at (k, n) pass _MAX_CLOSED_BITS
+    bits = classes * (k + 2) * (k + 1 + n.bit_length())
+    if bits > _MAX_CLOSED_BITS:
+        raise CapExceeded(f"up to {bits} closed-form bits exceeds the cap of {_MAX_CLOSED_BITS}")
+
+
 def _closed_form(k: int, n: int, b: int) -> WeightEnumerator:
     """W_b(z) = (1/n) sum_{d | n} c_d(b) (1 - (-z)^d)^((k+1)/d) / (1 + z), n | k + 1.
 
@@ -453,8 +475,10 @@ def _closed_form(k: int, n: int, b: int) -> WeightEnumerator:
     are exact for every k, n and b of the domain, and both are checked:
     NonExactDivision here signals a bug. Each quotient overwrites the divisor
     sum it came from, and the list becomes the enumerator's counts, so the
-    route holds one row of k+2 big integers, not two.
+    route holds one row of k+2 big integers, not two. Raises CapExceeded
+    past _MAX_CLOSED_BITS before it allocates the row.
     """
+    _check_closed(k, n)
     total = [0] * (k + 2)
     for d in divisors(factor(n)):
         c = ramanujan_sum(d, b)
@@ -486,7 +510,7 @@ def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
     """Closed-form VT_b(n) weight enumerator via Ramanujan sums.
 
     The closed form of weight_enumerator_closed with k = n and modulus n+1,
-    evaluated afresh on every call.
+    under the same cap, evaluated afresh on every call.
     """
     _check_vt(n, b)
     return _closed_form(n, n + 1, b)

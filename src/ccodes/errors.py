@@ -22,9 +22,10 @@ class CapExceeded(CongruenceCodeError):
     """A route was asked to go beyond its safety cap, a limit and not a bug.
 
     The caps bound brute-force tuples; the packed bits of the residue fold,
-    and of each half when meeting in the middle; the modulus and the n·k·rows
-    cells of the float routes; and the decimal digits the CLI prints. Each is
-    checked before the route allocates or the output starts.
+    and of each half when meeting in the middle; the bits of the closed
+    form's row; the modulus and the n·k·rows cells of the float routes; and
+    the decimal digits the CLI prints. Each is checked before the route
+    allocates or the output starts.
     """
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1091,6 +1092,27 @@ def test_program_exit_matches_main_in_process(capsys, monkeypatch, argv, status)
     done = _program(argv, capture_output=True)
     assert code == status
     assert (done.returncode, done.stdout, done.stderr.decode()) == (code, out.encode(), err)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_closed_form_cap_stops_vt_300000_early_in_a_child():
+    # the closed form's row of VT(300000) would hold about 9e10 bits: the cap refuses
+    # it before the row is built. The child limits its own address space to 1 GiB, so
+    # a missing cap ends in a MemoryError there, not in the machine's memory. Its peak
+    # is VmHWM, which starts afresh at exec; ru_maxrss would keep this process's peak.
+    code = ("import atexit, pathlib, re, resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "atexit.register(lambda: print(re.search(r'VmHWM:\\s*(\\d+) kB', "
+            "pathlib.Path('/proc/self/status').read_text())[1], file=sys.stderr)); "
+            + _PROGRAM)
+    start = time.perf_counter()
+    done = _program(["enum", "--family", "vt", "--n", "300000", "--b", "0"], code,
+                    capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    limit, peak_kib = done.stderr.splitlines()
+    assert (done.returncode, done.stdout) == (4, "")
+    assert limit == "ccodes: limit: up to 90006600040 closed-form bits exceeds the cap of 1610612736"
+    assert seconds < 10 and int(peak_kib) < 50 * 1024, (seconds, peak_kib)
 
 
 def test_program_runs_atexit_handlers_and_survives_a_closed_reader():

@@ -800,6 +800,42 @@ def test_check_sweep_raises_the_fold_cap_outside_the_closed_domain():
     assert enumerator.check_sweep(make_levenshtein(6, 5, 3)) is None
 
 
+def test_closed_form_cap_sits_between_vt_40122_and_vt_40123():
+    # VT(n) is k = n with a 16-bit modulus here: a row of (n+2)(n+17) bits
+    assert 40124 * 40139 <= enumerator._MAX_CLOSED_BITS < 40125 * 40140
+    enumerator._check_closed(40122, 40123)
+    with pytest.raises(CapExceeded, match="^up to 1610617500 closed-form bits exceeds the cap "
+                                          "of 1610612736$"):
+        enumerator._check_closed(40123, 40124)
+    # past it every closed route raises before it builds the row of 40125 integers,
+    # whose 1.6e9 bits would take about 165 MB
+    spec = make_vt(40123, 5)
+    for route in (lambda: vt_weight_enumerator_closed(40123, 5),
+                  lambda: weight_enumerator_closed(spec), lambda: weight_enumerator(spec)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="^up to 1610617500 closed-form bits"):
+                route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_check_sweep_charges_a_closed_row_per_gcd_class():
+    # a sweep keeps one enumerator per gcd class: 28351 and 28403 are prime, two
+    # classes each, so VT(28350) is the last VT sweep under the cap before VT(28402)
+    assert enumerator.check_sweep(make_vt(28350, 0)) is None
+    enumerator._check_closed(28350, 28351, 2)
+    with pytest.raises(CapExceeded, match=f"^up to {2 * 28404 * 28418} closed-form bits"):
+        enumerator.check_sweep(make_vt(28402, 0))
+    # VT(30000) answers one residue, but 30001 = 19 * 1579 has four classes
+    enumerator._check_closed(30000, 30001)
+    with pytest.raises(CapExceeded, match=f"^up to {4 * 30002 * 30016} closed-form bits "
+                                          f"exceeds the cap of 1610612736$"):
+        enumerator.check_sweep(make_vt(30000, 0))
+
+
 def test_closed_form_evaluates_each_gcd_class_once(monkeypatch):
     want = [vt_weight_enumerator_closed(11, b) for b in range(12)]
     calls = []

@@ -143,6 +143,9 @@ GRIDS = (
     "enum --family helberg --k 2000 --s 2 --b 0",
     "table --family helberg --k 30 --s 3 --b all",
     "verify --family blcc --coeffs 1,2 --mod 70000 --b 0 --methods exact,float",
+    # the closed form's row of VT(300000), about 9e10 bits, is past its cap: exit 4
+    # before the row is built, where it ended in a MemoryError traceback
+    "enum --family vt --n 300000 --b 0",
     # the ternary VT(3e7) size is refused by a lower bound on its length before the
     # divisor sum, which took over 20 s, and before any coefficient is built
     "enum --family vt --n 30000000 --b 0 --q 3",
