@@ -72,18 +72,26 @@ class ParityCodeSpec(Record):
             raise ValueError("parity must be 0 (even weight) or 1 (odd weight)")
 
 
+@lru_cache(maxsize=1)
+def _one_to(k: int) -> tuple[int, ...]:
+    # 1..k, one tuple shared by every spec of a residue sweep, so a --b all grid of
+    # VT(n) holds n coefficients, not n(n+1), and the closed form's one-entry memo
+    # finds its key by identity
+    return tuple(range(1, k + 1))
+
+
 def make_vt(n: int, b: int) -> CodeSpec:
     """VT_b(n): coefficients 1..n, modulus n+1."""
     if n < 1:
         raise ValueError("VT length must be >= 1")
-    return CodeSpec(tuple(range(1, n + 1)), n + 1, b)
+    return CodeSpec(_one_to(n), n + 1, b)
 
 
 def make_levenshtein(k: int, n: int, b: int) -> CodeSpec:
     """L_b(k, n): coefficients 1..k, modulus n."""
     if k < 1:
         raise ValueError("length must be >= 1")
-    return CodeSpec(tuple(range(1, k + 1)), n, b)
+    return CodeSpec(_one_to(k), n, b)
 
 
 @lru_cache(maxsize=32)

@@ -17,8 +17,9 @@ code a_1 c_1 + ... + a_k c_k = b (mod n) is
 setting z = 1 collapses the product to cosines and yields an absolute-value
 upper bound on the size; splitting it by weight parity adds a sine product
 and yields the even and odd sizes. All three sums share one float driver and its
-table of e(t/2n); the two trigonometric sums read cos and sin off it in one row
-builder, and the enumerator sum keeps its polynomial one. When the coefficients
+table of phases; the two trigonometric sums read cos and sin off e(t/2n) in one
+row builder, and the enumerator sum, which needs only the even phases e(2s/2n),
+keeps its polynomial one over a table of n. When the coefficients
 run through 1..k mod n and n divides k + 1, the average telescopes into a
 Ramanujan-sum closed form over the divisors of n, which depends on b only
 through gcd(b, n); VT_b(n) is the case of modulus n + 1 = k + 1.
@@ -191,23 +192,23 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
                             residue_slot(spec.coefficients, spec.modulus, spec.residue))
 
 
-# The float routes build one table of the 2n phases e(t/2n) before they
-# loop, and their time grows with the n·k·rows cells of their products:
-# k+1 rows for the enumerator sum, 2 for the svt sum, 1 for the size bound. In
-# a fresh process (Python 3.11, x86-64) the enumerator sum took about 90 ns a
-# cell: 2.2 s for 18 coefficients at n = 2^16 (2.2e7 cells, 24 MB peak RSS) and
-# 2.9 s for 22 (3.3e7). VT(n) holds about n^3 cells: VT(3000), 2.7e10 of them,
-# would take about 35 minutes by n^3 from VT(600)'s 17 s.
+# The float routes build one table of phases before they loop, n for the
+# enumerator sum and 2n for the others, and their time grows with the n·k·rows
+# cells of their products: k+1 rows for the enumerator sum, 2 for the svt sum, 1
+# for the size bound. In a fresh process (Python 3.11, a shared 2-vCPU x86-64
+# host) the enumerator sum took 69-80 ns a cell: 1.5-1.8 s for 18 coefficients
+# at n = 2^16 (2.2e7 cells, 21 MB peak RSS) and 2.4-2.5 s for 22 (3.3e7). VT(n)
+# holds about n^3 cells: VT(3000), 2.7e10 of them, would take over half an hour.
 _MAX_FLOAT_MODULUS = 1 << 16
 _MAX_FLOAT_WORK = 1 << 25
 
 # What a cell of the other float routes costs, in enumerator-sum cells; each
 # route's cell cap is _MAX_FLOAT_WORK divided by its cost. At n = 2^16 with
-# random coefficients, in fresh processes, the enumerator sum took 85-100 ns a
-# cell, the svt sum 180-270 ns and the size bound 190-220 ns. At these caps
-# each route stops within about the enumerator sum's 3 s (3.0 s for 22
-# coefficients): the svt sum took 1.2-1.8 s for 51 coefficients and the bound
-# 2.1-2.5 s for 170.
+# random coefficients, in fresh processes on the host above, the enumerator sum
+# took 69-80 ns a cell, the svt sum 356-450 ns and the size bound 214-271 ns.
+# At these caps each route stops within about 3 s: the enumerator sum took
+# 2.4-2.5 s for 22 coefficients, the svt sum 2.4-3.0 s for 51 and the bound
+# 2.4-3.0 s for 170.
 _SVT_CELL_COST = 5
 _BOUND_CELL_COST = 3
 
@@ -220,8 +221,8 @@ _FLOAT_CELLS = 1 << 16
 # Cells of all the blocks that the float memo may keep, so that a residue sweep
 # past one block also builds its rows once. A memo this full peaked at 25 MB
 # child RSS against 20 MB without it, with 12 or 40 coefficients; 2^19 cells
-# peaked at 35 MB. The memo also keeps the call's table of 2n phases, at most
-# 2^17 complex numbers (about 5 MB) at n = 2^16, which every call builds
+# peaked at 35 MB. The memo also keeps the call's table of n or 2n phases, at
+# most 2^17 complex numbers (about 5 MB) at n = 2^16, which every call builds
 # anyway: a four-residue sweep of the svt sum at n = 2^16 and the two sweeps
 # above peaked at the same RSS with the table kept as without it.
 _FLOAT_MEMO_CELLS = 1 << 18
@@ -262,17 +263,28 @@ def _rounded(what: str, raws: Iterable[complex]) -> tuple[list[int], float]:
     return ints, dev
 
 
-def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list]],
-                two_eta: int) -> list[complex]:
-    """sum_{m=1}^{n} e(two_eta m / 2n) row_t[m] for each of width rows, n = key[-1].
+def _stepped(phases: list, a: int, ms: range) -> list:
+    # [phases[a * m % len(phases)] for m in ms], with a * m stepped through by a range
+    size = len(phases)
+    if not a:
+        return [phases[0]] * len(ms)
+    return [phases[s % size] for s in range(a * ms.start, a * ms.stop, a)]
 
-    build(ms, phases) returns the width rows, each a list over ms, and may read
-    the one phase table, phases[t] = e(t / 2n) for t < 2n. A block of
-    consecutive m holds at most _FLOAT_CELLS cells, or one m. When all n * width
-    cells fit in _FLOAT_MEMO_CELLS the table and the blocks are kept in the
-    one-entry memo under key, so a memo hit builds neither; otherwise none are
-    kept. At two_eta = 0 every phase is exactly 1+0j, so each real part is the
-    float sum of the rows alone.
+
+def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list]],
+                eta: int, size: int) -> list[complex]:
+    """sum_{m=1}^{n} e(eta m / size) row_t[m] for each of width rows, n = key[-1].
+
+    size is n or 2n. build(ms, phases) returns the width rows, each a list over
+    ms, and may read the one phase table, phases[t] = e(t / size) for t < size.
+    Each entry is computed as the entry t * 2n / size of a table of e(t / 2n),
+    from the same cmath.exp argument, so a table of n holds the even phases of
+    a table of 2n bit for bit. A block of consecutive m holds at most
+    _FLOAT_CELLS cells, or one m. When all n * width cells fit in
+    _FLOAT_MEMO_CELLS the table and the blocks are kept in the one-entry memo
+    under key, so a memo hit builds neither; otherwise none are kept. At eta = 0
+    every phase is exactly 1+0j, so each real part is the float sum of the rows
+    alone.
     """
     n = key[-1]
     n2 = 2 * n
@@ -281,7 +293,7 @@ def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list
     keep = n * width <= _FLOAT_MEMO_CELLS
 
     def tabled() -> tuple[list, Iterable]:
-        phases = [cmath.exp(1j * math.pi * t / n) for t in range(n2)]
+        phases = [cmath.exp(1j * math.pi * t / n) for t in range(0, n2, n2 // size)]
         built = ((ms, build(ms, phases)) for ms in blocks)
         return phases, list(built) if keep else built
 
@@ -292,7 +304,7 @@ def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list
         phases, built = tabled()
     acc = [0j] * width
     for ms, rows in built:
-        row_phases = [phases[two_eta * m % n2] for m in ms]
+        row_phases = _stepped(phases, eta, ms)
         for t, row in enumerate(rows):  # a left fold: sum() compensates from Python 3.12 on
             acc[t] = reduce(add, map(mul, row_phases, row), acc[t])
     return acc
@@ -313,11 +325,10 @@ def _trig_sums(tag: str, spec: CodeSpec, reads: tuple, two_eta: int) -> list[com
         tables = [list(map(read, phases)) for read in reads]
         rows = [[1.0] * len(ms) for _ in reads]
         for a in a_red:
-            idx = [a * m % n2 for m in ms]
-            rows = [[x * table[t] for x, t in zip(row, idx)] for row, table in zip(rows, tables)]
+            rows = [list(map(mul, row, _stepped(table, a, ms))) for row, table in zip(rows, tables)]
         return rows
 
-    return _float_sums((tag, a_red, spec.modulus), len(reads), build, two_eta)
+    return _float_sums((tag, a_red, spec.modulus), len(reads), build, two_eta, n2)
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -333,10 +344,12 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     before building anything, past the float modulus or cell cap. Advisory
     path; exact results come from weight_enumerator.
 
-    The products are built column-wise, e(a m / n) being the driver's phase
-    e(2 a m / 2n): row t holds the z^t coefficient of every product of a block,
-    and each coefficient updates the rows from the top down. Every m sees the
-    same operations in the same order as a product built on its own.
+    The products are built column-wise over the driver's table of the n phases
+    e(s / n): row t holds the z^t coefficient of every product of a block, and
+    each coefficient updates the rows from the top down, a C-level map a row.
+    Every m sees the same operations in the same order as a product built on
+    its own, except that a phase times the unit coefficient 1+0j is taken as
+    the phase itself, which is the same float bit for bit.
     """
     k = len(spec.coefficients)
     n = spec.modulus
@@ -344,15 +357,18 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     a_red = tuple(a % n for a in spec.coefficients)
 
     def build(ms: range, phases: list) -> list[list]:
-        rows = [[1 + 0j] * len(ms)]
+        ones = [1 + 0j] * len(ms)
+        rows = [ones]
         for a in a_red:
-            w = [phases[2 * (a * m % n)] for m in ms]
-            rows.append([x * y for x, y in zip(w, rows[-1])])
+            w = _stepped(phases, a, ms)
+            # row t gains w times row t-1, from the top down; w times 1+0j is w bit for bit
+            rows.append(w if rows[-1] is ones else list(map(mul, w, rows[-1])))
             for t in range(len(rows) - 2, 0, -1):
-                rows[t] = [x + y * z for x, y, z in zip(rows[t], w, rows[t - 1])]
+                prev = rows[t - 1]
+                rows[t] = list(map(add, rows[t], w if prev is ones else map(mul, w, prev)))
         return rows
 
-    acc = _float_sums(("charsum", a_red, n), k + 1, build, -2 * spec.residue)
+    acc = _float_sums(("charsum", a_red, n), k + 1, build, -spec.residue, n)
     raws = [x / n for x in acc]
     if not all(map(cmath.isfinite, raws)):  # the products' coefficients passed the float range
         raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")

@@ -12,11 +12,15 @@ brute_weight_enumerator counts one residue b per call: it keeps the low
 tuples' residues grouped by weight, one str character per tuple (an int
 in a list past modulus 0x110000), and for each prefix counts the entries
 that make a·x = b, a C-level str.count that still tests every tuple on its
-own. build_codebook keeps, for each prefix, the low tuples whose residue
-completes b. The q-ary counts enumerate {0..q-1}^k for every call: the
-residues of the first c coordinates, the most with q^c <= 2^14, are listed
-once, and each residue p over the other coordinates counts those equal to
-b - p.
+own. While the modulus is at most the 2^c low tuples, a coefficient a
+is added to every residue of a weight class by one C-level str.translate
+through the alphabet chr(0)..chr(n-1) rotated by a; past that the
+n-character alphabet would outweigh the residues, so they are summed in a
+list and joined. build_codebook keeps, for each prefix, the low tuples
+whose residue completes b. The q-ary counts enumerate {0..q-1}^k for every
+call: the residues of the first c coordinates, the most with q^c <= 2^14,
+are listed once, and each residue p over the other coordinates counts
+those equal to b - p.
 """
 
 from __future__ import annotations
@@ -108,19 +112,31 @@ def _cells(coeffs: Sequence[int], n: int) -> tuple[list, list[int]]:
 
     cells[w] has one entry per tuple of weight w over the first
     c = min(k, 14) coordinates: chr(residue) in a str when n <= 0x110000,
-    the int residue in a list beyond. The prefixes are the keys
-    (k+1)·residue + weight of the tuples over the other coordinates.
-    Raises CapExceeded past the 2^24-tuple cap before building anything.
+    the int residue in a list beyond. Up to n = 2^c a class plus a is the
+    class translated through the alphabet rotated by a; past it the rotated
+    alphabet could dwarf the 2^c residues (a child verify at n = 10^6 and
+    k = 2 peaked at 102 MB, against 18 MB for the list), so the residues
+    are summed one by one. The prefixes are the keys (k+1)·residue + weight
+    of the tuples over the other coordinates. Raises CapExceeded past the
+    2^24-tuple cap before building anything.
     """
     k = len(coeffs)
     _check_tuples(k)
     c = min(k, _CHUNK_BITS)
+    prefixes = _digit_sums([(k + 1) * a + 1 for a in coeffs[c:]], (k + 1) * n, 2)
+    if n <= 1 << c:  # the n-character alphabet costs no more than the 2^c residues
+        alphabet = "".join(map(chr, range(n)))
+        cells = [chr(0)]
+        for a in coeffs[:c]:  # weight w: the old class w, and class w-1 plus a
+            plus_a = alphabet[a % n:] + alphabet[:a % n]  # chr(r) -> chr((r + a) % n)
+            cells = [x + y.translate(plus_a) for x, y in zip(cells + [""], [""] + cells)]
+        return cells, prefixes
     cells = [[0]]
-    for a in coeffs[:c]:  # weight w: the old class w, and class w-1 plus a
+    for a in coeffs[:c]:
         cells = [x + [(r + a) % n for r in y] for x, y in zip(cells + [[]], [[]] + cells)]
     if n <= _CHARS:
         cells = ["".join(map(chr, cell)) for cell in cells]
-    return cells, _digit_sums([(k + 1) * a + 1 for a in coeffs[c:]], (k + 1) * n, 2)
+    return cells, prefixes
 
 
 def _count(cells: list, prefixes: list[int], n: int, b: int, width: int) -> list[int]:

@@ -986,6 +986,18 @@ def test_qary_size_builds_no_coefficients(capsys):
         assert peak < 20 * 2**20, n
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "vt", "--n", "40", "--b", "all"),
+    ("table", "--family", "levenshtein", "--k", "12", "--n", "30", "--b", "all"),
+    ("table", "--family", "svt", "--k", "9", "--n", "10", "--b", "all", "--r", "both"),
+])
+def test_b_all_grid_shares_one_coefficient_tuple(argv):
+    # VT(5039) --b all held 5040 tuples of 5039 ints, about 1 GB; one tuple per length now
+    specs = [spec for _, spec in cli._iter_instances(cli.parse_args(argv))]
+    tuples = {id(getattr(spec, "base", spec).coefficients) for spec in specs}
+    assert len(specs) > 1 and len(tuples) == 1
+
+
 def test_cli_start_up_imports_no_heavy_stdlib_modules():
     # `ccodes version` and one `enum` in a child, against a bare child: site hooks
     # may preload some modules, so only the ones ccodes itself adds count

@@ -585,15 +585,17 @@ def test_trig_sums_read_no_phase_on_a_memo_hit(monkeypatch):
 
 
 def test_float_memo_keeps_the_phase_table(monkeypatch):
-    # the table of 2n phases is kept with the rows: a memo hit calls cmath.exp
-    # not once, and a call past the memo bound builds its table afresh
+    # the table is kept with the rows: a memo hit calls cmath.exp not once, and a
+    # call past the memo bound builds its table afresh. The enumerator sum reads
+    # only the n even phases e(2s / 2n), the svt sum all 2n
     exps = []
     exp = cmath.exp
     monkeypatch.setattr(cmath, "exp", lambda x: exps.append(x) or exp(x))
     a = (3, -5, 8, 13, 21)
-    for route, per_m, make in ((column_charsum, per_m_charsum, CodeSpec),
-                               (column_svt, per_m_svt, lambda *s: ParityCodeSpec(CodeSpec(*s), 0))):
-        for b, calls in ((4, 46), (5, 0), (6, 0)):
+    for route, per_m, make, table in (
+            (column_charsum, per_m_charsum, CodeSpec, 23),
+            (column_svt, per_m_svt, lambda *s: ParityCodeSpec(CodeSpec(*s), 0), 46)):
+        for b, calls in ((4, table), (5, 0), (6, 0)):
             spec = make(a, 23, b)
             expected = per_m(spec)  # the reference builds its own tables
             exps.clear()
@@ -604,7 +606,21 @@ def test_float_memo_keeps_the_phase_table(monkeypatch):
         expected = per_m_charsum(CodeSpec(a, 23, b))
         exps.clear()
         assert column_charsum(CodeSpec(a, 23, b)) == expected
-        assert len(exps) == 46
+        assert len(exps) == 23
+
+
+def test_unit_row_times_a_phase_is_the_phase_bit_for_bit():
+    # the enumerator sum's first row is w itself and row 1 adds w, where a product
+    # built on its own multiplies w by 1+0j: equal by hex for every table entry
+    rng = random.Random(33)
+    cases = [(n, range(n)) for n in range(1, 601)]
+    for n in rng.sample(range(601, 1 << 16), 60) + [1 << 16]:
+        cases.append((n, {0, n // 4, n // 2, 3 * n // 4, n - 1, *rng.sample(range(n), 200)}))
+    for n, ss in cases:
+        for s in ss:
+            w = cmath.exp(1j * math.pi * (2 * s) / n)
+            unit = w * (1 + 0j)
+            assert (unit.real.hex(), unit.imag.hex()) == (w.real.hex(), w.imag.hex()), (n, s)
 
 
 def _count_float_builds(monkeypatch) -> list:
@@ -612,12 +628,12 @@ def _count_float_builds(monkeypatch) -> list:
     builds = []
     sums = enumerator._float_sums
 
-    def counting(key, width, build, two_eta):
+    def counting(key, width, build, eta, size):
         def counted(ms, phases):
             builds.append(key[-1])
             return build(ms, phases)
 
-        return sums(key, width, counted, two_eta)
+        return sums(key, width, counted, eta, size)
 
     monkeypatch.setattr(enumerator, "_float_sums", counting)
     return builds

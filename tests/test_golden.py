@@ -61,6 +61,11 @@ GRIDS = (
     "verify --family vt --n 24 --b 3 --methods exact,brute",
     # every residue of a k = 24 modulus: one count per residue from the same grouped words
     "verify --family levenshtein --k 24 --n 5 --b all --methods exact,brute",
+    # k = 24 at modulus 1000: the low words' residues are rotated by str.translate
+    "verify --family blcc --mod 1000 --b 777 --methods exact,brute --coeffs "
+    "730,393,860,597,187,224,172,199,174,687,699,94,723,776,155,826,724,291,742,945,785,14,452,479",
+    # a modulus of 10^6 past k = 2's four low words: no rotated alphabet of 10^6 characters
+    "verify --family blcc --coeffs 3,5 --mod 1000000 --b 8 --methods brute",
     # meeting in the middle: one residue of Helberg(36,2), modulus 63,245,985
     "enum --family helberg --k 36 --s 2 --b 0",
     # past the fold's packed-bit cap (1,346,268 rows of 29^2 bits): exit 4 before the

@@ -101,6 +101,41 @@ def test_residue_count_equals_literal_loop(coeffs, n, _):
         assert oracle._count(cells, prefixes, n, b, k + 1) == want, b
 
 
+def list_cells(coeffs, n):
+    # the low tuples' residues by weight, one int per tuple in a list
+    cells = [[0]]
+    for a in coeffs[:C]:
+        cells = [x + [(r + a) % n for r in y] for x, y in zip(cells + [[]], [[]] + cells)]
+    return cells
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 256, 257, 1 << C, (1 << C) + 1, 60000,
+                               CHAR, CHAR + 1])
+def test_cells_hold_the_list_paths_residues(n):
+    # up to n = 2^c the cells are rotated by str.translate, past it built as int lists;
+    # either way each tuple's residue is the list path's, surrogates included
+    for k in range(C - 1, C + 3):
+        rng = random.Random(n * 100 + k)
+        coeffs = tuple(rng.randrange(-2 * n, 2 * n) for _ in range(k))
+        want = list_cells(coeffs, n)
+        if n <= CHAR:
+            want = ["".join(map(chr, cell)) for cell in want]
+        assert oracle._cells(coeffs, n)[0] == want, k
+
+
+def test_brute_huge_modulus_keeps_off_the_alphabet():
+    # n = 10^6 is past the 2^2 low tuples of k = 2, so no n-character alphabet is built
+    tracemalloc.start()
+    try:
+        w = brute_weight_enumerator(CodeSpec((3, 5), 10**6, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.counts == (0, 0, 1)
+    # one rotated alphabet of 10^6 four-byte characters alone takes 4 MB
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("coeffs, n", [case[:2] for case in TALLY_CASES + ENCODING_CASES])
 def test_build_codebook_equals_literal_filter(coeffs, n):
     rs = [sum(a for i, a in enumerate(coeffs) if x >> i & 1) % n
