@@ -38,11 +38,14 @@ prints SKIP ... method=M reason=... and drops out of the comparison; PASS
 lists the methods that ran. An instance passes when those agree and at least
 two ran, or the one method asked for; it is UNVERIFIED when fewer ran, and
 FAIL on a disagreement, an impossible enumerator or any other package error.
+verify streams its grid, one instance and one outcome at a time; the r = 0 and
+r = 1 lines of an svt base code share an outcome, so a method that raises for
+r = 0 does not run again and its SKIP or FAIL prints on both lines.
 
 Exit status:
     0  success
     1  some instance is not verified (FAIL or UNVERIFIED)
-    2  usage error, reported as one "ccodes: ..." line
+    2  usage error, reported as one "ccodes: ..." line before any output
     3  internal error outside verify (a package error or an impossible
        enumerator), reported as one "ccodes: internal error: ..." line
     4  a route's cap (packed bits of the fold or of meeting in the middle,
@@ -80,7 +83,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
 from . import __version__
-from ._memo import Memo
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
 from .enumerator import (
     check_sweep,
@@ -246,25 +248,6 @@ def _parity(method: Callable[[CodeSpec], tuple[tuple[int, ...], float]]):
     return svt_method
 
 
-# base spec -> {svt method name: its (even, odd) sizes and deviation}. Both parities
-# of a base code print the same split, and --r both asks for r = 0 and then r = 1.
-_svt_memo = Memo()
-
-
-def _once_per_base(methods: dict[str, Callable]) -> dict[str, Callable]:
-    """The svt methods, each computed once per base spec and reused for the other parity."""
-    def once(name: str, method: Callable) -> Callable:
-        def svt_method(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
-            found = _svt_memo.get(spec.base, dict)
-            if name not in found:  # a method that raises keeps no entry and raises again
-                found[name] = method(spec)
-            return found[name]
-
-        return svt_method
-
-    return {name: once(name, method) for name, method in methods.items()}
-
-
 class _Family(namedtuple("_Family", "grid make methods counts opt_in",
                          defaults=(lambda spec: weight_enumerator(spec).counts,
                                    ("mitm", "closed")))):
@@ -309,8 +292,7 @@ _FAMILIES = {
         (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"])),
          ("r", lambda r, p: (0, 1) if r == "both" else (int(r),))),
         make_svt,
-        _once_per_base({**{name: _parity(method) for name, method in _METHODS.items()},
-                        "float": _svt_float}),
+        {**{name: _parity(method) for name, method in _METHODS.items()}, "float": _svt_float},
         counts=_parity_counts,
     ),
     "blcc": _Family(
@@ -451,6 +433,20 @@ def _methods_for(family: str, requested: str | None) -> list[str]:
     return methods
 
 
+def _outcome(routes: dict, methods: Sequence[str], spec) -> tuple[list, dict | Exception]:
+    """The (method, reason) of each SKIP, and the answers or the package error that stopped them."""
+    skips, found = [], {}
+    try:
+        for m in methods:
+            try:
+                found[m] = routes[m](spec)
+            except (IntegralityFailure, CapExceeded, OutOfDomain) as exc:  # outside its domain
+                skips.append((m, exc))
+    except (CongruenceCodeError, ValueError) as exc:  # a package bug, as in main
+        return skips, exc
+    return skips, found
+
+
 def cmd_verify(args: SimpleNamespace) -> int:
     methods = _methods_for(args.family, args.methods)
     if args.random is not None:
@@ -459,26 +455,26 @@ def cmd_verify(args: SimpleNamespace) -> int:
         _check_grid_flags(args, (), "--random")
         if args.random < 0:
             raise UsageError("--random must be >= 0")
-        instances = list(_random_blcc(args.random, args.seed or 0))
+        instances = _random_blcc(args.random, args.seed or 0)
     elif args.seed is not None:
         raise UsageError("--seed applies to --random only")
     else:
-        instances = list(_iter_instances(args))
+        instances = _iter_instances(args)
     routes = _FAMILIES[args.family].methods
-    _svt_memo.clear()  # answers are reused within one command only
-    failures = 0
-    for params, spec in instances:
+    count = failures = 0
+    code = outcome = None
+    for count, (params, spec) in enumerate(instances, 1):
+        # both parities of an svt base code print the same split: run its methods once
+        base = spec.base if isinstance(spec, ParityCodeSpec) else None
+        if base is None or base != code:
+            code, outcome = base, _outcome(routes, methods, spec)
+        skips, found = outcome
         label = " ".join(f"{k}={v}" for k, v in params.items())
-        found = {}
-        try:
-            for m in methods:
-                try:
-                    found[m] = routes[m](spec)
-                except (IntegralityFailure, CapExceeded, OutOfDomain) as exc:  # outside its domain
-                    print(f"SKIP family={args.family} {label} method={m} reason={exc}")
-        except (CongruenceCodeError, ValueError) as exc:  # a package bug, as in main
+        for m, reason in skips:
+            print(f"SKIP family={args.family} {label} method={m} reason={reason}")
+        if isinstance(found, Exception):
             failures += 1
-            print(f"FAIL family={args.family} {label} error={exc}")
+            print(f"FAIL family={args.family} {label} error={found}")
             continue
         ran = list(found)
         if len(ran) < min(2, len(methods)):
@@ -494,7 +490,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
         else:
             print(f"PASS family={args.family} {label} methods={','.join(ran)} dev={dev:.3e}")
     if not args.quiet:
-        print(f"{len(instances) - failures}/{len(instances)} instances agree")
+        print(f"{count - failures}/{count} instances agree")
     return 1 if failures else 0
 
 

@@ -313,16 +313,18 @@ def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list
 def _trig_sums(tag: str, spec: CodeSpec, reads: tuple, two_eta: int) -> list[complex]:
     """sum_{m=1}^{n} e(eta m / n) prod_j f(e(a_j m / 2n)) for each f of reads.
 
-    eta comes as the integer two_eta = 2 eta. A block maps the driver's one table of
-    e(t / 2n) = cos(pi t / n) + i sin(pi t / n) through each f, so a memo hit builds
-    no table. The products are built column-wise, one row per f; every m sees the
-    same multiplications in the same order as a product on its own.
+    eta comes as the integer two_eta = 2 eta. A call maps _float_sums' one table of
+    e(t / 2n) = cos(pi t / n) + i sin(pi t / n) through each f once, for all its
+    blocks, and a memo hit maps none. The products are built column-wise, one row per
+    f; every m sees the same multiplications in the same order as a product on its own.
     """
     n2 = 2 * spec.modulus
     a_red = tuple(a % n2 for a in spec.coefficients)
+    tables = []
 
     def build(ms: range, phases: list) -> list[list]:
-        tables = [list(map(read, phases)) for read in reads]
+        if not tables:  # the blocks of one call share one phase table
+            tables.extend(list(map(read, phases)) for read in reads)
         rows = [[1.0] * len(ms) for _ in reads]
         for a in a_red:
             rows = [list(map(mul, row, _stepped(table, a, ms))) for row, table in zip(rows, tables)]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -1032,21 +1033,107 @@ def test_cli_start_up_imports_no_heavy_stdlib_modules():
 
 
 def test_verify_svt_runs_each_method_once_per_base_code(capsys, monkeypatch):
-    # r = 0 and r = 1 print the same split of one base code: one fold per (k, b)
-    calls = []
-    monkeypatch.setattr(cli, "weight_enumerator_fold",
-                        lambda spec: calls.append(spec) or weight_enumerator_fold(spec))
-    code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1..3", "--n", "k+1",
-                       "--b", "all", "--r", "both", "--methods", "exact")
-    assert code == 0
-    assert sum(line.startswith("PASS ") for line in out.splitlines()) == 18
-    assert len(calls) == len(set(calls)) == 2 + 3 + 4
-    # a method that raises keeps no answer and raises again for r = 1: SKIP on both lines
+    # r = 0 and r = 1 print the same split of one base code: each method runs once
+    # per (k, b), whether it answers or raises
+    calls = {}  # route name -> the base code of each call
+
+    def counted(name):
+        route = getattr(cli, name)
+
+        def call(spec):
+            calls.setdefault(name, []).append(getattr(spec, "base", spec))
+            return route(spec)
+
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("weight_enumerator_fold", "brute_weight_enumerator", "svt_sizes_charsum_float",
+                 "weight_enumerator_closed", "weight_enumerator_mitm"):
+        counted(name)
+    grid = ("--family", "svt", "--k", "1..3", "--n", "k+1", "--b", "all", "--r", "both")
+    for methods, routes in (((), ("weight_enumerator_fold", "brute_weight_enumerator",
+                                  "svt_sizes_charsum_float")),  # the default methods
+                            (("--methods", "closed,mitm"), ("weight_enumerator_closed",
+                                                            "weight_enumerator_mitm"))):
+        calls.clear()
+        code, out, _ = run(capsys, "verify", *grid, *methods)
+        assert code == 0
+        assert sum(line.startswith("PASS ") for line in out.splitlines()) == 18
+        assert sorted(calls) == sorted(routes)
+        bases = calls[routes[0]]
+        assert len(bases) == len(set(bases)) == 2 + 3 + 4
+        assert all(calls[name] == calls[routes[0]] for name in routes)
+    # a method that raises runs once for r = 0 and prints its SKIP or FAIL on both lines
+    calls.clear()
     code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1100", "--n", "5",
                        "--b", "0", "--r", "both", "--methods", "float")
     assert code == 1
+    assert len(calls["svt_sizes_charsum_float"]) == 1
     skips = [line for line in out.splitlines() if line.startswith("SKIP ")]
     assert [line.replace(" r=1 ", " r=0 ") for line in skips] == [skips[0]] * 2
+
+    def broken(spec):
+        calls.setdefault("broken", []).append(spec)
+        raise ValueError("broken route")
+
+    monkeypatch.setattr(cli, "weight_enumerator_fold", broken)
+    calls.clear()
+    code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "3", "--n", "4",
+                       "--b", "1", "--r", "both", "--methods", "exact,brute")
+    assert (code, len(calls["broken"])) == (1, 1)
+    assert out.splitlines() == [f"FAIL family=svt k=3 n=4 b=1 r={r} error=broken route"
+                                for r in (0, 1)] + ["0/2 instances agree"]
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that keeps nothing of what is written to it."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        return len(text)
+
+
+def test_verify_streams_its_instances(monkeypatch):
+    # verify holds one instance and one outcome at a time: what it holds at its last
+    # instance does not grow with the number of instances, where a list of 2000
+    # random specs held about 1 MB. A full collection first empties the
+    # interpreter's free lists, which a peak would count with what verify holds
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    fold, calls, held = cli.weight_enumerator_fold, [0], []
+
+    def fold_reading_memory_last(spec):
+        calls[0] += 1
+        if calls[0] == count:
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+        return fold(spec)
+
+    monkeypatch.setattr(cli, "weight_enumerator_fold", fold_reading_memory_last)
+    for count in (200, 2000):
+        calls[0] = 0
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--family", "blcc", "--random", str(count),
+                         "--methods", "exact", "--quiet"]) == 0
+        finally:
+            tracemalloc.stop()
+    assert held[1] < held[0] + 50_000, held
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "vt", "--n", "1..30", "--b", "3"),
+    ("--family", "levenshtein", "--k", "0..3", "--n", "k+1", "--b", "0"),
+    ("--family", "helberg", "--k", "1..6", "--s", "2", "--b", "3"),
+    ("--family", "svt", "--k", "1..4", "--n", "2k", "--b", "2", "--r", "both"),
+    ("--family", "blcc", "--coeffs", "1,2", "--mod", "0..5", "--b", "0"),
+])
+def test_verify_grid_with_a_usage_error_prints_nothing(capsys, argv):
+    # verify streams its grid, and ranges expand in ascending order: a residue or
+    # length that is bad anywhere in the grid is bad at its first instance
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ccodes: ") and err.count("\n") == 1
 
 
 class _BrokenPipe(io.TextIOBase):

@@ -563,7 +563,8 @@ def test_phase_table_holds_the_cosines_and_sines_bit_for_bit():
 
 
 def test_trig_sums_read_no_phase_on_a_memo_hit(monkeypatch):
-    # blocks of 30 cells hold 15 m of the two rows, so n = 23 takes two blocks
+    # blocks of 30 cells hold 15 m of the two rows, so n = 23 takes two blocks; each
+    # phase is read once a call, not once a block
     monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
     enumerator._float_memo.clear()
     reads = []
@@ -577,11 +578,11 @@ def test_trig_sums_read_no_phase_on_a_memo_hit(monkeypatch):
 
     spec = CodeSpec((3, -5, 8, 13, 21), 23, 4)
     phases = [cmath.exp(1j * math.pi * t / 23) for t in range(46)]
-    for two_eta, blocks in ((7, 2), (-1, 0)):  # the second residue is a memo hit
+    for two_eta, reads_each in ((7, 1), (-1, 0)):  # the second residue is a memo hit
         reads.clear()
         enumerator._trig_sums("svt", spec, (counting("real"), counting("imag")), two_eta)
         assert Counter(reads) == Counter([(part, p) for part in ("real", "imag")
-                                          for p in phases] * blocks)
+                                          for p in phases] * reads_each)
 
 
 def test_float_memo_keeps_the_phase_table(monkeypatch):
