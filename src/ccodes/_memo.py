@@ -1,8 +1,12 @@
-"""A one-entry memo for residue sweeps.
+"""The sweep memo: what the routes built for the last code asked about.
 
 A sweep asks for every residue of one modulus in a row, and what a route
 builds for it (a fold, gcd classes, float product rows, grouped brute-force
-tuples) depends on the coefficients and the modulus, not on the residue.
+tuples) depends on the coefficients and the modulus, not on the residue. So
+``sweep`` holds the values of one code, keyed by (coefficients, modulus),
+one slot per route: "fold", "mitm" (the dispatcher's mark of a first call),
+"closed", "charsum", "svt", "bound" and "brute". A route that keeps a new
+value adds a slot here, not a memo of its own.
 """
 
 from __future__ import annotations
@@ -11,28 +15,26 @@ from collections.abc import Callable, Hashable
 
 
 class Memo:
-    """One (key, value) entry; a held value of None marks a key without one."""
+    """The values of one code by route; asking about another code drops them all."""
 
     __slots__ = ("_entry",)
 
     def __init__(self) -> None:
-        self._entry: tuple[Hashable, object] | None = None
+        self._entry: tuple[Hashable, dict] = (None, {})
 
-    def get(self, key: Hashable, build: Callable[[], object]):
-        """The value held under key, else build()'s; a build that raises leaves the memo empty."""
+    def values(self, code: Hashable) -> dict:
+        """The route -> value dict of code, a new empty one when code is not the held code."""
         entry = self._entry  # one read, so a concurrent caller cannot swap it midway
-        if entry is None or entry[0] != key or entry[1] is None:
-            self._entry = entry = None  # free the old value before building the next
-            self._entry = entry = key, build()
+        if entry[0] != code:
+            self._entry = entry = code, {}  # the old values go before anything is built
         return entry[1]
 
-    def peek(self) -> tuple[Hashable, object] | None:
-        """The held (key, value), or None when empty."""
-        return self._entry
+    def get(self, code: Hashable, route: str, build: Callable[[], object]):
+        """The value of route for code, else build()'s; a build that raises stores nothing."""
+        values = self.values(code)
+        if route not in values:
+            values[route] = build()
+        return values[route]
 
-    def mark(self, key: Hashable) -> None:
-        """Hold key with no value, dropping the old entry; get builds it."""
-        self._entry = key, None
 
-    def clear(self) -> None:
-        self._entry = None
+sweep = Memo()

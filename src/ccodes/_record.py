@@ -4,9 +4,12 @@ It gives what a frozen dataclass would, without importing ``dataclasses``
 (and through it ``inspect``), which with its generated code was about half
 of the package's start-up: a positional constructor over ``__slots__`` that
 then runs the subclass's ``__post_init__`` checks, equality and hashing over
-``_key()``, assignment and deletion refused, pickling and copying through
-the constructor, and the dataclass repr.
+the field tuple, read by one C-level ``attrgetter`` per class, assignment and
+deletion refused, pickling and copying through the constructor, and the
+dataclass repr.
 """
+
+from operator import attrgetter
 
 
 class Record:
@@ -21,16 +24,17 @@ class Record:
             object.__setattr__(self, name, value)
         self.__post_init__()
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls.__slots__)  # the field tuple: every record has two or more
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -39,7 +43,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._key(self)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

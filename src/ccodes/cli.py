@@ -542,8 +542,9 @@ _COMMANDS = {
         _Flag("quantity", choices=("size", "enumerator", "nt"), default="size"),
     )),
     "verify": _Command("cross-check methods over a grid", cmd_verify, _GRID + (
-        _Flag("methods", help="comma list from exact,closed,float,brute,mitm "
-                              "(mitm, and closed outside vt, run only when named)"),
+        _Flag("methods", help=f"comma list from {','.join(_METHODS)}; run only when named: "
+                              + "; ".join(f"{name} {','.join(family.opt_in)}"
+                                          for name, family in _FAMILIES.items())),
         _Flag("random", int, help="verify N seeded random blcc specs"),
         _Flag("seed", int, help="seed for --random (default 0)"),
         _Flag("quiet", bool, default=False),

@@ -75,8 +75,8 @@ class ParityCodeSpec(Record):
 @lru_cache(maxsize=1)
 def _one_to(k: int) -> tuple[int, ...]:
     # 1..k, one tuple shared by every spec of a residue sweep, so a --b all grid of
-    # VT(n) holds n coefficients, not n(n+1), and the closed form's one-entry memo
-    # finds its key by identity
+    # VT(n) holds n coefficients, not n(n+1), and the sweep memo (_memo.sweep)
+    # finds its code by identity
     return tuple(range(1, k + 1))
 
 

@@ -33,7 +33,7 @@ from functools import reduce
 from operator import add, attrgetter, mul
 from collections.abc import Callable, Iterable
 
-from ._memo import Memo
+from . import _memo
 from ._record import Record
 from .arith import binomial_row, divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
@@ -117,38 +117,33 @@ def pretty_counts(counts: Iterable[int], var: str = "z") -> str:
     return " + ".join(terms) or "0"
 
 
-# (coefficients reduced mod n, n) -> their fold's rows, or a mark of the first call
-_fold_memo = Memo()
-
-
 def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator: the closed form, the fold or meeting in the middle.
 
     Inside the closed form's domain (closed_form_gap) the closed form
     answers, one evaluation per gcd class of the residue, or raises
-    CapExceeded past its own cap. Otherwise a fold
-    already built for these coefficients mod n and n is read. Else, when the
-    fold fits under the packed-bit cap (cap_error), the second call in a row
-    with the same key builds it, so a sweep over the residues of one modulus
-    folds once, and any other call folds when the cost model
-    (mitm_is_cheaper) prefers it. Everything else meets in the middle, which
-    raises CapExceeded past the same cap before it allocates. The route may
-    depend on the previous call; the result, and whether one is computed at
-    all, do not. ``verify`` and the tests compare the closed form with
+    CapExceeded past its own cap. Otherwise a fold already built for the
+    same coefficients and n is read from the sweep memo. Else, when the fold
+    fits under the packed-bit cap (cap_error), the second call in a row for
+    the code builds it, so a sweep over the residues of one modulus folds
+    once, and any other call folds when the cost model (mitm_is_cheaper)
+    prefers it. Everything else meets in the middle, which raises
+    CapExceeded past the same cap before it allocates. The route may depend
+    on the previous call; the result, and whether one is computed at all,
+    do not. ``verify`` and the tests compare the closed form with
     weight_enumerator_fold, not with this dispatcher.
     """
     try:
         return weight_enumerator_closed(spec)
     except OutOfDomain:
         pass
-    key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
-    entry = _fold_memo.peek()
-    repeat = entry is not None and entry[0] == key
-    if (repeat and entry[1] is not None) or (
-            cap_error([key[0]], key[1]) is None
-            and (repeat or not mitm_is_cheaper(*key))):
+    coeffs, n = spec.coefficients, spec.modulus
+    values = _memo.sweep.values((coeffs, n))
+    if "fold" in values or (
+            cap_error([coeffs], n) is None
+            and ("mitm" in values or not mitm_is_cheaper(tuple(a % n for a in coeffs), n))):
         return weight_enumerator_fold(spec)
-    _fold_memo.mark(key)  # the next call with this key folds if it fits
+    values["mitm"] = True  # the next call for this code folds if it fits
     return weight_enumerator_mitm(spec)
 
 
@@ -173,12 +168,12 @@ def weight_enumerator_fold(spec: CodeSpec) -> WeightEnumerator:
 
     The fold costs one big-integer add per reached residue and coefficient,
     at most reach(coefficients, n) per coefficient, so huge-modulus
-    instances stay exact. It is reused while consecutive calls share
-    coefficients mod n and n, and it is what ``verify`` runs as its exact
-    method.
+    instances stay exact. It is kept in the sweep memo while consecutive
+    calls share the coefficients and n, and it is what ``verify`` runs as its
+    exact method.
     """
-    key = (tuple(a % spec.modulus for a in spec.coefficients), spec.modulus)
-    rows = _fold_memo.get(key, lambda: residue_product(*key))
+    rows = _memo.sweep.get((spec.coefficients, spec.modulus), "fold",
+                           lambda: residue_product(spec.coefficients, spec.modulus))
     return WeightEnumerator(spec.length, row_counts(rows.get(spec.residue, 0), spec.length))
 
 
@@ -186,7 +181,7 @@ def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator of one residue by meeting in the middle.
 
     Holds about 2^ceil(k/2) rows per half instead of the fold's 2^k, and is
-    independent of the fold's memo (``polyring.residue_slot``).
+    independent of the fold's slot in the sweep memo (``polyring.residue_slot``).
     """
     return WeightEnumerator(spec.length,
                             residue_slot(spec.coefficients, spec.modulus, spec.residue))
@@ -218,18 +213,14 @@ _BOUND_CELL_COST = 3
 # and blocks of 2^14 or 2^15 cells were no faster.
 _FLOAT_CELLS = 1 << 16
 
-# Cells of all the blocks that the float memo may keep, so that a residue sweep
-# past one block also builds its rows once. A memo this full peaked at 25 MB
-# child RSS against 20 MB without it, with 12 or 40 coefficients; 2^19 cells
-# peaked at 35 MB. The memo also keeps the call's table of n or 2n phases, at
+# Cells of all the blocks that a float route may keep in the sweep memo, so that
+# a residue sweep past one block also builds its rows once. A slot this full peaked
+# at 25 MB child RSS against 20 MB without it, with 12 or 40 coefficients; 2^19
+# cells peaked at 35 MB. The slot also keeps the call's table of n or 2n phases, at
 # most 2^17 complex numbers (about 5 MB) at n = 2^16, which every call builds
 # anyway: a four-residue sweep of the svt sum at n = 2^16 and the two sweeps
 # above peaked at the same RSS with the table kept as without it.
 _FLOAT_MEMO_CELLS = 1 << 18
-
-# (route, table coefficients, n) -> the phase table and the (ms, product rows)
-# blocks of a float call whose blocks held at most _FLOAT_MEMO_CELLS cells
-_float_memo = Memo()
 
 
 def _check_float(n: int, k: int, rows: int, cost: int = 1) -> None:
@@ -271,9 +262,9 @@ def _stepped(phases: list, a: int, ms: range) -> list:
     return [phases[s % size] for s in range(a * ms.start, a * ms.stop, a)]
 
 
-def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list]],
-                eta: int, size: int) -> list[complex]:
-    """sum_{m=1}^{n} e(eta m / size) row_t[m] for each of width rows, n = key[-1].
+def _float_sums(route: str, spec: CodeSpec, width: int,
+                build: Callable[[range, list], list[list]], eta: int, size: int) -> list[complex]:
+    """sum_{m=1}^{n} e(eta m / size) row_t[m] for each of width rows, n = spec.modulus.
 
     size is n or 2n. build(ms, phases) returns the width rows, each a list over
     ms, and may read the one phase table, phases[t] = e(t / size) for t < size.
@@ -281,12 +272,12 @@ def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list
     from the same cmath.exp argument, so a table of n holds the even phases of
     a table of 2n bit for bit. A block of consecutive m holds at most
     _FLOAT_CELLS cells, or one m. When all n * width cells fit in
-    _FLOAT_MEMO_CELLS the table and the blocks are kept in the one-entry memo
-    under key, so a memo hit builds neither; otherwise none are kept. At eta = 0
+    _FLOAT_MEMO_CELLS the table and the blocks are kept in route's slot of the
+    sweep memo, so a memo hit builds neither; otherwise none are kept. At eta = 0
     every phase is exactly 1+0j, so each real part is the float sum of the rows
     alone.
     """
-    n = key[-1]
+    n = spec.modulus
     n2 = 2 * n
     step = max(1, _FLOAT_CELLS // width)
     blocks = (range(start, min(start + step, n + 1)) for start in range(1, n + 1, step))
@@ -297,10 +288,11 @@ def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list
         built = ((ms, build(ms, phases)) for ms in blocks)
         return phases, list(built) if keep else built
 
+    code = (spec.coefficients, n)
     if keep:
-        phases, built = _float_memo.get(key, tabled)
+        phases, built = _memo.sweep.get(code, route, tabled)
     else:
-        _float_memo.clear()
+        _memo.sweep.values(code)  # drop another code's values before building
         phases, built = tabled()
     acc = [0j] * width
     for ms, rows in built:
@@ -310,7 +302,7 @@ def _float_sums(key: tuple, width: int, build: Callable[[range, list], list[list
     return acc
 
 
-def _trig_sums(tag: str, spec: CodeSpec, reads: tuple, two_eta: int) -> list[complex]:
+def _trig_sums(route: str, spec: CodeSpec, reads: tuple, two_eta: int) -> list[complex]:
     """sum_{m=1}^{n} e(eta m / n) prod_j f(e(a_j m / 2n)) for each f of reads.
 
     eta comes as the integer two_eta = 2 eta. A call maps _float_sums' one table of
@@ -319,18 +311,17 @@ def _trig_sums(tag: str, spec: CodeSpec, reads: tuple, two_eta: int) -> list[com
     f; every m sees the same multiplications in the same order as a product on its own.
     """
     n2 = 2 * spec.modulus
-    a_red = tuple(a % n2 for a in spec.coefficients)
     tables = []
 
     def build(ms: range, phases: list) -> list[list]:
         if not tables:  # the blocks of one call share one phase table
             tables.extend(list(map(read, phases)) for read in reads)
         rows = [[1.0] * len(ms) for _ in reads]
-        for a in a_red:
+        for a in (a % n2 for a in spec.coefficients):
             rows = [list(map(mul, row, _stepped(table, a, ms))) for row, table in zip(rows, tables)]
         return rows
 
-    return _float_sums((tag, a_red, spec.modulus), len(reads), build, two_eta, n2)
+    return _float_sums(route, spec, len(reads), build, two_eta, n2)
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -356,13 +347,12 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     k = len(spec.coefficients)
     n = spec.modulus
     _check_float(n, k, k + 1)
-    a_red = tuple(a % n for a in spec.coefficients)
 
     def build(ms: range, phases: list) -> list[list]:
         ones = [1 + 0j] * len(ms)
         rows = [ones]
-        for a in a_red:
-            w = _stepped(phases, a, ms)
+        for a in spec.coefficients:
+            w = _stepped(phases, a % n, ms)
             # row t gains w times row t-1, from the top down; w times 1+0j is w bit for bit
             rows.append(w if rows[-1] is ones else list(map(mul, w, rows[-1])))
             for t in range(len(rows) - 2, 0, -1):
@@ -370,7 +360,7 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
                 rows[t] = list(map(add, rows[t], w if prev is ones else map(mul, w, prev)))
         return rows
 
-    acc = _float_sums(("charsum", a_red, n), k + 1, build, -spec.residue, n)
+    acc = _float_sums("charsum", spec, k + 1, build, -spec.residue, n)
     raws = [x / n for x in acc]
     if not all(map(cmath.isfinite, raws)):  # the products' coefficients passed the float range
         raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")
@@ -416,14 +406,6 @@ def lehmer_count(coeffs: Iterable[int], n: int, b: int) -> int:
     return l * n ** (k - 1)
 
 
-# (coefficients, n) -> closed_form_gap; (k, n) -> {gcd(b, n): enumerator}. In
-# its domain the enumerator depends on the spec only through k, n and
-# gcd(b, n), so a residue sweep checks the domain once and evaluates the form
-# once per gcd class, and shuffled coefficients share the classes.
-_gap_memo = Memo()
-_closed_memo = Memo()
-
-
 def closed_form_gap(spec: CodeSpec) -> str:
     """Why weight_enumerator_closed does not cover spec; "" when it does.
 
@@ -450,21 +432,21 @@ def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
     """Exact weight enumerator from the closed divisor sum over the divisors of n.
 
     Raises OutOfDomain, with closed_form_gap's reason, outside its domain,
-    and CapExceeded past the closed form's cap (_check_closed). The
-    domain check is kept in a one-entry memo keyed by (coefficients, n),
-    so a residue sweep runs it once, in the domain or not. Each gcd class of
-    the residue is evaluated once and kept in a one-entry memo keyed by
-    (k, n).
+    and CapExceeded past the closed form's cap (_check_closed). In its domain
+    the enumerator depends on the residue only through gcd(b, n), so the
+    code's "closed" slot of the sweep memo holds the domain check's reason, or
+    the dict of its gcd classes, each evaluated once: a residue sweep checks
+    the domain once and evaluates the form tau(n) times.
     """
-    gap = _gap_memo.get((spec.coefficients, spec.modulus), lambda: closed_form_gap(spec))
-    if gap:
-        raise OutOfDomain(gap)
-    key = (len(spec.coefficients), spec.modulus)
-    classes = _closed_memo.get(key, dict)
-    g = math.gcd(spec.residue, spec.modulus)  # n for b = 0
+    n = spec.modulus
+    classes = _memo.sweep.get((spec.coefficients, n), "closed",
+                              lambda: closed_form_gap(spec) or {})
+    if isinstance(classes, str):
+        raise OutOfDomain(classes)
+    g = math.gcd(spec.residue, n)  # n for b = 0
     w = classes.get(g)
     if w is None:
-        w = classes[g] = _closed_form(*key, g)
+        w = classes[g] = _closed_form(len(spec.coefficients), n, g)
     return w
 
 

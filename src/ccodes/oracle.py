@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import compress, count
 
-from ._memo import Memo
+from . import _memo
 from ._record import Record
 from .codes import CodeSpec
 from .enumerator import WeightEnumerator
@@ -151,28 +151,24 @@ def _count(cells: list, prefixes: list[int], n: int, b: int, width: int) -> list
     return counts
 
 
-# (coefficients reduced mod n, n) -> their cells and prefixes
-_cells_memo = Memo()
-
-
 def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Enumerate all 2^k binary tuples and count code membership by weight.
 
     Every call counts its one residue: for every tuple it tests the
     congruence, a C-level str.count over the low tuples of each weight
     under each high prefix. The low tuples are grouped by weight once per
-    coefficients mod n and n, so a residue sweep groups them once per
-    modulus; the count itself is repeated for each residue. At k = 24 a
-    residue costs 0.02 s at modulus 25 and 0.005 s at 2621, so a sweep of
-    25 residues takes 0.5 s. The trade: all 2621 residues of k = 24,
+    code, in its "brute" slot of the sweep memo, so a residue sweep groups
+    them once per modulus; the count itself is repeated for each residue.
+    At k = 24 a residue costs 0.02 s at modulus 25 and 0.005 s at 2621, so
+    a sweep of 25 residues takes 0.5 s. The trade: all 2621 residues of k = 24,
     n = 2621 took 11-14 s, where one tally of every residue took 3 s.
     Tuples are never held as a 2^k-entry table. Capped at k <= 24 for
     time; at k = 24 a child process peaked at 15 MB RSS, most of it the
     interpreter.
     """
     k, n = spec.length, spec.modulus
-    key = (tuple(a % n for a in spec.coefficients), n)
-    cells, prefixes = _cells_memo.get(key, lambda: _cells(*key))
+    cells, prefixes = _memo.sweep.get((spec.coefficients, n), "brute",
+                                      lambda: _cells([a % n for a in spec.coefficients], n))
     return WeightEnumerator(k, _count(cells, prefixes, n, spec.residue, k + 1))
 
 

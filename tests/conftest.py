@@ -1,13 +1,9 @@
 import pytest
 
-from ccodes import enumerator, oracle
-from ccodes._memo import Memo
+from ccodes import _memo
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos(monkeypatch):
-    """Every test starts with empty sweep memos, whatever ran before it."""
-    for module in (enumerator, oracle):
-        for name, value in list(vars(module).items()):
-            if isinstance(value, Memo):
-                monkeypatch.setattr(module, name, Memo())
+    """Every test starts with an empty sweep memo, whatever ran before it."""
+    monkeypatch.setattr(_memo, "sweep", _memo.Memo())

@@ -13,8 +13,6 @@ st = hypothesis.strategies
 from ccodes import (  # noqa: E402
     CodeSpec,
     cli,
-    enumerator,
-    oracle,
     polyring,
     make_helberg,
     make_svt,
@@ -27,7 +25,7 @@ from ccodes import (  # noqa: E402
     weight_enumerator,
     weight_enumerator_fold,
 )
-from ccodes._memo import Memo  # noqa: E402
+from ccodes import _memo  # noqa: E402
 from ccodes.polyring import reach, residue_slot, row_counts  # noqa: E402
 
 # derandomized and without an example database: every run checks the same draws
@@ -137,13 +135,10 @@ def table_argvs(draw):
 
 
 def _table(argv, bits):
-    """(exit status, stderr) of one table run with fresh memos under a fold cap of bits."""
-    for module in (enumerator, oracle):
-        for value in vars(module).values():
-            if isinstance(value, Memo):
-                value.clear()
+    """(exit status, stderr) of one table run with a fresh sweep memo under a fold cap of bits."""
     err = io.StringIO()
-    with mock.patch.object(polyring, "_MAX_BITS", bits), \
+    with mock.patch.object(_memo, "sweep", _memo.Memo()), \
+            mock.patch.object(polyring, "_MAX_BITS", bits), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         return cli.main(argv), err.getvalue()
 
