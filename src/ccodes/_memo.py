@@ -4,9 +4,9 @@ A sweep asks for every residue of one modulus in a row, and what a route
 builds for it (a fold, gcd classes, float product rows, grouped brute-force
 tuples) depends on the coefficients and the modulus, not on the residue. So
 ``sweep`` holds the values of one code, keyed by (coefficients, modulus),
-one slot per route: "fold", "mitm" (the dispatcher's mark of a first call),
-"closed", "charsum", "svt", "bound" and "brute". A route that keeps a new
-value adds a slot here, not a memo of its own.
+one slot per route: "fold", "closed", "charsum", "svt", "bound" and
+"brute", each a value that the route built. A route that keeps a new value
+adds a slot here, not a memo of its own.
 """
 
 from __future__ import annotations

@@ -222,12 +222,6 @@ def _coeff_text(text: str, params: Params) -> list[str]:
     return [text]
 
 
-def _parity_counts(spec: ParityCodeSpec) -> tuple[int, ...]:
-    """The base code's weight distribution with the other weight parity zeroed."""
-    return tuple(c if t % 2 == spec.parity else 0
-                 for t, c in enumerate(weight_enumerator(spec.base).counts))
-
-
 def _float(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
     w, dev = weight_enumerator_charsum_float(spec)
     return w.counts, dev
@@ -248,16 +242,13 @@ def _parity(method: Callable[[CodeSpec], tuple[tuple[int, ...], float]]):
     return svt_method
 
 
-class _Family(namedtuple("_Family", "grid make methods counts opt_in",
-                         defaults=(lambda spec: weight_enumerator(spec).counts,
-                                   ("mitm", "closed")))):
+class _Family(namedtuple("_Family", "grid make methods opt_in", defaults=(("mitm", "closed"),))):
     """How one code family reads its grid flags and which routes compute it.
 
     grid: (flag, expander) pairs in output-parameter order; make: the spec
     from the grid values, passed in grid order; methods: verify methods by
-    name, in default order, each spec -> (result, deviation); counts:
-    spec -> what enum and table print; opt_in: the methods verify runs only
-    when --methods names them.
+    name, in default order, each spec -> (result, deviation); opt_in: the
+    methods verify runs only when --methods names them.
     """
 
     __slots__ = ()
@@ -293,7 +284,6 @@ _FAMILIES = {
          ("r", lambda r, p: (0, 1) if r == "both" else (int(r),))),
         make_svt,
         {**{name: _parity(method) for name, method in _METHODS.items()}, "float": _svt_float},
-        counts=_parity_counts,
     ),
     "blcc": _Family(
         (("coeffs", _coeff_text), ("mod", _ints), ("b", _residues(lambda p: p["mod"]))),
@@ -379,7 +369,7 @@ def cmd_enum(args: SimpleNamespace) -> int:
             _check_digits((int(n * log_q - math.log2(2 * (n + 1))),))
         size = vt_q_size(n, b, args.q)
     else:
-        method, counts = "exact", family.counts(spec)
+        method, counts = "exact", weight_enumerator(spec).counts
         size = sum(counts)
     _check_digits(map(int.bit_length, (size, *(counts or ()))))
     print(_emit_record(args.format, args.family, params, method, size, counts))
@@ -395,9 +385,13 @@ def cmd_table(args: SimpleNamespace) -> int:
     # --b all checks every modulus (--b 0 is valid for each) before any row.
     if args.b == "all":
         for _, spec in _iter_instances(SimpleNamespace(**{**vars(args), "b": "0"})):
-            check_sweep(spec.base if isinstance(spec, ParityCodeSpec) else spec)
+            check_sweep(spec)
+    try:  # a grid of several residues of a code (--b all or a range, --r both) folds it once
+        sweep = args.r == "both" or args.b == "all" or len(parse_range(args.b or "")) > 1
+    except UsageError:  # the grid reports a bad --b, after any bad flag before it
+        sweep = False
     family = _FAMILIES[args.family]
-    rows = [(params, family.counts(spec)) for params, spec in _iter_instances(args)]
+    rows = [(p, weight_enumerator(spec, sweep).counts) for p, spec in _iter_instances(args)]
     width = max((len(counts) for _, counts in rows), default=0)
     if args.quantity == "size":  # the rows of a gcd class share one counts tuple: sum it once
         sizes = {id(c): (sum(c),) for c in {id(c): c for _, c in rows}.values()}
@@ -441,9 +435,9 @@ def _outcome(routes: dict, methods: Sequence[str], spec) -> tuple[list, dict | E
             try:
                 found[m] = routes[m](spec)
             except (IntegralityFailure, CapExceeded, OutOfDomain) as exc:  # outside its domain
-                skips.append((m, exc))
+                skips.append((m, exc.with_traceback(None)))  # its frames may refer back to it
     except (CongruenceCodeError, ValueError) as exc:  # a package bug, as in main
-        return skips, exc
+        return skips, exc.with_traceback(None)
     return skips, found
 
 

@@ -94,14 +94,14 @@ def make_levenshtein(k: int, n: int, b: int) -> CodeSpec:
     return CodeSpec(_one_to(k), n, b)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def helberg_multipliers(k: int, s: int) -> tuple[int, ...]:
     """First k+1 values v_1..v_{k+1} of v_i = 1 + sum_{j=1}^s v_{i-j}.
 
     Values below index 1 count as zero. The sequence is strictly increasing
     and grows exponentially in k for s >= 2, so all arithmetic stays exact
-    integer arithmetic. The immutable result is memoised per (k, s), because
-    a residue sweep builds one Helberg code per residue.
+    integer arithmetic. The last (k, s)'s immutable result is kept: a residue
+    sweep builds one Helberg code per residue, one (k, s) at a time.
     """
     if k < 1:
         raise ValueError("length must be >= 1")

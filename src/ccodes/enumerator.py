@@ -117,45 +117,48 @@ def pretty_counts(counts: Iterable[int], var: str = "z") -> str:
     return " + ".join(terms) or "0"
 
 
-def weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
+def weight_enumerator(spec: CodeSpec | ParityCodeSpec, sweep: bool = False) -> WeightEnumerator:
     """Exact weight enumerator: the closed form, the fold or meeting in the middle.
 
-    Inside the closed form's domain (closed_form_gap) the closed form
+    A shifted VT spec gets its base code's counts, the other weight parity
+    zeroed. In the closed form's domain (closed_form_gap) the closed form
     answers, one evaluation per gcd class of the residue, or raises
-    CapExceeded past its own cap. Otherwise a fold already built for the
-    same coefficients and n is read from the sweep memo. Else, when the fold
-    fits under the packed-bit cap (cap_error), the second call in a row for
-    the code builds it, so a sweep over the residues of one modulus folds
-    once, and any other call folds when the cost model (mitm_is_cheaper)
-    prefers it. Everything else meets in the middle, which raises
-    CapExceeded past the same cap before it allocates. The route may depend
-    on the previous call; the result, and whether one is computed at all,
-    do not. ``verify`` and the tests compare the closed form with
+    CapExceeded past its own cap. Otherwise a fold already in the sweep memo
+    is read. Else the fold runs if it fits under the packed-bit cap
+    (cap_error) and either sweep is set, by a caller that asks for several
+    residues of one modulus, or the cost model (mitm_is_cheaper) prefers it.
+    Everything else meets in the middle, which raises CapExceeded past the
+    same cap before it allocates. The route depends on the arguments alone.
+    ``verify`` and the tests compare the closed form with
     weight_enumerator_fold, not with this dispatcher.
     """
+    if isinstance(spec, ParityCodeSpec):
+        w = weight_enumerator(spec.base, sweep)
+        return WeightEnumerator(w.k, [c * (t % 2 == spec.parity) for t, c in enumerate(w.counts)])
     try:
         return weight_enumerator_closed(spec)
     except OutOfDomain:
         pass
     coeffs, n = spec.coefficients, spec.modulus
-    values = _memo.sweep.values((coeffs, n))
-    if "fold" in values or (
+    if "fold" in _memo.sweep.values((coeffs, n)) or (
             cap_error([coeffs], n) is None
-            and ("mitm" in values or not mitm_is_cheaper(tuple(a % n for a in coeffs), n))):
+            and (sweep or not mitm_is_cheaper(tuple(a % n for a in coeffs), n))):
         return weight_enumerator_fold(spec)
-    values["mitm"] = True  # the next call for this code folds if it fits
     return weight_enumerator_mitm(spec)
 
 
-def check_sweep(spec: CodeSpec) -> None:
+def check_sweep(spec: CodeSpec | ParityCodeSpec) -> None:
     """Raise CapExceeded when a sweep over spec's residues would pass a cap.
 
-    weight_enumerator reads every residue of a modulus n from the closed form
-    in its domain (closed_form_gap), keeping one enumerator per gcd class, so
-    tau(n) of them, and otherwise from one fold: so this charges tau(n) rows
-    to the closed form's cap inside that domain and raises the fold's
-    cap_error outside it. Neither depends on spec's residue; nothing is built.
+    weight_enumerator(spec, sweep=True) reads every residue of a modulus n
+    from the closed form in its domain (closed_form_gap), keeping one
+    enumerator per gcd class, so tau(n) of them, and otherwise from one fold:
+    so this charges tau(n) rows to the closed form's cap inside that domain
+    and raises the fold's cap_error outside it. Neither depends on the
+    residue or the parity of spec; nothing is built.
     """
+    if isinstance(spec, ParityCodeSpec):
+        spec = spec.base
     n = spec.modulus
     if not closed_form_gap(spec):
         _check_closed(len(spec.coefficients), n, len(divisors(factor(n))))
@@ -368,8 +371,8 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     return WeightEnumerator(k, counts), dev
 
 
-def size(spec: CodeSpec) -> int:
-    """Exact codeword count, W(1)."""
+def size(spec: CodeSpec | ParityCodeSpec) -> int:
+    """Exact codeword count, W(1); of one weight parity for a shifted VT spec."""
     return weight_enumerator(spec).size()
 
 

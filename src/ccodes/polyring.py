@@ -135,10 +135,11 @@ _MITM_OVERHEAD = 20
 
 def _fold_cost(coeffs: tuple[int, ...], n: int, width: int) -> float:
     # Fold step i adds one row per residue reached by the first i - 1
-    # coefficients, each row up to i fields of width bits wide.
+    # coefficients, each row up to i fields of width bits wide. No route holds
+    # _MAX_BITS rows, so no more are priced: a float holds every cost.
     cost, total, doubling = 0.0, 0, 1
     for i, a in enumerate(coeffs, 1):
-        cost += min(n, doubling, 1 + total) * (1 + i * width / _ADD_BITS)
+        cost += min(n, doubling, 1 + total, _MAX_BITS) * (1 + i * width / _ADD_BITS)
         total += a
         doubling = min(2 * doubling, n)
     return cost
@@ -162,7 +163,7 @@ def mitm_is_cheaper(coeffs: tuple[int, ...], n: int) -> bool:
     left, right = coeffs[:half], coeffs[half:]
     product = 1 + ((half + 1) * (k - half + 1) * width * width) ** 0.85 / _PRODUCT_SCALE
     mitm = (_fold_cost(left, n, width) + _fold_cost(right, n, width)
-            + reach(left, n) * product + _MITM_OVERHEAD)
+            + min(reach(left, n), _MAX_BITS) * product + _MITM_OVERHEAD)
     return mitm < _fold_cost(coeffs, n, width)
 
 

@@ -662,10 +662,28 @@ def test_single_enum_does_not_fold_and_a_sweep_folds_once(capsys, monkeypatch):
         code, out, _ = run(capsys, "enum", *argv)
         assert code == 0 and "size=" in out
     assert folds == []
+    # one residue, as a table row too, meets in the middle where the cost model prefers it
+    for b in ("7", "7..7"):
+        code, out, _ = run(capsys, "table", "--family", "helberg", "--k", "10", "--s", "2",
+                           "--b", b)
+        assert code == 0 and len(out.splitlines()) == 2
+    code, out, _ = run(capsys, "table", "--family", "svt", "--k", "12", "--n", "24",
+                       "--b", "3", "--r", "0")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert folds == []
+    # a grid of several residues of a code folds it once: --b all, a --b range, --r both
     code, out, _ = run(capsys, "table", "--family", "helberg", "--quantity", "nt",
                        "--k", "10", "--s", "2", "--b", "all")
     assert code == 0 and len(out.splitlines()) == 1 + 232
     assert folds == [232]
+    code, out, _ = run(capsys, "table", "--family", "helberg", "--k", "11", "--s", "2",
+                       "--b", "3..4")
+    assert code == 0 and len(out.splitlines()) == 1 + 2
+    assert folds == [232, 376]
+    code, out, _ = run(capsys, "table", "--family", "svt", "--k", "12", "--n", "24",
+                       "--b", "3", "--r", "both")
+    assert code == 0 and len(out.splitlines()) == 1 + 2
+    assert folds == [232, 376, 24]
 
 
 def test_cap_exits_4_outside_verify(capsys, monkeypatch):
@@ -680,7 +698,7 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err == f"ccodes: limit: up to {232 * 11**2} packed bits exceeds the cap of 12100\n"
     assert halves == []  # an all-residue table reads the fold, capped before any folding
-    # two residues meet in the middle, whatever the previous call was
+    # a two-residue sweep past the fold's cap meets in the middle at each residue
     code, out, _ = run(capsys, "table", "--family", "helberg", "--quantity", "size",
                        "--k", "10", "--s", "2", "--b", "0..1")
     assert code == 0 and out.splitlines()[1:] == ["helberg,10,2,0,4", "helberg,10,2,1,4"]
@@ -1119,6 +1137,22 @@ def test_verify_streams_its_instances(monkeypatch):
         finally:
             tracemalloc.stop()
     assert held[1] < held[0] + 50_000, held
+
+
+def test_verify_of_a_helberg_grid_holds_one_length_at_a_time(monkeypatch):
+    # 32 Helberg lengths near 3000, each 3000 multipliers of about 2100 bits, 0.56 MB,
+    # past every route's cap: two SKIPs and an UNVERIFIED line a length. A cache of 32
+    # multiplier tuples peaked at 10 MB; keeping each SKIP's traceback, whose frames
+    # refer back to their exception until the cyclic collector runs, at 17 MB with it
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--family", "helberg", "--k", "3000..3031", "--s", "2",
+                     "--b", "0", "--methods", "exact,brute", "--quiet"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("argv", [

@@ -166,33 +166,80 @@ def test_weight_enumerator_sparse_path():
     assert weight_enumerator(CodeSpec((-3, big + 2), big, big - 1)).counts == (0, 0, 1)
 
 
+def count_routes(monkeypatch):
+    """Record "fold" for every fold and "mitm" for every meeting in the middle."""
+    routes = []
+    monkeypatch.setattr(enumerator, "residue_product",
+                        lambda *args: routes.append("fold") or residue_product(*args))
+    monkeypatch.setattr(enumerator, "residue_slot",
+                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    return routes
+
+
 def test_dense_fold_memo_key(monkeypatch):
-    folds = []
-
-    def counting_fold(coeffs, modulus):
-        folds.append((tuple(coeffs), modulus))
-        return residue_product(coeffs, modulus)
-
-    monkeypatch.setattr(enumerator, "residue_product", counting_fold)
+    routes = count_routes(monkeypatch)
     a = (1, 2, 4, 8, 16, 32)
-    sequence = [
-        (CodeSpec(a, 20, 0), False),  # one residue: meeting in the middle is cheaper
-        (CodeSpec(a, 20, 1), True),  # the second call in a row with A folds
-        (CodeSpec(a, 20, 2), False),  # same code: reused
-        (CodeSpec((2, 4, 6), 20, 3), True),  # three coefficients fold at once and evict A
-        (CodeSpec(a, 20, 5), False),  # so A is a first call again
-        (CodeSpec(a, 3, 1), True),  # a small modulus: the fold is cheaper at once
-        (CodeSpec(a, 3, 2), False),
-        (CodeSpec(a, 10**9 + 7, 11), False),
-        (CodeSpec(a, 10**9 + 7, 4), True),  # a modulus far above 2^k folds too
-        (CodeSpec(a, 10**9 + 7, 4), False),
+    sequence = [  # spec, sweep, the route that runs ("" when a kept fold is read)
+        (CodeSpec(a, 20, 0), False, "mitm"),  # one residue: meeting in the middle is cheaper
+        (CodeSpec(a, 20, 1), False, "mitm"),  # the next call for the code too
+        (CodeSpec(a, 20, 1), True, "fold"),  # a sweep folds
+        (CodeSpec(a, 20, 2), False, ""),  # same code: the fold is read, sweep or not
+        (CodeSpec(a, 20, 3), True, ""),
+        (CodeSpec((2, 4, 6), 20, 3), False, "fold"),  # three coefficients fold at once, evicting A
+        (CodeSpec(a, 20, 5), False, "mitm"),  # so A meets in the middle again
+        (CodeSpec(a, 3, 1), False, "fold"),  # a small modulus: the fold is cheaper at once
+        (CodeSpec(a, 3, 2), False, ""),
+        (CodeSpec(a, 10**9 + 7, 11), False, "mitm"),
+        (CodeSpec(a, 10**9 + 7, 4), True, "fold"),  # a modulus far above 2^k folds in a sweep
+        (CodeSpec(a, 10**9 + 7, 4), False, ""),
     ]
-    for spec, folds_again in sequence:
-        before = len(folds)
-        got = weight_enumerator(spec)
-        assert len(folds) == before + folds_again
-        assert got == brute_weight_enumerator(spec)
-    assert folds == [(a, 20), ((2, 4, 6), 20), (a, 3), (a, 10**9 + 7)]
+    for spec, sweep, route in sequence:
+        assert weight_enumerator(spec, sweep) == brute_weight_enumerator(spec)
+        assert routes == ([route] if route else []), (spec, sweep)
+        routes.clear()
+
+
+_TWICE_SCRIPT = """
+from ccodes import CodeSpec, enumerator, make_helberg, weight_enumerator
+routes = []
+for name in ("residue_product", "residue_slot"):
+    route = getattr(enumerator, name)
+    setattr(enumerator, name, lambda *args, name=name, route=route:
+            routes.append(name) or route(*args))
+for spec in (make_helberg(20, 2, 7), CodeSpec((1, 2, 4, 8, 16, 32), 20, 5),
+             CodeSpec((1, 2, 4, 8, 16, 32), 3, 1)):
+    print(weight_enumerator(spec) == weight_enumerator(spec), *routes)
+    routes.clear()
+"""
+
+
+def test_the_same_call_twice_takes_the_same_route_in_a_fresh_process():
+    # no memo fixture in a child: the first call leaves nothing that turns the second to a
+    # fold, and a fold that the cost model chose is read again
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccodes.__file__).parent.parent)}
+    flags = ["-O"] * sys.flags.optimize + ["-X", "dev"] * sys.flags.dev_mode
+    flags += [f"-W{option}" for option in sys.warnoptions]
+    proc = subprocess.run([sys.executable, *flags, "-c", _TWICE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "True residue_slot residue_slot\n" * 2 + "True residue_product\n"
+
+
+def test_shifted_vt_codes_answer_from_the_one_entry_point():
+    # the base code's counts of one weight parity, as svt_sizes splits them and brute force
+    # counts them, with or without a sweep
+    for k in range(1, 13):
+        for n in sorted({k + 1, 2 * k}):
+            for b in range(n):
+                brute = brute_weight_enumerator(make_levenshtein(k, n, b)).counts
+                split = svt_sizes(make_svt(k, n, b, 0))
+                for r in (0, 1):
+                    spec = make_svt(k, n, b, r)
+                    want = tuple(c if t % 2 == r else 0 for t, c in enumerate(brute))
+                    assert weight_enumerator(spec).counts == want, spec
+                    assert weight_enumerator(spec, sweep=True).counts == want, spec
+                    assert size(spec) == split[r] == sum(want), spec
+    assert size(make_svt(5, 6, 1, 0)) == 3
 
 
 RANDOM24 = tuple(random.Random(1).randrange(1024) for _ in range(24))
@@ -210,17 +257,15 @@ RANDOM24 = tuple(random.Random(1).randrange(1024) for _ in range(24))
     (RANDOM24, 3, False),  # 0.037 / 0.040 ms
     (make_helberg(20, 2, 0).coefficients, make_helberg(20, 2, 0).modulus, True),  # 25 / 0.6 ms
     (make_vt(200, 0).coefficients, 201, False),  # 78 / 100 ms: the join of wide rows
+    # past 2^1024 reached rows, which no float holds: rows past the cap are not priced
+    (tuple(1 << i for i in range(1100)), (1 << 1100) + 1, False),
 ])
 def test_route_cost_model(coeffs, n, mitm):
     assert polyring.mitm_is_cheaper(tuple(a % n for a in coeffs), n) is mitm
 
 
 def test_dispatcher_takes_the_cheaper_route(monkeypatch):
-    routes = []
-    monkeypatch.setattr(enumerator, "residue_product",
-                        lambda *args: routes.append("fold") or residue_product(*args))
-    monkeypatch.setattr(enumerator, "residue_slot",
-                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    routes = count_routes(monkeypatch)
     for n, route in ((13, "fold"), (14, "mitm")):
         spec = CodeSpec((1, 2, 4, 8, 16, 32), n, 3)
         assert weight_enumerator(spec) == brute_weight_enumerator(spec)
@@ -228,39 +273,35 @@ def test_dispatcher_takes_the_cheaper_route(monkeypatch):
 
 
 def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
-    routes = []
-    monkeypatch.setattr(enumerator, "residue_product",
-                        lambda *args: routes.append("fold") or residue_product(*args))
-    monkeypatch.setattr(enumerator, "residue_slot",
-                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    routes = count_routes(monkeypatch)
     monkeypatch.setattr(polyring, "_MAX_BITS", 100 * 11**2)
     spec = make_helberg(10, 2, 3)  # modulus 232, rows of 11^2 bits; the halves 27 and 32 rows
     expected = brute_weight_enumerator(spec)
     assert weight_enumerator(spec) == expected
-    assert weight_enumerator(spec) == expected  # a repeat no longer folds past the cap
+    assert weight_enumerator(spec) == expected  # a repeat does not fold
+    assert weight_enumerator(spec, sweep=True) == expected  # nor a sweep past the cap
     assert size(spec) == expected.size()
-    assert routes == ["mitm"] * 3
-    # under the cap the repeat folds, and the fold serves the next residue
+    assert routes == ["mitm"] * 4
+    # under the cap a sweep folds once, and the fold serves the next residue, sweep or not
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
-    assert weight_enumerator(spec) == expected
-    assert weight_enumerator(make_helberg(10, 2, 4)) == brute_weight_enumerator(make_helberg(10, 2, 4))
-    assert routes == ["mitm"] * 3 + ["fold"]
+    assert weight_enumerator(spec, sweep=True) == expected
+    assert weight_enumerator(make_helberg(10, 2, 4), sweep=True) == brute_weight_enumerator(
+        make_helberg(10, 2, 4))
+    assert weight_enumerator(make_helberg(10, 2, 5)) == brute_weight_enumerator(
+        make_helberg(10, 2, 5))
+    assert routes == ["mitm"] * 4 + ["fold"]
 
 
 def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
-    routes = []
-    monkeypatch.setattr(enumerator, "residue_product",
-                        lambda *args: routes.append("fold") or residue_product(*args))
-    monkeypatch.setattr(enumerator, "residue_slot",
-                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    routes = count_routes(monkeypatch)
     spec = make_helberg(10, 2, 3)  # 232 rows of 11^2 bits; the halves 27 and 32 rows
     expected = brute_weight_enumerator(spec)
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2 - 1)
-    assert weight_enumerator(spec) == expected
-    assert weight_enumerator(spec) == expected  # a repeat does not fold past the cap either
+    assert weight_enumerator(spec, sweep=True) == expected  # one bit short: no fold
+    assert weight_enumerator(spec, sweep=True) == expected
     assert routes == ["mitm"] * 2
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
-    assert weight_enumerator(spec) == expected
+    assert weight_enumerator(spec, sweep=True) == expected  # at the cap a sweep folds
     assert routes == ["mitm"] * 2 + ["fold"]
 
 

@@ -127,6 +127,12 @@ GRIDS = (
     "table --family helberg --quantity enumerator --k 5 --s 2 --b 0..3",
     "table --family svt --quantity size --k 1..5 --n k+1 --b all --r both",
     "table --family blcc --quantity nt --coeffs 1,3 --mod 2..5 --b 1",
+    # a grid of several residues of a code folds it once: --b all, a --b range, --r both;
+    # enum splits an svt base code's enumerator, here from the closed form, by parity
+    "table --family helberg --quantity nt --k 10 --s 2 --b all",
+    "table --family helberg --quantity size --k 14 --s 2 --b 0..5",
+    "table --family svt --quantity size --k 12 --n 2k --b 3 --r both",
+    "enum --family svt --k 9 --n 10 --b 3 --r 1 --format json",
     # usage errors, exit 2
     "",
     "frobnicate",

@@ -59,14 +59,14 @@ def test_memo_is_empty_after_a_build_that_raises():
     assert memo.get(1, "fold", lambda: "again") == "again"
 
 
-def test_memo_mark_holds_a_key_that_get_builds():
-    # the dispatcher marks a first call in the code's values; get builds beside it
+def test_values_show_the_slots_that_get_builds():
+    # values gives the held code's slots, which the dispatcher reads; get builds beside them
     memo = Memo()
     memo.get(1, "fold", lambda: "one")
-    memo.values(2)["mitm"] = True
-    assert memo.values(2) == {"mitm": True}
+    assert memo.get(2, "closed", lambda: {}) == {}
+    assert memo.values(2) == {"closed": {}}
     assert memo.get(2, "fold", lambda: "two") == "two"
-    assert memo.values(2) == {"mitm": True, "fold": "two"}
+    assert memo.values(2) == {"closed": {}, "fold": "two"}
     assert memo.values(3) == {}
     assert memo.values(2) == {}
 
