@@ -132,6 +132,8 @@ GRIDS = (
     "table --family helberg --quantity nt --k 10 --s 2 --b all",
     "table --family helberg --quantity size --k 14 --s 2 --b 0..5",
     "table --family svt --quantity size --k 12 --n 2k --b 3 --r both",
+    # the 609 residues of Helberg(12,2) share the code's one coefficient tuple
+    "table --family helberg --quantity size --k 12 --s 2 --b all",
     "enum --family svt --k 9 --n 10 --b 3 --r 1 --format json",
     # usage errors, exit 2
     "",
@@ -145,6 +147,11 @@ GRIDS = (
     "verify --family vt --n 3 --b 0 --methods ,",
     "verify --family vt --random 3",
     "verify --family vt --n 3 --b 0 --seed 2",
+    # a grid builds each code before it reads --b: the code's own error comes first,
+    # even over an empty --b range or a residue past the modulus
+    "table --family vt --n 0 --b 3..2",
+    "table --family levenshtein --k 0 --n 3 --b 5",
+    "table --family levenshtein --k 0 --n 0 --b all",
     # the q-ary size builds no coefficients, yet reads its grid as the binary enum does
     "enum --family vt --n 0 --b 0 --q 3",
     "enum --family vt --n -1 --b 0 --q 3",
@@ -157,6 +164,9 @@ GRIDS = (
     # the closed form's row of VT(300000), about 9e10 bits, is past its cap: exit 4
     # before the row is built, where it ended in a MemoryError traceback
     "enum --family vt --n 300000 --b 0",
+    # every gcd class the closed form keeps is charged to its cap: VT(30000)'s two
+    # classes of b = 0 and b = 1 pass it, as a --b all sweep of that length does
+    "table --family vt --quantity size --n 30000 --b 0..1",
     # the ternary VT(3e7) size is refused by a lower bound on its length before the
     # divisor sum, which took over 20 s, and before any coefficient is built
     "enum --family vt --n 30000000 --b 0 --q 3",
