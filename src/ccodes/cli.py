@@ -20,7 +20,7 @@ Each family takes its own grid flags and no others, as the --family help
 lists. A flag's value follows it (--n 4) or an = (--n=4) and may start with
 a dash (--coeffs -3,2); a unique prefix names a flag (--fam vt), and the
 last repeat wins. argparse is imported only to print --help. Ranges are
-written a..b (inclusive); --b all sweeps every residue of the instance's
+written a..b (inclusive); --b all sweeps every residue of each code's
 modulus; for svt and levenshtein grids --n also accepts the relative forms
 k+1 and 2k. enum reads the same grid but needs it to name exactly one
 instance. --format (plain, json or csv) exists on enum only: table always
@@ -83,7 +83,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
 from . import __version__
-from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_svt, make_vt
+from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_vt
 from .enumerator import (
     check_sweep,
     pretty_counts,
@@ -187,9 +187,11 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
 
 # ---- family registry ----
 #
-# A family's grid lists its flags in output-parameter order, each with an
-# expander: (flag value, parameters so far) -> the values that parameter takes.
-# Its routes map a spec to a result; verify methods also return a deviation.
+# A family's grid lists the flags that name its code in output-parameter order,
+# each with an expander: (flag value, parameters so far) -> the values that
+# parameter takes. Its constructor from codes builds each code at residue 0;
+# --b, and svt's --r, then pick the code's cosets. Its routes map a spec to a
+# result; verify methods also return a deviation.
 
 
 def _ints(text: str, params: Params) -> list[int]:
@@ -200,21 +202,15 @@ def _ints(text: str, params: Params) -> list[int]:
     return parse_range(text)
 
 
-def _residues(modulus_of: Callable[[Params], int]) -> Callable[[str, Params], Sequence[int]]:
-    """--b for a family whose modulus follows from its other parameters."""
-    def expand(text: str, params: Params) -> Sequence[int]:
-        modulus = modulus_of(params)
-        if modulus < 1:
-            raise UsageError(f"modulus {modulus} must be >= 1")
-        if text == "all":
-            return range(modulus)
-        bs = parse_range(text)
-        for b in bs:
-            if not 0 <= b < modulus:
-                raise UsageError(f"residue {b} out of range for modulus {modulus}")
-        return bs
-
-    return expand
+def _residues(text: str, modulus: int) -> Sequence[int]:
+    """--b read against a code's modulus: all of its residues, or the listed ones."""
+    if text == "all":
+        return range(modulus)
+    bs = parse_range(text)
+    for b in bs:
+        if not 0 <= b < modulus:
+            raise UsageError(f"residue {b} out of range for modulus {modulus}")
+    return bs
 
 
 def _coeff_text(text: str, params: Params) -> list[str]:
@@ -242,16 +238,24 @@ def _parity(method: Callable[[CodeSpec], tuple[tuple[int, ...], float]]):
     return svt_method
 
 
-class _Family(namedtuple("_Family", "grid make methods opt_in", defaults=(("mitm", "closed"),))):
+class _Family(namedtuple("_Family", "grid make methods opt_in parity",
+                         defaults=(("mitm", "closed"), False))):
     """How one code family reads its grid flags and which routes compute it.
 
-    grid: (flag, expander) pairs in output-parameter order; make: the spec
-    from the grid values, passed in grid order; methods: verify methods by
-    name, in default order, each spec -> (result, deviation); opt_in: the
-    methods verify runs only when --methods names them.
+    grid: the (flag, expander) pairs that name a code, in output-parameter
+    order; make: the code's constructor, passed the grid values in grid order
+    and then the residue; methods: verify methods by name, in default order,
+    each spec -> (result, deviation); opt_in: the methods verify runs only
+    when --methods names them; parity: whether --r splits each spec by weight
+    parity, as for svt.
     """
 
     __slots__ = ()
+
+    @property
+    def flags(self) -> list[str]:
+        """Every grid flag in output-parameter order: the code's, then --b and svt's --r."""
+        return [flag for flag, _ in self.grid] + ["b", "r"][:1 + self.parity]
 
 
 # A lambda reads its route's global when it runs, so a replaced or traced one runs.
@@ -262,34 +266,15 @@ _METHODS = {"exact": lambda spec: (weight_enumerator_fold(spec).counts, 0.0),
             "mitm": lambda spec: (weight_enumerator_mitm(spec).counts, 0.0)}
 
 _FAMILIES = {
-    "vt": _Family(
-        (("n", _ints), ("b", _residues(lambda p: p["n"] + 1))),
-        make_vt,
-        _METHODS,
-        opt_in=("mitm",),  # every VT code lies in the closed form's domain
-    ),
-    "levenshtein": _Family(
-        (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"]))),
-        make_levenshtein,
-        _METHODS,
-    ),
-    "helberg": _Family(
-        (("k", _ints), ("s", lambda s, p: [s]),
-         ("b", _residues(lambda p: make_helberg(p["k"], p["s"], 0).modulus))),
-        make_helberg,
-        _METHODS,
-    ),
-    "svt": _Family(
-        (("k", _ints), ("n", _ints), ("b", _residues(lambda p: p["n"])),
-         ("r", lambda r, p: (0, 1) if r == "both" else (int(r),))),
-        make_svt,
-        {**{name: _parity(method) for name, method in _METHODS.items()}, "float": _svt_float},
-    ),
-    "blcc": _Family(
-        (("coeffs", _coeff_text), ("mod", _ints), ("b", _residues(lambda p: p["mod"]))),
-        lambda coeffs, mod, b: CodeSpec(_parse_coeffs(coeffs), mod, b),
-        _METHODS,
-    ),
+    "vt": _Family((("n", _ints),), make_vt, _METHODS,
+                  opt_in=("mitm",)),  # every VT code lies in the closed form's domain
+    "levenshtein": _Family((("k", _ints), ("n", _ints)), make_levenshtein, _METHODS),
+    "helberg": _Family((("k", _ints), ("s", lambda s, p: [s])), make_helberg, _METHODS),
+    "svt": _Family((("k", _ints), ("n", _ints)), make_levenshtein,
+                   {**{name: _parity(method) for name, method in _METHODS.items()},
+                    "float": _svt_float}, parity=True),
+    "blcc": _Family((("coeffs", _coeff_text), ("mod", _ints)),
+                    lambda coeffs, mod, b: CodeSpec(_parse_coeffs(coeffs), mod, b), _METHODS),
 }
 
 
@@ -297,9 +282,9 @@ _FAMILIES = {
 
 
 def _expand(family: _Family, args: SimpleNamespace,
-            params: Params) -> Iterator[tuple[Params, object]]:
+            params: Params) -> Iterator[tuple[Params, CodeSpec]]:
     if len(params) == len(family.grid):
-        yield params, family.make(*params.values())
+        yield params, family.make(*params.values(), 0)
         return
     flag, expand = family.grid[len(params)]
     for value in expand(getattr(args, flag), params):
@@ -313,15 +298,27 @@ def _check_grid_flags(args: SimpleNamespace, takes: Sequence[str], who: str) -> 
             raise UsageError(f"{who} {verb} --{flag}")
 
 
-def _iter_instances(args: SimpleNamespace,
-                    family: _Family | None = None) -> Iterator[tuple[Params, object]]:
-    """Yield (params, spec) in deterministic order; spec is what family.make returns."""
-    family = family or _FAMILIES[args.family]
-    _check_grid_flags(args, [flag for flag, _ in family.grid], f"--family {args.family}")
+def _codes(args: SimpleNamespace, family: _Family) -> Iterator[tuple[Params, CodeSpec]]:
+    """Yield (params, code at residue 0) for each code that the grid's code flags name."""
+    _check_grid_flags(args, family.flags, f"--family {args.family}")
     try:
         yield from _expand(family, args, {})
     except (ValueError, OverflowError) as exc:  # a code constructor rejected the parameters
         raise UsageError(str(exc)) from None
+
+
+def _iter_instances(args: SimpleNamespace,
+                    family: _Family | None = None) -> Iterator[tuple[Params, object]]:
+    """Yield (params, spec) in deterministic order: each code's --b residues, then --r parities."""
+    family = family or _FAMILIES[args.family]
+    for params, code in _codes(args, family):
+        for b in _residues(args.b, code.modulus):
+            spec = CodeSpec(code.coefficients, code.modulus, b)
+            if family.parity:
+                for r in (0, 1) if args.r == "both" else (int(args.r),):
+                    yield {**params, "b": b, "r": r}, ParityCodeSpec(spec, r)
+            else:
+                yield {**params, "b": b}, spec
 
 
 def _random_blcc(count: int, seed: int) -> Iterator[tuple[dict[str, int | str], CodeSpec]]:
@@ -352,9 +349,10 @@ def cmd_enum(args: SimpleNamespace) -> int:
         if args.q < 1:
             raise UsageError("--q must be >= 1")
     family, qary = _FAMILIES[args.family], args.q not in (None, 2)
-    if qary:  # the q-ary size reads only (n, b): build no coefficients
+    if qary:  # the q-ary size reads only n and b: a code of modulus n+1 and no coefficients
         # len(range(n)) refuses a length past a C ssize_t, as make_vt's tuple does
-        family = family._replace(make=lambda n, b: make_vt(n, b) if n < 1 else (len(range(n)), b))
+        family = family._replace(
+            make=lambda n, b: make_vt(n, b) if n < 1 else CodeSpec((), len(range(n)) + 1, b))
     instances = list(itertools.islice(_iter_instances(args, family), 2))
     if len(instances) != 1:
         raise UsageError("enum needs a grid of exactly one instance; use table or verify")
@@ -364,7 +362,7 @@ def cmd_enum(args: SimpleNamespace) -> int:
         # q(n+1) size >= q^(n+1) - (n+1) q^((n+1)/2), as |c_d(b)| <= phi(d) and the
         # phi(d) of d | n+1 sum to n+1; so size >= q^n / (2(n+1)) once 2(n+1) <=
         # q^((n+1)/2). A bit length one short of that refuses a size past the cap early.
-        (n, b), log_q = spec, math.log2(args.q)
+        n, b, log_q = spec.modulus - 1, spec.residue, math.log2(args.q)
         if (n + 1) / 2 * log_q >= math.log2(2 * (n + 1)) + 1:
             _check_digits((int(n * log_q - math.log2(2 * (n + 1))),))
         size = vt_q_size(n, b, args.q)
@@ -382,15 +380,15 @@ def cmd_table(args: SimpleNamespace) -> int:
     # The first cap stops the table, yet a usage error anywhere in the grid wins:
     # ranges expand in ascending order and every usage error depends only on k,
     # s, the modulus or b < modulus, so it comes before the grid's first instance.
-    # --b all checks every modulus (--b 0 is valid for each) before any row.
+    # --b all checks each code of the grid, built once at residue 0, before any row.
+    family = _FAMILIES[args.family]
     if args.b == "all":
-        for _, spec in _iter_instances(SimpleNamespace(**{**vars(args), "b": "0"})):
-            check_sweep(spec)
+        for _, code in _codes(args, family):
+            check_sweep(code)
     try:  # a grid of several residues of a code (--b all or a range, --r both) folds it once
         sweep = args.r == "both" or args.b == "all" or len(parse_range(args.b or "")) > 1
     except UsageError:  # the grid reports a bad --b, after any bad flag before it
         sweep = False
-    family = _FAMILIES[args.family]
     rows = [(p, weight_enumerator(spec, sweep).counts) for p, spec in _iter_instances(args)]
     width = max((len(counts) for _, counts in rows), default=0)
     if args.quantity == "size":  # the rows of a gcd class share one counts tuple: sum it once
@@ -400,7 +398,7 @@ def cmd_table(args: SimpleNamespace) -> int:
     import csv
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["family"] + [flag for flag, _ in family.grid] + (  # nt: a column per weight
+    writer.writerow(["family"] + family.flags + (  # nt: a column per weight
         [f"N{t}" for t in range(width)] if args.quantity == "nt" else [args.quantity]))
     for params, values in rows:
         if args.quantity == "enumerator":
@@ -515,7 +513,7 @@ class _Command(namedtuple("_Command", "help run flags")):
 
 _GRID = (
     _Flag("family", choices=tuple(_FAMILIES), required=True,
-          help="; ".join(f"{name} takes --{' --'.join(flag for flag, _ in family.grid)}"
+          help="; ".join(f"{name} takes --{' --'.join(family.flags)}"
                          for name, family in _FAMILIES.items())),
     _Flag("n", help="length / modulus parameter; INT, LO..HI, k+1 or 2k"),
     _Flag("k", help="block length; INT or LO..HI"),

@@ -15,14 +15,16 @@ the modulus:
     v_i = 1 + v_{i-1} + ... + v_{i-s} (v_i = 0 for i <= 0), modulus v_{k+1}.
   * Shifted VT: a Levenshtein code intersected with a weight-parity class.
 
-A CodeSpec holds only these defining fields, so codes built by different
-constructors compare equal when they define the same set: the s=1 Helberg
-code and the VT code of the same length are one spec.
+The coefficients and the modulus define the code, and the residue picks one
+of its cosets, so the constructors are where a family's modulus rule lives.
+A grid of residues builds its code once, at b = 0, and gives every residue
+CodeSpec(code.coefficients, code.modulus, b), one coefficient tuple for all
+of them. A CodeSpec holds only these defining fields, so codes built by
+different constructors compare equal when they define the same set: the s=1
+Helberg code and the VT code of the same length are one spec.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ._record import Record
 
@@ -48,7 +50,7 @@ class CodeSpec(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
+            raise ValueError(f"modulus {self.modulus} must be >= 1")
         if not 0 <= self.residue < self.modulus:
             raise ValueError(
                 f"residue {self.residue} not in [0, {self.modulus})"
@@ -72,36 +74,26 @@ class ParityCodeSpec(Record):
             raise ValueError("parity must be 0 (even weight) or 1 (odd weight)")
 
 
-@lru_cache(maxsize=1)
-def _one_to(k: int) -> tuple[int, ...]:
-    # 1..k, one tuple shared by every spec of a residue sweep, so a --b all grid of
-    # VT(n) holds n coefficients, not n(n+1), and the sweep memo (_memo.sweep)
-    # finds its code by identity
-    return tuple(range(1, k + 1))
-
-
 def make_vt(n: int, b: int) -> CodeSpec:
     """VT_b(n): coefficients 1..n, modulus n+1."""
     if n < 1:
         raise ValueError("VT length must be >= 1")
-    return CodeSpec(_one_to(n), n + 1, b)
+    return CodeSpec(range(1, n + 1), n + 1, b)
 
 
 def make_levenshtein(k: int, n: int, b: int) -> CodeSpec:
     """L_b(k, n): coefficients 1..k, modulus n."""
     if k < 1:
         raise ValueError("length must be >= 1")
-    return CodeSpec(_one_to(k), n, b)
+    return CodeSpec(range(1, k + 1), n, b)
 
 
-@lru_cache(maxsize=1)
 def helberg_multipliers(k: int, s: int) -> tuple[int, ...]:
     """First k+1 values v_1..v_{k+1} of v_i = 1 + sum_{j=1}^s v_{i-j}.
 
     Values below index 1 count as zero. The sequence is strictly increasing
     and grows exponentially in k for s >= 2, so all arithmetic stays exact
-    integer arithmetic. The last (k, s)'s immutable result is kept: a residue
-    sweep builds one Helberg code per residue, one (k, s) at a time.
+    integer arithmetic.
     """
     if k < 1:
         raise ValueError("length must be >= 1")

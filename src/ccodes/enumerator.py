@@ -439,7 +439,10 @@ def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
     the enumerator depends on the residue only through gcd(b, n), so the
     code's "closed" slot of the sweep memo holds the domain check's reason, or
     the dict of its gcd classes, each evaluated once: a residue sweep checks
-    the domain once and evaluates the form tau(n) times.
+    the domain once and evaluates the form tau(n) times. A new class is charged
+    a row for itself and one for each class already kept, before it is built,
+    so whatever order or subset of residues a caller asks for, the slot stays
+    under the cap.
     """
     n = spec.modulus
     classes = _memo.sweep.get((spec.coefficients, n), "closed",
@@ -449,6 +452,7 @@ def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
     g = math.gcd(spec.residue, n)  # n for b = 0
     w = classes.get(g)
     if w is None:
+        _check_closed(len(spec.coefficients), n, len(classes) + 1)
         w = classes[g] = _closed_form(len(spec.coefficients), n, g)
     return w
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from ccodes import (InvariantViolation, __version__, cli, enumerator, make_vt, polyring,
-                    vt_q_size, vt_size, weight_enumerator, weight_enumerator_closed,
+from ccodes import (CapExceeded, InvariantViolation, __version__, cli, enumerator, make_vt,
+                    polyring, vt_q_size, vt_size, weight_enumerator, weight_enumerator_closed,
                     weight_enumerator_fold)
 from ccodes.cli import main, parse_range
 from ccodes.cli import UsageError
@@ -179,12 +179,13 @@ def test_table_svt_empty_grid_header(capsys):
     ("enum", "--family", "blcc", "--coeffs", "1,2", "--mod", "0", "--b", "all"),
 ])
 def test_modulus_below_one_is_a_usage_error(capsys, argv):
-    # --b all over such a modulus was an empty grid that printed a header, exit 0
+    # --b all over such a modulus was an empty grid that printed a header, exit 0.
+    # The code is built before --b is read, so VT(n), of modulus n+1, names its length
     code, out, err = run(capsys, *argv)
     modulus = int(argv[argv.index("--mod" if "--mod" in argv else "--n") + 1])
-    modulus += argv[2] == "vt"  # VT(n) has modulus n+1
     assert (code, out) == (2, "")
-    assert err == f"ccodes: modulus {modulus} must be >= 1\n"
+    assert err == ("ccodes: VT length must be >= 1\n" if argv[2] == "vt"
+                   else f"ccodes: modulus {modulus} must be >= 1\n")
 
 
 def test_table_helberg_sizes(capsys):
@@ -796,6 +797,29 @@ def test_vt_table_past_the_fold_caps_answers(capsys):
     assert rows[1:] == [f"vt,777,{b},{vt_size(777, b)}" for b in range(778)]
 
 
+def test_closed_form_cap_charges_every_kept_gcd_class(capsys, monkeypatch):
+    # a cap between one and two rows of VT(20), 22 entries of 20 + 1 + 5 bits: the class
+    # of b = 0 is built, and b = 1's, a second class, is refused however residues are asked
+    monkeypatch.setattr(enumerator, "_MAX_CLOSED_BITS", 2 * 22 * 26 - 1)
+    limit = "up to 1144 closed-form bits exceeds the cap of 1143"
+    sizes = []
+    with pytest.raises(CapExceeded, match=f"^{limit}$"):
+        for b in range(21):
+            sizes.append(weight_enumerator_closed(make_vt(20, b)).size())
+    assert sizes == [vt_size(20, 0)]
+    code, out, err = run(capsys, "verify", "--family", "vt", "--n", "20", "--b", "0..1",
+                         "--methods", "exact,closed")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "PASS family=vt n=20 b=0 methods=exact,closed dev=0.000e+00",
+        f"SKIP family=vt n=20 b=1 method=closed reason={limit}",
+        "UNVERIFIED family=vt n=20 b=1 methods=exact",
+        "1/2 instances agree",
+    ]
+    assert run(capsys, "table", "--family", "vt", "--n", "20", "--b", "0..1") == (
+        4, "", f"ccodes: limit: {limit}\n")
+
+
 def test_svt_float_overflow_skips_inside_verify(capsys):
     # 2^1099 passes the largest float; the exact fold of 1100 coefficients mod 5 answers
     code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1100", "--n", "5",
@@ -1009,9 +1033,12 @@ def test_qary_size_builds_no_coefficients(capsys):
     ("verify", "--family", "vt", "--n", "40", "--b", "all"),
     ("table", "--family", "levenshtein", "--k", "12", "--n", "30", "--b", "all"),
     ("table", "--family", "svt", "--k", "9", "--n", "10", "--b", "all", "--r", "both"),
+    ("table", "--family", "helberg", "--k", "12", "--s", "2", "--b", "all"),
+    ("verify", "--family", "blcc", "--coeffs", "3,5,7", "--mod", "11", "--b", "all"),
 ])
 def test_b_all_grid_shares_one_coefficient_tuple(argv):
-    # VT(5039) --b all held 5040 tuples of 5039 ints, about 1 GB; one tuple per length now
+    # VT(5039) --b all held 5040 tuples of 5039 ints, about 1 GB; the grid builds each
+    # code once and its residues share that code's tuple, in every family
     specs = [spec for _, spec in cli._iter_instances(cli.parse_args(argv))]
     tuples = {id(getattr(spec, "base", spec).coefficients) for spec in specs}
     assert len(specs) > 1 and len(tuples) == 1
