@@ -118,6 +118,8 @@ GRIDS = (
     "enum --family svt --k 7 --n 8 --b 1 --r 0 --format csv",
     "enum --family blcc --coeffs 2,4,6,8 --mod 10 --b 0",
     "enum --family vt --n 9 --b 2 --q 5 --format json",
+    # a modulus past 2^53 goes to JSON as a decimal string, as size and the counts do
+    "enum --family blcc --coeffs 1,2 --mod 9007199254740993 --b 3 --format json",
     # table in each quantity
     "table --family vt --quantity size --n 1..6 --b all",
     "table --family vt --quantity enumerator --n 1..6 --b all",
