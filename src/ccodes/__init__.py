@@ -34,7 +34,6 @@ from .enumerator import (
     lehmer_count,
     size,
     size_upper_bound,
-    svt_sizes,
     svt_sizes_charsum_float,
     vt_q_size,
     vt_size,
@@ -56,7 +55,6 @@ from .errors import (
 from .oracle import (
     Codebook,
     brute_count_qary,
-    brute_count_zn,
     brute_weight_enumerator,
     build_codebook,
     check_single_deletion,
@@ -80,7 +78,6 @@ __all__ = [
     "WeightEnumerator",
     "binomial_row",
     "brute_count_qary",
-    "brute_count_zn",
     "brute_weight_enumerator",
     "build_codebook",
     "check_single_deletion",
@@ -99,7 +96,6 @@ __all__ = [
     "residue_product",
     "size",
     "size_upper_bound",
-    "svt_sizes",
     "svt_sizes_charsum_float",
     "totient",
     "vt_q_size",

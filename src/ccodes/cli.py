@@ -121,8 +121,8 @@ def _check_digits(bit_lengths: Iterable[int]) -> None:
         raise CapExceeded(f"about {digits:.0f} output digits exceed the cap of {_MAX_DIGITS}")
 
 
-def _json_scalar(v: int):
-    return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
+def _json_scalar(v: int | str):
+    return v if isinstance(v, str) or -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
 
 
 def _emit_record(fmt: str, family: str, params: Params, method: str, size: int,
@@ -135,8 +135,9 @@ def _emit_record(fmt: str, family: str, params: Params, method: str, size: int,
     if fmt == "json":
         import json
 
-        payload: dict = {"family": family, "params": params, "method": method,
-                         "size": _json_scalar(size)}
+        payload: dict = {"family": family,
+                         "params": {key: _json_scalar(v) for key, v in params.items()},
+                         "method": method, "size": _json_scalar(size)}
         if enumerator is not None:
             payload["enumerator"] = [_json_scalar(c) for c in enumerator]
         return json.dumps(payload, separators=(",", ":"))

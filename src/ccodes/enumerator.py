@@ -56,7 +56,6 @@ __all__ = [
     "vt_weight_count",
     "vt_size",
     "vt_q_size",
-    "svt_sizes",
     "svt_sizes_charsum_float",
 ]
 
@@ -123,14 +122,14 @@ def weight_enumerator(spec: CodeSpec | ParityCodeSpec, sweep: bool = False) -> W
     A shifted VT spec gets its base code's counts, the other weight parity
     zeroed. In the closed form's domain (closed_form_gap) the closed form
     answers, one evaluation per gcd class of the residue, or raises
-    CapExceeded past its own cap. Otherwise a fold already in the sweep memo
-    is read. Else the fold runs if it fits under the packed-bit cap
-    (cap_error) and either sweep is set, by a caller that asks for several
-    residues of one modulus, or the cost model (mitm_is_cheaper) prefers it.
-    Everything else meets in the middle, which raises CapExceeded past the
-    same cap before it allocates. The route depends on the arguments alone.
-    ``verify`` and the tests compare the closed form with
-    weight_enumerator_fold, not with this dispatcher.
+    CapExceeded past its own cap. Otherwise the fold runs if it fits under
+    the packed-bit cap (cap_error) and either sweep is set, by a caller that
+    asks for several residues of one modulus, or the cost model
+    (mitm_is_cheaper) prefers it. Everything else meets in the middle, which
+    raises CapExceeded past the same cap before it allocates. The route
+    depends on spec and sweep alone, not on earlier calls: only the routes
+    read the sweep memo. ``verify`` and the tests compare the closed form
+    with weight_enumerator_fold, not with this dispatcher.
     """
     if isinstance(spec, ParityCodeSpec):
         w = weight_enumerator(spec.base, sweep)
@@ -140,29 +139,27 @@ def weight_enumerator(spec: CodeSpec | ParityCodeSpec, sweep: bool = False) -> W
     except OutOfDomain:
         pass
     coeffs, n = spec.coefficients, spec.modulus
-    if "fold" in _memo.sweep.values((coeffs, n)) or (
-            cap_error([coeffs], n) is None
-            and (sweep or not mitm_is_cheaper(tuple(a % n for a in coeffs), n))):
+    if cap_error([coeffs], n) is None and (
+            sweep or not mitm_is_cheaper(tuple(a % n for a in coeffs), n)):
         return weight_enumerator_fold(spec)
     return weight_enumerator_mitm(spec)
 
 
-def check_sweep(spec: CodeSpec | ParityCodeSpec) -> None:
-    """Raise CapExceeded when a sweep over spec's residues would pass a cap.
+def check_sweep(code: CodeSpec) -> None:
+    """Raise CapExceeded when a sweep over code's residues would pass a cap.
 
     weight_enumerator(spec, sweep=True) reads every residue of a modulus n
     from the closed form in its domain (closed_form_gap), keeping one
-    enumerator per gcd class, so tau(n) of them, and otherwise from one fold:
-    so this charges tau(n) rows to the closed form's cap inside that domain
-    and raises the fold's cap_error outside it. Neither depends on the
-    residue or the parity of spec; nothing is built.
+    enumerator per gcd class, so tau(n) of them; outside it, from one fold
+    under the fold's cap and by meeting in the middle past it. So this
+    charges tau(n) rows to the closed form's cap inside that domain and,
+    outside it, raises the fold's cap_error exactly when the sweep would
+    meet in the middle. Neither depends on code's residue; nothing is built.
     """
-    if isinstance(spec, ParityCodeSpec):
-        spec = spec.base
-    n = spec.modulus
-    if not closed_form_gap(spec):
-        _check_closed(len(spec.coefficients), n, len(divisors(factor(n))))
-    elif error := cap_error([spec.coefficients], n):
+    n = code.modulus
+    if not closed_form_gap(code):
+        _check_closed(len(code.coefficients), n, len(divisors(factor(n))))
+    elif error := cap_error([code.coefficients], n):
         raise error
 
 
@@ -569,12 +566,6 @@ def vt_q_size(n: int, b: int, q: int) -> int:
     _check_vt(n, b)
     return _divisor_sum(n + 1, b, lambda d: q ** ((n + 1) // d) if math.gcd(d, q) == 1 else 0,
                         q * (n + 1), "q-ary size sum not divisible by q(n+1)")
-
-
-def svt_sizes(spec: ParityCodeSpec) -> tuple[int, int]:
-    """(even, odd): the base code's codewords of even and of odd weight, from the fold."""
-    counts = weight_enumerator_fold(spec.base).counts
-    return sum(counts[::2]), sum(counts[1::2])
 
 
 def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:

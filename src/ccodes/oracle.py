@@ -38,7 +38,6 @@ __all__ = [
     "Codebook",
     "build_codebook",
     "brute_weight_enumerator",
-    "brute_count_zn",
     "brute_count_qary",
     "check_single_deletion",
 ]
@@ -201,15 +200,6 @@ def _qary_count(coeffs: Sequence[int], n: int, b: int, q: int) -> int:
         return sum(coeffs[0] * d % n == b for d in range(q))
     low = _digit_sums(coeffs[:c], n, q)
     return sum(low.count((b - p) % n) for p in _digit_sums(coeffs[c:], n, q))
-
-
-def brute_count_zn(coeffs: Iterable[int], n: int, b: int, k: int) -> int:
-    """Exhaustive count of solutions over Z_n^k: brute_count_qary with q = n.
-
-    Every call enumerates all n^k tuples and counts its one residue. Capped
-    at n^k <= 10^7.
-    """
-    return brute_count_qary(coeffs, n, b, k, n)
 
 
 def brute_count_qary(coeffs: Iterable[int], n: int, b: int, k: int, q: int) -> int:

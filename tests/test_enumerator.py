@@ -35,7 +35,6 @@ from ccodes import (
     residue_product,
     size,
     size_upper_bound,
-    svt_sizes,
     svt_sizes_charsum_float,
     vt_q_size,
     vt_size,
@@ -176,27 +175,78 @@ def count_routes(monkeypatch):
     return routes
 
 
+def _fold_parities(spec):
+    # (even, odd): the fold's counts of spec's base code, split by weight parity
+    counts = weight_enumerator_fold(spec.base).counts
+    return sum(counts[::2]), sum(counts[1::2])
+
+
 def test_dense_fold_memo_key(monkeypatch):
     routes = count_routes(monkeypatch)
     a = (1, 2, 4, 8, 16, 32)
-    sequence = [  # spec, sweep, the route that runs ("" when a kept fold is read)
+    sequence = [  # spec, sweep, the route that runs ("" when the fold route reads a kept fold)
         (CodeSpec(a, 20, 0), False, "mitm"),  # one residue: meeting in the middle is cheaper
         (CodeSpec(a, 20, 1), False, "mitm"),  # the next call for the code too
         (CodeSpec(a, 20, 1), True, "fold"),  # a sweep folds
-        (CodeSpec(a, 20, 2), False, ""),  # same code: the fold is read, sweep or not
-        (CodeSpec(a, 20, 3), True, ""),
+        (CodeSpec(a, 20, 2), False, "mitm"),  # a kept fold does not change the route
+        (CodeSpec(a, 20, 3), True, ""),  # the fold route reads it
         (CodeSpec((2, 4, 6), 20, 3), False, "fold"),  # three coefficients fold at once, evicting A
-        (CodeSpec(a, 20, 5), False, "mitm"),  # so A meets in the middle again
+        (CodeSpec(a, 20, 5), False, "mitm"),  # A meets in the middle again
         (CodeSpec(a, 3, 1), False, "fold"),  # a small modulus: the fold is cheaper at once
         (CodeSpec(a, 3, 2), False, ""),
         (CodeSpec(a, 10**9 + 7, 11), False, "mitm"),
         (CodeSpec(a, 10**9 + 7, 4), True, "fold"),  # a modulus far above 2^k folds in a sweep
-        (CodeSpec(a, 10**9 + 7, 4), False, ""),
+        (CodeSpec(a, 10**9 + 7, 4), False, "mitm"),
     ]
     for spec, sweep, route in sequence:
         assert weight_enumerator(spec, sweep) == brute_weight_enumerator(spec)
         assert routes == ([route] if route else []), (spec, sweep)
         routes.clear()
+
+
+def test_a_sweep_does_not_change_the_route_of_the_next_call(monkeypatch):
+    # 14 coefficients mod 10^9+7 meet in the middle for one residue; a sweep of another
+    # residue of the same code folds, and the one residue still meets in the middle
+    routes = count_routes(monkeypatch)
+    rng = random.Random(40)
+    coeffs = tuple(rng.randrange(10**9 + 7) for _ in range(14))
+    b5, b6 = CodeSpec(coeffs, 10**9 + 7, 5), CodeSpec(coeffs, 10**9 + 7, 6)
+    fresh = weight_enumerator(b5)
+    assert routes == ["mitm"]
+    assert weight_enumerator(b6, sweep=True) == brute_weight_enumerator(b6)
+    assert weight_enumerator(b5) == fresh == brute_weight_enumerator(b5)
+    assert routes == ["mitm", "fold", "mitm"]
+
+
+def test_check_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(monkeypatch):
+    # outside the closed domain, table's --b all walk refuses a code exactly when
+    # weight_enumerator(spec, sweep=True) would not fold it
+    routes = count_routes(monkeypatch)
+    rng = random.Random(9)
+    seen = Counter()
+    for _ in range(300):
+        k = rng.randint(0, 10)
+        n = rng.randint(1, 1 << rng.randint(1, 12))
+        code = CodeSpec(tuple(rng.randint(-n, 2 * n) for _ in range(k)), n, 0)
+        if not closed_form_gap(code):
+            continue
+        bits = polyring.reach(code.coefficients, n) * (k + 1) ** 2
+        monkeypatch.setattr(polyring, "_MAX_BITS", rng.randint(bits // 2, 2 * bits))
+        monkeypatch.setattr(_memo, "sweep", _memo.Memo())  # the route runs, not a kept fold
+        try:
+            enumerator.check_sweep(code)
+            raised = False
+        except CapExceeded:
+            raised = True
+        spec = CodeSpec(code.coefficients, n, rng.randrange(n))
+        try:
+            assert weight_enumerator(spec, sweep=True) == brute_weight_enumerator(spec)
+        except CapExceeded:  # the halves are past the cap too
+            pass
+        assert routes == ["mitm" if raised else "fold"], spec
+        routes.clear()
+        seen[raised] += 1
+    assert min(seen[False], seen[True]) >= 50, seen
 
 
 _TWICE_SCRIPT = """
@@ -226,13 +276,13 @@ def test_the_same_call_twice_takes_the_same_route_in_a_fresh_process():
 
 
 def test_shifted_vt_codes_answer_from_the_one_entry_point():
-    # the base code's counts of one weight parity, as svt_sizes splits them and brute force
+    # the base code's counts of one weight parity, as the fold splits them and brute force
     # counts them, with or without a sweep
     for k in range(1, 13):
         for n in sorted({k + 1, 2 * k}):
             for b in range(n):
                 brute = brute_weight_enumerator(make_levenshtein(k, n, b)).counts
-                split = svt_sizes(make_svt(k, n, b, 0))
+                split = _fold_parities(make_svt(k, n, b, 0))
                 for r in (0, 1):
                     spec = make_svt(k, n, b, r)
                     want = tuple(c if t % 2 == r else 0 for t, c in enumerate(brute))
@@ -282,14 +332,15 @@ def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
     assert weight_enumerator(spec, sweep=True) == expected  # nor a sweep past the cap
     assert size(spec) == expected.size()
     assert routes == ["mitm"] * 4
-    # under the cap a sweep folds once, and the fold serves the next residue, sweep or not
+    # under the cap a sweep folds once, and the fold serves the sweep's next residue; a
+    # call without sweep still takes its own route, meeting in the middle
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
     assert weight_enumerator(spec, sweep=True) == expected
     assert weight_enumerator(make_helberg(10, 2, 4), sweep=True) == brute_weight_enumerator(
         make_helberg(10, 2, 4))
     assert weight_enumerator(make_helberg(10, 2, 5)) == brute_weight_enumerator(
         make_helberg(10, 2, 5))
-    assert routes == ["mitm"] * 4 + ["fold"]
+    assert routes == ["mitm"] * 4 + ["fold", "mitm"]
 
 
 def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
@@ -324,7 +375,7 @@ def test_float_routes_check_the_cap_before_their_tables(monkeypatch):
     at_cap = make_levenshtein(3, 1 << 10, 5)
     assert weight_enumerator_charsum_float(at_cap)[0] == weight_enumerator(at_cap)
     assert size_upper_bound(at_cap) >= size(at_cap)
-    assert svt_sizes_charsum_float(make_svt(3, 1 << 10, 5, 0))[:2] == svt_sizes(
+    assert svt_sizes_charsum_float(make_svt(3, 1 << 10, 5, 0))[:2] == _fold_parities(
         make_svt(3, 1 << 10, 5, 0))
 
 
@@ -336,7 +387,7 @@ def _svt(spec):
 FLOAT_ROUTES = {  # name: (float route, its product rows, its cost a cell, the exact answer)
     "charsum": (lambda spec: weight_enumerator_charsum_float(spec)[0], 4, 1, weight_enumerator),
     "svt": (lambda spec: svt_sizes_charsum_float(_svt(spec))[:2], 2, 5,
-            lambda spec: svt_sizes(_svt(spec))),
+            lambda spec: _fold_parities(_svt(spec))),
     "bound": (lambda spec: size_upper_bound(spec) >= size(spec), 1, 3, lambda spec: True),
 }
 
@@ -709,7 +760,7 @@ def test_size_examples():
 def _float_size(spec):
     # the float size of any congruence: the svt sum's even plus odd sizes
     even, odd, dev = svt_sizes_charsum_float(ParityCodeSpec(spec, 0))
-    assert (even, odd) == svt_sizes(ParityCodeSpec(spec, 0))
+    assert (even, odd) == _fold_parities(ParityCodeSpec(spec, 0))
     return even + odd, dev
 
 
@@ -1020,11 +1071,16 @@ def test_vt_q_size():
 # === shifted VT ===
 
 
+def _svt_sizes(k, n, b):
+    # (even, odd): the sizes of the shifted VT codes of parity 0 and 1, from the entry point
+    return tuple(size(make_svt(k, n, b, r)) for r in (0, 1))
+
+
 def test_svt_sizes_examples():
-    assert svt_sizes(make_svt(4, 5, 0, 0)) == (4, 0)
-    assert svt_sizes(make_svt(4, 5, 1, 0)) == (1, 2)
+    assert _svt_sizes(4, 5, 0) == (4, 0)
+    assert _svt_sizes(4, 5, 1) == (1, 2)
     # empty base code
-    assert svt_sizes(make_svt(1, 5, 3, 0)) == (0, 0)
+    assert _svt_sizes(1, 5, 3) == (0, 0)
 
 
 def test_svt_sizes_sum_to_base():
@@ -1033,7 +1089,7 @@ def test_svt_sizes_sum_to_base():
         k = rng.randint(1, 10)
         n = rng.randint(1, 2 * k + 2)
         b = rng.randint(0, n - 1)
-        even, odd = svt_sizes(make_svt(k, n, b, 0))
+        even, odd = _svt_sizes(k, n, b)
         assert even + odd == size(make_levenshtein(k, n, b))
         assert even >= 0 and odd >= 0
 
@@ -1050,7 +1106,7 @@ def test_svt_charsum_float_matches_exact():
         for n in (k + 1, 2 * k):
             for b in range(n):
                 pspec = make_svt(k, n, b, 0)
-                want = svt_sizes(pspec)
+                want = _fold_parities(pspec)
                 even, odd, dev = svt_sizes_charsum_float(pspec)
                 assert (even, odd) == want, (k, n, b)
                 assert dev < 1e-6

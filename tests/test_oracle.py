@@ -10,7 +10,6 @@ from ccodes import (
     Codebook,
     CodeSpec,
     brute_count_qary,
-    brute_count_zn,
     brute_weight_enumerator,
     build_codebook,
     check_single_deletion,
@@ -238,16 +237,16 @@ def test_codebook_validation():
 
 
 def test_brute_count_zn_examples():
-    assert brute_count_zn([2, 4], 6, 2, 2) == 12
-    assert brute_count_zn([2, 4], 6, 1, 2) == 0
-    assert brute_count_zn([1], 5, 3, 1) == 1
+    assert brute_count_qary([2, 4], 6, 2, 2, 6) == 12
+    assert brute_count_qary([2, 4], 6, 1, 2, 6) == 0
+    assert brute_count_qary([1], 5, 3, 1, 5) == 1
 
 
 def test_brute_count_zn_cap_and_validation():
     with pytest.raises(CapExceeded):
-        brute_count_zn([1] * 8, 10, 0, 8)
+        brute_count_qary([1] * 8, 10, 0, 8, 10)
     with pytest.raises(ValueError):
-        brute_count_zn([1, 2], 5, 0, 3)
+        brute_count_qary([1, 2], 5, 0, 3, 5)
 
 
 def test_brute_count_qary():
@@ -296,8 +295,6 @@ def test_qary_tally_equals_literal_loop(coeffs, n, q):
                     for xs in product(range(q), repeat=k))
     for b in range(n):
         assert brute_count_qary(coeffs, n, b, k, q) == tally[b], b
-        if q == n:
-            assert brute_count_zn(coeffs, n, b, k) == tally[b], b
 
 
 # (coefficients, modulus, alphabet): alphabets past 2^14, moduli past 2^16
@@ -317,8 +314,6 @@ def test_qary_wide_alphabet_or_modulus_equals_literal_loop(coeffs, n, q):
     unreached = [next(r for r in range(n) if r not in tally)] if len(tally) < n else []
     for b in sorted(tally)[:5] + sorted(tally)[-3:] + unreached:
         assert brute_count_qary(coeffs, n, b, k, q) == tally[b], b
-        if q == n:
-            assert brute_count_zn(coeffs, n, b, k) == tally[b], b
 
 
 def test_qary_memory_stays_bounded():
@@ -327,7 +322,7 @@ def test_qary_memory_stays_bounded():
     tracemalloc.start()
     try:
         brute_count_qary(coeffs, P, 5, 17, 2)  # 2^17 tuples, nearly all residues distinct
-        brute_count_zn([3], 3 * 10**5, 9, 1)  # 3 * 10^5 digits of one coordinate
+        brute_count_qary([3], 3 * 10**5, 9, 1, 3 * 10**5)  # 3 * 10^5 digits of one coordinate
         # 215^3 tuples: 215 listed residues and 215^2 = 46,225 over the other two coordinates,
         # the longest such list under the q^k cap
         brute_count_qary(coeffs[:3], P, 5, 3, 215)

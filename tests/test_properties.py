@@ -20,7 +20,6 @@ from ccodes import (  # noqa: E402
     residue_product,
     size,
     size_upper_bound,
-    svt_sizes,
     vt_weight_enumerator_closed,
     weight_enumerator,
     weight_enumerator_fold,
@@ -78,8 +77,9 @@ def test_residue_product_keeps_only_reached_residues(fold):
 @hypothesis.given(st.integers(1, 12), st.integers(1, 40), st.data())
 def test_parity_split_sums_to_size(k, n, data):
     spec = make_svt(k, n, data.draw(st.integers(0, n - 1)), 0)
-    even, odd = svt_sizes(spec)
-    assert even >= 0 and odd >= 0
+    counts = weight_enumerator_fold(spec.base).counts
+    even, odd = sum(counts[::2]), sum(counts[1::2])
+    assert (even, odd) == (size(spec), size(make_svt(k, n, spec.base.residue, 1)))
     assert even + odd == size(spec.base)
 
 
