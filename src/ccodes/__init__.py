@@ -43,6 +43,7 @@ from .enumerator import (
     weight_enumerator_charsum_float,
     weight_enumerator_closed,
     weight_enumerator_fold,
+    weight_enumerators,
 )
 from .errors import (
     CapExceeded,
@@ -106,4 +107,5 @@ __all__ = [
     "weight_enumerator_charsum_float",
     "weight_enumerator_closed",
     "weight_enumerator_fold",
+    "weight_enumerators",
 ]

@@ -38,9 +38,10 @@ prints SKIP ... method=M reason=... and drops out of the comparison; PASS
 lists the methods that ran. An instance passes when those agree and at least
 two ran, or the one method asked for; it is UNVERIFIED when fewer ran, and
 FAIL on a disagreement, an impossible enumerator or any other package error.
-verify streams its grid, one instance and one outcome at a time; the r = 0 and
-r = 1 lines of an svt base code share an outcome, so a method that raises for
-r = 0 does not run again and its SKIP or FAIL prints on both lines.
+verify streams its grid, one instance, one outcome and one code's plans at a
+time; the r = 0 and r = 1 lines of an svt base code share an outcome, so a
+method that raises for r = 0 does not run again and its SKIP or FAIL prints on
+both lines.
 
 Exit status:
     0  success
@@ -80,23 +81,25 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
 from types import SimpleNamespace
 
 from . import __version__
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_vt
 from .enumerator import (
+    charsum_float_plan,
     check_sweep,
+    closed_plan,
+    fold_plan,
+    mitm_plan,
     pretty_counts,
-    svt_sizes_charsum_float,
+    svt_float_plan,
     vt_q_size,
     weight_enumerator,
-    weight_enumerator_charsum_float,
-    weight_enumerator_closed,
-    weight_enumerator_fold,
-    weight_enumerator_mitm,
+    weight_enumerators,
 )
 from .errors import CapExceeded, CongruenceCodeError, IntegralityFailure, OutOfDomain
-from .oracle import brute_weight_enumerator
+from .oracle import brute_plan
 
 _JSON_INT_LIMIT = 1 << 53  # larger magnitudes go to JSON as decimal strings
 _MAX_DIGITS = 50_000_000  # output cap; VT(14299)'s enumerator, 4.43e7 digits, prints
@@ -191,8 +194,8 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
 # A family's grid lists the flags that name its code in output-parameter order,
 # each with an expander: (flag value, parameters so far) -> the values that
 # parameter takes. Its constructor from codes builds each code at residue 0;
-# --b, and svt's --r, then pick the code's cosets. Its routes map a spec to a
-# result; verify methods also return a deviation.
+# --b, and svt's --r, then pick the code's cosets. Its verify methods map a
+# code to a plan, which maps each residue to a result and a deviation.
 
 
 def _ints(text: str, params: Params) -> list[int]:
@@ -219,24 +222,16 @@ def _coeff_text(text: str, params: Params) -> list[str]:
     return [text]
 
 
-def _float(spec: CodeSpec) -> tuple[tuple[int, ...], float]:
-    w, dev = weight_enumerator_charsum_float(spec)
-    return w.counts, dev
+def _read(plan: Callable, read: Callable = lambda w: (w.counts, 0.0)) -> Callable[[int], tuple]:
+    """A verify method's plan: b -> read(plan(b)), the result and deviation at residue b."""
+    return lambda b: read(plan(b))
 
 
-def _svt_float(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
-    even, odd, dev = svt_sizes_charsum_float(spec)
-    return (even, odd), dev
-
-
-def _parity(method: Callable[[CodeSpec], tuple[tuple[int, ...], float]]):
-    """An svt method: the (even, odd) sizes from a method's counts of the base code."""
-    def svt_method(spec: ParityCodeSpec) -> tuple[tuple[int, int], float]:
-        counts, dev = method(spec.base)
-        even = sum(counts[::2])
-        return (even, sum(counts) - even), dev
-
-    return svt_method
+def _split(found: tuple[tuple[int, ...], float]) -> tuple[tuple[int, int], float]:
+    """An svt method's answer: the (even, odd) sizes from a method's counts of the base code."""
+    counts, dev = found
+    even = sum(counts[::2])
+    return (even, sum(counts) - even), dev
 
 
 class _Family(namedtuple("_Family", "grid make methods opt_in parity",
@@ -246,9 +241,9 @@ class _Family(namedtuple("_Family", "grid make methods opt_in parity",
     grid: the (flag, expander) pairs that name a code, in output-parameter
     order; make: the code's constructor, passed the grid values in grid order
     and then the residue; methods: verify methods by name, in default order,
-    each spec -> (result, deviation); opt_in: the methods verify runs only
-    when --methods names them; parity: whether --r splits each spec by weight
-    parity, as for svt.
+    each code -> its plan, b -> (result, deviation); opt_in: the methods
+    verify runs only when --methods names them; parity: whether --r splits
+    each spec by weight parity, as for svt.
     """
 
     __slots__ = ()
@@ -259,12 +254,12 @@ class _Family(namedtuple("_Family", "grid make methods opt_in parity",
         return [flag for flag, _ in self.grid] + ["b", "r"][:1 + self.parity]
 
 
-# A lambda reads its route's global when it runs, so a replaced or traced one runs.
-_METHODS = {"exact": lambda spec: (weight_enumerator_fold(spec).counts, 0.0),
-            "closed": lambda spec: (weight_enumerator_closed(spec).counts, 0.0),
-            "float": _float,
-            "brute": lambda spec: (brute_weight_enumerator(spec).counts, 0.0),
-            "mitm": lambda spec: (weight_enumerator_mitm(spec).counts, 0.0)}
+# A lambda reads its route's plan global when it runs, so a replaced or traced one runs.
+_METHODS = {"exact": lambda code: _read(fold_plan(code)),
+            "closed": lambda code: _read(closed_plan(code)),
+            "float": lambda code: _read(charsum_float_plan(code), lambda wd: (wd[0].counts, wd[1])),
+            "brute": lambda code: _read(brute_plan(code)),
+            "mitm": lambda code: _read(mitm_plan(code))}
 
 _FAMILIES = {
     "vt": _Family((("n", _ints),), make_vt, _METHODS,
@@ -272,8 +267,10 @@ _FAMILIES = {
     "levenshtein": _Family((("k", _ints), ("n", _ints)), make_levenshtein, _METHODS),
     "helberg": _Family((("k", _ints), ("s", lambda s, p: [s])), make_helberg, _METHODS),
     "svt": _Family((("k", _ints), ("n", _ints)), make_levenshtein,
-                   {**{name: _parity(method) for name, method in _METHODS.items()},
-                    "float": _svt_float}, parity=True),
+                   {**{name: lambda code, plan=plan: _read(plan(code), _split)
+                       for name, plan in _METHODS.items()},
+                    "float": lambda code: _read(svt_float_plan(code), lambda s: (s[:2], s[2]))},
+                   parity=True),
     "blcc": _Family((("coeffs", _coeff_text), ("mod", _ints)),
                     lambda coeffs, mod, b: CodeSpec(_parse_coeffs(coeffs), mod, b), _METHODS),
 }
@@ -309,20 +306,20 @@ def _codes(args: SimpleNamespace, family: _Family) -> Iterator[tuple[Params, Cod
 
 
 def _iter_instances(args: SimpleNamespace,
-                    family: _Family | None = None) -> Iterator[tuple[Params, object]]:
-    """Yield (params, spec) in deterministic order: each code's --b residues, then --r parities."""
+                    family: _Family | None = None) -> Iterator[tuple[Params, object, CodeSpec]]:
+    """Yield (params, spec, code) in order: each code's --b residues, then --r parities."""
     family = family or _FAMILIES[args.family]
     for params, code in _codes(args, family):
         for b in _residues(args.b, code.modulus):
             spec = CodeSpec(code.coefficients, code.modulus, b)
             if family.parity:
                 for r in (0, 1) if args.r == "both" else (int(args.r),):
-                    yield {**params, "b": b, "r": r}, ParityCodeSpec(spec, r)
+                    yield {**params, "b": b, "r": r}, ParityCodeSpec(spec, r), code
             else:
-                yield {**params, "b": b}, spec
+                yield {**params, "b": b}, spec, code
 
 
-def _random_blcc(count: int, seed: int) -> Iterator[tuple[dict[str, int | str], CodeSpec]]:
+def _random_blcc(count: int, seed: int) -> Iterator[tuple[Params, CodeSpec, CodeSpec]]:
     import random
 
     rng = random.Random(seed)
@@ -337,7 +334,8 @@ def _random_blcc(count: int, seed: int) -> Iterator[tuple[dict[str, int | str], 
             "mod": n,
             "b": b,
         }
-        yield params, CodeSpec(coeffs, n, b)
+        spec = CodeSpec(coeffs, n, b)
+        yield params, spec, spec  # each spec is a code of its own
 
 
 # ---- subcommands ----
@@ -357,7 +355,7 @@ def cmd_enum(args: SimpleNamespace) -> int:
     instances = list(itertools.islice(_iter_instances(args, family), 2))
     if len(instances) != 1:
         raise UsageError("enum needs a grid of exactly one instance; use table or verify")
-    [(params, spec)] = instances
+    [(params, spec, _)] = instances
     if qary:
         params, method, counts = {**params, "q": args.q}, "closed", None
         # q(n+1) size >= q^(n+1) - (n+1) q^((n+1)/2), as |c_d(b)| <= phi(d) and the
@@ -386,11 +384,12 @@ def cmd_table(args: SimpleNamespace) -> int:
     if args.b == "all":
         for _, code in _codes(args, family):
             check_sweep(code)
-    try:  # a grid of several residues of a code (--b all or a range, --r both) folds it once
-        sweep = args.r == "both" or args.b == "all" or len(parse_range(args.b or "")) > 1
-    except UsageError:  # the grid reports a bad --b, after any bad flag before it
-        sweep = False
-    rows = [(p, weight_enumerator(spec, sweep).counts) for p, spec in _iter_instances(args)]
+    rows = []  # a code's instances come in a row: one plan each, a sweep if two or more
+    for code, grid in itertools.groupby(_iter_instances(args, family), itemgetter(2)):
+        params = [p for p, _, _ in grid]
+        # an svt size of parity r sums the base code's counts of the weights t = r mod 2
+        rows += [(p, w.counts[p["r"]::2] if family.parity else w.counts)
+                 for p, w in zip(params, weight_enumerators(code, [p["b"] for p in params]))]
     width = max((len(counts) for _, counts in rows), default=0)
     if args.quantity == "size":  # the rows of a gcd class share one counts tuple: sum it once
         sizes = {id(c): (sum(c),) for c in {id(c): c for _, c in rows}.values()}
@@ -426,13 +425,16 @@ def _methods_for(family: str, requested: str | None) -> list[str]:
     return methods
 
 
-def _outcome(routes: dict, methods: Sequence[str], spec) -> tuple[list, dict | Exception]:
+def _outcome(routes: dict, plans: dict, methods: Sequence[str],
+             spec: CodeSpec) -> tuple[list, dict | Exception]:
     """The (method, reason) of each SKIP, and the answers or the package error that stopped them."""
     skips, found = [], {}
     try:
         for m in methods:
             try:
-                found[m] = routes[m](spec)
+                if m not in plans:  # plans holds the methods' plans of spec's code
+                    plans[m] = routes[m](spec)
+                found[m] = plans[m](spec.residue)
             except (IntegralityFailure, CapExceeded, OutOfDomain) as exc:  # outside its domain
                 skips.append((m, exc.with_traceback(None)))  # its frames may refer back to it
     except (CongruenceCodeError, ValueError) as exc:  # a package bug, as in main
@@ -455,12 +457,14 @@ def cmd_verify(args: SimpleNamespace) -> int:
         instances = _iter_instances(args)
     routes = _FAMILIES[args.family].methods
     count = failures = 0
-    code = outcome = None
-    for count, (params, spec) in enumerate(instances, 1):
+    held = last = outcome = None
+    for count, (params, spec, code) in enumerate(instances, 1):
         # both parities of an svt base code print the same split: run its methods once
-        base = spec.base if isinstance(spec, ParityCodeSpec) else None
-        if base is None or base != code:
-            code, outcome = base, _outcome(routes, methods, spec)
+        base = getattr(spec, "base", spec)
+        if base is not last:
+            if code is not held:  # the last code's plans go before this one's are built
+                held, plans = code, {}
+            last, outcome = base, _outcome(routes, plans, methods, base)
         skips, found = outcome
         label = " ".join(f"{k}={v}" for k, v in params.items())
         for m, reason in skips:

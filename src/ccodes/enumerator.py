@@ -31,9 +31,8 @@ import cmath
 import math
 from functools import reduce
 from operator import add, attrgetter, mul
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from . import _memo
 from ._record import Record
 from .arith import binomial_row, divisors, factor, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
@@ -43,7 +42,13 @@ from .polyring import cap_error, mitm_is_cheaper, residue_product, residue_slot,
 __all__ = [
     "WeightEnumerator",
     "weight_enumerator",
+    "weight_enumerators",
     "check_sweep",
+    "closed_plan",
+    "fold_plan",
+    "mitm_plan",
+    "charsum_float_plan",
+    "svt_float_plan",
     "weight_enumerator_closed",
     "weight_enumerator_fold",
     "weight_enumerator_mitm",
@@ -116,75 +121,83 @@ def pretty_counts(counts: Iterable[int], var: str = "z") -> str:
     return " + ".join(terms) or "0"
 
 
-def weight_enumerator(spec: CodeSpec | ParityCodeSpec, sweep: bool = False) -> WeightEnumerator:
+def weight_enumerator(spec: CodeSpec | ParityCodeSpec) -> WeightEnumerator:
     """Exact weight enumerator: the closed form, the fold or meeting in the middle.
 
     A shifted VT spec gets its base code's counts, the other weight parity
-    zeroed. In the closed form's domain (closed_form_gap) the closed form
-    answers, one evaluation per gcd class of the residue, or raises
-    CapExceeded past its own cap. Otherwise the fold runs if it fits under
-    the packed-bit cap (cap_error) and either sweep is set, by a caller that
-    asks for several residues of one modulus, or the cost model
-    (mitm_is_cheaper) prefers it. Everything else meets in the middle, which
-    raises CapExceeded past the same cap before it allocates. The route
-    depends on spec and sweep alone, not on earlier calls: only the routes
-    read the sweep memo. ``verify`` and the tests compare the closed form
-    with weight_enumerator_fold, not with this dispatcher.
+    zeroed. The route is weight_enumerators' for one residue, and a call
+    keeps nothing for the next.
     """
     if isinstance(spec, ParityCodeSpec):
-        w = weight_enumerator(spec.base, sweep)
+        w = weight_enumerator(spec.base)
         return WeightEnumerator(w.k, [c * (t % 2 == spec.parity) for t, c in enumerate(w.counts)])
-    try:
-        return weight_enumerator_closed(spec)
-    except OutOfDomain:
-        pass
-    coeffs, n = spec.coefficients, spec.modulus
+    return next(weight_enumerators(spec, (spec.residue,)))
+
+
+def weight_enumerators(code: CodeSpec, residues: Sequence[int]) -> Iterator[WeightEnumerator]:
+    """The exact enumerator of code at each residue asked, from one plan of code.
+
+    code's own residue is not read. The closed form answers in its domain,
+    once per gcd class; else the fold, if it fits under its cap and two
+    residues or more are asked or the cost model (mitm_is_cheaper) prefers it
+    for one; else meeting in the middle. Each raises CapExceeded past its cap.
+    """
+    return map(_route(code, len(residues) > 1)(code), residues)
+
+
+def _route(code: CodeSpec, sweep: bool) -> Callable[[CodeSpec], Callable[[int], WeightEnumerator]]:
+    # the exact route of code's plans, for one residue or a sweep of several; builds nothing
+    if not closed_form_gap(code):
+        return _closed_plan
+    coeffs, n = code.coefficients, code.modulus
     if cap_error([coeffs], n) is None and (
             sweep or not mitm_is_cheaper(tuple(a % n for a in coeffs), n)):
-        return weight_enumerator_fold(spec)
-    return weight_enumerator_mitm(spec)
+        return fold_plan
+    return mitm_plan
 
 
 def check_sweep(code: CodeSpec) -> None:
-    """Raise CapExceeded when a sweep over code's residues would pass a cap.
+    """Raise CapExceeded when weight_enumerators(code, range(n)) would pass a cap.
 
-    weight_enumerator(spec, sweep=True) reads every residue of a modulus n
-    from the closed form in its domain (closed_form_gap), keeping one
-    enumerator per gcd class, so tau(n) of them; outside it, from one fold
-    under the fold's cap and by meeting in the middle past it. So this
-    charges tau(n) rows to the closed form's cap inside that domain and,
-    outside it, raises the fold's cap_error exactly when the sweep would
-    meet in the middle. Neither depends on code's residue; nothing is built.
+    It reads that sweep's route and builds nothing: the closed form is charged
+    its tau(n) gcd classes, and meeting in the middle, taken only past the
+    fold's cap, raises that cap's error.
     """
-    n = code.modulus
-    if not closed_form_gap(code):
+    route, n = _route(code, True), code.modulus
+    if route is _closed_plan:
         _check_closed(len(code.coefficients), n, len(divisors(factor(n))))
-    elif error := cap_error([code.coefficients], n):
-        raise error
+    elif route is mitm_plan:
+        raise cap_error([code.coefficients], n)
+
+
+def fold_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
+    """b -> code's enumerator at residue b, each read off one fold of code built here.
+
+    The fold costs one big-integer add per reached residue and coefficient, at
+    most reach(coefficients, n) per coefficient, so huge moduli stay exact.
+    """
+    k, rows = code.length, residue_product(code.coefficients, code.modulus)
+    return lambda b: WeightEnumerator(k, row_counts(rows.get(b, 0), k))
 
 
 def weight_enumerator_fold(spec: CodeSpec) -> WeightEnumerator:
-    """Exact weight enumerator from the residue fold of every residue.
+    """Exact weight enumerator from the residue fold (fold_plan), ``verify``'s exact method."""
+    return fold_plan(spec)(spec.residue)
 
-    The fold costs one big-integer add per reached residue and coefficient,
-    at most reach(coefficients, n) per coefficient, so huge-modulus
-    instances stay exact. It is kept in the sweep memo while consecutive
-    calls share the coefficients and n, and it is what ``verify`` runs as its
-    exact method.
+
+def mitm_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
+    """b -> code's enumerator at residue b by meeting in the middle (``polyring.residue_slot``).
+
+    It keeps nothing between residues, and holds about 2^ceil(k/2) rows per
+    half instead of the fold's 2^k.
     """
-    rows = _memo.sweep.get((spec.coefficients, spec.modulus), "fold",
-                           lambda: residue_product(spec.coefficients, spec.modulus))
-    return WeightEnumerator(spec.length, row_counts(rows.get(spec.residue, 0), spec.length))
+    coeffs, n, k = code.coefficients, code.modulus, code.length
+    return lambda b: WeightEnumerator(k, residue_slot(coeffs, n, b))
 
 
 def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
-    """Exact weight enumerator of one residue by meeting in the middle.
-
-    Holds about 2^ceil(k/2) rows per half instead of the fold's 2^k, and is
-    independent of the fold's slot in the sweep memo (``polyring.residue_slot``).
-    """
-    return WeightEnumerator(spec.length,
-                            residue_slot(spec.coefficients, spec.modulus, spec.residue))
+    """Exact weight enumerator by meeting in the middle (mitm_plan)."""
+    return mitm_plan(spec)(spec.residue)
 
 
 # The float routes build one table of phases before they loop, n for the
@@ -213,10 +226,10 @@ _BOUND_CELL_COST = 3
 # and blocks of 2^14 or 2^15 cells were no faster.
 _FLOAT_CELLS = 1 << 16
 
-# Cells of all the blocks that a float route may keep in the sweep memo, so that
-# a residue sweep past one block also builds its rows once. A slot this full peaked
-# at 25 MB child RSS against 20 MB without it, with 12 or 40 coefficients; 2^19
-# cells peaked at 35 MB. The slot also keeps the call's table of n or 2n phases, at
+# Cells of all the blocks that a float plan may keep, so that a residue sweep
+# past one block also builds its rows once. A plan this full peaked at 25 MB
+# child RSS against 20 MB without it, with 12 or 40 coefficients; 2^19 cells
+# peaked at 35 MB. The plan also keeps its table of n or 2n phases, at
 # most 2^17 complex numbers (about 5 MB) at n = 2^16, which every call builds
 # anyway: a four-residue sweep of the svt sum at n = 2^16 and the two sweeps
 # above peaked at the same RSS with the table kept as without it.
@@ -262,66 +275,97 @@ def _stepped(phases: list, a: int, ms: range) -> list:
     return [phases[s % size] for s in range(a * ms.start, a * ms.stop, a)]
 
 
-def _float_sums(route: str, spec: CodeSpec, width: int,
-                build: Callable[[range, list], list[list]], eta: int, size: int) -> list[complex]:
-    """sum_{m=1}^{n} e(eta m / size) row_t[m] for each of width rows, n = spec.modulus.
+def _float_plan(code: CodeSpec, width: int, size: int, build: Callable[..., list[list]],
+                reads: tuple = ()) -> Callable[[int], list[complex]]:
+    """eta -> [sum_{m=1}^{n} e(eta m / size) row_t[m] for each of width rows], n = code.modulus.
 
-    size is n or 2n. build(ms, phases) returns the width rows, each a list over
-    ms, and may read the one phase table, phases[t] = e(t / size) for t < size.
-    Each entry is computed as the entry t * 2n / size of a table of e(t / 2n),
-    from the same cmath.exp argument, so a table of n holds the even phases of
-    a table of 2n bit for bit. A block of consecutive m holds at most
-    _FLOAT_CELLS cells, or one m. When all n * width cells fit in
-    _FLOAT_MEMO_CELLS the table and the blocks are kept in route's slot of the
-    sweep memo, so a memo hit builds neither; otherwise none are kept. At eta = 0
-    every phase is exactly 1+0j, so each real part is the float sum of the rows
-    alone.
+    size is n or 2n, and phases[t] = e(t / size), each from the cmath.exp
+    argument of entry t * 2n / size of a table of e(t / 2n), so a table of n
+    holds the even phases of a table of 2n bit for bit. build(ms, *tables)
+    gives a block's rows, each a list over ms, from the phase table mapped
+    through each f of reads, or from the phase table itself without reads. A
+    block of consecutive m holds at most _FLOAT_CELLS cells, or one m. When
+    all n * width cells fit in _FLOAT_MEMO_CELLS the table and the blocks are
+    built here, once for every eta, else at each call. At eta = 0 every phase
+    is exactly 1+0j, so each real part is the float sum of the rows.
     """
-    n = spec.modulus
-    n2 = 2 * n
+    n = code.modulus
     step = max(1, _FLOAT_CELLS // width)
-    blocks = (range(start, min(start + step, n + 1)) for start in range(1, n + 1, step))
-    keep = n * width <= _FLOAT_MEMO_CELLS
 
     def tabled() -> tuple[list, Iterable]:
-        phases = [cmath.exp(1j * math.pi * t / n) for t in range(0, n2, n2 // size)]
-        built = ((ms, build(ms, phases)) for ms in blocks)
-        return phases, list(built) if keep else built
+        phases = [cmath.exp(1j * math.pi * t / n) for t in range(0, 2 * n, 2 * n // size)]
+        tables = [list(map(read, phases)) for read in reads] or [phases]
+        blocks = (range(start, min(start + step, n + 1)) for start in range(1, n + 1, step))
+        return phases, ((ms, build(ms, *tables)) for ms in blocks)
 
-    code = (spec.coefficients, n)
-    if keep:
-        phases, built = _memo.sweep.get(code, route, tabled)
-    else:
-        _memo.sweep.values(code)  # drop another code's values before building
+    if n * width <= _FLOAT_MEMO_CELLS:
         phases, built = tabled()
-    acc = [0j] * width
-    for ms, rows in built:
-        row_phases = _stepped(phases, eta, ms)
-        for t, row in enumerate(rows):  # a left fold: sum() compensates from Python 3.12 on
-            acc[t] = reduce(add, map(mul, row_phases, row), acc[t])
-    return acc
+        kept = phases, list(built)
+        tabled = lambda: kept  # noqa: E731
+
+    def sums(eta: int) -> list[complex]:
+        phases, built = tabled()
+        acc = [0j] * width
+        for ms, rows in built:
+            row_phases = _stepped(phases, eta, ms)
+            for t, row in enumerate(rows):  # a left fold: sum() compensates from Python 3.12 on
+                acc[t] = reduce(add, map(mul, row_phases, row), acc[t])
+        return acc
+
+    return sums
 
 
-def _trig_sums(route: str, spec: CodeSpec, reads: tuple, two_eta: int) -> list[complex]:
-    """sum_{m=1}^{n} e(eta m / n) prod_j f(e(a_j m / 2n)) for each f of reads.
+def _trig_plan(code: CodeSpec, reads: tuple) -> Callable[[int], list[complex]]:
+    """two_eta -> [sum_{m=1}^{n} e(eta m / n) prod_j f(e(a_j m / 2n)) for each f of reads].
 
-    eta comes as the integer two_eta = 2 eta. A call maps _float_sums' one table of
-    e(t / 2n) = cos(pi t / n) + i sin(pi t / n) through each f once, for all its
-    blocks, and a memo hit maps none. The products are built column-wise, one row per
-    f; every m sees the same multiplications in the same order as a product on its own.
+    eta comes as the integer two_eta = 2 eta, and each f reads the table of
+    e(t / 2n) = cos(pi t / n) + i sin(pi t / n). The products are built
+    column-wise, one row per f; every m sees the same multiplications in the
+    same order as a product on its own.
     """
-    n2 = 2 * spec.modulus
-    tables = []
+    n2 = 2 * code.modulus
+    coeffs = [a % n2 for a in code.coefficients]
 
-    def build(ms: range, phases: list) -> list[list]:
-        if not tables:  # the blocks of one call share one phase table
-            tables.extend(list(map(read, phases)) for read in reads)
-        rows = [[1.0] * len(ms) for _ in reads]
-        for a in (a % n2 for a in spec.coefficients):
+    def build(ms: range, *tables: list) -> list[list]:
+        rows = [[1.0] * len(ms) for _ in tables]
+        for a in coeffs:
             rows = [list(map(mul, row, _stepped(table, a, ms))) for row, table in zip(rows, tables)]
         return rows
 
-    return _float_sums(route, spec, len(reads), build, two_eta, n2)
+    return _float_plan(code, len(reads), n2, build, reads)
+
+
+def charsum_float_plan(code: CodeSpec) -> Callable[[int], tuple[WeightEnumerator, float]]:
+    """b -> weight_enumerator_charsum_float at residue b, from one set of products of code."""
+    k, n = code.length, code.modulus
+    _check_float(n, k, k + 1)
+
+    def build(ms: range, phases: list) -> list[list]:
+        # the products column-wise over the table of the n phases e(s / n): row t holds the
+        # z^t coefficient of every product of the block, and each coefficient updates the rows
+        # from the top down, a C-level map a row. Every m sees the same operations in the same
+        # order as a product built on its own
+        ones = [1 + 0j] * len(ms)
+        rows = [ones]
+        for a in code.coefficients:
+            w = _stepped(phases, a % n, ms)
+            # row t gains w times row t-1, from the top down; w times 1+0j is w bit for bit
+            rows.append(w if rows[-1] is ones else list(map(mul, w, rows[-1])))
+            for t in range(len(rows) - 2, 0, -1):
+                prev = rows[t - 1]
+                rows[t] = list(map(add, rows[t], w if prev is ones else map(mul, w, prev)))
+        return rows
+
+    sums = _float_plan(code, k + 1, n, build)
+
+    def charsum(b: int) -> tuple[WeightEnumerator, float]:
+        raws = [x / n for x in sums(-b)]
+        if not all(map(cmath.isfinite, raws)):  # the products' coefficients passed the float range
+            raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")
+        counts, dev = _rounded("character sum", raws)
+        return WeightEnumerator(k, counts), dev
+
+    return charsum
 
 
 def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
@@ -336,36 +380,8 @@ def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, f
     rounding stops showing an error, and CapExceeded,
     before building anything, past the float modulus or cell cap. Advisory
     path; exact results come from weight_enumerator.
-
-    The products are built column-wise over the driver's table of the n phases
-    e(s / n): row t holds the z^t coefficient of every product of a block, and
-    each coefficient updates the rows from the top down, a C-level map a row.
-    Every m sees the same operations in the same order as a product built on
-    its own, except that a phase times the unit coefficient 1+0j is taken as
-    the phase itself, which is the same float bit for bit.
     """
-    k = len(spec.coefficients)
-    n = spec.modulus
-    _check_float(n, k, k + 1)
-
-    def build(ms: range, phases: list) -> list[list]:
-        ones = [1 + 0j] * len(ms)
-        rows = [ones]
-        for a in spec.coefficients:
-            w = _stepped(phases, a % n, ms)
-            # row t gains w times row t-1, from the top down; w times 1+0j is w bit for bit
-            rows.append(w if rows[-1] is ones else list(map(mul, w, rows[-1])))
-            for t in range(len(rows) - 2, 0, -1):
-                prev = rows[t - 1]
-                rows[t] = list(map(add, rows[t], w if prev is ones else map(mul, w, prev)))
-        return rows
-
-    acc = _float_sums("charsum", spec, k + 1, build, -spec.residue, n)
-    raws = [x / n for x in acc]
-    if not all(map(cmath.isfinite, raws)):  # the products' coefficients passed the float range
-        raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")
-    counts, dev = _rounded("character sum", raws)
-    return WeightEnumerator(k, counts), dev
+    return charsum_float_plan(spec)(spec.residue)
 
 
 def size(spec: CodeSpec | ParityCodeSpec) -> int:
@@ -384,7 +400,7 @@ def size_upper_bound(spec: CodeSpec) -> float:
     n = spec.modulus
     _check_float(n, k, 1, _BOUND_CELL_COST)
     scale = _float_scale(k, n)
-    [acc] = _trig_sums("bound", spec, (lambda phase: abs(phase.real),), 0)
+    [acc] = _trig_plan(spec, (lambda phase: abs(phase.real),))(0)
     return scale * acc.real
 
 
@@ -428,30 +444,37 @@ def closed_form_gap(spec: CodeSpec) -> str:
     return ""
 
 
-def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
-    """Exact weight enumerator from the closed divisor sum over the divisors of n.
+def closed_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
+    """b -> code's enumerator at residue b from the closed form, once per gcd class.
 
-    Raises OutOfDomain, with closed_form_gap's reason, outside its domain,
-    and CapExceeded past the closed form's cap (_check_closed). In its domain
-    the enumerator depends on the residue only through gcd(b, n), so the
-    code's "closed" slot of the sweep memo holds the domain check's reason, or
-    the dict of its gcd classes, each evaluated once: a residue sweep checks
-    the domain once and evaluates the form tau(n) times. A new class is charged
-    a row for itself and one for each class already kept, before it is built,
-    so whatever order or subset of residues a caller asks for, the slot stays
-    under the cap.
+    A new class gcd(b, n) is charged a row for itself and one for each class
+    kept before it is built, so the plan stays under the cap (_check_closed)
+    whatever it is asked. OutOfDomain, with closed_form_gap's reason, outside
+    the form's domain.
     """
-    n = spec.modulus
-    classes = _memo.sweep.get((spec.coefficients, n), "closed",
-                              lambda: closed_form_gap(spec) or {})
-    if isinstance(classes, str):
-        raise OutOfDomain(classes)
-    g = math.gcd(spec.residue, n)  # n for b = 0
-    w = classes.get(g)
-    if w is None:
-        _check_closed(len(spec.coefficients), n, len(classes) + 1)
-        w = classes[g] = _closed_form(len(spec.coefficients), n, g)
-    return w
+    if gap := closed_form_gap(code):
+        raise OutOfDomain(gap)
+    return _closed_plan(code)
+
+
+def _closed_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
+    # closed_plan of a code in the domain, which the caller has checked
+    k, n, classes = code.length, code.modulus, {}
+
+    def closed(b: int) -> WeightEnumerator:
+        g = math.gcd(b, n)  # n for b = 0
+        w = classes.get(g)
+        if w is None:
+            _check_closed(k, n, len(classes) + 1)
+            w = classes[g] = _closed_form(k, n, g)
+        return w
+
+    return closed
+
+
+def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
+    """Exact weight enumerator from the closed divisor sum over the divisors of n (closed_plan)."""
+    return closed_plan(spec)(spec.residue)
 
 
 # The closed form's cap, on the bits of its row of k+2 integers: the divisor sum
@@ -568,6 +591,26 @@ def vt_q_size(n: int, b: int, q: int) -> int:
                         q * (n + 1), "q-ary size sum not divisible by q(n+1)")
 
 
+def svt_float_plan(code: CodeSpec) -> Callable[[int], tuple[int, int, float]]:
+    """b -> svt_sizes_charsum_float of code's residue b, from one set of products of code."""
+    k, n = code.length, code.modulus
+    _check_float(n, k, 2, _SVT_CELL_COST)
+    scale = _float_scale(k - 1, n)
+    sums = _trig_plan(code, (attrgetter("real"), attrgetter("imag")))
+    i_k, sign, total = (1, 1j, -1, -1j)[k % 4], -1 if k % 2 else 1, sum(code.coefficients)
+
+    def svt(b: int) -> tuple[int, int, float]:
+        acc_a, acc_b = sums(total - 2 * b)
+        b_term = i_k * acc_b  # i^k * prod(sin) terms
+        (even, odd), dev = _rounded("parity character sum", (scale * (acc_a + sign * b_term),
+                                                             scale * (acc_a - sign * b_term)))
+        if even < 0 or odd < 0:
+            raise IntegralityFailure(f"parity character sum off integer by {dev:g}")
+        return even, odd, dev
+
+    return svt
+
+
 def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     """Floating-point parity-split sizes from the cosine/sine product form.
 
@@ -580,17 +623,4 @@ def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
     Before building anything: CapExceeded past the float modulus or cell
     cap, then IntegralityFailure when 2^(k-1) overflows a float (k >= 1025).
     """
-    base = spec.base
-    k = len(base.coefficients)
-    n = base.modulus
-    _check_float(n, k, 2, _SVT_CELL_COST)
-    scale = _float_scale(k - 1, n)
-    acc_a, acc_b = _trig_sums("svt", base, (attrgetter("real"), attrgetter("imag")),
-                              sum(base.coefficients) - 2 * base.residue)
-    b_term = (1, 1j, -1, -1j)[k % 4] * acc_b  # i^k * prod(sin) terms
-    sign = -1 if k % 2 else 1
-    (even, odd), dev = _rounded("parity character sum",
-                                (scale * (acc_a + sign * b_term), scale * (acc_a - sign * b_term)))
-    if even < 0 or odd < 0:
-        raise IntegralityFailure(f"parity character sum off integer by {dev:g}")
-    return even, odd, dev
+    return svt_float_plan(spec.base)(spec.base.residue)

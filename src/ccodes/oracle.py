@@ -25,10 +25,9 @@ those equal to b - p.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import compress, count
 
-from . import _memo
 from ._record import Record
 from .codes import CodeSpec
 from .enumerator import WeightEnumerator
@@ -37,6 +36,7 @@ from .errors import CapExceeded
 __all__ = [
     "Codebook",
     "build_codebook",
+    "brute_plan",
     "brute_weight_enumerator",
     "brute_count_qary",
     "check_single_deletion",
@@ -150,25 +150,27 @@ def _count(cells: list, prefixes: list[int], n: int, b: int, width: int) -> list
     return counts
 
 
+def brute_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
+    """b -> brute_weight_enumerator of code's residue b, from one grouping of its low tuples."""
+    k, n = code.length, code.modulus
+    cells, prefixes = _cells([a % n for a in code.coefficients], n)
+    return lambda b: WeightEnumerator(k, _count(cells, prefixes, n, b, k + 1))
+
+
 def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:
     """Enumerate all 2^k binary tuples and count code membership by weight.
 
     Every call counts its one residue: for every tuple it tests the
     congruence, a C-level str.count over the low tuples of each weight
-    under each high prefix. The low tuples are grouped by weight once per
-    code, in its "brute" slot of the sweep memo, so a residue sweep groups
-    them once per modulus; the count itself is repeated for each residue.
-    At k = 24 a residue costs 0.02 s at modulus 25 and 0.005 s at 2621, so
-    a sweep of 25 residues takes 0.5 s. The trade: all 2621 residues of k = 24,
-    n = 2621 took 11-14 s, where one tally of every residue took 3 s.
+    under each high prefix; brute_plan groups those once per code. At
+    k = 24 a residue costs 0.02 s at modulus 25 and 0.005 s at 2621, so a
+    sweep of 25 residues takes 0.5 s. The trade: all 2621 residues of
+    k = 24, n = 2621 took 11-14 s, where one tally of every residue took 3 s.
     Tuples are never held as a 2^k-entry table. Capped at k <= 24 for
     time; at k = 24 a child process peaked at 15 MB RSS, most of it the
     interpreter.
     """
-    k, n = spec.length, spec.modulus
-    cells, prefixes = _memo.sweep.get((spec.coefficients, n), "brute",
-                                      lambda: _cells([a % n for a in spec.coefficients], n))
-    return WeightEnumerator(k, _count(cells, prefixes, n, spec.residue, k + 1))
+    return brute_plan(spec)(spec.residue)
 
 
 def build_codebook(spec: CodeSpec) -> Codebook:

@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 from ccodes import (CapExceeded, InvariantViolation, __version__, cli, enumerator, make_vt,
-                    polyring, vt_q_size, vt_size, weight_enumerator, weight_enumerator_closed,
-                    weight_enumerator_fold)
+                    polyring, vt_q_size, vt_size, weight_enumerator, weight_enumerator_fold)
 from ccodes.cli import main, parse_range
 from ccodes.cli import UsageError
 
@@ -352,12 +351,17 @@ def test_verify_single_requested_method(capsys):
 
 
 def test_verify_disagreement_among_methods_that_ran_fails(capsys, monkeypatch):
-    def wrong_closed(spec):
-        counts = list(weight_enumerator_closed(spec).counts)
-        counts[0] ^= 1
-        return enumerator.WeightEnumerator(spec.length, counts)
+    def wrong_closed(code):
+        plan = enumerator.closed_plan(code)
 
-    monkeypatch.setattr(cli, "weight_enumerator_closed", wrong_closed)
+        def wrong(b):
+            counts = list(plan(b).counts)
+            counts[0] ^= 1
+            return enumerator.WeightEnumerator(code.length, counts)
+
+        return wrong
+
+    monkeypatch.setattr(cli, "closed_plan", wrong_closed)
     code, out, _ = run(capsys, "verify", "--family", "vt", "--n", "50", "--b", "0")
     assert code == 1
     lines = out.strip().split("\n")
@@ -439,7 +443,7 @@ def test_impossible_enumerator_is_not_a_usage_error(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == "ccodes: internal error: ValueError: N_0 = 5 impossible at length 1\n"
     # inside verify it is that instance's FAIL, like any other package error
-    monkeypatch.setattr(cli, "weight_enumerator_fold", impossible)
+    monkeypatch.setattr(cli, "fold_plan", lambda code: impossible)
     code, out, err = run(capsys, "verify", "--family", "vt", "--n", "4", "--b", "0",
                          "--methods", "exact,closed")
     assert (code, err) == (1, "")
@@ -448,10 +452,10 @@ def test_impossible_enumerator_is_not_a_usage_error(capsys, monkeypatch):
 
 
 def test_table_svt_rejects_non_size_quantity_before_computing(capsys, monkeypatch):
-    def must_not_run(spec):
-        raise AssertionError("weight_enumerator ran before the usage check")
+    def must_not_run(*args):
+        raise AssertionError("weight_enumerators ran before the usage check")
 
-    monkeypatch.setattr(cli, "weight_enumerator", must_not_run)  # every table row reads it
+    monkeypatch.setattr(cli, "weight_enumerators", must_not_run)  # every table row reads it
     for quantity in ("nt", "enumerator"):
         code, out, err = run(capsys, "table", "--family", "svt", "--quantity", quantity,
                              "--k", "3", "--n", "k+1", "--b", "all", "--r", "both")
@@ -802,10 +806,10 @@ def test_closed_form_cap_charges_every_kept_gcd_class(capsys, monkeypatch):
     # of b = 0 is built, and b = 1's, a second class, is refused however residues are asked
     monkeypatch.setattr(enumerator, "_MAX_CLOSED_BITS", 2 * 22 * 26 - 1)
     limit = "up to 1144 closed-form bits exceeds the cap of 1143"
-    sizes = []
+    sizes, plan = [], enumerator.closed_plan(make_vt(20, 0))
     with pytest.raises(CapExceeded, match=f"^{limit}$"):
         for b in range(21):
-            sizes.append(weight_enumerator_closed(make_vt(20, b)).size())
+            sizes.append(plan(b).size())
     assert sizes == [vt_size(20, 0)]
     code, out, err = run(capsys, "verify", "--family", "vt", "--n", "20", "--b", "0..1",
                          "--methods", "exact,closed")
@@ -915,14 +919,13 @@ def test_verify_float_skips_a_huge_modulus(capsys):
 ])
 @pytest.mark.parametrize("method", ["exact", "closed", "float", "brute", "mitm"])
 def test_every_verify_method_runs_its_routes_current_global(capsys, monkeypatch, grid, method):
-    route = {"exact": "weight_enumerator_fold", "closed": "weight_enumerator_closed",
-             "float": "weight_enumerator_charsum_float", "brute": "brute_weight_enumerator",
-             "mitm": "weight_enumerator_mitm"}[method]
+    route = {"exact": "fold_plan", "closed": "closed_plan", "float": "charsum_float_plan",
+             "brute": "brute_plan", "mitm": "mitm_plan"}[method]
     if method == "float" and grid[1] == "svt":
-        route = "svt_sizes_charsum_float"  # svt's one method that does not split base counts
+        route = "svt_float_plan"  # svt's one method that does not split base counts
     calls = []
     original = getattr(cli, route)
-    monkeypatch.setattr(cli, route, lambda spec: calls.append(spec) or original(spec))
+    monkeypatch.setattr(cli, route, lambda code: calls.append(code) or original(code))
     code, out, _ = run(capsys, "verify", *grid, "--methods", method)
     assert code == 0 and out.startswith(f"PASS family={grid[1]} ")
     assert len(calls) == 1
@@ -1039,7 +1042,7 @@ def test_qary_size_builds_no_coefficients(capsys):
 def test_b_all_grid_shares_one_coefficient_tuple(argv):
     # VT(5039) --b all held 5040 tuples of 5039 ints, about 1 GB; the grid builds each
     # code once and its residues share that code's tuple, in every family
-    specs = [spec for _, spec in cli._iter_instances(cli.parse_args(argv))]
+    specs = [spec for _, spec, _ in cli._iter_instances(cli.parse_args(argv))]
     tuples = {id(getattr(spec, "base", spec).coefficients) for spec in specs}
     assert len(specs) > 1 and len(tuples) == 1
 
@@ -1078,49 +1081,53 @@ def test_cli_start_up_imports_no_heavy_stdlib_modules():
 
 
 def test_verify_svt_runs_each_method_once_per_base_code(capsys, monkeypatch):
-    # r = 0 and r = 1 print the same split of one base code: each method runs once
-    # per (k, b), whether it answers or raises
-    calls = {}  # route name -> the base code of each call
+    # r = 0 and r = 1 print the same split of one base code: each method plans once per
+    # code and runs once per (k, b), whether it answers or raises
+    calls = {}  # plan name -> the (code, residue) of each run, or (code, None) for a plan
 
     def counted(name):
-        route = getattr(cli, name)
+        make = getattr(cli, name)
 
-        def call(spec):
-            calls.setdefault(name, []).append(getattr(spec, "base", spec))
-            return route(spec)
+        def plan(code):
+            calls.setdefault(name, []).append((code, None))
+            run = make(code)
 
-        monkeypatch.setattr(cli, name, call)
+            def call(b):
+                calls[name].append((code, b))
+                return run(b)
 
-    for name in ("weight_enumerator_fold", "brute_weight_enumerator", "svt_sizes_charsum_float",
-                 "weight_enumerator_closed", "weight_enumerator_mitm"):
+            return call
+
+        monkeypatch.setattr(cli, name, plan)
+
+    for name in ("fold_plan", "brute_plan", "svt_float_plan", "closed_plan", "mitm_plan"):
         counted(name)
     grid = ("--family", "svt", "--k", "1..3", "--n", "k+1", "--b", "all", "--r", "both")
-    for methods, routes in (((), ("weight_enumerator_fold", "brute_weight_enumerator",
-                                  "svt_sizes_charsum_float")),  # the default methods
-                            (("--methods", "closed,mitm"), ("weight_enumerator_closed",
-                                                            "weight_enumerator_mitm"))):
+    for methods, routes in (((), ("fold_plan", "brute_plan", "svt_float_plan")),  # the defaults
+                            (("--methods", "closed,mitm"), ("closed_plan", "mitm_plan"))):
         calls.clear()
         code, out, _ = run(capsys, "verify", *grid, *methods)
         assert code == 0
         assert sum(line.startswith("PASS ") for line in out.splitlines()) == 18
         assert sorted(calls) == sorted(routes)
-        bases = calls[routes[0]]
-        assert len(bases) == len(set(bases)) == 2 + 3 + 4
+        runs = calls[routes[0]]
+        assert len(runs) == len(set(runs)) == 3 + 2 + 3 + 4
+        assert [b for _, b in runs].count(None) == 3
         assert all(calls[name] == calls[routes[0]] for name in routes)
     # a method that raises runs once for r = 0 and prints its SKIP or FAIL on both lines
     calls.clear()
     code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "1100", "--n", "5",
                        "--b", "0", "--r", "both", "--methods", "float")
     assert code == 1
-    assert len(calls["svt_sizes_charsum_float"]) == 1
+    assert len(calls["svt_float_plan"]) == 1
     skips = [line for line in out.splitlines() if line.startswith("SKIP ")]
     assert [line.replace(" r=1 ", " r=0 ") for line in skips] == [skips[0]] * 2
 
-    def broken(spec):
-        calls.setdefault("broken", []).append(spec)
+    def broken(code):
+        calls.setdefault("broken", []).append(code)
         raise ValueError("broken route")
 
-    monkeypatch.setattr(cli, "weight_enumerator_fold", broken)
+    monkeypatch.setattr(cli, "fold_plan", broken)
     calls.clear()
     code, out, _ = run(capsys, "verify", "--family", "svt", "--k", "3", "--n", "4",
                        "--b", "1", "--r", "both", "--methods", "exact,brute")
@@ -1145,16 +1152,16 @@ def test_verify_streams_its_instances(monkeypatch):
     # random specs held about 1 MB. A full collection first empties the
     # interpreter's free lists, which a peak would count with what verify holds
     monkeypatch.setattr(sys, "stdout", _Sink())
-    fold, calls, held = cli.weight_enumerator_fold, [0], []
+    fold, calls, held = cli.fold_plan, [0], []
 
-    def fold_reading_memory_last(spec):
+    def fold_reading_memory_last(code):
         calls[0] += 1
         if calls[0] == count:
             gc.collect()
             held.append(tracemalloc.get_traced_memory()[0])
-        return fold(spec)
+        return fold(code)
 
-    monkeypatch.setattr(cli, "weight_enumerator_fold", fold_reading_memory_last)
+    monkeypatch.setattr(cli, "fold_plan", fold_reading_memory_last)
     for count in (200, 2000):
         calls[0] = 0
         tracemalloc.start()

@@ -44,9 +44,10 @@ from ccodes import (
     weight_enumerator_charsum_float,
     weight_enumerator_closed,
     weight_enumerator_fold,
+    weight_enumerators,
 )
 import ccodes
-from ccodes import _memo, enumerator, polyring
+from ccodes import enumerator, polyring
 from ccodes.codes import ParityCodeSpec
 from ccodes.polyring import residue_slot
 
@@ -182,45 +183,48 @@ def _fold_parities(spec):
 
 
 def test_dense_fold_memo_key(monkeypatch):
+    # a sweep's plan folds once for all its residues, and keeps nothing for the next call
     routes = count_routes(monkeypatch)
     a = (1, 2, 4, 8, 16, 32)
-    sequence = [  # spec, sweep, the route that runs ("" when the fold route reads a kept fold)
-        (CodeSpec(a, 20, 0), False, "mitm"),  # one residue: meeting in the middle is cheaper
-        (CodeSpec(a, 20, 1), False, "mitm"),  # the next call for the code too
-        (CodeSpec(a, 20, 1), True, "fold"),  # a sweep folds
-        (CodeSpec(a, 20, 2), False, "mitm"),  # a kept fold does not change the route
-        (CodeSpec(a, 20, 3), True, ""),  # the fold route reads it
-        (CodeSpec((2, 4, 6), 20, 3), False, "fold"),  # three coefficients fold at once, evicting A
-        (CodeSpec(a, 20, 5), False, "mitm"),  # A meets in the middle again
-        (CodeSpec(a, 3, 1), False, "fold"),  # a small modulus: the fold is cheaper at once
-        (CodeSpec(a, 3, 2), False, ""),
-        (CodeSpec(a, 10**9 + 7, 11), False, "mitm"),
-        (CodeSpec(a, 10**9 + 7, 4), True, "fold"),  # a modulus far above 2^k folds in a sweep
-        (CodeSpec(a, 10**9 + 7, 4), False, "mitm"),
+    sequence = [  # (coefficients, modulus), the residues asked, the routes that run
+        ((a, 20), [0], ["mitm"]),  # one residue: meeting in the middle is cheaper
+        ((a, 20), [1], ["mitm"]),  # the next call for the code too
+        ((a, 20), [1, 3], ["fold"]),  # a sweep folds once
+        ((a, 20), [2], ["mitm"]),  # the sweep's fold does not change the route
+        (((2, 4, 6), 20), [3], ["fold"]),  # three coefficients fold at once
+        ((a, 20), [5], ["mitm"]),
+        ((a, 3), [1], ["fold"]),  # a small modulus: the fold is cheaper at once
+        ((a, 3), [2, 0, 1], ["fold"]),
+        ((a, 10**9 + 7), [11], ["mitm"]),
+        ((a, 10**9 + 7), [4, 11], ["fold"]),  # a modulus far above 2^k folds in a sweep
+        ((a, 10**9 + 7), [4], ["mitm"]),
     ]
-    for spec, sweep, route in sequence:
-        assert weight_enumerator(spec, sweep) == brute_weight_enumerator(spec)
-        assert routes == ([route] if route else []), (spec, sweep)
+    for (coeffs, n), residues, want in sequence:
+        specs = [CodeSpec(coeffs, n, b) for b in residues]
+        got = (list(weight_enumerators(specs[0], residues)) if len(specs) > 1
+               else [weight_enumerator(specs[0])])
+        assert got == list(map(brute_weight_enumerator, specs))
+        assert routes == want, (coeffs, n, residues)
         routes.clear()
 
 
 def test_a_sweep_does_not_change_the_route_of_the_next_call(monkeypatch):
-    # 14 coefficients mod 10^9+7 meet in the middle for one residue; a sweep of another
-    # residue of the same code folds, and the one residue still meets in the middle
+    # 14 coefficients mod 10^9+7 meet in the middle for one residue; a sweep of the same
+    # code folds, and the one residue still meets in the middle
     routes = count_routes(monkeypatch)
     rng = random.Random(40)
     coeffs = tuple(rng.randrange(10**9 + 7) for _ in range(14))
     b5, b6 = CodeSpec(coeffs, 10**9 + 7, 5), CodeSpec(coeffs, 10**9 + 7, 6)
     fresh = weight_enumerator(b5)
     assert routes == ["mitm"]
-    assert weight_enumerator(b6, sweep=True) == brute_weight_enumerator(b6)
+    assert list(weight_enumerators(b6, [6, 5])) == [brute_weight_enumerator(b6), fresh]
     assert weight_enumerator(b5) == fresh == brute_weight_enumerator(b5)
     assert routes == ["mitm", "fold", "mitm"]
 
 
 def test_check_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(monkeypatch):
     # outside the closed domain, table's --b all walk refuses a code exactly when
-    # weight_enumerator(spec, sweep=True) would not fold it
+    # weight_enumerators' sweep would not fold it
     routes = count_routes(monkeypatch)
     rng = random.Random(9)
     seen = Counter()
@@ -232,18 +236,19 @@ def test_check_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(monkeypatch
             continue
         bits = polyring.reach(code.coefficients, n) * (k + 1) ** 2
         monkeypatch.setattr(polyring, "_MAX_BITS", rng.randint(bits // 2, 2 * bits))
-        monkeypatch.setattr(_memo, "sweep", _memo.Memo())  # the route runs, not a kept fold
         try:
             enumerator.check_sweep(code)
             raised = False
         except CapExceeded:
             raised = True
-        spec = CodeSpec(code.coefficients, n, rng.randrange(n))
+        residues = [rng.randrange(n), rng.randrange(n)]  # a sweep: one fold, or two joins
+        want = ["mitm"] * 2 if raised else ["fold"]
         try:
-            assert weight_enumerator(spec, sweep=True) == brute_weight_enumerator(spec)
-        except CapExceeded:  # the halves are past the cap too
-            pass
-        assert routes == ["mitm" if raised else "fold"], spec
+            assert list(weight_enumerators(code, residues)) == [
+                brute_weight_enumerator(CodeSpec(code.coefficients, n, b)) for b in residues]
+        except CapExceeded:  # the halves are past the cap too: the first residue raises
+            want = ["mitm"]
+        assert routes == want, (code, residues)
         routes.clear()
         seen[raised] += 1
     assert min(seen[False], seen[True]) >= 50, seen
@@ -264,22 +269,24 @@ for spec in (make_helberg(20, 2, 7), CodeSpec((1, 2, 4, 8, 16, 32), 20, 5),
 
 
 def test_the_same_call_twice_takes_the_same_route_in_a_fresh_process():
-    # no memo fixture in a child: the first call leaves nothing that turns the second to a
-    # fold, and a fold that the cost model chose is read again
+    # in a child, with nothing reset between calls: the first call leaves nothing that
+    # turns the second to a fold, and a fold that the cost model chose is built again
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccodes.__file__).parent.parent)}
     flags = ["-O"] * sys.flags.optimize + ["-X", "dev"] * sys.flags.dev_mode
     flags += [f"-W{option}" for option in sys.warnoptions]
     proc = subprocess.run([sys.executable, *flags, "-c", _TWICE_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "True residue_slot residue_slot\n" * 2 + "True residue_product\n"
+    assert proc.stdout == ("True residue_slot residue_slot\n" * 2
+                           + "True residue_product residue_product\n")
 
 
 def test_shifted_vt_codes_answer_from_the_one_entry_point():
     # the base code's counts of one weight parity, as the fold splits them and brute force
-    # counts them, with or without a sweep
+    # counts them, one residue at a time or from a sweep of the base code
     for k in range(1, 13):
         for n in sorted({k + 1, 2 * k}):
+            swept = list(weight_enumerators(make_levenshtein(k, n, 0), range(n)))
             for b in range(n):
                 brute = brute_weight_enumerator(make_levenshtein(k, n, b)).counts
                 split = _fold_parities(make_svt(k, n, b, 0))
@@ -287,7 +294,7 @@ def test_shifted_vt_codes_answer_from_the_one_entry_point():
                     spec = make_svt(k, n, b, r)
                     want = tuple(c if t % 2 == r else 0 for t, c in enumerate(brute))
                     assert weight_enumerator(spec).counts == want, spec
-                    assert weight_enumerator(spec, sweep=True).counts == want, spec
+                    assert swept[b].counts[r::2] == want[r::2], spec
                     assert size(spec) == split[r] == sum(want), spec
     assert size(make_svt(5, 6, 1, 0)) == 3
 
@@ -329,18 +336,17 @@ def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
     expected = brute_weight_enumerator(spec)
     assert weight_enumerator(spec) == expected
     assert weight_enumerator(spec) == expected  # a repeat does not fold
-    assert weight_enumerator(spec, sweep=True) == expected  # nor a sweep past the cap
+    assert list(weight_enumerators(spec, [3, 3])) == [expected] * 2  # nor a sweep past the cap
     assert size(spec) == expected.size()
-    assert routes == ["mitm"] * 4
+    assert routes == ["mitm"] * 5
     # under the cap a sweep folds once, and the fold serves the sweep's next residue; a
-    # call without sweep still takes its own route, meeting in the middle
+    # call for one residue still takes its own route, meeting in the middle
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
-    assert weight_enumerator(spec, sweep=True) == expected
-    assert weight_enumerator(make_helberg(10, 2, 4), sweep=True) == brute_weight_enumerator(
-        make_helberg(10, 2, 4))
+    assert list(weight_enumerators(spec, [3, 4])) == [
+        expected, brute_weight_enumerator(make_helberg(10, 2, 4))]
     assert weight_enumerator(make_helberg(10, 2, 5)) == brute_weight_enumerator(
         make_helberg(10, 2, 5))
-    assert routes == ["mitm"] * 4 + ["fold", "mitm"]
+    assert routes == ["mitm"] * 5 + ["fold", "mitm"]
 
 
 def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
@@ -348,11 +354,10 @@ def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
     spec = make_helberg(10, 2, 3)  # 232 rows of 11^2 bits; the halves 27 and 32 rows
     expected = brute_weight_enumerator(spec)
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2 - 1)
-    assert weight_enumerator(spec, sweep=True) == expected  # one bit short: no fold
-    assert weight_enumerator(spec, sweep=True) == expected
+    assert list(weight_enumerators(spec, [3, 3])) == [expected] * 2  # one bit short: no fold
     assert routes == ["mitm"] * 2
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
-    assert weight_enumerator(spec, sweep=True) == expected  # at the cap a sweep folds
+    assert list(weight_enumerators(spec, [3, 3])) == [expected] * 2  # at the cap a sweep folds
     assert routes == ["mitm"] * 2 + ["fold"]
 
 
@@ -559,8 +564,7 @@ def column_svt(pspec):
 
 def _same_float_results(spec, pspec, cells):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumerator, "_FLOAT_CELLS", cells)
-        mp.setattr(_memo, "sweep", _memo.Memo())  # build the rows in blocks of these cells
+        mp.setattr(enumerator, "_FLOAT_CELLS", cells)  # each call plans in blocks of these cells
         assert column_charsum(spec) == per_m_charsum(spec)
         assert column_svt(pspec) == per_m_svt(pspec)
         assert size_upper_bound(spec).hex() == per_m_bound(spec).hex()
@@ -605,29 +609,54 @@ def test_column_float_kernels_across_blocks_and_failures():
     _same_float_results(spec, ParityCodeSpec(spec, 1), 9)
 
 
+def plan_charsum(code):
+    """The charsum plan's answers as column_charsum gives them."""
+    plan = enumerator.charsum_float_plan(code)
+
+    def answer(b):
+        w, dev = plan(b)
+        return w.counts, dev
+
+    return answer
+
+
+def plan_bound(code):
+    """size_upper_bound of code from the plan of its kernel, which reads no residue."""
+    sums = enumerator._trig_plan(code, (lambda phase: abs(phase.real),))
+    return lambda b: 2.0**code.length / code.modulus * sums(0)[0].real
+
+
+FLOAT_PLANS = {  # route tag: (its plan as column_* answers, its blocks of 30 cells at n = 23)
+    "charsum": (plan_charsum, 5),
+    "svt": (lambda code: enumerator.svt_float_plan(code), 2),
+    "bound": (plan_bound, 1),
+}
+
+
 @pytest.mark.parametrize("route, per_m, tag, make", [
     (column_charsum, per_m_charsum, "charsum", lambda a, n, b: CodeSpec(a, n, b)),
     (column_svt, per_m_svt, "svt", lambda a, n, b: ParityCodeSpec(CodeSpec(a, n, b), b % 2)),
     (size_upper_bound, per_m_bound, "bound", lambda a, n, b: CodeSpec(a, n, b)),
 ])
 def test_float_memo_keeps_one_modulus(monkeypatch, route, per_m, tag, make):
+    plan, blocks = FLOAT_PLANS[tag]
+    builds = _count_float_builds(monkeypatch)
     a = (3, -5, 8, 13, 21)
-    held = None
+    answers = plan(CodeSpec(a, 17, 0))
     for b in range(17):  # a residue sweep builds the products once
-        spec = make(a, 17, b)
-        assert route(spec) == per_m(spec)
-        values = _memo.sweep.values((a, 17))
-        held = held or values[tag]
-        assert list(values) == [tag] and values[tag] is held
-    spec = make(a, 19, 4)  # another modulus replaces the code
+        assert answers(b) == per_m(make(a, 17, b))
+    assert builds == [17]
+    spec = make(a, 19, 4)  # a call for one spec plans its own code
     assert route(spec) == per_m(spec)
-    assert list(_memo.sweep.values((a, 19))) == [tag]
-    # past the memo bound nothing is kept, and the last code's values are dropped
+    assert builds == [17, 19]
+    # past the plan bound nothing is kept: each residue builds the blocks of its call
     monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
     monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 22)  # one row of 23 cells is past it
-    spec = make(a, 23, 5)
-    assert route(spec) == per_m(spec)
-    assert _memo.sweep._entry == ((a, 23), {})
+    answers = plan(CodeSpec(a, 23, 0))
+    assert builds == [17, 19]
+    for b in (5, 6):
+        assert answers(b) == per_m(make(a, 23, b))
+    assert builds == [17, 19] + [23] * 2 * blocks
 
 
 def test_phase_table_holds_the_cosines_and_sines_bit_for_bit():
@@ -648,7 +677,7 @@ def test_phase_table_holds_the_cosines_and_sines_bit_for_bit():
 
 def test_trig_sums_read_no_phase_on_a_memo_hit(monkeypatch):
     # blocks of 30 cells hold 15 m of the two rows, so n = 23 takes two blocks; each
-    # phase is read once a call, not once a block
+    # phase is read once a plan, not once a block, and a residue reads none
     monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
     reads = []
 
@@ -661,35 +690,38 @@ def test_trig_sums_read_no_phase_on_a_memo_hit(monkeypatch):
 
     spec = CodeSpec((3, -5, 8, 13, 21), 23, 4)
     phases = [cmath.exp(1j * math.pi * t / 23) for t in range(46)]
-    for two_eta, reads_each in ((7, 1), (-1, 0)):  # the second residue is a memo hit
-        reads.clear()
-        enumerator._trig_sums("svt", spec, (counting("real"), counting("imag")), two_eta)
-        assert Counter(reads) == Counter([(part, p) for part in ("real", "imag")
-                                          for p in phases] * reads_each)
+    sums = enumerator._trig_plan(spec, (counting("real"), counting("imag")))
+    assert Counter(reads) == Counter([(part, p) for part in ("real", "imag") for p in phases])
+    reads.clear()
+    for two_eta in (7, -1):
+        sums(two_eta)
+    assert reads == []
 
 
 def test_float_memo_keeps_the_phase_table(monkeypatch):
-    # the table is kept with the rows: a memo hit calls cmath.exp not once, and a
-    # call past the memo bound builds its table afresh. The enumerator sum reads
+    # the table is kept with the rows: a plan's residues call cmath.exp not once, and a
+    # residue past the plan bound builds its table afresh. The enumerator sum reads
     # only the n even phases e(2s / 2n), the svt sum all 2n
     exps = []
     exp = cmath.exp
     monkeypatch.setattr(cmath, "exp", lambda x: exps.append(x) or exp(x))
     a = (3, -5, 8, 13, 21)
-    for route, per_m, make, table in (
-            (column_charsum, per_m_charsum, CodeSpec, 23),
-            (column_svt, per_m_svt, lambda *s: ParityCodeSpec(CodeSpec(*s), 0), 46)):
-        for b, calls in ((4, table), (5, 0), (6, 0)):
-            spec = make(a, 23, b)
-            expected = per_m(spec)  # the reference builds its own tables
-            exps.clear()
-            assert route(spec) == expected
-            assert len(exps) == calls
+    for plan, per_m, make, table in (
+            (plan_charsum, per_m_charsum, CodeSpec, 23),
+            (enumerator.svt_float_plan, per_m_svt, lambda *s: ParityCodeSpec(CodeSpec(*s), 0), 46)):
+        expected = [per_m(make(a, 23, b)) for b in (4, 5, 6)]  # the reference builds its own
+        exps.clear()
+        answers = plan(CodeSpec(a, 23, 0))
+        assert len(exps) == table
+        exps.clear()
+        assert [answers(b) for b in (4, 5, 6)] == expected
+        assert exps == []
     monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 22)  # one row of 23 cells is past it
+    answers = plan_charsum(CodeSpec(a, 23, 0))
     for b in (4, 5):
         expected = per_m_charsum(CodeSpec(a, 23, b))
         exps.clear()
-        assert column_charsum(CodeSpec(a, 23, b)) == expected
+        assert answers(b) == expected
         assert len(exps) == 23
 
 
@@ -708,43 +740,48 @@ def test_unit_row_times_a_phase_is_the_phase_bit_for_bit():
 
 
 def _count_float_builds(monkeypatch) -> list:
-    """Record the modulus of every block of product rows the float routes build."""
+    """Record the modulus of every block of product rows the float plans build."""
     builds = []
-    sums = enumerator._float_sums
+    float_plan = enumerator._float_plan
 
-    def counting(route, spec, width, build, eta, size):
-        def counted(ms, phases):
-            builds.append(spec.modulus)
-            return build(ms, phases)
+    def counting(code, width, size, build, *reads):
+        def counted(ms, *tables):
+            builds.append(code.modulus)
+            return build(ms, *tables)
 
-        return sums(route, spec, width, counted, eta, size)
+        return float_plan(code, width, size, counted, *reads)
 
-    monkeypatch.setattr(enumerator, "_float_sums", counting)
+    monkeypatch.setattr(enumerator, "_float_plan", counting)
     return builds
 
 
 def test_float_memo_spans_blocks(monkeypatch):
-    # 12 coefficients mod 6000: 78,000 cells in two blocks, within the memo
+    # 12 coefficients mod 6000: 78,000 cells in two blocks, within the plan
     # bound, so a 20-residue sweep builds two blocks, not 40
     builds = _count_float_builds(monkeypatch)
+    answers = enumerator.charsum_float_plan(CodeSpec(tuple(range(1, 13)), 6000, 0))
     for b in range(20):
-        weight_enumerator_charsum_float(CodeSpec(tuple(range(1, 13)), 6000, b))
+        answers(b)
     assert builds == [6000, 6000]
     # blocks of 30 cells: 5 for the enumerator sum (width 6), 2 for svt (width 2)
     monkeypatch.setattr(enumerator, "_FLOAT_CELLS", 30)
     a = (3, -5, 8, 13, 21)
-    sweeps = ((column_charsum, per_m_charsum, [CodeSpec(a, 23, b) for b in range(23)], 5),
-              (column_svt, per_m_svt, [make_svt(5, 23, b, r) for b in range(23) for r in (0, 1)], 2))
-    for route, per_m, specs, blocks in sweeps:
+    sweeps = ((plan_charsum, CodeSpec(a, 23, 0),
+               [(b, per_m_charsum(CodeSpec(a, 23, b))) for b in range(23)], 5),
+              (enumerator.svt_float_plan, make_levenshtein(5, 23, 0),
+               [(b, per_m_svt(make_svt(5, 23, b, r))) for b in range(23) for r in (0, 1)], 2))
+    for plan, code, wants, blocks in sweeps:
         builds.clear()
-        for spec in specs:
-            assert route(spec) == per_m(spec)
+        answers = plan(code)
+        for b, want in wants:
+            assert answers(b) == want
         assert builds == [23] * blocks
-    # past the memo bound every call builds its blocks again
+    # past the plan bound every residue builds its blocks again
     monkeypatch.setattr(enumerator, "_FLOAT_MEMO_CELLS", 23 * 6 - 1)
     builds.clear()
-    for spec in sweeps[0][2][:3]:
-        assert column_charsum(spec) == per_m_charsum(spec)
+    answers = plan_charsum(CodeSpec(a, 23, 0))
+    for b in range(3):
+        assert answers(b) == per_m_charsum(CodeSpec(a, 23, b))
     assert builds == [23] * 15
 
 
@@ -806,10 +843,10 @@ def test_float_size_routes_check_the_scale_before_the_sum(monkeypatch):
     class Reached(Exception):
         pass
 
-    def trig_sums(*args, **kwargs):
+    def trig_plan(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(enumerator, "_trig_sums", trig_sums)
+    monkeypatch.setattr(enumerator, "_trig_plan", trig_plan)
     # both specs pass the cell caps: 1.02e7 cells of 1.12e7, and 6.6e6 of 6.71e6
     lev, svt = make_levenshtein(1024, 10000, 0), make_svt(1100, 3000, 0, 0)
     for route, spec, reason in ((size_upper_bound, lev, "scale 2^1024 / 10000"),
@@ -856,7 +893,7 @@ def test_vt_closed_matches_fold():
 
 def test_closed_form_equals_fold_wherever_n_divides_k_plus_1():
     # every Levenshtein L_b(k, n) with k <= 30 and n | k+1, every residue: the
-    # memo answers a residue from its gcd class, the fold from its own slot
+    # closed form answers a residue from its gcd class, the fold from its own slot
     cases = 0
     for k in range(1, 31):
         for n in range(1, k + 2):
@@ -942,7 +979,8 @@ def test_closed_form_evaluates_each_gcd_class_once(monkeypatch):
     form = enumerator._closed_form
     monkeypatch.setattr(enumerator, "_closed_form",
                         lambda k, n, g: calls.append((k, n, g)) or form(k, n, g))
-    sweep = [weight_enumerator_closed(make_levenshtein(11, 12, b)) for b in range(12)]
+    plan = enumerator.closed_plan(make_levenshtein(11, 12, 0))
+    sweep = [plan(b) for b in range(12)]
     assert calls == [(11, 12, g) for g in (12, 1, 2, 3, 4, 6)]  # gcd(b, 12) in order of b
     assert sweep == want
     weight_enumerator_closed(make_levenshtein(11, 6, 3))
@@ -956,11 +994,11 @@ def test_closed_domain_check_runs_once_per_sweep(monkeypatch):
     monkeypatch.setattr(enumerator, "closed_form_gap",
                         lambda spec: checked.append(spec.residue) or gap(spec))
     # 7 does not divide k+1 = 11: every residue is outside the closed form's domain
-    sweep = [weight_enumerator(make_levenshtein(10, 7, b)) for b in range(7)]
+    sweep = list(weight_enumerators(make_levenshtein(10, 7, 0), range(7)))
     assert sweep == [brute_weight_enumerator(make_levenshtein(10, 7, b)) for b in range(7)]
     assert checked == [0]
     # in the domain too, and a new coefficient list is checked again
-    assert [weight_enumerator(make_levenshtein(11, 6, b)) for b in range(6)] == [
+    assert list(weight_enumerators(make_levenshtein(11, 6, 0), range(6))) == [
         weight_enumerator_fold(make_levenshtein(11, 6, b)) for b in range(6)]
     assert checked == [0, 0]
 
@@ -1115,17 +1153,20 @@ def test_svt_charsum_float_matches_exact():
 def test_svt_charsum_float_refuses_sizes_from_2_to_the_52(monkeypatch):
     # from 2^52 on, floats lie 1 or more apart and rounding hides any error
     spec = make_svt(1, 1, 0, 0)  # scale 2^0 / 1 = 1, and the sine product drops out
-    monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [complex(2**52 - 1), 0j])
+    def sums(*acc):  # a _trig_plan whose sums are acc at every residue
+        return lambda *args: lambda two_eta: list(acc)
+
+    monkeypatch.setattr(enumerator, "_trig_plan", sums(complex(2**52 - 1), 0j))
     assert svt_sizes_charsum_float(spec) == (2**52 - 1, 2**52 - 1, 0.0)
-    monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [complex(2**52), 0j])
+    monkeypatch.setattr(enumerator, "_trig_plan", sums(complex(2**52), 0j))
     with pytest.raises(IntegralityFailure, match="^parity character sum reaches 2\\^52"):
         svt_sizes_charsum_float(spec)
     # a deviation of exactly 1e-6 passes; it is checked before 2^52, and a negative size
     # fails on its own
-    monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [1e-6j, 0j])
+    monkeypatch.setattr(enumerator, "_trig_plan", sums(1e-6j, 0j))
     assert svt_sizes_charsum_float(spec) == (0, 0, 1e-6)
     for acc_a, dev in ((complex(2**52, 0.5), "0.5"), (complex(-1), "0")):
-        monkeypatch.setattr(enumerator, "_trig_sums", lambda *args: [acc_a, 0j])
+        monkeypatch.setattr(enumerator, "_trig_plan", sums(acc_a, 0j))
         with pytest.raises(IntegralityFailure, match=f"^parity character sum off integer by {dev}$"):
             svt_sizes_charsum_float(spec)
 

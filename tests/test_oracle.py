@@ -17,7 +17,6 @@ from ccodes import (
     make_vt,
     oracle,
 )
-from ccodes import _memo
 
 P = 10**9 + 7
 C = oracle._CHUNK_BITS
@@ -160,28 +159,26 @@ def test_brute_tally_memo_key(monkeypatch):
     monkeypatch.setattr(oracle, "_cells", counting_cells)
     monkeypatch.setattr(oracle, "_count", counting_count)
     a = (1, 2, 3, 5)
-    sequence = [
-        (CodeSpec(a, 7, 0), True),  # the first call groups the tuples
-        (CodeSpec(a, 7, 1), False),  # later residues count from the same cells
-        (CodeSpec(a, 7, 2), False),
-        (CodeSpec((2, 4, 6), 7, 3), True),  # another code evicts the cells
-        (CodeSpec(a, 7, 1), True),  # so A groups again
-        (CodeSpec(a, 9, 1), True),  # same coefficients, other modulus
-        (CodeSpec(a, 9, 2), False),
-        (CodeSpec(a, 13107, 1), True),
-        (CodeSpec(a, 13108, 1), True),  # n(k+1) past 2^16 counts the same way
-        (CodeSpec(a, 13108, 2), False),
-        (CodeSpec(a, P, 11), True),  # int residues past 0x110000
-        (CodeSpec(a, P, 11), False),
-        (CodeSpec(a, P, 4), False),
+    sequence = [  # a plan groups the tuples once, and each residue counts from its cells
+        ((a, 7), [0, 1, 2]),
+        (((2, 4, 6), 7), [3]),  # a call for one spec plans its own code
+        ((a, 7), [1]),  # so A groups again
+        ((a, 9), [1, 2]),  # same coefficients, other modulus
+        ((a, 13107), [1]),
+        ((a, 13108), [1, 2]),  # n(k+1) past 2^16 counts the same way
+        ((a, P), [11, 11, 4]),  # int residues past 0x110000
     ]
-    for spec, built in sequence:
+    for (coeffs, n), residues in sequence:
         before = len(runs)
-        got = brute_weight_enumerator(spec)
-        assert [kind for kind, *_ in runs[before:]] == ["cells"] * built + ["count"]
-        assert list(_memo.sweep.values((spec.coefficients, spec.modulus))) == ["brute"]
-        tally = literal_tally(spec.coefficients, spec.modulus)
-        assert got.counts == tuple(tally[spec.residue, t] for t in range(spec.length + 1))
+        if len(residues) == 1:
+            got = [brute_weight_enumerator(CodeSpec(coeffs, n, residues[0]))]
+        else:
+            plan = oracle.brute_plan(CodeSpec(coeffs, n, 0))
+            got = [plan(b) for b in residues]
+        assert [kind for kind, *_ in runs[before:]] == ["cells"] + ["count"] * len(residues)
+        tally = literal_tally(coeffs, n)
+        for b, w in zip(residues, got):
+            assert w.counts == tuple(tally[b, t] for t in range(len(coeffs) + 1))
     assert [run[1:] for run in runs if run[0] == "cells"] == [
         (a, 7), ((2, 4, 6), 7), (a, 7), (a, 9), (a, 13107), (a, 13108), (a, P)]
 

@@ -24,7 +24,6 @@ from ccodes import (  # noqa: E402
     weight_enumerator,
     weight_enumerator_fold,
 )
-from ccodes import _memo  # noqa: E402
 from ccodes.polyring import reach, residue_slot, row_counts  # noqa: E402
 
 # derandomized and without an example database: every run checks the same draws
@@ -135,10 +134,9 @@ def table_argvs(draw):
 
 
 def _table(argv, bits):
-    """(exit status, stderr) of one table run with a fresh sweep memo under a fold cap of bits."""
+    """(exit status, stderr) of one table run under a fold cap of bits."""
     err = io.StringIO()
-    with mock.patch.object(_memo, "sweep", _memo.Memo()), \
-            mock.patch.object(polyring, "_MAX_BITS", bits), \
+    with mock.patch.object(polyring, "_MAX_BITS", bits), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         return cli.main(argv), err.getvalue()
 
