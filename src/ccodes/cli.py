@@ -55,7 +55,8 @@ Exit status:
        as one "ccodes: limit: ..." line before the route allocates; or the
        output cap: exact answers print whole, past Python's 4300-digit
        limit, but enum and table refuse more than _MAX_DIGITS decimal
-       digits before their first byte. table stops at its first cap; a
+       digits before their first byte. table charges every code of its
+       grid and its --b residues to the route's cap before any row; a
        usage error still wins, as ranges expand in ascending order and a
        grid with one raises it before its first instance
 Run as a program (the console script, python -m ccodes.cli or
@@ -88,7 +89,6 @@ from . import __version__
 from .codes import CodeSpec, ParityCodeSpec, make_helberg, make_levenshtein, make_vt
 from .enumerator import (
     charsum_float_plan,
-    check_sweep,
     closed_plan,
     fold_plan,
     mitm_plan,
@@ -379,11 +379,11 @@ def cmd_table(args: SimpleNamespace) -> int:
     # The first cap stops the table, yet a usage error anywhere in the grid wins:
     # ranges expand in ascending order and every usage error depends only on k,
     # s, the modulus or b < modulus, so it comes before the grid's first instance.
-    # --b all checks each code of the grid, built once at residue 0, before any row.
+    # Each code of the grid, built once at residue 0, is charged its residues before
+    # any row: weight_enumerators charges at the call, plans at the first read.
     family = _FAMILIES[args.family]
-    if args.b == "all":
-        for _, code in _codes(args, family):
-            check_sweep(code)
+    for _, code in _codes(args, family):
+        weight_enumerators(code, _residues(args.b, code.modulus))
     rows = []  # a code's instances come in a row: one plan each, a sweep if two or more
     for code, grid in itertools.groupby(_iter_instances(args, family), itemgetter(2)):
         params = [p for p, _, _ in grid]

@@ -43,7 +43,6 @@ __all__ = [
     "WeightEnumerator",
     "weight_enumerator",
     "weight_enumerators",
-    "check_sweep",
     "closed_plan",
     "fold_plan",
     "mitm_plan",
@@ -140,34 +139,33 @@ def weight_enumerators(code: CodeSpec, residues: Sequence[int]) -> Iterator[Weig
     code's own residue is not read. The closed form answers in its domain,
     once per gcd class; else the fold, if it fits under its cap and two
     residues or more are asked or the cost model (mitm_is_cheaper) prefers it
-    for one; else meeting in the middle. Each raises CapExceeded past its cap.
+    for one; else meeting in the middle, for fewer than n residues. The call
+    charges the residues to their route's cap and raises CapExceeded at once,
+    before anything is built; the plan is built when the first answer is read.
     """
-    return map(_route(code, len(residues) > 1)(code), residues)
+    def answers(route=_route(code, residues)) -> Iterator[WeightEnumerator]:
+        yield from map(route(code), residues)
+
+    return answers()
 
 
-def _route(code: CodeSpec, sweep: bool) -> Callable[[CodeSpec], Callable[[int], WeightEnumerator]]:
-    # the exact route of code's plans, for one residue or a sweep of several; builds nothing
+def _route(code: CodeSpec,
+           residues: Sequence[int]) -> Callable[[CodeSpec], Callable[[int], WeightEnumerator]]:
+    # The exact route of code's plans for the residues asked, charged to its cap; builds
+    # nothing. The closed form is charged a row per gcd class asked: tau(n) for them all.
+    # Past the fold's cap, n residues or more, the whole code, raise the fold's error
+    # rather than meet in the middle n times. Slices count them: len() refuses a huge range.
+    n = code.modulus
     if not closed_form_gap(code):
+        _check_closed(code.length, n, len({math.gcd(b, n) for b in residues}))
         return _closed_plan
-    coeffs, n = code.coefficients, code.modulus
-    if cap_error([coeffs], n) is None and (
-            sweep or not mitm_is_cheaper(tuple(a % n for a in coeffs), n)):
-        return fold_plan
+    error = cap_error([code.coefficients], n)
+    if error is None:
+        if residues[1:2] or not mitm_is_cheaper(tuple(a % n for a in code.coefficients), n):
+            return fold_plan
+    elif residues[n - 1:n]:
+        raise error
     return mitm_plan
-
-
-def check_sweep(code: CodeSpec) -> None:
-    """Raise CapExceeded when weight_enumerators(code, range(n)) would pass a cap.
-
-    It reads that sweep's route and builds nothing: the closed form is charged
-    its tau(n) gcd classes, and meeting in the middle, taken only past the
-    fold's cap, raises that cap's error.
-    """
-    route, n = _route(code, True), code.modulus
-    if route is _closed_plan:
-        _check_closed(len(code.coefficients), n, len(divisors(factor(n))))
-    elif route is mitm_plan:
-        raise cap_error([code.coefficients], n)
 
 
 def fold_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:

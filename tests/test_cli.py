@@ -703,6 +703,10 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err == f"ccodes: limit: up to {232 * 11**2} packed bits exceeds the cap of 12100\n"
     assert halves == []  # an all-residue table reads the fold, capped before any folding
+    # --b 0..231 names the same 232 residues: the same bytes, where each met in the middle
+    assert run(capsys, "table", "--family", "helberg", "--quantity", "size",
+               "--k", "10", "--s", "2", "--b", "0..231") == (code, out, err)
+    assert halves == []
     # a two-residue sweep past the fold's cap meets in the middle at each residue
     code, out, _ = run(capsys, "table", "--family", "helberg", "--quantity", "size",
                        "--k", "10", "--s", "2", "--b", "0..1")

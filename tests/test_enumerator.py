@@ -222,9 +222,9 @@ def test_a_sweep_does_not_change_the_route_of_the_next_call(monkeypatch):
     assert routes == ["mitm", "fold", "mitm"]
 
 
-def test_check_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(monkeypatch):
-    # outside the closed domain, table's --b all walk refuses a code exactly when
-    # weight_enumerators' sweep would not fold it
+def test_an_every_residue_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(monkeypatch):
+    # outside the closed domain, weight_enumerators(code, range(n)) refuses a code at the
+    # call, before anything is built, exactly when a sweep of fewer residues would not fold it
     routes = count_routes(monkeypatch)
     rng = random.Random(9)
     seen = Counter()
@@ -237,17 +237,19 @@ def test_check_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(monkeypatch
         bits = polyring.reach(code.coefficients, n) * (k + 1) ** 2
         monkeypatch.setattr(polyring, "_MAX_BITS", rng.randint(bits // 2, 2 * bits))
         try:
-            enumerator.check_sweep(code)
+            weight_enumerators(code, range(n))
             raised = False
         except CapExceeded:
             raised = True
+        assert routes == []
         residues = [rng.randrange(n), rng.randrange(n)]  # a sweep: one fold, or two joins
         want = ["mitm"] * 2 if raised else ["fold"]
         try:
             assert list(weight_enumerators(code, residues)) == [
                 brute_weight_enumerator(CodeSpec(code.coefficients, n, b)) for b in residues]
-        except CapExceeded:  # the halves are past the cap too: the first residue raises
-            want = ["mitm"]
+        except CapExceeded:  # two residues are every residue of n <= 2, which the call
+            # refuses; else the halves are past the cap too: the first residue raises
+            want = [] if n <= 2 else ["mitm"]
         assert routes == want, (code, residues)
         routes.clear()
         seen[raised] += 1
@@ -927,14 +929,37 @@ def test_closed_form_domain_edges():
     assert closed_form_gap(CodeSpec((5, 2, 7, 8, 1, -2, 11), 4, 0)) == ""
 
 
-def test_check_sweep_raises_the_fold_cap_outside_the_closed_domain():
+def test_an_every_residue_sweep_raises_the_fold_cap_outside_the_closed_domain(monkeypatch):
+    routes = count_routes(monkeypatch)
     # VT(800) would fold 801 rows of 801^2 bits, past the cap, but the closed form sweeps it
-    assert enumerator.check_sweep(make_vt(800, 0)) is None
-    with pytest.raises(CapExceeded,
-                       match="^up to 513922401 packed bits exceeds the cap of 469762048$"):
-        enumerator.check_sweep(CodeSpec(range(2, 802), 801, 0))
+    weight_enumerators(make_vt(800, 0), range(801))
+    # outside the closed domain, n residues or more raise the fold's cap error at the call,
+    # whatever sequence names them; fewer meet in the middle, once an answer is read
+    shifted = CodeSpec(range(2, 802), 801, 0)
+    for residues in (range(801), list(range(801)), [5] * 801, range(1000)):
+        with pytest.raises(CapExceeded,
+                           match="^up to 513922401 packed bits exceeds the cap of 469762048$"):
+            weight_enumerators(shifted, residues)
+    weight_enumerators(shifted, range(800))
     # outside the closed domain (5 does not divide 7) and under the cap
-    assert enumerator.check_sweep(make_levenshtein(6, 5, 3)) is None
+    weight_enumerators(make_levenshtein(6, 5, 3), range(5))
+    assert routes == []
+
+
+def test_a_sweep_past_sys_maxsize_is_counted_without_len():
+    # len() of a range past sys.maxsize raises OverflowError; the route never calls it
+    n = 10**23
+    answers = weight_enumerators(CodeSpec((1, 2), n, 0), range(n))
+    assert next(answers).counts == (1, 0, 0)
+    assert next(answers).counts == (0, 1, 0)
+    # 40 coefficients modulo a number past 2^63 reach up to 2^40 residues: past the fold's
+    # cap, and every residue is asked
+    n = (1 << 64) + 13
+    rng = random.Random(23)
+    code = CodeSpec(tuple(rng.randrange(n) for _ in range(40)), n, 0)
+    with pytest.raises(CapExceeded, match=f"^up to {(1 << 40) * 41**2} packed bits exceeds the cap "
+                                          "of 469762048$"):
+        weight_enumerators(code, range(n))
 
 
 def test_closed_form_cap_sits_between_vt_40122_and_vt_40123():
@@ -959,18 +984,27 @@ def test_closed_form_cap_sits_between_vt_40122_and_vt_40123():
         assert peak < 2**20
 
 
-def test_check_sweep_charges_a_closed_row_per_gcd_class():
+def test_a_closed_sweep_is_charged_a_row_per_gcd_class_asked(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a closed-form row was built")
+
+    monkeypatch.setattr(enumerator, "_closed_form", must_not_run)  # no answer is read
     # a sweep keeps one enumerator per gcd class: 28351 and 28403 are prime, two
     # classes each, so VT(28350) is the last VT sweep under the cap before VT(28402)
-    assert enumerator.check_sweep(make_vt(28350, 0)) is None
+    weight_enumerators(make_vt(28350, 0), range(28351))
     enumerator._check_closed(28350, 28351, 2)
     with pytest.raises(CapExceeded, match=f"^up to {2 * 28404 * 28418} closed-form bits"):
-        enumerator.check_sweep(make_vt(28402, 0))
+        weight_enumerators(make_vt(28402, 0), range(28403))
     # VT(30000) answers one residue, but 30001 = 19 * 1579 has four classes
+    vt = make_vt(30000, 0)
     enumerator._check_closed(30000, 30001)
     with pytest.raises(CapExceeded, match=f"^up to {4 * 30002 * 30016} closed-form bits "
                                           f"exceeds the cap of 1610612736$"):
-        enumerator.check_sweep(make_vt(30000, 0))
+        weight_enumerators(vt, range(30001))
+    # the classes asked are charged, not the residues: 1..3 are one class, 0 and 19 two
+    weight_enumerators(vt, [1, 2, 3])
+    with pytest.raises(CapExceeded, match=f"^up to {2 * 30002 * 30016} closed-form bits"):
+        weight_enumerators(vt, [0, 19])
 
 
 def test_closed_form_evaluates_each_gcd_class_once(monkeypatch):
