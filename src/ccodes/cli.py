@@ -20,14 +20,17 @@ Each family takes its own grid flags and no others, as the --family help
 lists. A flag's value follows it (--n 4) or an = (--n=4) and may start with
 a dash (--coeffs -3,2); a unique prefix names a flag (--fam vt), and the
 last repeat wins. argparse is imported only to print --help. Ranges are
-written a..b (inclusive); --b all sweeps every residue of each code's
-modulus; for svt and levenshtein grids --n also accepts the relative forms
-k+1 and 2k. enum reads the same grid but needs it to name exactly one
+written a..b (inclusive) and read lazily, so a huge one costs nothing until
+it is walked; --b all sweeps every residue of each code's modulus; for svt
+and levenshtein grids --n also accepts the relative forms k+1 and 2k. Each
+command walks the grid once per code, built at residue 0, with its --b
+residues. enum reads the same grid but needs it to name exactly one
 instance. --format (plain, json or csv) exists on enum only: table always
 writes CSV and verify plain lines. enum and table answer from
 the closed form when the coefficients are 1..k mod n with n dividing k+1
 (every vt code), one evaluation per gcd(b, n), and otherwise from the
-residue fold or by meeting in the middle. verify prints one PASS, FAIL or
+residue fold or by meeting in the middle; table asks each residue once, and
+for svt sums its counts by parity for each --r. verify prints one PASS, FAIL or
 UNVERIFIED line per instance. Its exact method is the residue fold; mitm,
 meeting in the middle, runs only when --methods names it, and so does
 closed, the closed form, except for vt, where it is a default method. A
@@ -38,10 +41,10 @@ prints SKIP ... method=M reason=... and drops out of the comparison; PASS
 lists the methods that ran. An instance passes when those agree and at least
 two ran, or the one method asked for; it is UNVERIFIED when fewer ran, and
 FAIL on a disagreement, an impossible enumerator or any other package error.
-verify streams its grid, one instance, one outcome and one code's plans at a
-time; the r = 0 and r = 1 lines of an svt base code share an outcome, so a
-method that raises for r = 0 does not run again and its SKIP or FAIL prints on
-both lines.
+verify streams its grid, holding one code's residues and plans at a time, and
+runs each residue's methods once: the r = 0 and r = 1 lines of an svt code
+print the same outcome, so a method that raises for r = 0 does not run again
+and its SKIP or FAIL prints on both lines.
 
 Exit status:
     0  success
@@ -82,7 +85,6 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from operator import itemgetter
 from types import SimpleNamespace
 
 from . import __version__
@@ -171,13 +173,16 @@ def _emit_record(fmt: str, family: str, params: Params, method: str, size: int,
 # ---- range parsing ----
 
 
-def parse_range(text: str) -> list[int]:
-    """'7' -> [7]; '1..6' -> [1, 2, ..., 6]; an empty range is allowed."""
+def parse_range(text: str) -> range:
+    """'7' -> range(7, 8); '1..6' -> range(1, 7); an empty range is allowed.
+
+    The range is lazy, so a huge one costs nothing until it is walked.
+    """
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
-            return list(range(int(lo_s), int(hi_s) + 1))
-        return [int(text)]
+            return range(int(lo_s), int(hi_s) + 1)
+        return range(int(text), int(text) + 1)
     except ValueError:
         raise UsageError(f"bad range {text!r}; expected INT or LO..HI") from None
 
@@ -198,7 +203,7 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
 # code to a plan, which maps each residue to a result and a deviation.
 
 
-def _ints(text: str, params: Params) -> list[int]:
+def _ints(text: str, params: Params) -> Sequence[int]:
     """INT or LO..HI; after a --k, also the relative forms k+1 and 2k."""
     if "k" in params and text in ("k+1", "2k"):
         k = params["k"]
@@ -206,14 +211,14 @@ def _ints(text: str, params: Params) -> list[int]:
     return parse_range(text)
 
 
-def _residues(text: str, modulus: int) -> Sequence[int]:
+def _residues(text: str, modulus: int) -> range:
     """--b read against a code's modulus: all of its residues, or the listed ones."""
     if text == "all":
         return range(modulus)
     bs = parse_range(text)
-    for b in bs:
-        if not 0 <= b < modulus:
-            raise UsageError(f"residue {b} out of range for modulus {modulus}")
+    if bs and not (0 <= bs[0] and bs[-1] < modulus):  # an ascending range: its first bad residue
+        raise UsageError(f"residue {bs[0] if bs[0] < 0 else max(bs[0], modulus)} "
+                         f"out of range for modulus {modulus}")
     return bs
 
 
@@ -280,9 +285,10 @@ _FAMILIES = {
 
 
 def _expand(family: _Family, args: SimpleNamespace,
-            params: Params) -> Iterator[tuple[Params, CodeSpec]]:
+            params: Params) -> Iterator[tuple[Params, CodeSpec, range]]:
     if len(params) == len(family.grid):
-        yield params, family.make(*params.values(), 0)
+        code = family.make(*params.values(), 0)
+        yield params, code, _residues(args.b, code.modulus)
         return
     flag, expand = family.grid[len(params)]
     for value in expand(getattr(args, flag), params):
@@ -296,8 +302,13 @@ def _check_grid_flags(args: SimpleNamespace, takes: Sequence[str], who: str) -> 
             raise UsageError(f"{who} {verb} --{flag}")
 
 
-def _codes(args: SimpleNamespace, family: _Family) -> Iterator[tuple[Params, CodeSpec]]:
-    """Yield (params, code at residue 0) for each code that the grid's code flags name."""
+def _grid(args: SimpleNamespace,
+          family: _Family | None = None) -> Iterator[tuple[Params, CodeSpec, range]]:
+    """Yield (params, code at residue 0, its --b residues) once per code the grid names.
+
+    A code's own error comes before its --b is read.
+    """
+    family = family or _FAMILIES[args.family]
     _check_grid_flags(args, family.flags, f"--family {args.family}")
     try:
         yield from _expand(family, args, {})
@@ -305,21 +316,15 @@ def _codes(args: SimpleNamespace, family: _Family) -> Iterator[tuple[Params, Cod
         raise UsageError(str(exc)) from None
 
 
-def _iter_instances(args: SimpleNamespace,
-                    family: _Family | None = None) -> Iterator[tuple[Params, object, CodeSpec]]:
-    """Yield (params, spec, code) in order: each code's --b residues, then --r parities."""
-    family = family or _FAMILIES[args.family]
-    for params, code in _codes(args, family):
-        for b in _residues(args.b, code.modulus):
-            spec = CodeSpec(code.coefficients, code.modulus, b)
-            if family.parity:
-                for r in (0, 1) if args.r == "both" else (int(args.r),):
-                    yield {**params, "b": b, "r": r}, ParityCodeSpec(spec, r), code
-            else:
-                yield {**params, "b": b}, spec, code
+def _labels(args: SimpleNamespace, params: Params, b: int) -> list[tuple[Params, int | None]]:
+    """Each instance of a code at residue b: its output params and svt's --r parity, or None."""
+    if args.r is None:  # the family takes no --r
+        return [({**params, "b": b}, None)]
+    parities = (0, 1) if args.r == "both" else (int(args.r),)
+    return [({**params, "b": b, "r": r}, r) for r in parities]
 
 
-def _random_blcc(count: int, seed: int) -> Iterator[tuple[Params, CodeSpec, CodeSpec]]:
+def _random_blcc(count: int, seed: int) -> Iterator[tuple[Params, CodeSpec, tuple[int]]]:
     import random
 
     rng = random.Random(seed)
@@ -328,14 +333,8 @@ def _random_blcc(count: int, seed: int) -> Iterator[tuple[Params, CodeSpec, Code
         n = rng.randint(1, 100)
         b = rng.randint(0, n - 1)
         coeffs = tuple(rng.randint(-100, 100) for _ in range(k))
-        params: dict[str, int | str] = {
-            "i": i,
-            "coeffs": ",".join(str(c) for c in coeffs),
-            "mod": n,
-            "b": b,
-        }
-        spec = CodeSpec(coeffs, n, b)
-        yield params, spec, spec  # each spec is a code of its own
+        params: Params = {"i": i, "coeffs": ",".join(str(c) for c in coeffs), "mod": n}
+        yield params, CodeSpec(coeffs, n, 0), (b,)  # each spec is a code of its own
 
 
 # ---- subcommands ----
@@ -352,21 +351,25 @@ def cmd_enum(args: SimpleNamespace) -> int:
         # len(range(n)) refuses a length past a C ssize_t, as make_vt's tuple does
         family = family._replace(
             make=lambda n, b: make_vt(n, b) if n < 1 else CodeSpec((), len(range(n)) + 1, b))
-    instances = list(itertools.islice(_iter_instances(args, family), 2))
+    instances = list(itertools.islice(((label, code, b, r) for params, code, residues
+                                       in _grid(args, family) for b in residues
+                                       for label, r in _labels(args, params, b)), 2))
     if len(instances) != 1:
         raise UsageError("enum needs a grid of exactly one instance; use table or verify")
-    [(params, spec, _)] = instances
+    [(params, code, b, r)] = instances
     if qary:
         params, method, counts = {**params, "q": args.q}, "closed", None
         # q(n+1) size >= q^(n+1) - (n+1) q^((n+1)/2), as |c_d(b)| <= phi(d) and the
         # phi(d) of d | n+1 sum to n+1; so size >= q^n / (2(n+1)) once 2(n+1) <=
         # q^((n+1)/2). A bit length one short of that refuses a size past the cap early.
-        n, b, log_q = spec.modulus - 1, spec.residue, math.log2(args.q)
+        n, log_q = code.modulus - 1, math.log2(args.q)
         if (n + 1) / 2 * log_q >= math.log2(2 * (n + 1)) + 1:
             _check_digits((int(n * log_q - math.log2(2 * (n + 1))),))
         size = vt_q_size(n, b, args.q)
     else:
-        method, counts = "exact", weight_enumerator(spec).counts
+        spec = CodeSpec(code.coefficients, code.modulus, b)
+        method = "exact"
+        counts = weight_enumerator(spec if r is None else ParityCodeSpec(spec, r)).counts
         size = sum(counts)
     _check_digits(map(int.bit_length, (size, *(counts or ()))))
     print(_emit_record(args.format, args.family, params, method, size, counts))
@@ -382,14 +385,14 @@ def cmd_table(args: SimpleNamespace) -> int:
     # Each code of the grid, built once at residue 0, is charged its residues before
     # any row: weight_enumerators charges at the call, plans at the first read.
     family = _FAMILIES[args.family]
-    for _, code in _codes(args, family):
-        weight_enumerators(code, _residues(args.b, code.modulus))
-    rows = []  # a code's instances come in a row: one plan each, a sweep if two or more
-    for code, grid in itertools.groupby(_iter_instances(args, family), itemgetter(2)):
-        params = [p for p, _, _ in grid]
-        # an svt size of parity r sums the base code's counts of the weights t = r mod 2
-        rows += [(p, w.counts[p["r"]::2] if family.parity else w.counts)
-                 for p, w in zip(params, weight_enumerators(code, [p["b"] for p in params]))]
+    for _, code, residues in _grid(args, family):
+        weight_enumerators(code, residues)
+    rows = []  # one plan per code, a sweep if two residues or more; --r both asks each once
+    for params, code, residues in _grid(args, family):
+        for b, w in zip(residues, weight_enumerators(code, residues)):
+            # an svt size of parity r sums the base code's counts of the weights t = r mod 2
+            rows += [(label, w.counts if r is None else w.counts[r::2])
+                     for label, r in _labels(args, params, b)]
     width = max((len(counts) for _, counts in rows), default=0)
     if args.quantity == "size":  # the rows of a gcd class share one counts tuple: sum it once
         sizes = {id(c): (sum(c),) for c in {id(c): c for _, c in rows}.values()}
@@ -426,15 +429,15 @@ def _methods_for(family: str, requested: str | None) -> list[str]:
 
 
 def _outcome(routes: dict, plans: dict, methods: Sequence[str],
-             spec: CodeSpec) -> tuple[list, dict | Exception]:
+             code: CodeSpec, b: int) -> tuple[list, dict | Exception]:
     """The (method, reason) of each SKIP, and the answers or the package error that stopped them."""
     skips, found = [], {}
     try:
         for m in methods:
             try:
-                if m not in plans:  # plans holds the methods' plans of spec's code
-                    plans[m] = routes[m](spec)
-                found[m] = plans[m](spec.residue)
+                if m not in plans:  # plans holds the methods' plans of code
+                    plans[m] = routes[m](code)
+                found[m] = plans[m](b)
             except (IntegralityFailure, CapExceeded, OutOfDomain) as exc:  # outside its domain
                 skips.append((m, exc.with_traceback(None)))  # its frames may refer back to it
     except (CongruenceCodeError, ValueError) as exc:  # a package bug, as in main
@@ -450,42 +453,35 @@ def cmd_verify(args: SimpleNamespace) -> int:
         _check_grid_flags(args, (), "--random")
         if args.random < 0:
             raise UsageError("--random must be >= 0")
-        instances = _random_blcc(args.random, args.seed or 0)
+        grid = _random_blcc(args.random, args.seed or 0)
     elif args.seed is not None:
         raise UsageError("--seed applies to --random only")
     else:
-        instances = _iter_instances(args)
+        grid = _grid(args)
     routes = _FAMILIES[args.family].methods
     count = failures = 0
-    held = last = outcome = None
-    for count, (params, spec, code) in enumerate(instances, 1):
-        # both parities of an svt base code print the same split: run its methods once
-        base = getattr(spec, "base", spec)
-        if base is not last:
-            if code is not held:  # the last code's plans go before this one's are built
-                held, plans = code, {}
-            last, outcome = base, _outcome(routes, plans, methods, base)
-        skips, found = outcome
-        label = " ".join(f"{k}={v}" for k, v in params.items())
-        for m, reason in skips:
-            print(f"SKIP family={args.family} {label} method={m} reason={reason}")
-        if isinstance(found, Exception):
-            failures += 1
-            print(f"FAIL family={args.family} {label} error={found}")
-            continue
-        ran = list(found)
-        if len(ran) < min(2, len(methods)):
-            failures += 1
-            print(f"UNVERIFIED family={args.family} {label} methods={','.join(ran)}")
-            continue
-        dev = max(d for _, d in found.values())
-        reference = found[ran[0]][0]
-        if any(found[m][0] != reference for m in ran[1:]):
-            failures += 1
-            detail = "; ".join(f"{m}={found[m][0]}" for m in ran)
-            print(f"FAIL family={args.family} {label} {detail}")
-        else:
-            print(f"PASS family={args.family} {label} methods={','.join(ran)} dev={dev:.3e}")
+    for params, code, residues in grid:
+        plans = {}  # the last code's plans go before this one's are built
+        for b in residues:
+            # every line of b, both parities of an svt code, prints one outcome: run it once
+            skips, found = _outcome(routes, plans, methods, code, b)
+            if isinstance(found, Exception):
+                verdict, tail = "FAIL", f"error={found}"
+            elif len(found) < min(2, len(methods)):
+                verdict, tail = "UNVERIFIED", f"methods={','.join(found)}"
+            else:
+                answers, devs = zip(*found.values())
+                if any(answer != answers[0] for answer in answers):
+                    verdict, tail = "FAIL", "; ".join(f"{m}={a}" for m, a in zip(found, answers))
+                else:
+                    verdict, tail = "PASS", f"methods={','.join(found)} dev={max(devs):.3e}"
+            for label, _ in _labels(args, params, b):
+                count += 1
+                failures += verdict != "PASS"
+                label = " ".join(f"{k}={v}" for k, v in label.items())
+                for m, reason in skips:
+                    print(f"SKIP family={args.family} {label} method={m} reason={reason}")
+                print(f"{verdict} family={args.family} {label} {tail}")
     if not args.quiet:
         print(f"{count - failures}/{count} instances agree")
     return 1 if failures else 0

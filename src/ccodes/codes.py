@@ -17,9 +17,8 @@ the modulus:
 
 The coefficients and the modulus define the code, and the residue picks one
 of its cosets, so the constructors are where a family's modulus rule lives.
-A grid of residues builds its code once, at b = 0, and gives every residue
-CodeSpec(code.coefficients, code.modulus, b), one coefficient tuple for all
-of them. A CodeSpec holds only these defining fields, so codes built by
+A grid of residues builds its code once, at b = 0, and hands the residues
+to that code's plans, so all of them read one coefficient tuple. A CodeSpec holds only these defining fields, so codes built by
 different constructors compare equal when they define the same set: the s=1
 Helberg code and the VT code of the same length are one spec.
 """

@@ -372,9 +372,9 @@ def test_verify_disagreement_among_methods_that_ran_fails(capsys, monkeypatch):
 
 
 def test_parse_range():
-    assert parse_range("7") == [7]
-    assert parse_range("1..4") == [1, 2, 3, 4]
-    assert parse_range("4..1") == []
+    assert list(parse_range("7")) == [7]
+    assert list(parse_range("1..4")) == [1, 2, 3, 4]
+    assert list(parse_range("4..1")) == []
     with pytest.raises(UsageError):
         parse_range("a..b")
 
@@ -667,16 +667,18 @@ def test_single_enum_does_not_fold_and_a_sweep_folds_once(capsys, monkeypatch):
         code, out, _ = run(capsys, "enum", *argv)
         assert code == 0 and "size=" in out
     assert folds == []
-    # one residue, as a table row too, meets in the middle where the cost model prefers it
+    # one residue, as a table row too, meets in the middle where the cost model prefers it;
+    # --r both asks it once for both parities' rows, so it is one residue too
     for b in ("7", "7..7"):
         code, out, _ = run(capsys, "table", "--family", "helberg", "--k", "10", "--s", "2",
                            "--b", b)
         assert code == 0 and len(out.splitlines()) == 2
-    code, out, _ = run(capsys, "table", "--family", "svt", "--k", "12", "--n", "24",
-                       "--b", "3", "--r", "0")
-    assert code == 0 and len(out.splitlines()) == 2
+    for r, rows in (("0", 1), ("both", 2)):
+        code, out, _ = run(capsys, "table", "--family", "svt", "--k", "12", "--n", "24",
+                           "--b", "3", "--r", r)
+        assert code == 0 and len(out.splitlines()) == 1 + rows
     assert folds == []
-    # a grid of several residues of a code folds it once: --b all, a --b range, --r both
+    # a grid of several residues of a code folds it once: --b all, a --b range
     code, out, _ = run(capsys, "table", "--family", "helberg", "--quantity", "nt",
                        "--k", "10", "--s", "2", "--b", "all")
     assert code == 0 and len(out.splitlines()) == 1 + 232
@@ -685,10 +687,32 @@ def test_single_enum_does_not_fold_and_a_sweep_folds_once(capsys, monkeypatch):
                        "--b", "3..4")
     assert code == 0 and len(out.splitlines()) == 1 + 2
     assert folds == [232, 376]
+
+
+def test_svt_both_parities_ask_each_residue_once(capsys, monkeypatch):
+    asked, sweep = [], cli.weight_enumerators
+    monkeypatch.setattr(cli, "weight_enumerators",
+                        lambda code, bs: asked.append(list(bs)) or sweep(code, bs))
     code, out, _ = run(capsys, "table", "--family", "svt", "--k", "12", "--n", "24",
                        "--b", "3", "--r", "both")
     assert code == 0 and len(out.splitlines()) == 1 + 2
-    assert folds == [232, 376, 24]
+    assert asked == [[3], [3]]  # the walk that charges the grid, then the rows
+
+
+def test_svt_both_parities_past_the_fold_cap_meet_in_the_middle(capsys, monkeypatch):
+    # 30 residues of a modulus of 60 past the fold's cap meet in the middle at each residue,
+    # for either parity alone and for both: asked twice, they would count as the code's 60
+    # and exit 4 on the fold's cap
+    monkeypatch.setattr(polyring, "_MAX_BITS", 45 * 11**2)
+    folds = count_folds(monkeypatch)
+    grid = ("--family", "svt", "--k", "10", "--n", "60", "--b", "0..29", "--r")
+    rows = {}
+    for r in ("0", "1", "both"):
+        code, out, err = run(capsys, "table", *grid, r)
+        assert (code, err) == (0, "")
+        rows[r] = out.splitlines()
+    assert len(rows["both"]) == 1 + 60 and folds == []
+    assert rows["both"][1:] == [row for pair in zip(rows["0"][1:], rows["1"][1:]) for row in pair]
 
 
 def test_cap_exits_4_outside_verify(capsys, monkeypatch):
@@ -1044,11 +1068,10 @@ def test_qary_size_builds_no_coefficients(capsys):
     ("verify", "--family", "blcc", "--coeffs", "3,5,7", "--mod", "11", "--b", "all"),
 ])
 def test_b_all_grid_shares_one_coefficient_tuple(argv):
-    # VT(5039) --b all held 5040 tuples of 5039 ints, about 1 GB; the grid builds each
-    # code once and its residues share that code's tuple, in every family
-    specs = [spec for _, spec, _ in cli._iter_instances(cli.parse_args(argv))]
-    tuples = {id(getattr(spec, "base", spec).coefficients) for spec in specs}
-    assert len(specs) > 1 and len(tuples) == 1
+    # VT(5039) --b all held 5040 tuples of 5039 ints, about 1 GB; the grid yields each
+    # code once, with its residues as a range, and no spec per residue, in every family
+    [(_, code, residues)] = cli._grid(cli.parse_args(argv))
+    assert code.modulus > 1 and residues == range(code.modulus)
 
 
 def test_cli_start_up_imports_no_heavy_stdlib_modules():

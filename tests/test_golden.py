@@ -129,7 +129,8 @@ GRIDS = (
     "table --family helberg --quantity enumerator --k 5 --s 2 --b 0..3",
     "table --family svt --quantity size --k 1..5 --n k+1 --b all --r both",
     "table --family blcc --quantity nt --coeffs 1,3 --mod 2..5 --b 1",
-    # a grid of several residues of a code folds it once: --b all, a --b range, --r both;
+    # a grid of several residues of a code folds it once: --b all, a --b range; --r both
+    # asks its one residue once, so it takes the cost model's route as --r 0 does;
     # enum splits an svt base code's enumerator, here from the closed form, by parity
     "table --family helberg --quantity nt --k 10 --s 2 --b all",
     "table --family helberg --quantity size --k 14 --s 2 --b 0..5",
@@ -158,6 +159,10 @@ GRIDS = (
     "enum --family vt --n 0 --b 0 --q 3",
     "enum --family vt --n -1 --b 0 --q 3",
     "enum --family vt --n 5 --b 9 --q 3",
+    # ranges are lazy: a huge --b range reports its first residue past the modulus,
+    # where building its list ended in an OverflowError traceback
+    "verify --family vt --n 3 --b 0..100000000000000000000 --methods exact",
+    "table --family blcc --coeffs 1,2 --mod 5 --b 0..100000000000000000000",
     # caps: exit 4, or a SKIP inside verify
     "enum --family helberg --k 60 --s 2 --b 0",
     "enum --family helberg --k 2000 --s 2 --b 0",
