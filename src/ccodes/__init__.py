@@ -10,7 +10,6 @@ cross-checks.
 """
 
 from .arith import (
-    FactoredInteger,
     binomial_row,
     divisors,
     factor,
@@ -70,7 +69,6 @@ __all__ = [
     "Codebook",
     "CodeSpec",
     "CongruenceCodeError",
-    "FactoredInteger",
     "IntegralityFailure",
     "InvariantViolation",
     "NonExactDivision",

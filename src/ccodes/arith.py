@@ -1,14 +1,17 @@
 """Multiplicative number theory primitives and binomial rows.
 
-Trial-division factorization, divisor enumeration, the Moebius function,
-Euler's totient, and Ramanujan sums computed two independent ways: exactly,
-through Kluyver's divisor formula
+Trial-division factorization into (prime, exponent) pairs, divisor
+enumeration, the Moebius function, Euler's totient, and Ramanujan sums
+computed two independent ways: exactly, as the product over the prime
+powers p^e exactly dividing n of
 
-    c_n(m) = sum_{d | gcd(m, n)} mu(n / d) * d,
+    c_{p^e}(m) = p^e [p^e | m] - p^(e-1) [p^(e-1) | m],
 
 and numerically, as the literal sum of the m-th powers of the primitive
 n-th roots of unity. The numeric path exists only to cross-check the exact
-one; nothing downstream consumes it.
+one; nothing downstream consumes it. moebius and totient (the Moebius
+divisor sum) do not go through ramanujan_sum, so c_n(1) = mu(n) and
+c_n(0) = phi(n) compare independent implementations.
 
 binomial_row(e) streams C(e, 0), ..., C(e, e), each entry from the last by
 C(e, i+1) = C(e, i) (e - i) / (i + 1), so a whole row costs e small-by-big
@@ -24,11 +27,9 @@ import cmath
 import math
 from collections.abc import Iterator
 
-from ._record import Record
 from .errors import IntegralityFailure
 
 __all__ = [
-    "FactoredInteger",
     "factor",
     "divisors",
     "moebius",
@@ -39,36 +40,10 @@ __all__ = [
 ]
 
 
-class FactoredInteger(Record):
-    """A positive integer together with its prime factorization.
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of a positive integer, primes increasing.
 
-    ``factors`` holds (prime, exponent) pairs with primes strictly
-    increasing and every exponent at least 1. The unit 1 carries an
-    empty factor list.
-    """
-
-    __slots__ = ("value", "factors")
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError("FactoredInteger must be positive")
-        prod = 1
-        last = 1
-        for p, e in self.factors:
-            if p <= last or e < 1:
-                raise ValueError(f"malformed factorization of {self.value}")
-            prod *= p**e
-            last = p
-        if prod != self.value:
-            raise ValueError(f"factors do not multiply out to {self.value}")
-
-
-def factor(n: int) -> FactoredInteger:
-    """Factor a positive integer by trial division up to sqrt(n).
-
-    Rejects n < 1; factor(1) has an empty factor list.
+    Trial division up to sqrt(n). Rejects n < 1; factor(1) is ().
     """
     if n < 1:
         raise ValueError("factor() requires n >= 1")
@@ -85,13 +60,13 @@ def factor(n: int) -> FactoredInteger:
         d += 1 if d == 2 else 2
     if m > 1:
         fs.append((m, 1))
-    return FactoredInteger(n, tuple(fs))
+    return tuple(fs)
 
 
-def divisors(n: FactoredInteger) -> list[int]:
-    """All positive divisors of n, in increasing order."""
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, in increasing order."""
     out = [1]
-    for p, e in n.factors:
+    for p, e in factor(n):
         out = [d * p**i for i in range(e + 1) for d in out]
     out.sort()
     return out
@@ -99,27 +74,33 @@ def divisors(n: FactoredInteger) -> list[int]:
 
 def moebius(n: int) -> int:
     """mu(n): 1 for n=1, 0 when a square divides n, else (-1)^(prime count)."""
-    fi = factor(n)
-    if any(e >= 2 for _, e in fi.factors):
+    fs = factor(n)
+    if any(e >= 2 for _, e in fs):
         return 0
-    return -1 if len(fi.factors) % 2 else 1
+    return -1 if len(fs) % 2 else 1
 
 
 def totient(n: int) -> int:
     """Euler's phi through the Moebius divisor sum phi(n) = sum_{d|n} mu(n/d) d."""
-    return sum(moebius(n // d) * d for d in divisors(factor(n)))
+    return sum(moebius(n // d) * d for d in divisors(n))
 
 
 def ramanujan_sum(n: int, m: int) -> int:
-    """c_n(m) by Kluyver's divisor formula.
+    """c_n(m) as the product of c_{p^e}(m) = p^e [p^e | m] - p^(e-1) [p^(e-1) | m].
 
-    m may be any integer; it is reduced mod n first, and gcd(0, n) is n,
-    which makes c_n(0) = phi(n) fall out of the same expression.
+    The product runs over the prime powers p^e exactly dividing n, from one
+    factor(n); c_n(m) is multiplicative in n. m may be any integer, and
+    every prime power divides 0, so c_n(0) = phi(n).
     """
     if n < 1:
         raise ValueError("ramanujan_sum() requires n >= 1")
-    g = math.gcd(m % n, n)
-    return sum(moebius(n // d) * d for d in divisors(factor(g)))
+    c = 1
+    for p, e in factor(n):
+        q = p ** (e - 1)
+        if m % q:
+            return 0
+        c *= q * p - q if m % (q * p) == 0 else -q
+    return c
 
 
 def ramanujan_sum_direct(n: int, m: int) -> float:

@@ -21,17 +21,17 @@ lists. A flag's value follows it (--n 4) or an = (--n=4) and may start with
 a dash (--coeffs -3,2); a unique prefix names a flag (--fam vt), and the
 last repeat wins. argparse is imported only to print --help. Ranges are
 written a..b (inclusive) and read lazily, so a huge one costs nothing until
-it is walked; --b all sweeps every residue of each code's modulus; for svt
-and levenshtein grids --n also accepts the relative forms k+1 and 2k. Each
-command walks the grid once per code, built at residue 0, with its --b
-residues. enum reads the same grid but needs it to name exactly one
-instance. --format (plain, json or csv) exists on enum only: table always
-writes CSV and verify plain lines. enum and table answer from
-the closed form when the coefficients are 1..k mod n with n dividing k+1
-(every vt code), one evaluation per gcd(b, n), and otherwise from the
+it is walked, and an empty one ends the walk; --b all sweeps every residue
+of each code's modulus; for svt and levenshtein grids --n also accepts the
+relative forms k+1 and 2k. Each command walks the grid once per code, built
+at residue 0, with its --b residues. enum reads the same grid but needs it
+to name exactly one instance. --format (plain, json or csv) exists on enum
+only: table always writes CSV and verify plain lines. enum and table answer
+from the closed form when the coefficients are 1..k mod n with n dividing
+k+1 (every vt code), one evaluation per gcd(b, n), and otherwise from the
 residue fold or by meeting in the middle; table asks each residue once, and
-for svt sums its counts by parity for each --r. verify prints one PASS, FAIL or
-UNVERIFIED line per instance. Its exact method is the residue fold; mitm,
+for svt sums its counts by parity for each --r. verify prints one PASS, FAIL
+or UNVERIFIED line per instance. Its exact method is the residue fold; mitm,
 meeting in the middle, runs only when --methods names it, and so does
 closed, the closed form, except for vt, where it is a default method. A
 method run outside its domain (a float sum that misses integrality,
@@ -84,7 +84,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
 from . import __version__
@@ -285,14 +285,23 @@ _FAMILIES = {
 
 
 def _expand(family: _Family, args: SimpleNamespace,
-            params: Params) -> Iterator[tuple[Params, CodeSpec, range]]:
+            params: Params) -> Generator[tuple[Params, CodeSpec, range], None, bool]:
+    """Walk the codes under params; return False once no further code can have an instance.
+
+    An empty range ends the whole walk: an explicit --b and every absolute grid
+    range read the same for each code, and k+1 and 2k always name one value.
+    """
     if len(params) == len(family.grid):
         code = family.make(*params.values(), 0)
-        yield params, code, _residues(args.b, code.modulus)
-        return
+        residues = _residues(args.b, code.modulus)
+        yield params, code, residues
+        return bool(residues)
     flag, expand = family.grid[len(params)]
-    for value in expand(getattr(args, flag), params):
-        yield from _expand(family, args, {**params, flag: value})
+    values = expand(getattr(args, flag), params)
+    for value in values:
+        if not (yield from _expand(family, args, {**params, flag: value})):
+            return False
+    return bool(values)
 
 
 def _check_grid_flags(args: SimpleNamespace, takes: Sequence[str], who: str) -> None:
@@ -384,11 +393,12 @@ def cmd_table(args: SimpleNamespace) -> int:
     # s, the modulus or b < modulus, so it comes before the grid's first instance.
     # Each code of the grid, built once at residue 0, is charged its residues before
     # any row: weight_enumerators charges at the call, plans at the first read.
-    family = _FAMILIES[args.family]
+    family, instances = _FAMILIES[args.family], False
     for _, code, residues in _grid(args, family):
         weight_enumerators(code, residues)
+        instances |= bool(residues)
     rows = []  # one plan per code, a sweep if two residues or more; --r both asks each once
-    for params, code, residues in _grid(args, family):
+    for params, code, residues in _grid(args, family) if instances else ():
         for b, w in zip(residues, weight_enumerators(code, residues)):
             # an svt size of parity r sums the base code's counts of the weights t = r mod 2
             rows += [(label, w.counts if r is None else w.counts[r::2])

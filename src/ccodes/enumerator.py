@@ -34,7 +34,7 @@ from operator import add, attrgetter, mul
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
-from .arith import binomial_row, divisors, factor, ramanujan_sum
+from .arith import binomial_row, divisors, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
 from .polyring import cap_error, mitm_is_cheaper, residue_product, residue_slot, row_counts
@@ -505,7 +505,7 @@ def _closed_form(k: int, n: int, b: int) -> WeightEnumerator:
     """
     _check_closed(k, n)
     total = [0] * (k + 2)
-    for d in divisors(factor(n)):
+    for d in divisors(n):
         c = ramanujan_sum(d, b)
         if c == 0:
             continue
@@ -548,7 +548,7 @@ def _divisor_sum(n: int, b: int, term: Callable[[int], int], denominator: int,
     The closed counts divide exactly for every valid input, so a remainder
     signals a bug: NonExactDivision with the caller's message.
     """
-    total = sum(ramanujan_sum(d, b) * t for d in divisors(factor(n)) if (t := term(d)))
+    total = sum(ramanujan_sum(d, b) * t for d in divisors(n) if (t := term(d)))
     v, rem = divmod(total, denominator)
     if rem:
         raise NonExactDivision(message)

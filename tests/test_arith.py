@@ -4,7 +4,6 @@ import random
 import pytest
 
 from ccodes import (
-    FactoredInteger,
     IntegralityFailure,
     binomial_row,
     divisors,
@@ -14,15 +13,16 @@ from ccodes import (
     ramanujan_sum_direct,
     totient,
 )
+from ccodes import arith
 
 # === factorization ===
 
 
 def test_factor_examples():
-    assert factor(1) == FactoredInteger(1, ())
-    assert factor(12) == FactoredInteger(12, ((2, 2), (3, 1)))
-    assert factor(97) == FactoredInteger(97, ((97, 1),))
-    assert factor(2**10) == FactoredInteger(1024, ((2, 10),))
+    assert factor(1) == ()
+    assert factor(12) == ((2, 2), (3, 1))
+    assert factor(97) == ((97, 1),)
+    assert factor(2**10) == ((2, 10),)
 
 
 def test_factor_rejects_nonpositive():
@@ -36,30 +36,23 @@ def test_factor_reconstructs_value():
     rng = random.Random(1)
     ns = list(range(1, 300)) + [rng.randint(1, 10**6) for _ in range(50)]
     for n in ns:
-        fi = factor(n)
-        assert math.prod(p**e for p, e in fi.factors) == n
-        primes = [p for p, _ in fi.factors]
+        fs = factor(n)
+        assert math.prod(p**e for p, e in fs) == n
+        primes = [p for p, _ in fs]
         assert primes == sorted(set(primes))
-
-
-def test_factored_integer_validates():
-    with pytest.raises(ValueError):
-        FactoredInteger(12, ((3, 1), (2, 2)))  # primes out of order
-    with pytest.raises(ValueError):
-        FactoredInteger(12, ((2, 1), (3, 1)))  # does not multiply out
+        assert all(e >= 1 for _, e in fs)
 
 
 def test_divisors_examples():
-    assert divisors(factor(1)) == [1]
-    assert divisors(factor(12)) == [1, 2, 3, 4, 6, 12]
-    assert divisors(factor(7)) == [1, 7]
+    assert divisors(1) == [1]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(7) == [1, 7]
 
 
 def test_divisor_count_matches_factorization():
     for n in range(1, 500):
-        fi = factor(n)
-        expected = math.prod(e + 1 for _, e in fi.factors)
-        ds = divisors(fi)
+        expected = math.prod(e + 1 for _, e in factor(n))
+        ds = divisors(n)
         assert len(ds) == expected
         assert ds == sorted(ds)
         assert all(n % d == 0 for d in ds)
@@ -93,7 +86,7 @@ def test_totient_examples():
 def test_totient_divisor_sum_equals_product_formula():
     # the divisor-sum definition must agree with prod(p^e - p^(e-1))
     for n in range(1, 2001):
-        prod = math.prod(p**e - p ** (e - 1) for p, e in factor(n).factors)
+        prod = math.prod(p**e - p ** (e - 1) for p, e in factor(n))
         assert totient(n) == prod
 
 
@@ -106,6 +99,36 @@ def test_ramanujan_examples():
     assert ramanujan_sum(6, 2) == -1
     assert ramanujan_sum(6, 3) == -2
     assert ramanujan_sum(1, 7) == 1
+
+
+def kluyver(n, m):
+    """Reference c_n(m) by Kluyver's divisor sum over d | gcd(m, n) of mu(n/d) d."""
+    g = math.gcd(m, n)
+    return sum(moebius(n // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def test_ramanujan_matches_kluyver():
+    for n in range(1, 301):
+        for m in range(-n, 2 * n + 1):
+            assert ramanujan_sum(n, m) == kluyver(n, m), (n, m)
+
+
+def test_ramanujan_factors_once(monkeypatch):
+    calls = {"factor": 0, "moebius": 0, "divisors": 0}
+
+    def counted(name):
+        fn = getattr(arith, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(arith, name, counted(name))
+    assert ramanujan_sum(360, 120) == -48  # c_8(120) c_9(120) c_5(120) = 4 * -3 * 4
+    assert calls == {"factor": 1, "moebius": 0, "divisors": 0}
 
 
 def test_ramanujan_rejects_bad_modulus():

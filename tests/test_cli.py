@@ -160,6 +160,40 @@ def test_table_header_of_an_empty_grid_names_the_grid_flags(capsys, grid, column
     assert (code, out, err) == (0, f"family,{columns}{value}\n", "")
 
 
+_HUGE = "1..100000000000"
+
+
+@pytest.mark.parametrize("argv, status, out, err, built", [
+    (("enum", "--family", "vt", "--n", _HUGE, "--b", "3..2"), 2, "",
+     "ccodes: enum needs a grid of exactly one instance; use table or verify\n", 1),
+    (("table", "--family", "vt", "--n", _HUGE, "--b", "3..2"), 0, "family,n,b,size\n", "", 1),
+    (("verify", "--family", "vt", "--n", _HUGE, "--b", "3..2"), 0, "0/0 instances agree\n", "", 1),
+    (("table", "--family", "levenshtein", "--k", _HUGE, "--n", "3..2", "--b", "0"), 0,
+     "family,k,n,b,size\n", "", 0),
+    (("table", "--family", "vt", "--n", "0", "--b", "3..2"), 2,
+     "", "ccodes: VT length must be >= 1\n", 1),
+], ids=["enum-vt", "table-vt", "verify-vt", "table-levenshtein", "table-vt-n0"])
+def test_an_empty_range_ends_the_grid_walk(capsys, monkeypatch, argv, status, out, err, built):
+    # an empty --b stops the walk after the first code, whose own error still comes
+    # first; an empty absolute grid range stops it before any code is built. Each grid
+    # flag is read once, so a walk that goes on fails here instead of running for ever.
+    family = cli._FAMILIES[argv[argv.index("--family") + 1]]
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            if len(calls) > 2:  # not an assert, which -O strips
+                pytest.fail("the walk went on past its first code")
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setitem(cli._FAMILIES, argv[argv.index("--family") + 1], family._replace(
+        make=counted(family.make), grid=tuple((flag, counted(read)) for flag, read in family.grid)))
+    assert run(capsys, *argv) == (status, out, err)
+    assert calls.count(family.make) == built
+
+
 def test_table_svt_empty_grid_header(capsys):
     code, out, _ = run(capsys, "table", "--family", "svt", "--k", "3..2", "--n", "k+1",
                        "--b", "all", "--r", "both")

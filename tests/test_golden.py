@@ -163,6 +163,12 @@ GRIDS = (
     # where building its list ended in an OverflowError traceback
     "verify --family vt --n 3 --b 0..100000000000000000000 --methods exact",
     "table --family blcc --coeffs 1,2 --mod 5 --b 0..100000000000000000000",
+    # an empty --b range ends a huge grid after its first code, and an empty grid
+    # range before any code, where the walk went on building codes with no instance
+    "enum --family vt --n 1..100000000000 --b 3..2",
+    "table --family vt --n 1..100000000000 --b 3..2",
+    "verify --family vt --n 1..100000000000 --b 3..2",
+    "table --family levenshtein --k 1..100000000000 --n 3..2 --b 0",
     # caps: exit 4, or a SKIP inside verify
     "enum --family helberg --k 60 --s 2 --b 0",
     "enum --family helberg --k 2000 --s 2 --b 0",
