@@ -33,15 +33,11 @@ from .enumerator import (
     lehmer_count,
     size,
     size_upper_bound,
-    svt_sizes_charsum_float,
     vt_q_size,
     vt_size,
     vt_weight_count,
     vt_weight_enumerator_closed,
     weight_enumerator,
-    weight_enumerator_charsum_float,
-    weight_enumerator_closed,
-    weight_enumerator_fold,
     weight_enumerators,
 )
 from .errors import (
@@ -95,15 +91,11 @@ __all__ = [
     "residue_product",
     "size",
     "size_upper_bound",
-    "svt_sizes_charsum_float",
     "totient",
     "vt_q_size",
     "vt_size",
     "vt_weight_count",
     "vt_weight_enumerator_closed",
     "weight_enumerator",
-    "weight_enumerator_charsum_float",
-    "weight_enumerator_closed",
-    "weight_enumerator_fold",
     "weight_enumerators",
 ]

@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 
+def _residue(b: int, modulus: int) -> int:
+    """b, once checked to be a residue of modulus: the one check of a spec's and a plan's b."""
+    if not 0 <= b < modulus:
+        raise ValueError(f"residue {b} not in [0, {modulus})")
+    return b
+
+
 class CodeSpec(Record):
     """Defining data of one binary linear congruence code."""
 
@@ -50,10 +57,7 @@ class CodeSpec(Record):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if self.modulus < 1:
             raise ValueError(f"modulus {self.modulus} must be >= 1")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(
-                f"residue {self.residue} not in [0, {self.modulus})"
-            )
+        _residue(self.residue, self.modulus)
 
     @property
     def length(self) -> int:

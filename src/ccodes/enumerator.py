@@ -1,13 +1,14 @@
 """Weight enumerators, sizes and counting formulas for congruence codes.
 
-The authoritative paths are exact integer arithmetic with no rounding:
-the closed divisor-sum form for the codes whose coefficients are 1..k mod n
-with n dividing k + 1 (VT codes among them), and otherwise the residue fold
-in ``polyring`` or its meet-in-the-middle split for one residue, as the
-cap and the route cost model in ``polyring`` allow and prefer. The fold
-and the closed form are checked against each other, and the literal
-floating-point character sums here (and brute force in ``oracle``) check
-both; those never replace them.
+The authoritative routes are exact integer arithmetic with no rounding: the
+closed divisor-sum form (closed_plan) for the codes whose coefficients are
+1..k mod n with n dividing k + 1 (VT codes among them), and otherwise the
+residue fold in ``polyring`` (fold_plan) or its meet-in-the-middle split for
+one residue (mitm_plan), as the cap and the route cost model in ``polyring``
+allow and prefer. The fold and the closed form check each other, and the
+literal floating-point character sums (charsum_float_plan, svt_float_plan)
+and brute force in ``oracle`` check both; those never replace them. Each
+route is one plan, code -> (b -> answer), and refuses b outside [0, n).
 
 Character-sum background, with e(x) = exp(2 pi i x): the enumerator of the
 code a_1 c_1 + ... + a_k c_k = b (mod n) is
@@ -35,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .arith import binomial_row, divisors, ramanujan_sum
-from .codes import CodeSpec, ParityCodeSpec
+from .codes import CodeSpec, ParityCodeSpec, _residue
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
 from .polyring import cap_error, mitm_is_cheaper, residue_product, residue_slot, row_counts
 
@@ -48,10 +49,6 @@ __all__ = [
     "mitm_plan",
     "charsum_float_plan",
     "svt_float_plan",
-    "weight_enumerator_closed",
-    "weight_enumerator_fold",
-    "weight_enumerator_mitm",
-    "weight_enumerator_charsum_float",
     "size",
     "size_upper_bound",
     "lehmer_count",
@@ -60,7 +57,6 @@ __all__ = [
     "vt_weight_count",
     "vt_size",
     "vt_q_size",
-    "svt_sizes_charsum_float",
 ]
 
 
@@ -133,16 +129,21 @@ def weight_enumerator(spec: CodeSpec | ParityCodeSpec) -> WeightEnumerator:
     return next(weight_enumerators(spec, (spec.residue,)))
 
 
-def weight_enumerators(code: CodeSpec, residues: Sequence[int]) -> Iterator[WeightEnumerator]:
+def weight_enumerators(code: CodeSpec, residues: Iterable[int]) -> Iterator[WeightEnumerator]:
     """The exact enumerator of code at each residue asked, from one plan of code.
 
-    code's own residue is not read. The closed form answers in its domain,
-    once per gcd class; else the fold, if it fits under its cap and two
-    residues or more are asked or the cost model (mitm_is_cheaper) prefers it
-    for one; else meeting in the middle, for fewer than n residues. The call
-    charges the residues to their route's cap and raises CapExceeded at once,
-    before anything is built; the plan is built when the first answer is read.
+    code's own residue is not read; residues that are not a Sequence, such
+    as a generator, are read into a tuple once. The closed form answers in
+    its domain, once per gcd class; else the fold, if it fits under its cap
+    and two residues or more are asked or the cost model (mitm_is_cheaper)
+    prefers it for one; else meeting in the middle, for fewer than n
+    residues. The call charges the residues to their route's cap and raises
+    CapExceeded at once, before anything is built; the plan is built when the
+    first answer is read, and raises ValueError for a residue outside [0, n).
     """
+    if not isinstance(residues, Sequence):  # the charge and the answers read them both
+        residues = tuple(residues)
+
     def answers(route=_route(code, residues)) -> Iterator[WeightEnumerator]:
         yield from map(route(code), residues)
 
@@ -158,7 +159,7 @@ def _route(code: CodeSpec,
     n = code.modulus
     if not closed_form_gap(code):
         _check_closed(code.length, n, len({math.gcd(b, n) for b in residues}))
-        return _closed_plan
+        return closed_plan
     error = cap_error([code.coefficients], n)
     if error is None:
         if residues[1:2] or not mitm_is_cheaper(tuple(a % n for a in code.coefficients), n):
@@ -174,13 +175,8 @@ def fold_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
     The fold costs one big-integer add per reached residue and coefficient, at
     most reach(coefficients, n) per coefficient, so huge moduli stay exact.
     """
-    k, rows = code.length, residue_product(code.coefficients, code.modulus)
-    return lambda b: WeightEnumerator(k, row_counts(rows.get(b, 0), k))
-
-
-def weight_enumerator_fold(spec: CodeSpec) -> WeightEnumerator:
-    """Exact weight enumerator from the residue fold (fold_plan), ``verify``'s exact method."""
-    return fold_plan(spec)(spec.residue)
+    k, n, rows = code.length, code.modulus, residue_product(code.coefficients, code.modulus)
+    return lambda b: WeightEnumerator(k, row_counts(rows.get(_residue(b, n), 0), k))
 
 
 def mitm_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
@@ -190,12 +186,7 @@ def mitm_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
     half instead of the fold's 2^k.
     """
     coeffs, n, k = code.coefficients, code.modulus, code.length
-    return lambda b: WeightEnumerator(k, residue_slot(coeffs, n, b))
-
-
-def weight_enumerator_mitm(spec: CodeSpec) -> WeightEnumerator:
-    """Exact weight enumerator by meeting in the middle (mitm_plan)."""
-    return mitm_plan(spec)(spec.residue)
+    return lambda b: WeightEnumerator(k, residue_slot(coeffs, n, _residue(b, n)))
 
 
 # The float routes build one table of phases before they loop, n for the
@@ -334,7 +325,18 @@ def _trig_plan(code: CodeSpec, reads: tuple) -> Callable[[int], list[complex]]:
 
 
 def charsum_float_plan(code: CodeSpec) -> Callable[[int], tuple[WeightEnumerator, float]]:
-    """b -> weight_enumerator_charsum_float at residue b, from one set of products of code."""
+    """b -> (code's enumerator at residue b, deviation) by the literal complex character sum.
+
+    Averages prod_j (1 + z e(a_j m / n)) against e(-b m / n) over m = 1..n
+    in floating point, from one set of products of code, rounds every
+    coefficient to the nearest integer and gives the rounded enumerator with
+    the largest distance |raw - rounded| seen (imaginary leakage included).
+    Raises CapExceeded here, before building anything, past the float modulus
+    or cell cap; an answer raises IntegralityFailure when that distance
+    exceeds 1e-6, or a coefficient overflows a float (past about 1030
+    coefficients) or reaches 2^52, where rounding stops showing an error.
+    Advisory path; exact results come from weight_enumerator.
+    """
     k, n = code.length, code.modulus
     _check_float(n, k, k + 1)
 
@@ -357,29 +359,13 @@ def charsum_float_plan(code: CodeSpec) -> Callable[[int], tuple[WeightEnumerator
     sums = _float_plan(code, k + 1, n, build)
 
     def charsum(b: int) -> tuple[WeightEnumerator, float]:
-        raws = [x / n for x in sums(-b)]
+        raws = [x / n for x in sums(-_residue(b, n))]
         if not all(map(cmath.isfinite, raws)):  # the products' coefficients passed the float range
             raise IntegralityFailure(f"character sum of {k} coefficients overflows a float")
         counts, dev = _rounded("character sum", raws)
         return WeightEnumerator(k, counts), dev
 
     return charsum
-
-
-def weight_enumerator_charsum_float(spec: CodeSpec) -> tuple[WeightEnumerator, float]:
-    """Literal complex evaluation of the character-sum enumerator.
-
-    Averages prod_j (1 + z e(a_j m / n)) against e(-b m / n) over
-    m = 1..n in floating point, rounds every coefficient to the nearest
-    integer and returns the rounded enumerator together with the largest
-    distance |raw - rounded| seen (imaginary leakage included). Raises
-    IntegralityFailure when that distance exceeds 1e-6, a coefficient
-    overflows a float (past about 1030 coefficients) or reaches 2^52, where
-    rounding stops showing an error, and CapExceeded,
-    before building anything, past the float modulus or cell cap. Advisory
-    path; exact results come from weight_enumerator.
-    """
-    return charsum_float_plan(spec)(spec.residue)
 
 
 def size(spec: CodeSpec | ParityCodeSpec) -> int:
@@ -421,7 +407,7 @@ def lehmer_count(coeffs: Iterable[int], n: int, b: int) -> int:
 
 
 def closed_form_gap(spec: CodeSpec) -> str:
-    """Why weight_enumerator_closed does not cover spec; "" when it does.
+    """Why closed_plan does not cover spec; "" when it does.
 
     Its domain: the modulus n divides k + 1, and among the coefficients
     reduced mod n every nonzero residue occurs (k + 1) / n times and 0 occurs
@@ -452,15 +438,10 @@ def closed_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
     """
     if gap := closed_form_gap(code):
         raise OutOfDomain(gap)
-    return _closed_plan(code)
-
-
-def _closed_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
-    # closed_plan of a code in the domain, which the caller has checked
     k, n, classes = code.length, code.modulus, {}
 
     def closed(b: int) -> WeightEnumerator:
-        g = math.gcd(b, n)  # n for b = 0
+        g = math.gcd(_residue(b, n), n)  # n for b = 0
         w = classes.get(g)
         if w is None:
             _check_closed(k, n, len(classes) + 1)
@@ -468,11 +449,6 @@ def _closed_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
         return w
 
     return closed
-
-
-def weight_enumerator_closed(spec: CodeSpec) -> WeightEnumerator:
-    """Exact weight enumerator from the closed divisor sum over the divisors of n (closed_plan)."""
-    return closed_plan(spec)(spec.residue)
 
 
 # The closed form's cap, on the bits of its row of k+2 integers: the divisor sum
@@ -534,7 +510,7 @@ def _check_vt(n: int, b: int) -> None:
 def vt_weight_enumerator_closed(n: int, b: int) -> WeightEnumerator:
     """Closed-form VT_b(n) weight enumerator via Ramanujan sums.
 
-    The closed form of weight_enumerator_closed with k = n and modulus n+1,
+    The closed form of closed_plan with k = n and modulus n+1,
     under the same cap, evaluated afresh on every call.
     """
     _check_vt(n, b)
@@ -590,7 +566,18 @@ def vt_q_size(n: int, b: int, q: int) -> int:
 
 
 def svt_float_plan(code: CodeSpec) -> Callable[[int], tuple[int, int, float]]:
-    """b -> svt_sizes_charsum_float of code's residue b, from one set of products of code."""
+    """b -> (even, odd, max residual): the sizes of code's residue b split by weight parity.
+
+    With A_m = prod_j cos(pi a_j m / n) and B_m = prod_j i sin(pi a_j m / n),
+    the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
+    the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
+    Both products come from one column-wise pass of the bound's kernel, once
+    for every b. Before building anything: CapExceeded past the float modulus
+    or cell cap, then IntegralityFailure when 2^(k-1) overflows a float
+    (k >= 1025). An answer raises IntegralityFailure past 1e-6, for a
+    negative size or when a size reaches 2^52, where rounding stops showing
+    an error.
+    """
     k, n = code.length, code.modulus
     _check_float(n, k, 2, _SVT_CELL_COST)
     scale = _float_scale(k - 1, n)
@@ -598,7 +585,7 @@ def svt_float_plan(code: CodeSpec) -> Callable[[int], tuple[int, int, float]]:
     i_k, sign, total = (1, 1j, -1, -1j)[k % 4], -1 if k % 2 else 1, sum(code.coefficients)
 
     def svt(b: int) -> tuple[int, int, float]:
-        acc_a, acc_b = sums(total - 2 * b)
+        acc_a, acc_b = sums(total - 2 * _residue(b, n))
         b_term = i_k * acc_b  # i^k * prod(sin) terms
         (even, odd), dev = _rounded("parity character sum", (scale * (acc_a + sign * b_term),
                                                              scale * (acc_a - sign * b_term)))
@@ -607,18 +594,3 @@ def svt_float_plan(code: CodeSpec) -> Callable[[int], tuple[int, int, float]]:
         return even, odd, dev
 
     return svt
-
-
-def svt_sizes_charsum_float(spec: ParityCodeSpec) -> tuple[int, int, float]:
-    """Floating-point parity-split sizes from the cosine/sine product form.
-
-    With A_m = prod_j cos(pi a_j m / n) and B_m = prod_j i sin(pi a_j m / n),
-    the even count is (2^(k-1)/n) sum_m e(eta m / n) (A_m + (-1)^k B_m) and
-    the odd count flips the sign of the B_m term; eta = -b + (sum_j a_j)/2.
-    Both products come from one column-wise pass of the bound's kernel.
-    Returns (even, odd, max residual), or IntegralityFailure past 1e-6 or
-    when a size reaches 2^52, where rounding stops showing an error.
-    Before building anything: CapExceeded past the float modulus or cell
-    cap, then IntegralityFailure when 2^(k-1) overflows a float (k >= 1025).
-    """
-    return svt_float_plan(spec.base)(spec.base.residue)

@@ -29,7 +29,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import compress, count
 
 from ._record import Record
-from .codes import CodeSpec
+from .codes import CodeSpec, _residue
 from .enumerator import WeightEnumerator
 from .errors import CapExceeded
 
@@ -154,7 +154,7 @@ def brute_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
     """b -> brute_weight_enumerator of code's residue b, from one grouping of its low tuples."""
     k, n = code.length, code.modulus
     cells, prefixes = _cells([a % n for a in code.coefficients], n)
-    return lambda b: WeightEnumerator(k, _count(cells, prefixes, n, b, k + 1))
+    return lambda b: WeightEnumerator(k, _count(cells, prefixes, n, _residue(b, n), k + 1))
 
 
 def brute_weight_enumerator(spec: CodeSpec) -> WeightEnumerator:

@@ -24,16 +24,14 @@ from ccodes import (
     moebius,
     size,
     size_upper_bound,
-    svt_sizes_charsum_float,
     totient,
     vt_q_size,
     vt_size,
     vt_weight_count,
     vt_weight_enumerator_closed,
     weight_enumerator,
-    weight_enumerator_charsum_float,
-    weight_enumerator_fold,
 )
+from ccodes.enumerator import charsum_float_plan, fold_plan, svt_float_plan
 
 SEED = 20260821
 
@@ -65,7 +63,7 @@ def test_criterion_01_vt_triple_agreement():
         for n in range(1, 15):
             for b in range(n + 1):
                 closed = vt_weight_enumerator_closed(n, b)
-                folded = weight_enumerator_fold(make_vt(n, b))
+                folded = fold_plan(make_vt(n, b))(b)
                 brute = brute_weight_enumerator(make_vt(n, b))
                 assert closed.counts == folded.counts == brute.counts, (n, b)
         elapsed = time.perf_counter() - t0
@@ -108,7 +106,7 @@ def test_criterion_04_random_specs_exact_vs_brute_vs_float():
             exact = weight_enumerator(spec)
             brute = brute_weight_enumerator(spec)
             assert exact.counts == brute.counts, spec
-            approx, dev = weight_enumerator_charsum_float(spec)
+            approx, dev = charsum_float_plan(spec)(spec.residue)
             assert approx.counts == exact.counts, spec
             worst = max(worst, dev)
         elapsed = time.perf_counter() - t0
@@ -125,7 +123,7 @@ def test_criterion_05_helberg_s1_reduces_to_vt():
                 # the dispatcher answers Helberg s=1 from the closed form; the fold
                 # of the VT spec is an independent route
                 h = weight_enumerator(make_helberg(k, 1, b))
-                v = weight_enumerator_fold(make_vt(k, b))
+                v = fold_plan(make_vt(k, b))(b)
                 assert h.counts == v.counts, (k, b)
         assert weight_enumerator(make_helberg(3, 2, 0)).counts == (1, 0, 0, 1)
 
@@ -145,7 +143,7 @@ def test_criterion_06_svt_parity_split():
                     for r in (0, 1):
                         pspec = make_svt(k, n, b, r)
                         assert size(pspec) == base_counts[b][r], (k, n, b, r)
-                        fe, fo, dev = svt_sizes_charsum_float(pspec)
+                        fe, fo, dev = svt_float_plan(pspec.base)(b)
                         assert (fe, fo) == base_counts[b], (k, n, b, r)
                         assert dev < 1e-6
 
@@ -203,7 +201,8 @@ def test_criterion_09_ramanujan_two_routes_and_identities():
                 assert ramanujan_sum(n, -m) == ramanujan_sum(n, m)
                 assert ramanujan_sum(n, m) <= phi
 
-    _report(9, "Kluyver vs direct root-of-unity sums, n <= 200, plus identities", check)
+    _report(9, "prime-power product vs direct root-of-unity sums, n <= 200, plus identities",
+            check)
 
 
 def test_criterion_10_single_deletion_balls_disjoint():

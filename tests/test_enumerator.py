@@ -35,21 +35,31 @@ from ccodes import (
     residue_product,
     size,
     size_upper_bound,
-    svt_sizes_charsum_float,
     vt_q_size,
     vt_size,
     vt_weight_count,
     vt_weight_enumerator_closed,
     weight_enumerator,
-    weight_enumerator_charsum_float,
-    weight_enumerator_closed,
-    weight_enumerator_fold,
     weight_enumerators,
 )
 import ccodes
 from ccodes import enumerator, polyring
 from ccodes.codes import ParityCodeSpec
+from ccodes.enumerator import (
+    charsum_float_plan,
+    closed_plan,
+    fold_plan,
+    mitm_plan,
+    svt_float_plan,
+)
+from ccodes.oracle import brute_plan
 from ccodes.polyring import residue_slot
+
+
+def _at(plan, spec):
+    """A route's answer at spec's own residue: plan(spec)(spec.residue)."""
+    return plan(spec)(spec.residue)
+
 
 # === WeightEnumerator type ===
 
@@ -81,14 +91,14 @@ def test_every_route_keeps_the_trailing_zero_weights():
     spec = CodeSpec((1, 1, 2), 5, 1)
     want = (0, 2, 0, 0)
     assert weight_enumerator(spec).counts == want
-    assert weight_enumerator_fold(spec).counts == want
-    assert enumerator.weight_enumerator_mitm(spec).counts == want
+    assert _at(fold_plan, spec).counts == want
+    assert _at(mitm_plan, spec).counts == want
     assert brute_weight_enumerator(spec).counts == want
-    assert weight_enumerator_charsum_float(spec)[0].counts == want
+    assert _at(charsum_float_plan, spec)[0].counts == want
     # the closed form's domain: VT_1(4) has no word of weight 4
     vt = make_vt(4, 1)
-    assert weight_enumerator_closed(vt).counts == vt_weight_enumerator_closed(4, 1).counts
-    assert weight_enumerator_closed(vt).counts == weight_enumerator_fold(vt).counts == (
+    assert _at(closed_plan, vt).counts == vt_weight_enumerator_closed(4, 1).counts
+    assert _at(closed_plan, vt).counts == _at(fold_plan, vt).counts == (
         0, 1, 1, 1, 0)
 
 
@@ -178,7 +188,7 @@ def count_routes(monkeypatch):
 
 def _fold_parities(spec):
     # (even, odd): the fold's counts of spec's base code, split by weight parity
-    counts = weight_enumerator_fold(spec.base).counts
+    counts = _at(fold_plan, spec.base).counts
     return sum(counts[::2]), sum(counts[1::2])
 
 
@@ -368,8 +378,7 @@ def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
 
 def test_float_routes_check_the_cap_before_their_tables(monkeypatch):
     monkeypatch.setattr(enumerator, "_MAX_FLOAT_MODULUS", 1 << 10)
-    routes = [weight_enumerator_charsum_float, size_upper_bound,
-              lambda spec: svt_sizes_charsum_float(make_svt(3, spec.modulus, 5, 0))]
+    routes = [charsum_float_plan, size_upper_bound, svt_float_plan]
     tracemalloc.start()
     try:
         for route in routes:
@@ -380,9 +389,9 @@ def test_float_routes_check_the_cap_before_their_tables(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20  # a root table of 2^21 entries takes tens of MB
     at_cap = make_levenshtein(3, 1 << 10, 5)
-    assert weight_enumerator_charsum_float(at_cap)[0] == weight_enumerator(at_cap)
+    assert _at(charsum_float_plan, at_cap)[0] == weight_enumerator(at_cap)
     assert size_upper_bound(at_cap) >= size(at_cap)
-    assert svt_sizes_charsum_float(make_svt(3, 1 << 10, 5, 0))[:2] == _fold_parities(
+    assert _at(svt_float_plan, make_svt(3, 1 << 10, 5, 0).base)[:2] == _fold_parities(
         make_svt(3, 1 << 10, 5, 0))
 
 
@@ -392,8 +401,8 @@ def _svt(spec):
 
 
 FLOAT_ROUTES = {  # name: (float route, its product rows, its cost a cell, the exact answer)
-    "charsum": (lambda spec: weight_enumerator_charsum_float(spec)[0], 4, 1, weight_enumerator),
-    "svt": (lambda spec: svt_sizes_charsum_float(_svt(spec))[:2], 2, 5,
+    "charsum": (lambda spec: _at(charsum_float_plan, spec)[0], 4, 1, weight_enumerator),
+    "svt": (lambda spec: _at(svt_float_plan, _svt(spec).base)[:2], 2, 5,
             lambda spec: _fold_parities(_svt(spec))),
     "bound": (lambda spec: size_upper_bound(spec) >= size(spec), 1, 3, lambda spec: True),
 }
@@ -419,7 +428,7 @@ def test_float_routes_check_the_work_bound_before_their_tables(monkeypatch, rout
 
 
 @pytest.mark.parametrize("route, k, cells, cap", [
-    (lambda spec: svt_sizes_charsum_float(ParityCodeSpec(spec, 0)), 52, 52 << 17, (1 << 25) // 5),
+    (lambda spec: _at(svt_float_plan, spec), 52, 52 << 17, (1 << 25) // 5),
     (size_upper_bound, 171, 171 << 16, (1 << 25) // 3),
 ], ids=["svt", "bound"])
 def test_float_routes_stop_at_their_own_cell_caps(route, k, cells, cap):
@@ -430,10 +439,10 @@ def test_float_routes_stop_at_their_own_cell_caps(route, k, cells, cap):
 
 
 @pytest.mark.parametrize("route, reason", [
-    (weight_enumerator_charsum_float, "character sum of 1100 coefficients overflows a float"),
+    (lambda spec: _at(charsum_float_plan, spec),
+     "character sum of 1100 coefficients overflows a float"),
     (size_upper_bound, "scale 2^1100 / 2 overflows a float"),
-    (lambda spec: svt_sizes_charsum_float(ParityCodeSpec(spec, 0)),
-     "scale 2^1099 / 2 overflows a float"),
+    (lambda spec: _at(svt_float_plan, spec), "scale 2^1099 / 2 overflows a float"),
 ], ids=["charsum", "bound", "svt"])
 def test_float_routes_that_overflow_fail_integrality(route, reason):
     # C(1100, 550) and 2^1100 pass the largest float, about 2^1024
@@ -455,13 +464,13 @@ def test_charsum_float_matches_exact():
         CodeSpec((4, -9, 2, 2), 11, 7),
     ]:
         exact = weight_enumerator(spec)
-        approx, dev = weight_enumerator_charsum_float(spec)
+        approx, dev = _at(charsum_float_plan, spec)
         assert approx.counts == exact.counts
         assert dev < 1e-9
 
 
 def test_charsum_float_modulus_one_is_exact():
-    _, dev = weight_enumerator_charsum_float(CodeSpec((1, 2, 3), 1, 0))
+    _, dev = _at(charsum_float_plan, CodeSpec((1, 2, 3), 1, 0))
     assert dev == 0.0
 
 
@@ -551,7 +560,7 @@ def per_m_bound(spec):
 
 def column_charsum(spec):
     try:
-        w, dev = weight_enumerator_charsum_float(spec)
+        w, dev = _at(charsum_float_plan, spec)
     except IntegralityFailure as exc:
         return str(exc)
     return w.counts, dev
@@ -559,7 +568,7 @@ def column_charsum(spec):
 
 def column_svt(pspec):
     try:
-        return svt_sizes_charsum_float(pspec)
+        return _at(svt_float_plan, pspec.base)
     except IntegralityFailure as exc:
         return str(exc)
 
@@ -798,7 +807,7 @@ def test_size_examples():
 
 def _float_size(spec):
     # the float size of any congruence: the svt sum's even plus odd sizes
-    even, odd, dev = svt_sizes_charsum_float(ParityCodeSpec(spec, 0))
+    even, odd, dev = _at(svt_float_plan, spec)
     assert (even, odd) == _fold_parities(ParityCodeSpec(spec, 0))
     return even + odd, dev
 
@@ -850,14 +859,14 @@ def test_float_size_routes_check_the_scale_before_the_sum(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_trig_plan", trig_plan)
     # both specs pass the cell caps: 1.02e7 cells of 1.12e7, and 6.6e6 of 6.71e6
-    lev, svt = make_levenshtein(1024, 10000, 0), make_svt(1100, 3000, 0, 0)
+    lev, svt = make_levenshtein(1024, 10000, 0), make_levenshtein(1100, 3000, 0)
     for route, spec, reason in ((size_upper_bound, lev, "scale 2^1024 / 10000"),
-                                (svt_sizes_charsum_float, svt, "scale 2^1099 / 3000")):
+                                (svt_float_plan, svt, "scale 2^1099 / 3000")):
         with pytest.raises(IntegralityFailure, match=f"^{re.escape(reason)} overflows a float$"):
             route(spec)
     # at k = 1023 the scale fits, so each route goes on to its sum
     for route, spec in ((size_upper_bound, make_levenshtein(1023, 10000, 0)),
-                        (svt_sizes_charsum_float, make_svt(1023, 3000, 0, 0))):
+                        (svt_float_plan, make_levenshtein(1023, 3000, 0))):
         with pytest.raises(Reached):
             route(spec)
 
@@ -889,7 +898,7 @@ def test_vt_closed_matches_fold():
     for n in range(1, 13):
         for b in range(n + 1):
             closed = vt_weight_enumerator_closed(n, b)
-            folded = weight_enumerator_fold(make_vt(n, b))
+            folded = _at(fold_plan, make_vt(n, b))
             assert closed.counts == folded.counts, (n, b)
 
 
@@ -906,16 +915,16 @@ def test_closed_form_equals_fold_wherever_n_divides_k_plus_1():
             for b in range(n):
                 spec = make_levenshtein(k, n, b)
                 assert closed_form_gap(spec) == ""
-                assert weight_enumerator_closed(spec) == weight_enumerator_fold(spec), (k, n, b)
+                assert _at(closed_plan, spec) == _at(fold_plan, spec), (k, n, b)
                 cases += 1
     assert cases == 793
 
 
 def test_closed_form_domain_edges():
     # no coefficients mod 1: the empty word alone
-    assert weight_enumerator_closed(CodeSpec((), 1, 0)).counts == (1,)
+    assert _at(closed_plan, CodeSpec((), 1, 0)).counts == (1,)
     # modulus 1 takes every word, whatever the coefficients
-    assert weight_enumerator_closed(CodeSpec((4, -7, 0), 1, 0)).counts == (1, 3, 3, 1)
+    assert _at(closed_plan, CodeSpec((4, -7, 0), 1, 0)).counts == (1, 3, 3, 1)
     for coeffs, n, reason in (((1, 2), 2, "modulus 2 does not divide k+1 = 3"),
                               ((1, 1, 2), 4, "coefficients mod 4 are not 1..3 mod 4"),
                               ((0, 2, 3), 4, "coefficients mod 4 are not 1..3 mod 4"),
@@ -923,7 +932,7 @@ def test_closed_form_domain_edges():
         spec = CodeSpec(coeffs, n, 0)
         assert closed_form_gap(spec) == reason
         with pytest.raises(OutOfDomain, match=f"^{re.escape(reason)}$"):
-            weight_enumerator_closed(spec)
+            _at(closed_plan, spec)
         assert weight_enumerator(spec) == brute_weight_enumerator(spec)
     # 1..7 mod 4 holds 0 once and 1, 2 and 3 twice each, in any order and with any signs
     assert closed_form_gap(CodeSpec((5, 2, 7, 8, 1, -2, 11), 4, 0)) == ""
@@ -973,7 +982,7 @@ def test_closed_form_cap_sits_between_vt_40122_and_vt_40123():
     # whose 1.6e9 bits would take about 165 MB
     spec = make_vt(40123, 5)
     for route in (lambda: vt_weight_enumerator_closed(40123, 5),
-                  lambda: weight_enumerator_closed(spec), lambda: weight_enumerator(spec)):
+                  lambda: _at(closed_plan, spec), lambda: weight_enumerator(spec)):
         tracemalloc.start()
         try:
             with pytest.raises(CapExceeded, match="^up to 1610617500 closed-form bits"):
@@ -1017,12 +1026,12 @@ def test_closed_form_evaluates_each_gcd_class_once(monkeypatch):
     sweep = [plan(b) for b in range(12)]
     assert calls == [(11, 12, g) for g in (12, 1, 2, 3, 4, 6)]  # gcd(b, 12) in order of b
     assert sweep == want
-    weight_enumerator_closed(make_levenshtein(11, 6, 3))
-    weight_enumerator_closed(make_levenshtein(11, 12, 3))
+    _at(closed_plan, make_levenshtein(11, 6, 3))
+    _at(closed_plan, make_levenshtein(11, 12, 3))
     assert calls[6:] == [(11, 6, 3), (11, 12, 3)]
 
 
-def test_closed_domain_check_runs_once_per_sweep(monkeypatch):
+def test_closed_domain_check_runs_per_sweep_not_per_residue(monkeypatch):
     checked = []
     gap = enumerator.closed_form_gap
     monkeypatch.setattr(enumerator, "closed_form_gap",
@@ -1031,27 +1040,55 @@ def test_closed_domain_check_runs_once_per_sweep(monkeypatch):
     sweep = list(weight_enumerators(make_levenshtein(10, 7, 0), range(7)))
     assert sweep == [brute_weight_enumerator(make_levenshtein(10, 7, b)) for b in range(7)]
     assert checked == [0]
-    # in the domain too, and a new coefficient list is checked again
+    # in the domain the route decision checks a new coefficient list, and so does
+    # closed_plan: twice a sweep, not once a residue
     assert list(weight_enumerators(make_levenshtein(11, 6, 0), range(6))) == [
-        weight_enumerator_fold(make_levenshtein(11, 6, b)) for b in range(6)]
-    assert checked == [0, 0]
+        _at(fold_plan, make_levenshtein(11, 6, b)) for b in range(6)]
+    assert checked == [0, 0, 0]
 
 
 def test_weight_enumerator_takes_the_closed_route_in_its_domain(monkeypatch):
     specs = (make_levenshtein(23, 8, 5), make_helberg(15, 1, 6), CodeSpec((5, -3, 7, -11, 8), 3, 1))
-    want = [weight_enumerator_fold(spec) for spec in specs]
+    want = [_at(fold_plan, spec) for spec in specs]
 
     def must_not_run(*args):
         raise AssertionError("a route other than the closed form ran")
 
-    for name in ("weight_enumerator_fold", "weight_enumerator_mitm", "residue_product",
-                 "residue_slot"):
+    for name in ("fold_plan", "mitm_plan", "residue_product", "residue_slot"):
         monkeypatch.setattr(enumerator, name, must_not_run)
     assert [weight_enumerator(spec) for spec in specs] == want
     assert [size(spec) for spec in specs] == [w.size() for w in want]
     # past both exact routes' caps, where VT(800) used to raise CapExceeded
     w = weight_enumerator(make_vt(800, 3))
     assert w == vt_weight_enumerator_closed(800, 3) and w.size() == vt_size(800, 3)
+
+
+def _sweep(code):
+    # weight_enumerators as a plan, asked two residues: outside the closed form's domain it folds
+    return lambda b: list(weight_enumerators(code, [0, b]))
+
+
+IN_DOMAIN, FOLDED = make_levenshtein(5, 6, 0), make_levenshtein(6, 5, 0)  # 6 | 5+1; 5 does not
+RESIDUE_PLANS = {"fold": (fold_plan, FOLDED), "mitm": (mitm_plan, FOLDED),
+                 "closed": (closed_plan, IN_DOMAIN), "charsum": (charsum_float_plan, FOLDED),
+                 "svt": (svt_float_plan, FOLDED), "brute": (brute_plan, FOLDED),
+                 "sweep-closed": (_sweep, IN_DOMAIN), "sweep-fold": (_sweep, FOLDED)}
+
+
+@pytest.mark.parametrize("plan, code", RESIDUE_PLANS.values(), ids=RESIDUE_PLANS)
+@pytest.mark.parametrize("above", [True, False], ids=["n", "-1"])
+def test_every_plan_refuses_a_residue_out_of_range(plan, code, above):
+    # b = n would otherwise read as 0 on some routes and as no codeword on the fold
+    n = code.modulus
+    b = n if above else -1
+    with pytest.raises(ValueError, match=rf"^residue {b} not in \[0, {n}\)$"):
+        plan(code)(b)
+
+
+@pytest.mark.parametrize("code", [make_vt(4, 0), make_levenshtein(6, 5, 0)], ids=["closed", "fold"])
+def test_weight_enumerators_reads_a_generator_of_residues_once(code):
+    want = [_at(fold_plan, CodeSpec(code.coefficients, code.modulus, b)) for b in (0, 1)]
+    assert list(weight_enumerators(code, (b for b in (0, 1)))) == want
 
 
 if hypothesis is not None:
@@ -1069,7 +1106,7 @@ if hypothesis is not None:
     @hypothesis.given(closed_domain_specs(), st.data())
     def test_closed_form_equals_fold_on_shuffled_shifted_coefficients(spec, data):
         assert closed_form_gap(spec) == ""
-        assert weight_enumerator_closed(spec) == weight_enumerator_fold(spec)
+        assert _at(closed_plan, spec) == _at(fold_plan, spec)
         if spec.modulus == 1:
             return  # every coefficient is 0 mod 1, so no change leaves the domain
         # one coefficient moved to another residue leaves the domain; the dispatcher
@@ -1167,9 +1204,9 @@ def test_svt_sizes_sum_to_base():
 
 
 def test_svt_charsum_float_examples():
-    even, odd, dev = svt_sizes_charsum_float(make_svt(4, 5, 0, 0))
+    even, odd, dev = _at(svt_float_plan, make_svt(4, 5, 0, 0).base)
     assert (even, odd) == (4, 0) and dev < 1e-9
-    even, odd, _ = svt_sizes_charsum_float(make_svt(4, 5, 1, 1))
+    even, odd, _ = _at(svt_float_plan, make_svt(4, 5, 1, 1).base)
     assert (even, odd) == (1, 2)
 
 
@@ -1179,7 +1216,7 @@ def test_svt_charsum_float_matches_exact():
             for b in range(n):
                 pspec = make_svt(k, n, b, 0)
                 want = _fold_parities(pspec)
-                even, odd, dev = svt_sizes_charsum_float(pspec)
+                even, odd, dev = _at(svt_float_plan, pspec.base)
                 assert (even, odd) == want, (k, n, b)
                 assert dev < 1e-6
 
@@ -1191,18 +1228,18 @@ def test_svt_charsum_float_refuses_sizes_from_2_to_the_52(monkeypatch):
         return lambda *args: lambda two_eta: list(acc)
 
     monkeypatch.setattr(enumerator, "_trig_plan", sums(complex(2**52 - 1), 0j))
-    assert svt_sizes_charsum_float(spec) == (2**52 - 1, 2**52 - 1, 0.0)
+    assert _at(svt_float_plan, spec.base) == (2**52 - 1, 2**52 - 1, 0.0)
     monkeypatch.setattr(enumerator, "_trig_plan", sums(complex(2**52), 0j))
     with pytest.raises(IntegralityFailure, match="^parity character sum reaches 2\\^52"):
-        svt_sizes_charsum_float(spec)
+        _at(svt_float_plan, spec.base)
     # a deviation of exactly 1e-6 passes; it is checked before 2^52, and a negative size
     # fails on its own
     monkeypatch.setattr(enumerator, "_trig_plan", sums(1e-6j, 0j))
-    assert svt_sizes_charsum_float(spec) == (0, 0, 1e-6)
+    assert _at(svt_float_plan, spec.base) == (0, 0, 1e-6)
     for acc_a, dev in ((complex(2**52, 0.5), "0.5"), (complex(-1), "0")):
         monkeypatch.setattr(enumerator, "_trig_plan", sums(acc_a, 0j))
         with pytest.raises(IntegralityFailure, match=f"^parity character sum off integer by {dev}$"):
-            svt_sizes_charsum_float(spec)
+            _at(svt_float_plan, spec.base)
 
 
 @pytest.mark.parametrize("what", ["character sum", "parity character sum"])

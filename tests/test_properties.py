@@ -22,8 +22,8 @@ from ccodes import (  # noqa: E402
     size_upper_bound,
     vt_weight_enumerator_closed,
     weight_enumerator,
-    weight_enumerator_fold,
 )
+from ccodes.enumerator import fold_plan  # noqa: E402
 from ccodes.polyring import reach, residue_slot, row_counts  # noqa: E402
 
 # derandomized and without an example database: every run checks the same draws
@@ -76,7 +76,7 @@ def test_residue_product_keeps_only_reached_residues(fold):
 @hypothesis.given(st.integers(1, 12), st.integers(1, 40), st.data())
 def test_parity_split_sums_to_size(k, n, data):
     spec = make_svt(k, n, data.draw(st.integers(0, n - 1)), 0)
-    counts = weight_enumerator_fold(spec.base).counts
+    counts = fold_plan(spec.base)(spec.base.residue).counts
     even, odd = sum(counts[::2]), sum(counts[1::2])
     assert (even, odd) == (size(spec), size(make_svt(k, n, spec.base.residue, 1)))
     assert even + odd == size(spec.base)
@@ -88,7 +88,7 @@ def test_helberg_s1_is_vt(k, data):
     b = data.draw(st.integers(0, k))
     helberg, vt = make_helberg(k, 1, b), make_vt(k, b)
     assert (helberg.coefficients, helberg.modulus) == (vt.coefficients, vt.modulus)
-    assert weight_enumerator_fold(helberg) == vt_weight_enumerator_closed(k, b)
+    assert fold_plan(helberg)(b) == vt_weight_enumerator_closed(k, b)
 
 
 @settings

@@ -2,8 +2,12 @@
 
 The lines below a command, up to the next command or the end of its block,
 are its stdout and stderr; a `...` line stands for any lines in between.
+The python block of its Library section runs too, top to bottom: a line
+that is one expression, with a `  # ` comment that is a Python literal,
+must give that literal.
 """
 
+import ast
 import contextlib
 import io
 import shlex
@@ -50,3 +54,27 @@ def test_readme_example_holds(command, expected):
         assert len(got) >= len(head) + len(tail)
     else:
         assert got == expected
+
+
+def library_block() -> str:
+    """The first python block of README's Library section."""
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_block_runs_and_its_values_hold():
+    source = library_block()
+    lines, namespace, compared = source.splitlines(), {}, []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        comment = lines[node.lineno - 1].partition("  # ")[2]
+        try:
+            want = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):  # prose, not a value
+            continue
+        assert value == want, lines[node.lineno - 1]
+        compared.append(node.lineno)
+    assert len(compared) >= 5
