@@ -58,10 +58,10 @@ Exit status:
        as one "ccodes: limit: ..." line before the route allocates; or the
        output cap: exact answers print whole, past Python's 4300-digit
        limit, but enum and table refuse more than _MAX_DIGITS decimal
-       digits before their first byte. table charges every code of its
-       grid and its --b residues to the route's cap before any row; a
-       usage error still wins, as ranges expand in ascending order and a
-       grid with one raises it before its first instance
+       digits before their first byte. table charges each code and its
+       --b residues to the route's cap, and a digit a number printed to
+       this cap, before any row; a usage error still wins, as ranges
+       expand in ascending order and a grid with one raises it first
 Run as a program (the console script, python -m ccodes.cli or
 sys.exit(main())), main ends the process itself once the command returns:
 it runs the atexit handlers, flushes stdout and stderr and calls os._exit
@@ -116,12 +116,12 @@ class UsageError(Exception):
 # ---- formatting ----
 
 
-def _check_digits(bit_lengths: Iterable[int]) -> None:
-    """Refuse an output of numbers of these bit lengths past _MAX_DIGITS before its first byte."""
+def _check_digits(bit_lengths: Iterable[int], digits: float = 0) -> None:
+    """Refuse an output of digits plus numbers of these bit lengths past _MAX_DIGITS."""
     # 0.30103 decimal digits a bit; past 4300 digits (14284 bits), where int-to-str
     # turns quadratic, a number of d digits counts d*d/4300
     bits = list(bit_lengths)
-    digits = 0.30103 * (sum(bits) + sum(b * b / 14284 - b for b in bits if b > 14284))
+    digits += 0.30103 * (sum(bits) + sum(b * b / 14284 - b for b in bits if b > 14284))
     if digits > _MAX_DIGITS:
         raise CapExceeded(f"about {digits:.0f} output digits exceed the cap of {_MAX_DIGITS}")
 
@@ -392,11 +392,15 @@ def cmd_table(args: SimpleNamespace) -> int:
     # ranges expand in ascending order and every usage error depends only on k,
     # s, the modulus or b < modulus, so it comes before the grid's first instance.
     # Each code of the grid, built once at residue 0, is charged its residues before
-    # any row: weight_enumerators charges at the call, plans at the first read.
-    family, instances = _FAMILIES[args.family], False
+    # any row: weight_enumerators charges at the call, plans at the first read. The
+    # output cap gets a digit a number, zeros too; len() refuses a range past maxsize.
+    family, instances, digits = _FAMILIES[args.family], False, 0
     for _, code, residues in _grid(args, family):
         weight_enumerators(code, residues)
         instances |= bool(residues)
+        digits += max(0, residues.stop - residues.start) * (2 if args.r == "both" else 1) * (
+            1 if args.quantity == "size" else code.length + 1)
+        _check_digits((), digits)
     rows = []  # one plan per code, a sweep if two residues or more; --r both asks each once
     for params, code, residues in _grid(args, family) if instances else ():
         for b, w in zip(residues, weight_enumerators(code, residues)):

@@ -4,7 +4,7 @@ The authoritative routes are exact integer arithmetic with no rounding: the
 closed divisor-sum form (closed_plan) for the codes whose coefficients are
 1..k mod n with n dividing k + 1 (VT codes among them), and otherwise the
 residue fold in ``polyring`` (fold_plan) or its meet-in-the-middle split for
-one residue (mitm_plan), as the cap and the route cost model in ``polyring``
+few residues (mitm_plan), as the cap and the route cost model in ``polyring``
 allow and prefer. The fold and the closed form check each other, and the
 literal floating-point character sums (charsum_float_plan, svt_float_plan)
 and brute force in ``oracle`` check both; those never replace them. Each
@@ -38,7 +38,7 @@ from ._record import Record
 from .arith import binomial_row, divisors, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec, _residue
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
-from .polyring import cap_error, mitm_is_cheaper, residue_product, residue_slot, row_counts
+from .polyring import cap_error, mitm_is_cheaper, residue_join, residue_product, row_counts
 
 __all__ = [
     "WeightEnumerator",
@@ -160,8 +160,7 @@ def _route(code: CodeSpec,
     if not closed_form_gap(code):
         _check_closed(code.length, n, len({math.gcd(b, n) for b in residues}))
         return closed_plan
-    error = cap_error([code.coefficients], n)
-    if error is None:
+    if (error := cap_error([code.coefficients], n)) is None:
         if residues[1:2] or not mitm_is_cheaper(tuple(a % n for a in code.coefficients), n):
             return fold_plan
     elif residues[n - 1:n]:
@@ -180,13 +179,13 @@ def fold_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
 
 
 def mitm_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
-    """b -> code's enumerator at residue b by meeting in the middle (``polyring.residue_slot``).
+    """b -> code's enumerator at residue b, one join of the halves of code folded here.
 
-    It keeps nothing between residues, and holds about 2^ceil(k/2) rows per
-    half instead of the fold's 2^k.
+    Meeting in the middle (``polyring.residue_join``) holds about 2^ceil(k/2)
+    rows per half instead of the fold's 2^k, and raises CapExceeded here.
     """
-    coeffs, n, k = code.coefficients, code.modulus, code.length
-    return lambda b: WeightEnumerator(k, residue_slot(coeffs, n, _residue(b, n)))
+    k, n, join = code.length, code.modulus, residue_join(code.coefficients, code.modulus)
+    return lambda b: WeightEnumerator(k, join(_residue(b, n)))
 
 
 # The float routes build one table of phases before they loop, n for the

@@ -24,11 +24,11 @@ unreached residue has no row and stands for the zero polynomial. That dict
 is the fold's one value. Only this module knows the field width: callers
 pass k to row_counts, which reads a row as its k+1 counts N_0..N_k.
 
-When one residue b is wanted, residue_slot meets in the middle (Horowitz and
-Sahni, J. ACM 1974): it folds each half of the coefficients at the full
-width k+1 and sums L[r] * R[(b - r) mod n] over the left half's residues.
-The packed product is exact for the same reason the fold is: every
-coefficient of the result counts tuples of one weight, so stays below
+When few residues are wanted, residue_join meets in the middle (Horowitz and
+Sahni, J. ACM 1974): it folds each half of the coefficients once, at the full
+width k+1, and joins them at each b asked: the sum of L[r] * R[(b - r) mod n]
+over the left half's residues. The packed product is exact as the fold is:
+every coefficient of the result counts tuples of one weight, so stays below
 2^(k+1). It holds about 2^ceil(k/2) rows per half instead of 2^k.
 
 Both routes check the bits that their rows could hold before they
@@ -41,7 +41,7 @@ costs all live here.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import CapExceeded, InvariantViolation
 
@@ -49,8 +49,8 @@ __all__ = [
     "cap_error",
     "mitm_is_cheaper",
     "reach",
+    "residue_join",
     "residue_product",
-    "residue_slot",
     "row_counts",
 ]
 
@@ -110,7 +110,7 @@ def cap_error(parts: Iterable[Iterable[int]], modulus: int) -> CapExceeded | Non
     The parts together are the spec's k coefficients; a fold of any part
     passes the cap when its rows of (k+1)^2 bits could hold more than
     _MAX_BITS bits. Reads only reach(part, modulus) and k, so it allocates
-    nothing; residue_product checks its one part and residue_slot its two
+    nothing; residue_product checks its one part and residue_join its two
     halves this way, the left half first.
     """
     parts = [list(part) for part in parts]
@@ -151,11 +151,11 @@ def mitm_is_cheaper(coeffs: tuple[int, ...], n: int) -> bool:
     A fold of the k coefficients (residue_product) is charged its row adds;
     its rows double each step until they reach min(n, 1 + the coefficient
     sum), and widen by one field of k + 1 bits. Meeting in the middle
-    (residue_slot) is charged the folds of both halves, one product per row
-    of the left half and a fixed overhead. With n >= 2^k that is about
-    2^ceil(k/2) rows against 2^k; when n is small enough that both halves
-    fill it, the routes do the same adds and the join decides, so the fold
-    wins as k grows (VT(200)).
+    (residue_join) is charged the folds of both halves, one join of a
+    product per row of the left half, and a fixed overhead. With n >= 2^k
+    that is about 2^ceil(k/2) rows against 2^k; when n is small enough that
+    both halves fill it, the routes do the same adds and the join decides,
+    so the fold wins as k grows (VT(200)).
     """
     k = len(coeffs)
     half = (k + 1) // 2
@@ -196,31 +196,31 @@ def residue_product(coeffs: Iterable[int], modulus: int) -> dict[int, int]:
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     a_list = [a % modulus for a in coeffs]
-    error = cap_error([a_list], modulus)
-    if error:
+    if error := cap_error([a_list], modulus):
         raise error
     return _fold(a_list, modulus, len(a_list) + 1)
 
 
-def residue_slot(coeffs: Iterable[int], modulus: int, residue: int) -> tuple[int, ...]:
-    """One residue's counts N_0..N_k by meeting in the middle.
+def residue_join(coeffs: Iterable[int], modulus: int) -> Callable[[int], tuple[int, ...]]:
+    """b -> the counts N_0..N_k at residue b, by meeting in the middle of halves folded here once.
 
     Folds the first ceil(k/2) and the last floor(k/2) coefficients apart,
-    each with the mass check, and joins them at the residue. Raises
-    CapExceeded, before building anything, when either half could hold more
-    than _MAX_BITS bits in rows of (k+1)^2 bits.
+    each with the mass check; each call joins them at its residue b, and
+    raises ValueError for b outside [0, modulus). Raises CapExceeded, before
+    building anything, when either half could hold more than _MAX_BITS bits
+    in rows of (k+1)^2 bits.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    if not 0 <= residue < modulus:
-        raise ValueError(f"residue {residue} out of range for modulus {modulus}")
     a_list = [a % modulus for a in coeffs]
-    half = (len(a_list) + 1) // 2
-    error = cap_error([a_list[:half], a_list[half:]], modulus)
-    if error:
+    k, half = len(a_list), (len(a_list) + 1) // 2
+    if error := cap_error([a_list[:half], a_list[half:]], modulus):
         raise error
-    width = len(a_list) + 1
-    left = _fold(a_list[:half], modulus, width)
-    right = _fold(a_list[half:], modulus, width)
-    packed = sum(x * right.get((residue - r) % modulus, 0) for r, x in left.items())
-    return row_counts(packed, len(a_list))
+    left, right = _fold(a_list[:half], modulus, k + 1), _fold(a_list[half:], modulus, k + 1)
+
+    def join(b: int) -> tuple[int, ...]:
+        if not 0 <= b < modulus:
+            raise ValueError(f"residue {b} out of range for modulus {modulus}")
+        return row_counts(sum(x * right.get((b - r) % modulus, 0) for r, x in left.items()), k)
+
+    return join

@@ -766,11 +766,12 @@ def test_cap_exits_4_outside_verify(capsys, monkeypatch):
     assert run(capsys, "table", "--family", "helberg", "--quantity", "size",
                "--k", "10", "--s", "2", "--b", "0..231") == (code, out, err)
     assert halves == []
-    # a two-residue sweep past the fold's cap meets in the middle at each residue
+    # a two-residue sweep past the fold's cap meets in the middle: its plan folds each
+    # half once, and each residue joins them
     code, out, _ = run(capsys, "table", "--family", "helberg", "--quantity", "size",
                        "--k", "10", "--s", "2", "--b", "0..1")
     assert code == 0 and out.splitlines()[1:] == ["helberg,10,2,0,4", "helberg,10,2,1,4"]
-    assert halves == [5, 5, 5, 5]
+    assert halves == [5, 5]
     code, out, err = run(capsys, "enum", "--family", "helberg", "--k", "20", "--s", "2",
                          "--b", "0")
     assert (code, out) == (4, "")
@@ -1045,9 +1046,10 @@ def test_output_cap_sits_between_vt_15086_and_vt_15087(capsys):
 
 def test_output_cap_refuses_before_the_first_byte(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_MAX_DIGITS", 100)
-    code, out, _ = run(capsys, "table", "--family", "vt", "--quantity", "nt", "--n", "1..14",
+    # 90 numbers print under the cap; 1..14's 119 are charged a digit each and refused
+    code, out, _ = run(capsys, "table", "--family", "vt", "--quantity", "nt", "--n", "1..12",
                        "--b", "0")
-    assert code == 0 and len(out.splitlines()) == 15
+    assert code == 0 and len(out.splitlines()) == 13
     for argv in (("enum", "--family", "vt", "--n", "60", "--b", "0", "--format", "json"),
                  ("enum", "--family", "vt", "--n", "400", "--b", "0", "--q", "3"),
                  ("table", "--family", "vt", "--quantity", "nt", "--n", "1..15", "--b", "0"),
@@ -1056,6 +1058,38 @@ def test_output_cap_refuses_before_the_first_byte(capsys, monkeypatch):
         assert (code, out) == (4, ""), argv  # not even the table's header line
         assert err.startswith("ccodes: limit: about ")
         assert err.endswith(" output digits exceed the cap of 100\n") and err.count("\n") == 1
+
+
+def test_table_charges_a_digit_a_number_before_any_plan(capsys, monkeypatch):
+    # 10^9+7 rows, nearly all of size 0, print a digit each: past the cap of 5e7 digits
+    # before any plan is built, where the rows would take hours; --b all past sys.maxsize too
+    def must_not_run(code):
+        raise AssertionError("a plan was built")
+
+    for name in ("fold_plan", "mitm_plan", "closed_plan"):
+        monkeypatch.setattr(enumerator, name, must_not_run)
+    for mod in (10**9 + 7, 10**23):
+        code, out, err = run(capsys, "table", "--family", "blcc", "--coeffs", "3,5",
+                             "--mod", str(mod), "--b", "all")
+        assert (code, out) == (4, "")
+        assert err == f"ccodes: limit: about {float(mod):.0f} output digits exceed the cap of " \
+                      f"{cli._MAX_DIGITS}\n"
+    # each residue, each of its labels and each of a row's k+1 numbers is charged: under
+    # a cap of 100 digits, tables of 99 or 100 numbers, nearly all zeros, print, and
+    # those of 101 or more are refused
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_MAX_DIGITS", 100)
+    blcc = ("--family", "blcc", "--coeffs", "3,5", "--b", "all", "--quantity")
+    svt = ("--family", "svt", "--k", "2", "--b", "all", "--r", "both", "--n")
+    for printed, refused, last in (((*blcc, "size", "--mod", "100"),  # 100 residues
+                                    (*blcc, "size", "--mod", "101"), "99,0"),
+                                   ((*blcc, "nt", "--mod", "33"),  # 3 numbers a row
+                                    (*blcc, "nt", "--mod", "34"), "32,0,0,0"),
+                                   ((*svt, "50"), (*svt, "51"), "49,1,0")):  # 2 rows a residue
+        code, out, _ = run(capsys, "table", *printed)
+        assert code == 0 and out.endswith(f",{last}\n"), printed
+        code, out, err = run(capsys, "table", *refused)
+        assert (code, out) == (4, "") and err.startswith("ccodes: limit: about 1"), refused
 
 
 def test_qary_size_past_the_output_cap_is_refused_before_the_sum(capsys, monkeypatch):

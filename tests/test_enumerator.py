@@ -53,7 +53,7 @@ from ccodes.enumerator import (
     svt_float_plan,
 )
 from ccodes.oracle import brute_plan
-from ccodes.polyring import residue_slot
+from ccodes.polyring import residue_join
 
 
 def _at(plan, spec):
@@ -177,12 +177,12 @@ def test_weight_enumerator_sparse_path():
 
 
 def count_routes(monkeypatch):
-    """Record "fold" for every fold and "mitm" for every meeting in the middle."""
+    """Record "fold" for every fold and "mitm" for every meeting in the middle's plan."""
     routes = []
     monkeypatch.setattr(enumerator, "residue_product",
                         lambda *args: routes.append("fold") or residue_product(*args))
-    monkeypatch.setattr(enumerator, "residue_slot",
-                        lambda *args: routes.append("mitm") or residue_slot(*args))
+    monkeypatch.setattr(enumerator, "residue_join",
+                        lambda *args: routes.append("mitm") or residue_join(*args))
     return routes
 
 
@@ -252,13 +252,13 @@ def test_an_every_residue_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(
         except CapExceeded:
             raised = True
         assert routes == []
-        residues = [rng.randrange(n), rng.randrange(n)]  # a sweep: one fold, or two joins
-        want = ["mitm"] * 2 if raised else ["fold"]
+        residues = [rng.randrange(n), rng.randrange(n)]  # a sweep: one fold, or one join plan
+        want = ["mitm"] if raised else ["fold"]
         try:
             assert list(weight_enumerators(code, residues)) == [
                 brute_weight_enumerator(CodeSpec(code.coefficients, n, b)) for b in residues]
         except CapExceeded:  # two residues are every residue of n <= 2, which the call
-            # refuses; else the halves are past the cap too: the first residue raises
+            # refuses; else the halves are past the cap too: the plan raises at the first read
             want = [] if n <= 2 else ["mitm"]
         assert routes == want, (code, residues)
         routes.clear()
@@ -269,7 +269,7 @@ def test_an_every_residue_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(
 _TWICE_SCRIPT = """
 from ccodes import CodeSpec, enumerator, make_helberg, weight_enumerator
 routes = []
-for name in ("residue_product", "residue_slot"):
+for name in ("residue_product", "residue_join"):
     route = getattr(enumerator, name)
     setattr(enumerator, name, lambda *args, name=name, route=route:
             routes.append(name) or route(*args))
@@ -289,7 +289,7 @@ def test_the_same_call_twice_takes_the_same_route_in_a_fresh_process():
     proc = subprocess.run([sys.executable, *flags, "-c", _TWICE_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == ("True residue_slot residue_slot\n" * 2
+    assert proc.stdout == ("True residue_join residue_join\n" * 2
                            + "True residue_product residue_product\n")
 
 
@@ -350,7 +350,7 @@ def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
     assert weight_enumerator(spec) == expected  # a repeat does not fold
     assert list(weight_enumerators(spec, [3, 3])) == [expected] * 2  # nor a sweep past the cap
     assert size(spec) == expected.size()
-    assert routes == ["mitm"] * 5
+    assert routes == ["mitm"] * 4  # one plan a call, whatever the residues it asks
     # under the cap a sweep folds once, and the fold serves the sweep's next residue; a
     # call for one residue still takes its own route, meeting in the middle
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
@@ -358,7 +358,7 @@ def test_repeat_past_the_fold_cap_meets_in_the_middle(monkeypatch):
         expected, brute_weight_enumerator(make_helberg(10, 2, 4))]
     assert weight_enumerator(make_helberg(10, 2, 5)) == brute_weight_enumerator(
         make_helberg(10, 2, 5))
-    assert routes == ["mitm"] * 5 + ["fold", "mitm"]
+    assert routes == ["mitm"] * 4 + ["fold", "mitm"]
 
 
 def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
@@ -367,10 +367,27 @@ def test_past_the_bit_cap_meets_in_the_middle(monkeypatch):
     expected = brute_weight_enumerator(spec)
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2 - 1)
     assert list(weight_enumerators(spec, [3, 3])) == [expected] * 2  # one bit short: no fold
-    assert routes == ["mitm"] * 2
+    assert routes == ["mitm"]
     monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2)
     assert list(weight_enumerators(spec, [3, 3])) == [expected] * 2  # at the cap a sweep folds
-    assert routes == ["mitm"] * 2 + ["fold"]
+    assert routes == ["mitm", "fold"]
+
+
+def test_a_mitm_sweep_folds_its_halves_once(monkeypatch):
+    # past the fold's cap, 50 residues of Helberg(10, 2) meet in the middle: the plan folds
+    # each half once, and every residue is one join of the kept halves
+    code, residues = make_helberg(10, 2, 0), range(0, 200, 4)
+    brute = brute_plan(code)
+    want = [brute(b) for b in residues]
+    folded = []
+    fold = polyring._fold
+    monkeypatch.setattr(polyring, "_fold", lambda a, *rest: folded.append(len(a)) or fold(a, *rest))
+    monkeypatch.setattr(polyring, "_MAX_BITS", 232 * 11**2 - 1)
+    assert list(weight_enumerators(code, residues)) == want
+    assert folded == [5, 5]
+    plan = mitm_plan(code)  # the plan folds when it is built, before any residue is asked
+    assert folded == [5, 5] * 2
+    assert [plan(b) for b in residues] == want and folded == [5, 5] * 2
 
 
 # === float character sum ===
@@ -1054,7 +1071,7 @@ def test_weight_enumerator_takes_the_closed_route_in_its_domain(monkeypatch):
     def must_not_run(*args):
         raise AssertionError("a route other than the closed form ran")
 
-    for name in ("fold_plan", "mitm_plan", "residue_product", "residue_slot"):
+    for name in ("fold_plan", "mitm_plan", "residue_product", "residue_join"):
         monkeypatch.setattr(enumerator, name, must_not_run)
     assert [weight_enumerator(spec) for spec in specs] == want
     assert [size(spec) for spec in specs] == [w.size() for w in want]

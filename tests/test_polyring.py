@@ -10,7 +10,7 @@ from ccodes import (
     residue_product,
 )
 from ccodes import polyring
-from ccodes.polyring import cap_error, reach, residue_slot, row_counts
+from ccodes.polyring import cap_error, reach, residue_join, row_counts
 
 # === residue_product ===
 
@@ -115,16 +115,19 @@ def test_fold_mass_check():
         polyring._check_mass([1, 1], 1, 2)
 
 
-def test_residue_slot_examples():
-    assert residue_slot([1, 2], 3, 0) == (1, 0, 1)
-    assert residue_slot([], 5, 0) == (1,) and residue_slot([], 5, 3) == (0,)
-    assert residue_slot([0] * 40, 1, 0) == tuple(math.comb(40, t) for t in range(41))
+def test_residue_join_examples():
+    assert residue_join([1, 2], 3)(0) == (1, 0, 1)
+    empty = residue_join([], 5)
+    assert empty(0) == (1,) and empty(3) == (0,)
+    assert residue_join([0] * 40, 1)(0) == tuple(math.comb(40, t) for t in range(41))
     big = 10**9 + 7
-    assert residue_slot([3, -5, 7], big, big - 2) == (0, 0, 1, 0)
-    assert residue_slot([3, -5, 7], big, 1) == (0, 0, 0, 0)
-    for bad in ((0, 0), (3, 3), (3, -1)):
-        with pytest.raises(ValueError):
-            residue_slot([1], *bad)
+    join = residue_join(iter([3, -5, 7]), big)  # any iterable, read once
+    assert join(big - 2) == (0, 0, 1, 0) and join(1) == (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+        residue_join([1], 0)
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=f"^residue {bad} out of range for modulus 3$"):
+            residue_join([1], 3)(bad)
 
 
 def test_slots_hold_k_plus_one_counts():
@@ -132,20 +135,20 @@ def test_slots_hold_k_plus_one_counts():
     # residues 5..10 are not
     for n in (5, 11):
         for r, counts in enumerate(slots([1, 1, 2], n)):
-            assert len(counts) == len(residue_slot([1, 1, 2], n, r)) == 4
-    assert slots([1, 1, 2], 5)[1] == residue_slot([1, 1, 2], 5, 1) == (0, 2, 0, 0)
-    assert slots([1, 1, 2], 11)[7] == residue_slot([1, 1, 2], 11, 7) == (0,) * 4
+            assert len(counts) == len(residue_join([1, 1, 2], n)(r)) == 4
+    assert slots([1, 1, 2], 5)[1] == residue_join([1, 1, 2], 5)(1) == (0, 2, 0, 0)
+    assert slots([1, 1, 2], 11)[7] == residue_join([1, 1, 2], 11)(7) == (0,) * 4
 
 
-def test_residue_slot_matches_fold():
+def test_residue_join_matches_fold():
     rng = random.Random(9)
     for _ in range(60):
         k = rng.randint(0, 11)
         n = rng.choice((rng.randint(1, 60), 1 << rng.randint(0, 12), 10**9 + 7))
         coeffs = [rng.choice((0, rng.randint(-90, 90))) for _ in range(k)]
-        rows = residue_product(coeffs, n)
+        rows, join = residue_product(coeffs, n), residue_join(coeffs, n)
         for b in rng.sample(range(n), min(n, 8)):
-            assert residue_slot(coeffs, n, b) == row_counts(rows.get(b, 0), k)
+            assert join(b) == row_counts(rows.get(b, 0), k)
 
 
 def test_reach_bounds_the_rows():
@@ -177,13 +180,14 @@ def test_bit_cap_at_the_bound(monkeypatch):
         f"up to 2^60+ packed bits exceeds the cap of {polyring._MAX_BITS}")
     assert str(cap_error([[10**900] * 3000], 10**1000)) == (
         f"up to 2^3023+ packed bits exceeds the cap of {polyring._MAX_BITS}")
-    # each half is charged rows of the whole spec's width, 8192^2 bits
+    # each half is charged rows of the whole spec's width, 8192^2 bits, when the join is
+    # built, before any residue is asked
     assert cap_error([[1] * 4096, [1] * 4095], 7) is None
     with pytest.raises(CapExceeded, match=f"up to {8 * 8192**2} packed bits"):
-        residue_slot([1] * 8191, 8, 0)
+        residue_join([1] * 8191, 8)
     # VT(800): its fold and its halves alike, before anything is folded
     with pytest.raises(CapExceeded, match=f"up to {801**3} packed bits"):
-        residue_slot(range(1, 801), 801, 0)
+        residue_join(range(1, 801), 801)
     assert folded == []
 
 
@@ -207,7 +211,7 @@ def test_row_cap_comes_before_any_fold(monkeypatch):
     cap(16, 4)
     assert row_counts(residue_product([1, 2, 4, 8], 100)[15], 4) == (0, 0, 0, 0, 1)
     cap(16, 8)
-    assert residue_slot([1, 2, 4, 8, 16, 32, 64, 128], 1000, 255) == (0,) * 8 + (1,)
+    assert residue_join([1, 2, 4, 8, 16, 32, 64, 128], 1000)(255) == (0,) * 8 + (1,)
     assert folded == [4, 4, 4]
     cap(16, 5)
     with pytest.raises(CapExceeded, match=f"up to {17 * 6**2} packed bits exceeds the cap of "
@@ -216,5 +220,5 @@ def test_row_cap_comes_before_any_fold(monkeypatch):
     # the left half reaches 32 residues: neither half is folded
     cap(16, 9)
     with pytest.raises(CapExceeded, match=f"up to {32 * 10**2} packed bits"):
-        residue_slot([1, 2, 4, 8, 16, 32, 64, 128, 256], 1000, 0)
+        residue_join([1, 2, 4, 8, 16, 32, 64, 128, 256], 1000)
     assert folded == [4, 4, 4]

@@ -24,7 +24,7 @@ from ccodes import (  # noqa: E402
     weight_enumerator,
 )
 from ccodes.enumerator import fold_plan  # noqa: E402
-from ccodes.polyring import reach, residue_slot, row_counts  # noqa: E402
+from ccodes.polyring import reach, residue_join, row_counts  # noqa: E402
 
 # derandomized and without an example database: every run checks the same draws
 settings = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
@@ -52,11 +52,11 @@ def test_residue_product_equals_brute_force(fold):
     expected = [[0] * (k + 1) for _ in range(n)]
     for bits in product((0, 1), repeat=k):
         expected[sum(a * c for a, c in zip(coeffs, bits)) % n][sum(bits)] += 1
-    rows = residue_product(coeffs, n)
+    rows, join = residue_product(coeffs, n), residue_join(coeffs, n)
     for r in range(n):
         counts = row_counts(rows.get(r, 0), k)
         assert list(counts) == expected[r]
-        assert residue_slot(coeffs, n, r) == counts
+        assert join(r) == counts
 
 
 @settings
