@@ -55,7 +55,6 @@ from .oracle import (
     build_codebook,
     check_single_deletion,
 )
-from .polyring import residue_product
 
 __version__ = "0.1.0"
 
@@ -88,7 +87,6 @@ __all__ = [
     "moebius",
     "ramanujan_sum",
     "ramanujan_sum_direct",
-    "residue_product",
     "size",
     "size_upper_bound",
     "totient",

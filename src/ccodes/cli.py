@@ -116,14 +116,16 @@ class UsageError(Exception):
 # ---- formatting ----
 
 
-def _check_digits(bit_lengths: Iterable[int], digits: float = 0) -> None:
+def _check_digits(bit_lengths: Iterable[int], digits: int = 0) -> None:
     """Refuse an output of digits plus numbers of these bit lengths past _MAX_DIGITS."""
     # 0.30103 decimal digits a bit; past 4300 digits (14284 bits), where int-to-str
-    # turns quadratic, a number of d digits counts d*d/4300
+    # turns quadratic, a number of d digits counts d*d/4300. Only that estimate is a
+    # float: digits stays an exact integer of any size.
     bits = list(bit_lengths)
-    digits += 0.30103 * (sum(bits) + sum(b * b / 14284 - b for b in bits if b > 14284))
-    if digits > _MAX_DIGITS:
-        raise CapExceeded(f"about {digits:.0f} output digits exceed the cap of {_MAX_DIGITS}")
+    estimate = 0.30103 * (sum(bits) + sum(b * b / 14284 - b for b in bits if b > 14284))
+    if estimate > _MAX_DIGITS - digits:
+        raise CapExceeded(f"about {digits + round(estimate)} output digits exceed the cap of "
+                          f"{_MAX_DIGITS}")
 
 
 def _json_scalar(v: int | str):

@@ -2,10 +2,11 @@
 
 The authoritative routes are exact integer arithmetic with no rounding: the
 closed divisor-sum form (closed_plan) for the codes whose coefficients are
-1..k mod n with n dividing k + 1 (VT codes among them), and otherwise the
-residue fold in ``polyring`` (fold_plan) or its meet-in-the-middle split for
-few residues (mitm_plan), as the cap and the route cost model in ``polyring``
-allow and prefer. The fold and the closed form check each other, and the
+1..k mod n with n dividing k + 1 (VT codes among them), and otherwise the one
+residue kernel in ``polyring`` at one of two splits of the coefficients: the
+whole fold (fold_plan), or halves that meet in the middle for few residues
+(mitm_plan), as the cap and the route cost model in ``polyring`` allow and
+prefer. The fold and the closed form check each other, and the
 literal floating-point character sums (charsum_float_plan, svt_float_plan)
 and brute force in ``oracle`` check both; those never replace them. Each
 route is one plan, code -> (b -> answer), and refuses b outside [0, n).
@@ -38,7 +39,7 @@ from ._record import Record
 from .arith import binomial_row, divisors, ramanujan_sum
 from .codes import CodeSpec, ParityCodeSpec, _residue
 from .errors import CapExceeded, IntegralityFailure, NonExactDivision, OutOfDomain
-from .polyring import cap_error, mitm_is_cheaper, residue_join, residue_product, row_counts
+from .polyring import cap_error, mitm_is_cheaper, residue_plan
 
 __all__ = [
     "WeightEnumerator",
@@ -174,18 +175,22 @@ def fold_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
     The fold costs one big-integer add per reached residue and coefficient, at
     most reach(coefficients, n) per coefficient, so huge moduli stay exact.
     """
-    k, n, rows = code.length, code.modulus, residue_product(code.coefficients, code.modulus)
-    return lambda b: WeightEnumerator(k, row_counts(rows.get(_residue(b, n), 0), k))
+    return _residue_plan(code, code.length)
 
 
 def mitm_plan(code: CodeSpec) -> Callable[[int], WeightEnumerator]:
     """b -> code's enumerator at residue b, one join of the halves of code folded here.
 
-    Meeting in the middle (``polyring.residue_join``) holds about 2^ceil(k/2)
-    rows per half instead of the fold's 2^k, and raises CapExceeded here.
+    Meeting in the middle holds about 2^ceil(k/2) rows per half instead of
+    the fold's 2^k, and raises CapExceeded here.
     """
-    k, n, join = code.length, code.modulus, residue_join(code.coefficients, code.modulus)
-    return lambda b: WeightEnumerator(k, join(_residue(b, n)))
+    return _residue_plan(code, (code.length + 1) // 2)
+
+
+def _residue_plan(code: CodeSpec, split: int) -> Callable[[int], WeightEnumerator]:
+    # the one exact plan outside the closed form: polyring.residue_plan at a split
+    k, counts = code.length, residue_plan(code.coefficients, code.modulus, split)
+    return lambda b: WeightEnumerator(k, counts(b))
 
 
 # The float routes build one table of phases before they loop, n for the

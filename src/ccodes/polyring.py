@@ -20,46 +20,46 @@ multiplying by z is a shift by k+1 bits. A fold step is then one big-integer
 add per residue. The slots sit in a dict keyed by the residues that some
 tuple reaches, at most reach(coeffs, n) = min(n, 2^k, 1 + the sum of the
 reduced coefficients) of them, so one fold serves every modulus; an
-unreached residue has no row and stands for the zero polynomial. That dict
-is the fold's one value. Only this module knows the field width: callers
-pass k to row_counts, which reads a row as its k+1 counts N_0..N_k.
+unreached residue has no row and stands for the zero polynomial.
 
-When few residues are wanted, residue_join meets in the middle (Horowitz and
-Sahni, J. ACM 1974): it folds each half of the coefficients once, at the full
-width k+1, and joins them at each b asked: the sum of L[r] * R[(b - r) mod n]
-over the left half's residues. The packed product is exact as the fold is:
-every coefficient of the result counts tuples of one weight, so stays below
-2^(k+1). It holds about 2^ceil(k/2) rows per half instead of 2^k.
+The one kernel, residue_plan(coeffs, n, split), folds the two parts
+coeffs[:split] and coeffs[split:] once each, at the full width k+1, and
+answers each residue b asked with one join: the sum of L[r] * R[(b - r) mod n]
+over the part with fewer reached residues. The packed product is exact as
+the fold is: every coefficient of the result counts tuples of one weight, so
+stays below 2^(k+1). With split = k the second part is the empty tuple's one
+row, {0: 1}, and the join reads the fold's row at b; with split = ceil(k/2)
+it meets in the middle (Horowitz and Sahni, J. ACM 1974), about 2^ceil(k/2)
+rows per part instead of 2^k. The packed rows never leave this module: a
+plan answers the counts N_0..N_k.
 
-Both routes check the bits that their rows could hold before they
-allocate anything and raise CapExceeded past the one cap, _MAX_BITS;
-cap_error gives that verdict to callers that only need to know. The cost
-model that picks a route for one residue (mitm_is_cheaper) prices row adds
-and products by the same width, so the packed format, its cap and its
-costs all live here.
+A plan checks the bits that its parts' rows could hold before it allocates
+anything and raises CapExceeded past the one cap, _MAX_BITS; cap_error gives
+that verdict to callers that only need to know. The cost model that picks a
+split for one residue (mitm_is_cheaper) prices row adds and products by the
+same width, so the packed format, its cap and its costs all live here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
+from .codes import _residue
 from .errors import CapExceeded, InvariantViolation
 
 __all__ = [
     "cap_error",
     "mitm_is_cheaper",
     "reach",
-    "residue_join",
-    "residue_product",
-    "row_counts",
+    "residue_plan",
 ]
 
 # The one cap of a fold: the packed bits it may hold, checked on reach times
 # (k+1)^2, the bits of reach rows that each hold k+1 fields of k+1 bits; k
-# counts every coefficient of the spec, so the halves of a meeting in the
-# middle are charged full-width rows too. As reach <= 2^k, the cap admits at
-# most 2^20 rows, at k = 20; raised past (2^20+1) * 22^2 it would admit more,
-# and the memory would have to be measured again. Child peak RSS and time
+# counts every coefficient of the spec, so both parts of a plan are charged
+# full-width rows. As reach <= 2^k, the cap admits at most 2^20 rows, at
+# k = 20; raised past (2^20+1) * 22^2 it would admit more, and the memory
+# would have to be measured again. Child peak RSS and time
 # (Python 3.11, x86-64): the fold of 20 coefficients mod 10^9+7, 2^20 rows of
 # 21^2 bits, took 171 MB and 0.9 s, and Helberg(26, 2) 179 MB. VT(n) folds
 # grow about as n^3 in memory and n^4 in time: n = 400 took 32 MB and 1.4 s,
@@ -68,23 +68,6 @@ __all__ = [
 # meeting in the middle on 40 coefficients mod 10^9+7 (2^20 rows per half,
 # 382 MB, 2.8 s).
 _MAX_BITS = 7 << 26
-
-
-def row_counts(row: int, k: int) -> tuple[int, ...]:
-    """The counts N_0..N_k of a packed row of a fold of k coefficients.
-
-    An unreached residue has no row: row_counts(0, k) gives its k+1 zeros.
-    Raises ValueError when row holds more than k+1 fields, or is negative.
-    """
-    width = k + 1
-    mask = (1 << width) - 1
-    counts = []
-    for _ in range(width):
-        counts.append(row & mask)
-        row >>= width
-    if row:
-        raise ValueError(f"not a packed row of {k} coefficients")
-    return tuple(counts)
 
 
 def _check_mass(rows: Iterable[int], k: int, width: int) -> None:
@@ -110,8 +93,8 @@ def cap_error(parts: Iterable[Iterable[int]], modulus: int) -> CapExceeded | Non
     The parts together are the spec's k coefficients; a fold of any part
     passes the cap when its rows of (k+1)^2 bits could hold more than
     _MAX_BITS bits. Reads only reach(part, modulus) and k, so it allocates
-    nothing; residue_product checks its one part and residue_join its two
-    halves this way, the left half first.
+    nothing; residue_plan checks its two parts this way, the first part
+    first.
     """
     parts = [list(part) for part in parts]
     width = 1 + sum(map(len, parts))
@@ -148,11 +131,13 @@ def _fold_cost(coeffs: tuple[int, ...], n: int, width: int) -> float:
 def mitm_is_cheaper(coeffs: tuple[int, ...], n: int) -> bool:
     """The route cost model for one residue of reduced coefficients mod n.
 
-    A fold of the k coefficients (residue_product) is charged its row adds;
-    its rows double each step until they reach min(n, 1 + the coefficient
-    sum), and widen by one field of k + 1 bits. Meeting in the middle
-    (residue_join) is charged the folds of both halves, one join of a
-    product per row of the left half, and a fixed overhead. With n >= 2^k
+    A fold of the k coefficients (residue_plan at split k) is charged its
+    row adds; its rows double each step until they reach min(n, 1 + the
+    coefficient sum), and widen by one field of k + 1 bits. Meeting in the
+    middle (split ceil(k/2)) is charged the folds of both halves, one
+    product per row the left half could reach, and a fixed overhead; the
+    join walks the half with fewer reached residues, so that term is an
+    upper bound. With n >= 2^k
     that is about 2^ceil(k/2) rows against 2^k; when n is small enough that
     both halves fill it, the routes do the same adds and the join decides,
     so the fold wins as k grows (VT(200)).
@@ -180,47 +165,32 @@ def _fold(a_list: list[int], modulus: int, width: int) -> dict[int, int]:
     return rows
 
 
-def residue_product(coeffs: Iterable[int], modulus: int) -> dict[int, int]:
-    """Fold a coefficient list into the packed rows of its reached residues.
+def residue_plan(coeffs: Iterable[int], modulus: int,
+                 split: int) -> Callable[[int], tuple[int, ...]]:
+    """b -> the counts N_0..N_k at residue b, one join of two parts of coeffs folded here once.
 
-    Starts from row 0 = 1 (the empty tuple) and folds each coefficient in
-    turn, one big-integer add per reached residue, of which there are at most
-    reach(coeffs, modulus), so moduli far above 2^k stay cheap. Returns
-    {residue: packed row} for the reached residues alone; row_counts(row, k)
-    reads a row, and a missing residue counts no tuple. Negative
-    coefficients are reduced mod the modulus first, which does not change
-    the code. Raises CapExceeded, before building anything, when that many
-    rows of (k+1)^2 bits pass _MAX_BITS, and InvariantViolation if the rows
-    do not add up to (1 + z)^k.
+    The parts are coeffs[:split] and coeffs[split:], each folded with the
+    mass check, one big-integer add per reached residue and coefficient: at
+    split = k the second part is the empty tuple's one row and the join
+    reads the fold, at split = ceil(k/2) it meets in the middle. coeffs may
+    be any iterable, read once; negative coefficients are reduced mod the
+    modulus first, which does not change the code. Raises CapExceeded, before
+    building anything, when either part could hold more than _MAX_BITS bits
+    in rows of (k+1)^2 bits; each call raises ValueError for b outside
+    [0, modulus).
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     a_list = [a % modulus for a in coeffs]
-    if error := cap_error([a_list], modulus):
+    parts, width = (a_list[:split], a_list[split:]), len(a_list) + 1
+    if error := cap_error(parts, modulus):
         raise error
-    return _fold(a_list, modulus, len(a_list) + 1)
+    walked, other = sorted((_fold(part, modulus, width) for part in parts), key=len)
+    mask = (1 << width) - 1
 
+    def counts(b: int) -> tuple[int, ...]:
+        b = _residue(b, modulus)
+        row = sum(x * other.get((b - r) % modulus, 0) for r, x in walked.items())
+        return tuple(row >> shift & mask for shift in range(0, width * width, width))
 
-def residue_join(coeffs: Iterable[int], modulus: int) -> Callable[[int], tuple[int, ...]]:
-    """b -> the counts N_0..N_k at residue b, by meeting in the middle of halves folded here once.
-
-    Folds the first ceil(k/2) and the last floor(k/2) coefficients apart,
-    each with the mass check; each call joins them at its residue b, and
-    raises ValueError for b outside [0, modulus). Raises CapExceeded, before
-    building anything, when either half could hold more than _MAX_BITS bits
-    in rows of (k+1)^2 bits.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    a_list = [a % modulus for a in coeffs]
-    k, half = len(a_list), (len(a_list) + 1) // 2
-    if error := cap_error([a_list[:half], a_list[half:]], modulus):
-        raise error
-    left, right = _fold(a_list[:half], modulus, k + 1), _fold(a_list[half:], modulus, k + 1)
-
-    def join(b: int) -> tuple[int, ...]:
-        if not 0 <= b < modulus:
-            raise ValueError(f"residue {b} out of range for modulus {modulus}")
-        return row_counts(sum(x * right.get((b - r) % modulus, 0) for r, x in left.items()), k)
-
-    return join
+    return counts

@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -172,6 +174,15 @@ def test_ramanujan_direct_matches_kluyver():
 def test_ramanujan_direct_rejects_bad_modulus():
     with pytest.raises(ValueError):
         ramanujan_sum_direct(0, 3)
+
+
+def test_ramanujan_direct_raises_on_an_imaginary_part(monkeypatch):
+    # each of the 4 terms of c_5(1) given an imaginary part of 1: the sum's 4.0 is caught
+    monkeypatch.setattr(arith, "cmath", SimpleNamespace(
+        exp=lambda z: complex(cmath.exp(z).real, 1.0)))
+    with pytest.raises(IntegralityFailure,
+                       match=r"^imaginary part 4\.0 of the c_5\(1\) sum exceeds tolerance$"):
+        ramanujan_sum_direct(5, 1)
 
 
 def test_integrality_failure_is_importable():

@@ -684,11 +684,11 @@ def test_docstring_examples_run(capsys):
 
 
 def count_folds(monkeypatch):
-    """Record the modulus of every full fold the enumerator builds."""
+    """Record the modulus of every full fold the enumerator builds: a plan split at k."""
     folds = []
-    fold = enumerator.residue_product
-    monkeypatch.setattr(enumerator, "residue_product",
-                        lambda coeffs, n: folds.append(n) or fold(coeffs, n))
+    plan = enumerator.residue_plan
+    monkeypatch.setattr(enumerator, "residue_plan", lambda coeffs, n, split: (
+        split == len(coeffs) and folds.append(n)) or plan(coeffs, n, split))
     return folds
 
 
@@ -1062,17 +1062,18 @@ def test_output_cap_refuses_before_the_first_byte(capsys, monkeypatch):
 
 def test_table_charges_a_digit_a_number_before_any_plan(capsys, monkeypatch):
     # 10^9+7 rows, nearly all of size 0, print a digit each: past the cap of 5e7 digits
-    # before any plan is built, where the rows would take hours; --b all past sys.maxsize too
+    # before any plan is built, where the rows would take hours; --b all past sys.maxsize
+    # too, and past the largest float, counted exactly
     def must_not_run(code):
         raise AssertionError("a plan was built")
 
     for name in ("fold_plan", "mitm_plan", "closed_plan"):
         monkeypatch.setattr(enumerator, name, must_not_run)
-    for mod in (10**9 + 7, 10**23):
+    for mod in (10**9 + 7, 10**23, 10**400):
         code, out, err = run(capsys, "table", "--family", "blcc", "--coeffs", "3,5",
                              "--mod", str(mod), "--b", "all")
         assert (code, out) == (4, "")
-        assert err == f"ccodes: limit: about {float(mod):.0f} output digits exceed the cap of " \
+        assert err == f"ccodes: limit: about {mod} output digits exceed the cap of " \
                       f"{cli._MAX_DIGITS}\n"
     # each residue, each of its labels and each of a row's k+1 numbers is charged: under
     # a cap of 100 digits, tables of 99 or 100 numbers, nearly all zeros, print, and

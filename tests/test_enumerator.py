@@ -32,7 +32,6 @@ from ccodes import (
     make_levenshtein,
     make_svt,
     make_vt,
-    residue_product,
     size,
     size_upper_bound,
     vt_q_size,
@@ -53,7 +52,7 @@ from ccodes.enumerator import (
     svt_float_plan,
 )
 from ccodes.oracle import brute_plan
-from ccodes.polyring import residue_join
+from ccodes.polyring import residue_plan
 
 
 def _at(plan, spec):
@@ -177,12 +176,10 @@ def test_weight_enumerator_sparse_path():
 
 
 def count_routes(monkeypatch):
-    """Record "fold" for every fold and "mitm" for every meeting in the middle's plan."""
+    """Record "fold" for every plan split after its last coefficient, else "mitm"."""
     routes = []
-    monkeypatch.setattr(enumerator, "residue_product",
-                        lambda *args: routes.append("fold") or residue_product(*args))
-    monkeypatch.setattr(enumerator, "residue_join",
-                        lambda *args: routes.append("mitm") or residue_join(*args))
+    monkeypatch.setattr(enumerator, "residue_plan", lambda coeffs, n, split: routes.append(
+        "fold" if split == len(coeffs) else "mitm") or residue_plan(coeffs, n, split))
     return routes
 
 
@@ -253,13 +250,14 @@ def test_an_every_residue_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(
             raised = True
         assert routes == []
         residues = [rng.randrange(n), rng.randrange(n)]  # a sweep: one fold, or one join plan
-        want = ["mitm"] if raised else ["fold"]
+        mitm = "mitm" if k > 1 else "fold"  # below k = 2 the halves' split ceil(k/2) is k
+        want = [mitm] if raised else ["fold"]
         try:
             assert list(weight_enumerators(code, residues)) == [
                 brute_weight_enumerator(CodeSpec(code.coefficients, n, b)) for b in residues]
         except CapExceeded:  # two residues are every residue of n <= 2, which the call
             # refuses; else the halves are past the cap too: the plan raises at the first read
-            want = [] if n <= 2 else ["mitm"]
+            want = [] if n <= 2 else [mitm]
         assert routes == want, (code, residues)
         routes.clear()
         seen[raised] += 1
@@ -268,11 +266,9 @@ def test_an_every_residue_sweep_raises_exactly_when_a_sweep_meets_in_the_middle(
 
 _TWICE_SCRIPT = """
 from ccodes import CodeSpec, enumerator, make_helberg, weight_enumerator
-routes = []
-for name in ("residue_product", "residue_join"):
-    route = getattr(enumerator, name)
-    setattr(enumerator, name, lambda *args, name=name, route=route:
-            routes.append(name) or route(*args))
+routes, plan = [], enumerator.residue_plan
+enumerator.residue_plan = lambda coeffs, n, split: routes.append(
+    "fold" if split == len(coeffs) else "mitm") or plan(coeffs, n, split)
 for spec in (make_helberg(20, 2, 7), CodeSpec((1, 2, 4, 8, 16, 32), 20, 5),
              CodeSpec((1, 2, 4, 8, 16, 32), 3, 1)):
     print(weight_enumerator(spec) == weight_enumerator(spec), *routes)
@@ -289,8 +285,7 @@ def test_the_same_call_twice_takes_the_same_route_in_a_fresh_process():
     proc = subprocess.run([sys.executable, *flags, "-c", _TWICE_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == ("True residue_join residue_join\n" * 2
-                           + "True residue_product residue_product\n")
+    assert proc.stdout == "True mitm mitm\n" * 2 + "True fold fold\n"
 
 
 def test_shifted_vt_codes_answer_from_the_one_entry_point():
@@ -900,6 +895,12 @@ def test_lehmer_count_examples():
         lehmer_count([1], 0, 0)
 
 
+def test_lehmer_count_of_no_coefficients():
+    # Z_n^0 holds the empty tuple alone, of sum 0: one solution when n divides b
+    assert lehmer_count([], 5, 0) == lehmer_count([], 5, 10) == lehmer_count([], 1, 7) == 1
+    assert lehmer_count([], 5, 3) == 0
+
+
 # === VT closed forms ===
 
 
@@ -1071,7 +1072,7 @@ def test_weight_enumerator_takes_the_closed_route_in_its_domain(monkeypatch):
     def must_not_run(*args):
         raise AssertionError("a route other than the closed form ran")
 
-    for name in ("fold_plan", "mitm_plan", "residue_product", "residue_join"):
+    for name in ("fold_plan", "mitm_plan", "residue_plan"):
         monkeypatch.setattr(enumerator, name, must_not_run)
     assert [weight_enumerator(spec) for spec in specs] == want
     assert [size(spec) for spec in specs] == [w.size() for w in want]
@@ -1176,6 +1177,8 @@ def test_vt_size_examples():
     assert vt_size(6, 0) == 10  # (2^7 + 6*2) / 14
     assert vt_size(4, 1) == 3
     assert vt_size(1, 0) == 1
+    with pytest.raises(ValueError, match="^VT length must be >= 1$"):
+        vt_size(0, 0)
 
 
 def test_vt_size_partition():

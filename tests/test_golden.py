@@ -68,6 +68,14 @@ GRIDS = (
     "verify --family blcc --coeffs 3,5 --mod 1000000 --b 8 --methods brute",
     # meeting in the middle: one residue of Helberg(36,2), modulus 63,245,985
     "enum --family helberg --k 36 --s 2 --b 0",
+    # meeting in the middle at odd lengths, where the halves differ in size: Helberg(31,2)
+    # (241 words), and 19 coefficients mod 10^9+7 whose one word of weight 10 takes the
+    # even-indexed ones
+    "enum --family helberg --k 31 --s 2 --b 12345",
+    "enum --family blcc --mod 1000000007 --b 186608609 --coeffs "
+    "477792040,167135896,561908963,694466506,587125379,712881716,468797829,376411073,"
+    "650232948,515062492,521352827,760953937,143925400,953713569,549395963,807195153,"
+    "125404580,210011131,100672708",
     # past the fold's packed-bit cap (1,346,268 rows of 29^2 bits): exit 4 before the
     # fold allocates
     "table --family helberg --k 28 --s 2 --b all",
@@ -163,6 +171,8 @@ GRIDS = (
     # where building its list ended in an OverflowError traceback
     "verify --family vt --n 3 --b 0..100000000000000000000 --methods exact",
     "table --family blcc --coeffs 1,2 --mod 5 --b 0..100000000000000000000",
+    # the output cap counts a huge --b all's digits as an exact integer, not a float
+    "table --family blcc --coeffs 3,5 --mod 100000000000000000000000 --b all",
     # an empty --b range ends a huge grid after its first code, and an empty grid
     # range before any code, where the walk went on building codes with no instance
     "enum --family vt --n 1..100000000000 --b 3..2",

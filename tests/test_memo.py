@@ -75,7 +75,7 @@ def test_another_code_frees_the_last_codes_values(monkeypatch, capsys):
 def test_one_codes_routes_coexist(monkeypatch, capsys):
     # a --b all sweep of one code keeps its fold, float rows and brute cells together
     built = []
-    fold, cells, float_plan = enumerator.residue_product, oracle._cells, enumerator._float_plan
+    plan, cells, float_plan = enumerator.residue_plan, oracle._cells, enumerator._float_plan
 
     def counting_plan(code, width, size, build, *reads):
         def counted(ms, *tables):
@@ -84,8 +84,8 @@ def test_one_codes_routes_coexist(monkeypatch, capsys):
 
         return float_plan(code, width, size, counted, *reads)
 
-    monkeypatch.setattr(enumerator, "residue_product",
-                        lambda *args: built.append("fold") or fold(*args))
+    monkeypatch.setattr(enumerator, "residue_plan", lambda coeffs, n, split: built.append(
+        "fold" if split == len(coeffs) else "mitm") or plan(coeffs, n, split))
     monkeypatch.setattr(oracle, "_cells", lambda *args: built.append("brute") or cells(*args))
     monkeypatch.setattr(enumerator, "_float_plan", counting_plan)
     assert cli.main(["verify", "--family", "levenshtein", "--k", "10", "--n", "7",

@@ -231,6 +231,10 @@ def test_codebook_validation():
         Codebook.from_strings(["01", "2"])
     roundtrip = Codebook.from_strings(["1001", "0110"])
     assert roundtrip.to_strings() == ["1001", "0110"]
+    with pytest.raises(ValueError, match="^word length must be >= 0$"):
+        Codebook(-1, ())
+    # no strings: the empty code of length 0
+    assert Codebook.from_strings([]) == Codebook(0, ())
 
 
 def test_brute_count_zn_examples():
@@ -244,6 +248,10 @@ def test_brute_count_zn_cap_and_validation():
         brute_count_qary([1] * 8, 10, 0, 8, 10)
     with pytest.raises(ValueError):
         brute_count_qary([1, 2], 5, 0, 3, 5)
+    with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+        brute_count_qary([1, 2], 0, 0, 2, 5)
+    with pytest.raises(ValueError, match="^alphabet size must be >= 1$"):
+        brute_count_qary([1, 2], 5, 0, 2, 0)
 
 
 def test_brute_count_qary():

@@ -17,14 +17,13 @@ from ccodes import (  # noqa: E402
     make_helberg,
     make_svt,
     make_vt,
-    residue_product,
     size,
     size_upper_bound,
     vt_weight_enumerator_closed,
     weight_enumerator,
 )
 from ccodes.enumerator import fold_plan  # noqa: E402
-from ccodes.polyring import reach, residue_join, row_counts  # noqa: E402
+from ccodes.polyring import reach, residue_plan  # noqa: E402
 
 # derandomized and without an example database: every run checks the same draws
 settings = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
@@ -52,11 +51,9 @@ def test_residue_product_equals_brute_force(fold):
     expected = [[0] * (k + 1) for _ in range(n)]
     for bits in product((0, 1), repeat=k):
         expected[sum(a * c for a, c in zip(coeffs, bits)) % n][sum(bits)] += 1
-    rows, join = residue_product(coeffs, n), residue_join(coeffs, n)
-    for r in range(n):
-        counts = row_counts(rows.get(r, 0), k)
-        assert list(counts) == expected[r]
-        assert join(r) == counts
+    for split in range(k + 1):
+        plan = residue_plan(coeffs, n, split)
+        assert [list(plan(r)) for r in range(n)] == expected, split
 
 
 @settings
@@ -67,7 +64,11 @@ def test_residue_product_keeps_only_reached_residues(fold):
     coeffs, n = fold
     hit = {sum(a * c for a, c in zip(coeffs, bits)) % n
            for bits in product((0, 1), repeat=len(coeffs))}
-    rows = residue_product(coeffs, n)
+    kept = []
+    with mock.patch.object(polyring, "_fold", lambda *args, fold=polyring._fold:
+                           kept.append(fold(*args)) or kept[-1]):
+        residue_plan(coeffs, n, len(coeffs))
+    rows = kept[0]
     assert set(rows) == hit and len(rows) <= reach(coeffs, n)
     assert all(rows.values())
 
